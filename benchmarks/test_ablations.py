@@ -7,6 +7,8 @@
   stop counting; FP volume explodes.
 * **Retry-loop detection off** — custom retry logic loses credit and
   MISSED_RETRY over-reports.
+* **Notification callee depth** — capping the error-path callee walk
+  misses notifications shown from helper methods.
 """
 
 import pytest
@@ -123,114 +125,13 @@ def test_ablation_retry_loop_detection(benchmark):
     assert without_loops.count_of(DefectKind.MISSED_RETRY) == 1
 
 
-def test_ablation_summary_engine(benchmark, corpus):
-    """Interprocedural summaries vs the one-hop legacy walks.
-
-    On the open-source corpus (whose defects sit within one hop of the
-    request) the two modes must agree — the engine is a strict
-    generalisation.  On apps that pass the configured client through
-    helper frames, only summary mode suppresses the false alarms.  The
-    per-APK engine cache also makes repeat scans cheaper: re-scanning the
-    corpus hits the cache once per app.
-    """
-    import time
-
-    from repro.corpus.appbuilder import AppBuilder
-    from repro.ir import Local
-
-    def deep_chain_app(package):
-        app = AppBuilder(package)
-        activity = app.activity("MainActivity")
-        client_cls = "com.turbomanage.httpclient.BasicHttpClient"
-        entry = activity.method("onClick", params=[("android.view.View", "v")])
-        client = entry.new(client_cls, "c")
-        entry.call(client, "setReadWriteTimeout", 7000)
-        entry.call(client, "setMaxRetries", 2)
-        entry.call(Local("this"), "go", client, cls=activity.name)
-        entry.ret()
-        activity.add(entry)
-        mid = activity.method("go", params=[(client_cls, "c1")])
-        mid.call(Local("this"), "issue", Local("c1"), cls=activity.name)
-        mid.ret()
-        activity.add(mid)
-        leaf = activity.method("issue", params=[(client_cls, "c2")])
-        leaf.call(Local("c2"), "get", "http://x", cls=client_cls, ret="r")
-        leaf.ret()
-        activity.add(leaf)
-        return app.build()
-
-    deep_apps = [deep_chain_app(f"com.abl.deep{i}") for i in range(4)]
-    truths = [t for _, t in corpus]
-
-    legacy_checker = NChecker(options=NCheckerOptions(summary_based=False))
-    start = time.perf_counter()
-    legacy_results = [legacy_checker.scan(apk) for apk, _ in corpus]
-    legacy_s = time.perf_counter() - start
-
-    summary_checker = NChecker()
-    start = time.perf_counter()
-    summary_results = benchmark.pedantic(
-        lambda: [summary_checker.scan(apk) for apk, _ in corpus],
-        rounds=1, iterations=1,
-    )
-    summary_s = time.perf_counter() - start
-
-    legacy_table = table9_confusions(truths, legacy_results)
-    summary_table = table9_confusions(truths, summary_results)
-    legacy_correct = sum(c.correct for c in legacy_table.values())
-    summary_correct = sum(c.correct for c in summary_table.values())
-    legacy_fp = sum(c.false_positives for c in legacy_table.values())
-    summary_fp = sum(c.false_positives for c in summary_table.values())
-
-    deep_config_fps = {
-        "summary": sum(
-            NChecker().scan(apk).count_of(
-                DefectKind.MISSED_TIMEOUT, DefectKind.MISSED_RETRY
-            )
-            for apk in deep_apps
-        ),
-        "one-hop": sum(
-            NChecker(options=NCheckerOptions(summary_based=False))
-            .scan(apk)
-            .count_of(DefectKind.MISSED_TIMEOUT, DefectKind.MISSED_RETRY)
-            for apk in deep_apps
-        ),
-    }
-
-    # Cache effectiveness: the second sweep reuses every engine.
-    start = time.perf_counter()
-    for apk, _ in corpus:
-        summary_checker.scan(apk)
-    rescan_s = time.perf_counter() - start
-
-    print(
-        f"\ncorpus ({len(corpus)} apps): one-hop correct={legacy_correct} "
-        f"FP={legacy_fp} acc={overall_accuracy(legacy_table):.3f} "
-        f"in {legacy_s * 1000:.0f} ms\n"
-        f"                  summaries correct={summary_correct} "
-        f"FP={summary_fp} acc={overall_accuracy(summary_table):.3f} "
-        f"in {summary_s * 1000:.0f} ms (rescan {rescan_s * 1000:.0f} ms, "
-        f"{summary_checker.summary_cache.hits} cache hits)\n"
-        f"deep config chains ({len(deep_apps)} apps): "
-        f"one-hop FPs={deep_config_fps['one-hop']}, "
-        f"summary FPs={deep_config_fps['summary']}"
-    )
-
-    assert summary_correct >= legacy_correct
-    assert summary_fp <= legacy_fp
-    assert deep_config_fps["one-hop"] == 2 * len(deep_apps)
-    assert deep_config_fps["summary"] == 0
-    assert summary_checker.summary_cache.hits >= len(corpus)
-
-
 def test_ablation_notification_depth(benchmark):
     """Callee search depth 0 misses notifications behind helper methods.
 
-    The depth knob only exists on the legacy walk, so both scans pin
-    ``summary_based=False`` (the engine's facts are transitive and would
-    find the helper's Toast at any depth)."""
+    The default uses the summary engine's transitive notification facts
+    and finds the helper's Toast; ``notification_callee_depth=0`` caps
+    the walk at the error path itself and misses it."""
     from repro.corpus.appbuilder import AppBuilder
-    from repro.corpus.snippets import RequestSpec, inject_request
     from repro.ir import Local
 
     app = AppBuilder("com.abl.depth")
@@ -254,14 +155,11 @@ def test_ablation_notification_depth(benchmark):
     activity.add(helper)
     apk = app.build()
 
-    deep = benchmark.pedantic(
-        NChecker(
-            options=NCheckerOptions(summary_based=False, notification_callee_depth=2)
-        ).scan,
-        args=(apk,), rounds=1, iterations=1,
+    transitive = benchmark.pedantic(
+        NChecker().scan, args=(apk,), rounds=1, iterations=1
     )
     shallow = NChecker(
-        options=NCheckerOptions(summary_based=False, notification_callee_depth=0)
+        options=NCheckerOptions(notification_callee_depth=0)
     ).scan(apk)
-    assert deep.count_of(DefectKind.MISSED_NOTIFICATION) == 0
+    assert transitive.count_of(DefectKind.MISSED_NOTIFICATION) == 0
     assert shallow.count_of(DefectKind.MISSED_NOTIFICATION) == 1

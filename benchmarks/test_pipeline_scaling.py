@@ -332,68 +332,68 @@ def test_threadcontext_cache_warm(benchmark, tmp_path):
 
 def test_summary_laziness(benchmark):
     """Demand-driven summaries evaluate only the SCC cones the planned
-    passes actually query; ``--eager-summaries`` (the pre-lazy behavior)
-    builds whole-app fact maps.  Findings are identical either way — the
-    saving is pure work volume, measured here as evaluated-SCC counts
-    and wall time, for the default check set and for
+    passes actually query.  Whole-app evaluation would run every fact
+    pass over the whole condensation, so its work is derived from the
+    same run: the sum over apps of ``bool_fact_passes`` times the app's
+    SCC count.  The saving is pure work volume, measured here as
+    evaluated-SCC counts, for the default check set and for
     ``--extended-checks``."""
     from repro.core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS
+    from repro.pipeline.artifacts import SUMMARIES
 
     n_apps = 12
     apps = [apk for apk, _ in CorpusGenerator(PAPER_PROFILE.scaled(n_apps)).generate()]
     blobs = [dumps_apk(apk) for apk in apps]
 
-    def sweep(eager: bool, checks):
-        options = NCheckerOptions(eager_summaries=eager, enabled_checks=checks)
+    def sweep(checks):
+        options = NCheckerOptions(enabled_checks=checks)
         with use_metrics() as registry:
             checker = NChecker(options=options)
-            results = [
-                checker.open_session(loads_apk(blob)).scan() for blob in blobs
-            ]
-            return results, registry.snapshot()
+            sessions = [checker.open_session(loads_apk(blob)) for blob in blobs]
+            for session in sessions:
+                session.scan()
+            engines = [session.store.peek(SUMMARIES) for session in sessions]
+            whole_app = sum(
+                engine.stats.bool_fact_passes * len(engine.sccs)
+                for engine in engines
+            )
+            return whole_app, registry.snapshot()
 
     section = {}
     for label, checks in (
         ("default", DEFAULT_CHECKS),
         ("extended", DEFAULT_CHECKS | EXTENDED_CHECKS),
     ):
-        start = time.perf_counter()
-        eager_results, eager_snap = sweep(True, checks)
-        eager_s = time.perf_counter() - start
-
         if label == "default":
-            lazy_results, lazy_snap = benchmark.pedantic(
-                sweep, args=(False, checks), rounds=1, iterations=1
+            whole_app_sccs, lazy_snap = benchmark.pedantic(
+                sweep, args=(checks,), rounds=1, iterations=1
             )
             lazy_s = benchmark.stats.stats.mean
         else:
             start = time.perf_counter()
-            lazy_results, lazy_snap = sweep(False, checks)
+            whole_app_sccs, lazy_snap = sweep(checks)
             lazy_s = time.perf_counter() - start
 
-        assert _scan_signature(eager_results) == _scan_signature(lazy_results)
-        eager_sccs = eager_snap["counters"].get("dataflow.bool_fact_sccs", 0)
         lazy_sccs = lazy_snap["counters"].get("dataflow.bool_fact_sccs", 0)
         # The demanded cones are subsets of the whole condensation; with
         # per-site error callbacks they are strict subsets.
-        assert 0 < lazy_sccs < eager_sccs, (
-            f"{label}: lazy evaluated {lazy_sccs} SCCs vs eager {eager_sccs}"
+        assert 0 < lazy_sccs < whole_app_sccs, (
+            f"{label}: lazy evaluated {lazy_sccs} SCCs vs whole-app "
+            f"{whole_app_sccs}"
         )
         section[label] = {
-            "eager_s": eager_s,
             "lazy_s": lazy_s,
-            "eager_bool_fact_sccs": eager_sccs,
+            "whole_app_bool_fact_sccs": whole_app_sccs,
             "lazy_bool_fact_sccs": lazy_sccs,
-            "scc_work_ratio": lazy_sccs / eager_sccs,
-            "identical_results": True,
+            "scc_work_ratio": lazy_sccs / whole_app_sccs,
             "lazy_counters": lazy_snap["counters"],
             "lazy_timings": _timing_fields(lazy_snap),
         }
         print(
             f"\nsummary laziness ({label} checks, {n_apps} apps): "
-            f"eager {eager_s*1000:.0f} ms / {eager_sccs} SCCs, "
-            f"lazy {lazy_s*1000:.0f} ms / {lazy_sccs} SCCs "
-            f"({lazy_sccs/eager_sccs:.0%} of eager work)"
+            f"lazy {lazy_s*1000:.0f} ms / {lazy_sccs} SCCs of "
+            f"{whole_app_sccs} whole-app "
+            f"({lazy_sccs/whole_app_sccs:.0%} of the work)"
         )
     _record("summary_laziness", {"n_apps": n_apps, "modes": section})
 

@@ -86,8 +86,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     options = NCheckerOptions(
         guard_aware_connectivity=args.guard_aware,
         interprocedural_connectivity=not args.intraprocedural,
-        summary_based=not args.no_summaries,
-        eager_summaries=args.eager_summaries,
         intra_jobs=args.intra_jobs,
         cache_dir=_resolve_cache_dir(args),
         cache_backend=_resolve_cache_backend(args),
@@ -243,10 +241,7 @@ def _cmd_checks(args: argparse.Namespace) -> int:
     flags enable it, and the store artifacts it reads."""
     from .core.checks import check_catalog
 
-    options = NCheckerOptions(
-        summary_based=not args.no_summaries,
-        enabled_checks=_enabled_checks(args),
-    )
+    options = NCheckerOptions(enabled_checks=_enabled_checks(args))
     for check in check_catalog(options):
         state = "enabled" if check.name in options.enabled_checks else "disabled"
         reads = ", ".join(check.reads(options))
@@ -494,7 +489,6 @@ def _cmd_bench_record(args: argparse.Namespace) -> int:
         return 2
     options = NCheckerOptions(
         enabled_checks=_enabled_checks(args),
-        eager_summaries=args.eager_summaries,
         intra_jobs=args.intra_jobs,
     )
     record = _bench_measure(apps, args.jobs, options, args.label)
@@ -563,10 +557,9 @@ def _cmd_bench_gate(args: argparse.Namespace) -> int:
                   "examples/apps/*.apkt found", file=sys.stderr)
             return 2
         options = NCheckerOptions(
-        enabled_checks=_enabled_checks(args),
-        eager_summaries=args.eager_summaries,
-        intra_jobs=args.intra_jobs,
-    )
+            enabled_checks=_enabled_checks(args),
+            intra_jobs=args.intra_jobs,
+        )
         current = _bench_measure(apps, args.jobs, options,
                                  args.label or "gate")
         RunLedger(resolve_ledger_dir(args.ledger_dir)).append(current)
@@ -616,7 +609,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_backend=_resolve_cache_backend(args),
         extended_checks=args.extended_checks,
         intra_jobs=args.intra_jobs,
-        eager_summaries=args.eager_summaries,
         max_body_bytes=max_body,
     )
     try:
@@ -624,6 +616,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         log.info("interrupted; shutting down")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for worker counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -667,22 +670,15 @@ def build_parser() -> argparse.ArgumentParser:
         "as 'local:DIR', otherwise it uses the resolved --cache-dir. "
         "See docs/CACHING.md",
     )
-    # Summary-engine performance knobs, shared by every command that
-    # scans under the summary engine.  Neither can change scan output:
-    # --intra-jobs is excluded from the scan-options fingerprint, and
-    # --eager-summaries only changes work volume (ablation baseline).
+    # The summary-engine thread knob, shared by every command that scans.
+    # It cannot change scan output, so it is excluded from the
+    # scan-options fingerprint.
     perf = argparse.ArgumentParser(add_help=False)
     perf.add_argument(
-        "--intra-jobs", type=int, default=1, metavar="N",
+        "--intra-jobs", type=_positive_int, default=1, metavar="N",
         help="evaluate independent summary SCCs of one wavefront on N "
         "threads while prewarming (output, counters, and profile shapes "
         "are identical to --intra-jobs 1)",
-    )
-    perf.add_argument(
-        "--eager-summaries", action="store_true",
-        help="build whole-app summary fact maps on first query instead "
-        "of demand-driven callee cones (ablation baseline; findings are "
-        "byte-identical)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -698,11 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--sarif", metavar="FILE",
         help="write findings as a SARIF 2.1.0 log to FILE",
-    )
-    scan.add_argument(
-        "--no-summaries", action="store_true",
-        help="disable the interprocedural summary engine (legacy "
-        "horizon-limited analyses; ablation baseline)",
     )
     scan.add_argument(
         "--stats", action="store_true",
@@ -736,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a per-app heartbeat line on stderr as results land",
     )
     scan.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N",
+        "-j", "--jobs", type=_positive_int, default=1, metavar="N",
         help="scan apps across N worker processes (output is byte-identical "
         "to --jobs 1)",
     )
@@ -771,10 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--extended-checks", action="store_true",
         help="show the enabled state the scan's --extended-checks flag "
         "would produce",
-    )
-    checks.add_argument(
-        "--no-summaries", action="store_true",
-        help="show the artifacts read without the summary engine",
     )
     checks.set_defaults(func=_cmd_checks)
 
@@ -892,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="free-form label stored on the ledger record",
     )
     record.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N",
+        "-j", "--jobs", type=_positive_int, default=1, metavar="N",
         help="scan across N worker processes (profiles merge node-for-node)",
     )
     record.add_argument(
@@ -971,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="label stored on the measured run's ledger record",
     )
     gate.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N",
+        "-j", "--jobs", type=_positive_int, default=1, metavar="N",
         help="worker processes for the measurement run",
     )
     gate.add_argument(

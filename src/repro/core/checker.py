@@ -62,23 +62,10 @@ class NCheckerOptions:
     guard_aware_connectivity: bool = False
     interprocedural_connectivity: bool = True
     detect_retry_loops: bool = True
-    #: Use the interprocedural summary engine (`repro.dataflow.summaries`)
-    #: for the §4.4 analyses: config taint climbs caller chains to the
-    #: client's allocation, response obligations propagate through
-    #: arbitrarily deep returns, and notification/connectivity facts are
-    #: transitive over the call graph.  ``False`` is the ablation
-    #: baseline: the seed's horizon-limited paths (one caller hop for
-    #: config, one return hop for responses, ``notification_callee_depth``
-    #: for UI sinks).
-    summary_based: bool = True
-    #: Callee search depth for the *legacy* notification walk; ignored
-    #: when ``summary_based`` is on (the summary facts are transitive).
-    notification_callee_depth: int = 2
-    #: Ablation baseline for the demand-driven summary engine: build
-    #: whole-app fact maps on the first point query (the pre-lazy
-    #: behavior) instead of evaluating only the queried callee cones.
-    #: Results are identical either way; only work volume differs.
-    eager_summaries: bool = False
+    #: The notification-depth ablation (DESIGN.md): ``None`` — the
+    #: default — uses the summary engine's transitive notification facts;
+    #: an int caps the failure-notification callee walk at that depth.
+    notification_callee_depth: Optional[int] = None
     #: Wavefront workers for summary prewarming: independent SCCs of the
     #: call-graph condensation evaluate concurrently on up to this many
     #: threads.  Purely an execution detail — results, counters, and
@@ -215,13 +202,6 @@ class NChecker:
         #: Per-APK scan sessions (artifact stores), reused across repeat
         #: scans of the same (structurally unchanged) app.
         self.sessions = SessionCache()
-
-    @property
-    def summary_cache(self):
-        """Legacy alias for :attr:`sessions` — the session cache subsumes
-        the old per-APK ``SummaryCache`` and keeps its hit/miss counter
-        semantics (one miss per structurally distinct app state)."""
-        return self.sessions
 
     def scan(self, apk: APK) -> ScanResult:
         """Run all enabled analyses over one app."""

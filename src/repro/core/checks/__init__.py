@@ -18,8 +18,8 @@ def check_catalog(options) -> list[Check]:
     """One fresh instance of every registered check, in pipeline order —
     the source of truth for ``nchecker checks`` and mirrored by the scan
     session's pass construction.  ``options`` feeds the knobs a check's
-    constructor or :meth:`~Check.reads` consults (summary mode, guard
-    awareness); whether a check actually *runs* is decided by
+    constructor or :meth:`~Check.reads` consults (guard awareness,
+    inter-component analysis); whether a check actually *runs* is decided by
     ``options.enabled_checks``, which the caller compares names against.
     """
     config_check = ConfigAPICheck()

@@ -38,9 +38,9 @@ def methods_invoking(
     ctx: AnalysisContext, predicate
 ) -> set[MethodKey]:
     """Closure of app methods that (transitively) invoke a call site
-    matching ``predicate`` — used to treat ``isNetworkOnline()``-style app
-    helpers as the checks they wrap.  Legacy path: in summary mode the
-    checks read the equivalent memoized fact off ``ctx.summaries``.
+    matching ``predicate`` — used to treat app helpers that wrap a cache
+    API as the cache accesses they perform.  (Connectivity helpers are a
+    memoized fact on ``ctx.summaries`` instead.)
 
     The caller closure is a reverse-edge worklist seeded from the direct
     matches: each in-edge is followed at most once from its member

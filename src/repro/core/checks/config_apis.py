@@ -8,16 +8,12 @@ never set.  It also resolves the *values* passed to retry/timeout config
 APIs via constant propagation; the improper-parameter check consumes
 those.
 
-In the default summary-based mode (``NCheckerOptions.summary_based``)
-the backward propagation is genuinely interprocedural: when the config
-object arrives as a parameter, the analysis climbs the caller chain —
-however deep — until it reaches the frame that allocates the client, and
-in every frame it additionally consults the summary engine for config
-calls made inside callees the object is passed to.  The legacy mode
-(``summary_based=False``, the ablation baseline) instead widens one
-caller hop and treats deeper parameters as tainted throughout the
-caller.  Field-held config objects widen to the enclosing class in both
-modes (no heap model, matching the paper).
+The backward propagation is interprocedural: when the config object
+arrives as a parameter, the analysis climbs the caller chain — however
+deep — until it reaches the frame that allocates the client, and in
+every frame it additionally consults the summary engine for config calls
+made inside callees the object is passed to.  Field-held config objects
+widen to the enclosing class (no heap model, matching the paper).
 """
 
 from __future__ import annotations
@@ -70,9 +66,7 @@ class ConfigAPICheck:
     after: tuple[str, ...] = ()
 
     def reads(self, options) -> tuple[str, ...]:
-        names = ["requests", "callgraph"]
-        if options.summary_based:
-            names.append("summaries")
+        names = ["requests", "callgraph", "summaries"]
         if options.detect_retry_loops:
             names.append("retry-loops")
         return tuple(names)
@@ -148,10 +142,7 @@ class ConfigAPICheck:
         self._scan_method(ctx, request, method, taint, constants, info)
 
         if param_names:
-            if ctx.summaries is not None:
-                self._scan_callers_transitive(ctx, request, param_names, info)
-            else:
-                self._scan_callers_for_params(ctx, request, param_names, info)
+            self._scan_callers_transitive(ctx, request, param_names, info)
         if field_widened and self.widen_to_class:
             self._scan_widened(ctx, request, info)
         self._apply_defaults(info)
@@ -164,8 +155,8 @@ class ConfigAPICheck:
         param_names: set[str],
         info: RequestConfigInfo,
     ) -> None:
-        """Summary mode: the config object arrives as a parameter, so the
-        paper's backward propagation continues into the callers — through
+        """The config object arrives as a parameter, so the paper's
+        backward propagation continues into the callers — through
         arbitrarily many frames — until the frame that allocates the
         client is reached.  In every frame the object's aliases are
         taint-tracked from their local definitions (or from entry, when
@@ -226,49 +217,6 @@ class ConfigAPICheck:
                     visited.update((edge.caller, name) for name in fresh)
                     worklist.append((edge.caller, frozenset(fresh)))
 
-    def _scan_callers_for_params(
-        self,
-        ctx: AnalysisContext,
-        request: NetworkRequest,
-        param_names: set[str],
-        info: RequestConfigInfo,
-    ) -> None:
-        """Legacy (``summary_based=False``) ablation baseline: the config
-        object arrives as a parameter, and only one caller level is
-        inspected — deeper frames degrade to a whole-caller widening."""
-        method = request.method
-        param_positions = {
-            p.name: i for i, p in enumerate(method.params) if p.name in param_names
-        }
-        for edge in ctx.callgraph.callers(request.key):
-            caller = ctx.callgraph.methods.get(edge.caller)
-            if caller is None:
-                continue
-            site = edge.stmt_index
-            invoke = caller.statements[site].invoke()
-            if invoke is None:
-                continue
-            for _name, position in param_positions.items():
-                if position >= len(invoke.args):
-                    continue
-                arg = invoke.args[position]
-                if not isinstance(arg, Local):
-                    continue
-                caller_cfg = ctx.cache.cfg(caller)
-                caller_defuse = ctx.cache.defuse(caller)
-                arg_seeds = {
-                    (origin, arg.name)
-                    for origin in trace_origins(caller_cfg, site, arg.name, caller_defuse)
-                    if origin >= 0
-                }
-                if not arg_seeds:
-                    # The caller received it as a parameter too (depth 2+):
-                    # treat it as tainted throughout the caller.
-                    arg_seeds = {(-1, arg.name)}
-                taint = ForwardTaint(caller_cfg, arg_seeds)
-                constants = ctx.cache.constants(caller)
-                self._scan_method(ctx, request, caller, taint, constants, info)
-
     def _scan_method(
         self,
         ctx: AnalysisContext,
@@ -281,7 +229,7 @@ class ConfigAPICheck:
         for idx, invoke in method.invoke_sites():
             found = ctx.registry.find_config(invoke)
             if found is None:
-                if taint is not None and ctx.summaries is not None:
+                if taint is not None:
                     self._merge_callee_effects(
                         ctx, request, method, idx, invoke, taint, info
                     )
@@ -305,11 +253,10 @@ class ConfigAPICheck:
         taint: ForwardTaint,
         info: RequestConfigInfo,
     ) -> None:
-        """Summary mode: the frame passes a tainted object into an app
-        callee — fold the callee's transitive config effects into the
-        request's info (the forward half of interprocedural propagation)."""
+        """The frame passes a tainted object into an app callee: fold the
+        callee's transitive config effects into the request's info (the
+        forward half of interprocedural propagation)."""
         engine = ctx.summaries
-        assert engine is not None
         key = method_key(method)
         callee = engine.direct_callee_at(key, idx)
         if callee is None:

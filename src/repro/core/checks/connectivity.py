@@ -29,7 +29,7 @@ from ...libmodels.android import is_connectivity_check
 from ..defects import DefectKind
 from ..findings import Finding, context_of
 from ..requests import AnalysisContext, NetworkRequest
-from .base import methods_invoking, request_frames
+from .base import request_frames
 
 
 class ConnectivityCheck:
@@ -39,9 +39,7 @@ class ConnectivityCheck:
     def reads(self, options) -> tuple[str, ...]:
         names = ["requests"]
         if self.interprocedural:
-            names.append("callgraph")
-            if options.summary_based:
-                names.append("summaries")
+            names += ["callgraph", "summaries"]
         if options.inter_component:
             names.append("icc-model")
         return tuple(names)
@@ -65,13 +63,9 @@ class ConnectivityCheck:
     ) -> list[Finding]:
         checker_methods: set[MethodKey] = set()
         if self.interprocedural:
-            if ctx.summaries is not None:
-                # Summary mode: the engine's memoized transitive fact —
-                # computed once per app, shared across checks and repeat
-                # scans — replaces the private callers-of fixpoint.
-                checker_methods = ctx.summaries.connectivity_methods()
-            else:
-                checker_methods = methods_invoking(ctx, is_connectivity_check)
+            # The engine's memoized transitive fact, computed once per app
+            # and shared across checks and repeat scans.
+            checker_methods = ctx.summaries.connectivity_methods()
         findings: list[Finding] = []
         for request in requests:
             unguarded = self._unguarded_chains(ctx, request, checker_methods)

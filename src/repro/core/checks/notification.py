@@ -4,9 +4,10 @@ For user-initiated requests NChecker locates the code that runs when the
 request fails — a library error callback (Volley's ``onErrorResponse``,
 loopj's ``onFailure``), the AsyncTask's ``onPostExecute`` for requests
 issued from ``doInBackground`` (Fig 5), or the catch blocks around a
-blocking call — and scans it (and its app callees, two levels deep) for
-the UI classes Android uses to surface messages.  Silence is a defect:
-the user cannot tell a network failure from an empty result (Table 2(iii)).
+blocking call — and scans it (and, through the summary engine's
+transitive facts, every app callee it reaches) for the UI classes
+Android uses to surface messages.  Silence is a defect: the user cannot
+tell a network failure from an empty result (Table 2(iii)).
 
 Two extra facts are recorded per request because the evaluation reports
 them (§5.2.3): whether the notification sits in an *explicit* error
@@ -55,17 +56,14 @@ class NotificationCheck:
     after: tuple[str, ...] = ()
 
     def reads(self, options) -> tuple[str, ...]:
-        names = ["requests", "callgraph"]
-        if options.summary_based:
-            names.append("summaries")
+        names = ["requests", "callgraph", "summaries"]
         if options.inter_component:
             names.append("icc-model")
         return tuple(names)
 
-    def __init__(self, callee_depth: int = 2, icc_model=None) -> None:
-        #: Callee search depth for the *legacy* walk; in summary mode
-        #: (``ctx.summaries`` set) the engine's transitive facts are used
-        #: instead and this knob is ignored.
+    def __init__(self, callee_depth: Optional[int] = None, icc_model=None) -> None:
+        #: ``None`` uses the engine's transitive facts; an int caps the
+        #: callee walk at that depth (the notification-depth ablation).
         self.callee_depth = callee_depth
         #: Optional :class:`repro.callgraph.icc.ICCModel`: when present and
         #: the app routes broadcast errors to a UI-displaying component,
@@ -167,14 +165,15 @@ class NotificationCheck:
         return info
 
     def _method_notifies(
-        self, ctx: AnalysisContext, method: IRMethod
+        self, ctx: AnalysisContext, method: IRMethod, hops: int = 0
     ) -> tuple[bool, bool]:
         """(direct UI notification, Handler-mediated notification) reachable
-        from ``method``: the engine's transitive facts in summary mode, the
-        legacy depth-limited walk otherwise."""
+        from ``method``, which sits ``hops`` calls below the scanned code:
+        the engine's transitive facts, or the depth-capped walk when the
+        ablation sets ``callee_depth``."""
+        if self.callee_depth is not None:
+            return self._search_ui(ctx, method, self.callee_depth - hops)
         engine = ctx.summaries
-        if engine is None:
-            return self._search_ui(ctx, method, self.callee_depth)
         key = method_key(method)
         direct = engine.notifies_ui(key)
         if (
@@ -249,19 +248,11 @@ class NotificationCheck:
                         direct = True
                     elif is_handler_notification(invoke):
                         via_handler = True
-                    elif ctx.summaries is not None:
+                    elif self.callee_depth != 0:
                         callee = self._app_callee(ctx, invoke)
                         if callee is not None:
                             sub_direct, sub_handler = self._method_notifies(
-                                ctx, callee
-                            )
-                            direct = direct or sub_direct
-                            via_handler = via_handler or sub_handler
-                    elif self.callee_depth > 0:
-                        callee = self._app_callee(ctx, invoke)
-                        if callee is not None:
-                            sub_direct, sub_handler = self._search_ui(
-                                ctx, callee, self.callee_depth - 1
+                                ctx, callee, hops=1
                             )
                             direct = direct or sub_direct
                             via_handler = via_handler or sub_handler
@@ -274,7 +265,7 @@ class NotificationCheck:
     def _search_ui(
         self, ctx: AnalysisContext, method: IRMethod, depth: int
     ) -> tuple[bool, bool]:
-        """Legacy (``summary_based=False``) walk: (direct UI notification,
+        """Depth-capped walk for the ablation: (direct UI notification,
         Handler-mediated notification) found in ``method`` or its app
         callees up to ``depth``."""
         direct = False

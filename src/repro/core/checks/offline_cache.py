@@ -3,9 +3,9 @@
 Apps that *do* check connectivity before a request frequently handle the
 offline branch by doing nothing — the user gets an empty screen where a
 stale copy of yesterday's data would have served.  This pass reuses the
-summary engine's connectivity facts (or the legacy callers-of closure)
-to find requests that are connectivity-guarded, then requires some frame
-of the request's call chains to also touch a local response cache
+summary engine's connectivity facts to find requests that are
+connectivity-guarded, then requires some frame of the request's call
+chains to also touch a local response cache
 (:data:`~repro.libmodels.android.CACHE_WRITE_APIS` /
 :data:`~repro.libmodels.android.CACHE_READ_APIS` — ``LruCache``,
 ``SharedPreferences``): caching the successful response or reading the
@@ -19,7 +19,7 @@ same root cause.
 
 from __future__ import annotations
 
-from ...libmodels.android import is_cache_api, is_connectivity_check
+from ...libmodels.android import is_cache_api
 from ...obs import metrics
 from ..defects import DefectKind
 from ..findings import Finding, context_of
@@ -32,19 +32,13 @@ class OfflineCacheCheck:
     after: tuple[str, ...] = ()
 
     def reads(self, options) -> tuple[str, ...]:
-        names = ["requests", "callgraph"]
-        if options.summary_based:
-            names.append("summaries")
-        return tuple(names)
+        return ("requests", "callgraph", "summaries")
 
     def run(
         self, ctx: AnalysisContext, requests: list[NetworkRequest]
     ) -> list[Finding]:
         registry = metrics()
-        if ctx.summaries is not None:
-            connectivity_methods = ctx.summaries.connectivity_methods()
-        else:
-            connectivity_methods = methods_invoking(ctx, is_connectivity_check)
+        connectivity_methods = ctx.summaries.connectivity_methods()
         cache_methods = methods_invoking(ctx, is_cache_api)
         findings: list[Finding] = []
         for request in requests:

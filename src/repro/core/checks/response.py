@@ -14,11 +14,9 @@ The path condition is computed exactly: delete the check statements from
 the CFG and ask whether the use is still reachable from the definition.
 
 When the unchecked response *escapes* to callers via return, the
-checking obligation travels with it.  In summary mode
-(``NCheckerOptions.summary_based``) the analysis follows the return
-chain through arbitrarily many frames — a frame that validates the value
-before returning it discharges the obligation; the legacy ablation mode
-inspects a single caller hop.
+checking obligation travels with it: the analysis follows the return
+chain through arbitrarily many frames, and a frame that validates the
+value before returning it discharges the obligation.
 """
 
 from __future__ import annotations
@@ -40,10 +38,7 @@ class ResponseCheck:
     after: tuple[str, ...] = ()
 
     def reads(self, options) -> tuple[str, ...]:
-        names = ["requests", "callgraph"]
-        if options.summary_based:
-            names.append("summaries")
-        return tuple(names)
+        return ("requests", "callgraph", "summaries")
 
     def run(
         self, ctx: AnalysisContext, requests: list[NetworkRequest]
@@ -64,8 +59,7 @@ class ResponseCheck:
             )
             if unchecked is None:
                 # The response may *escape* to callers via return — the
-                # checking obligation travels with it (transitively in
-                # summary mode, one hop in the legacy ablation mode).
+                # checking obligation travels with it, transitively.
                 unchecked = self._escaped_unchecked_use(
                     ctx, request, method, def_index, response_local
                 )
@@ -100,15 +94,13 @@ class ResponseCheck:
         response_local: Local,
     ) -> Optional[tuple[IRMethod, int]]:
         """When the (tainted, unchecked) response is returned to a caller,
-        repeat the path check on the caller's call-result local.  Summary
-        mode follows the return chain transitively; intermediate frames
-        that validate the value before returning it discharge the
+        repeat the path check on the caller's call-result local, following
+        the return chain transitively; intermediate frames that validate the value before returning it discharge the
         obligation (check-avoiding-path test), so deeper frames only
         propagate genuinely unchecked escapes."""
-        transitive = ctx.summaries is not None
         visited: set[tuple[tuple[str, str, int], int, str]] = set()
         # (frame, def index, local, depth): depth 0 is the response's own
-        # frame and uses the legacy escape predicate for parity.
+        # frame, where any tainted return escapes.
         worklist: list[tuple[IRMethod, int, Local, int]] = [
             (method, def_index, response_local, 0)
         ]
@@ -138,8 +130,7 @@ class ResponseCheck:
                 )
                 if use is not None:
                     return use
-                if transitive:
-                    worklist.append((caller, edge.stmt_index, targets[0], depth + 1))
+                worklist.append((caller, edge.stmt_index, targets[0], depth + 1))
         return None
 
     def _returns_tainted(

@@ -66,8 +66,8 @@ class AnalysisContext:
     #: Customized retry loops (§4.5), populated by the orchestrator so the
     #: config-API check can credit hand-rolled retry logic.
     retry_loops: list["RetryLoop"] = field(default_factory=list)
-    #: The interprocedural summary engine (``NCheckerOptions.summary_based``);
-    #: ``None`` runs the checks on their legacy horizon-limited paths.
+    #: The interprocedural summary engine, injected by the scan session
+    #: only when an enabled pass reads the ``summaries`` artifact.
     summaries: Optional["SummaryEngine"] = None
     #: Per-method thread contexts (`repro.dataflow.threadcontext`),
     #: injected by the scan session only when an enabled pass reads the

@@ -17,7 +17,6 @@ from .summaries import (
     ConfigEffect,
     MethodSummary,
     RECEIVER,
-    SummaryCache,
     SummaryEngine,
     SummaryStats,
     apk_fingerprint,
@@ -38,7 +37,6 @@ __all__ = [
     "ReachingDefinitions",
     "SetAnalysis",
     "Slicer",
-    "SummaryCache",
     "SummaryEngine",
     "SummaryStats",
     "TOP",

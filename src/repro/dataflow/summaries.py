@@ -5,11 +5,10 @@ NChecker's analyses are interprocedural: the config-API taint runs
 client instance" across frames, the connectivity check needs the
 transitive closure of "performs a connectivity check", the notification
 check searches error-callback callees for UI sinks, and the response
-check's obligation travels with the value through returns.  The seed
-implementation approximated all four with hard-coded horizons (one
-caller hop, ``callee_depth=2``).  This module is the real engine — the
-standard Soot/FlowDroid move: **memoized per-method summaries computed
-bottom-up over the SCC condensation of the CHA call graph**.
+check's obligation travels with the value through returns.  This
+module is the engine behind all four — the standard Soot/FlowDroid
+move: **memoized per-method summaries computed bottom-up over the SCC
+condensation of the CHA call graph**.
 
 Per-method facts:
 
@@ -34,11 +33,11 @@ intraprocedural :class:`~repro.dataflow.taint.TaintPolicy` always
 applied: their results are assumed to carry any taint their operands
 carry.
 
-Summaries are memoized for the lifetime of the engine, and
-:class:`SummaryCache` keeps one engine per APK (keyed by a structural
-fingerprint, so patched/rebuilt apps miss), which is what makes repeat
-``scan()`` calls and corpus sweeps stop re-deriving the same facts per
-request.
+Summaries are memoized for the lifetime of the engine, and the scan
+session cache (:class:`~repro.pipeline.scan.SessionCache`) keeps one
+engine per APK (keyed by a structural fingerprint, so patched/rebuilt
+apps miss), which is what makes repeat ``scan()`` calls and corpus
+sweeps stop re-deriving the same facts per request.
 """
 
 from __future__ import annotations
@@ -132,8 +131,8 @@ def _is_broadcast_invoke(invoke: InvokeExpr) -> bool:
 
 #: The transitive boolean facts the engine serves: fact name →
 #: (call-site predicate, propagate over all edge kinds?).  Notification
-#: facts propagate over direct edges only — they mirror the legacy callee
-#: descent, which resolved callees by signature, not through async edges.
+#: facts propagate over direct edges only: callees are resolved by
+#: signature, not through async edges.
 BOOL_FACT_SPECS: dict[str, tuple[Callable[[InvokeExpr], bool], bool]] = {
     "connectivity": (is_connectivity_check, True),
     "ui": (is_ui_notification, False),
@@ -166,9 +165,9 @@ class SummaryEngine:
     Boolean facts are **demand-driven**: a point query evaluates only the
     SCCs in the queried method's (edge-kind-filtered) callee cone, in
     callee-first order, memoizing per-SCC results; whole-app views
-    (``connectivity_methods``) and the ``eager`` ablation evaluate every
-    SCC.  Either way the per-SCC fixpoint is the same, so answers are
-    independent of query order, of eager vs. lazy mode, and of how many
+    (``connectivity_methods``) evaluate every SCC.  Either way the
+    per-SCC fixpoint is the same, so answers are independent of query
+    order, of point vs. whole-app evaluation, and of how many
     wavefront workers (``intra_jobs``) evaluated independent SCCs
     concurrently.
     """
@@ -187,9 +186,6 @@ class SummaryEngine:
         self.cache = cache
         self.stats = SummaryStats()
         self._edge_direct = EDGE_DIRECT
-        #: Ablation toggle (``--eager-summaries``): point queries build
-        #: the whole-app fact map, the pre-demand-driven behavior.
-        self.eager: bool = False
         #: Wavefront workers for whole-app fact builds and prewarming.
         #: Purely an execution detail: results, counters, and profile
         #: shapes are identical for any value (see ``prewarm_bool_facts``).
@@ -414,14 +410,11 @@ class SummaryEngine:
             return cached
         if state.complete or key not in self.graph.methods:
             return False
-        if self.eager:
-            self._resolve_full(state, predicate)
-        else:
-            # Demand-driven: evaluate only this key's callee cone, on the
-            # querying thread (cones are small; prewarming covers the rest).
-            self._resolve_sccs(
-                state, predicate, self._cone_indices(state, (key,)), jobs=1
-            )
+        # Demand-driven: evaluate only this key's callee cone, on the
+        # querying thread (cones are small; prewarming covers the rest).
+        self._resolve_sccs(
+            state, predicate, self._cone_indices(state, (key,)), jobs=1
+        )
         return state.resolved.get(key, False)
 
     def prewarm_bool_facts(
@@ -447,7 +440,7 @@ class SummaryEngine:
             state = self._bool_state(name, all_edge_kinds)
             if state.complete:
                 continue
-            if roots is None or self.eager:
+            if roots is None:
                 self._resolve_full(state, predicate)
             else:
                 self._resolve_sccs(
@@ -458,9 +451,7 @@ class SummaryEngine:
         return self._bool_fact("connectivity", is_connectivity_check, True, key)
 
     def connectivity_methods(self) -> set["MethodKey"]:
-        """All methods that transitively perform a connectivity check —
-        the memoized replacement for the connectivity check's private
-        callers-of fixpoint (`core/checks/base.py:methods_invoking`).
+        """All methods that transitively perform a connectivity check.
         A whole-app view, so it always resolves every SCC."""
         state = self._bool_state("connectivity", True)
         self._resolve_full(state, is_connectivity_check)
@@ -710,7 +701,7 @@ class SummaryEngine:
 
 
 # ---------------------------------------------------------------------------
-# Per-APK engine cache
+# APK fingerprint
 # ---------------------------------------------------------------------------
 
 
@@ -725,34 +716,3 @@ def apk_fingerprint(apk: "APK") -> int:
             )
         )
     )
-
-
-@dataclass
-class SummaryCache:
-    """One summary engine per APK, LRU-bounded for corpus sweeps."""
-
-    max_entries: int = 64
-    hits: int = 0
-    misses: int = 0
-    _engines: dict[str, tuple[int, SummaryEngine]] = field(default_factory=dict)
-
-    def engine_for(
-        self,
-        apk: "APK",
-        graph: "CallGraph",
-        registry: LibraryRegistry,
-        cache: "MethodAnalysisCache",
-    ) -> SummaryEngine:
-        fingerprint = apk_fingerprint(apk)
-        entry = self._engines.get(apk.package)
-        if entry is not None and entry[0] == fingerprint:
-            self.hits += 1
-            # Refresh LRU position.
-            self._engines[apk.package] = self._engines.pop(apk.package)
-            return entry[1]
-        self.misses += 1
-        engine = SummaryEngine(graph, registry, cache)
-        self._engines[apk.package] = (fingerprint, engine)
-        while len(self._engines) > self.max_entries:
-            self._engines.pop(next(iter(self._engines)))
-        return engine

@@ -109,8 +109,7 @@ def scan_options_fingerprint(options: "NCheckerOptions") -> str:
     and a live backend instance has no stable repr anyway.
     ``intra_jobs`` is likewise excluded — it only picks how many threads
     evaluate one wavefront's independent SCCs, with results, counters,
-    and profile shapes identical for any value.  (``eager_summaries``
-    *is* folded in: it changes work-volume counters.)  Unordered
+    and profile shapes identical for any value.  Unordered
     collections are sorted before hashing so the digest is stable across
     interpreter hash seeds.
     """

@@ -13,8 +13,7 @@ per app, reports the methods each patch round touched, and
 :meth:`ScanSession.invalidate_methods` narrows the rebuild to the dirty
 region.  :class:`SessionCache` gives ``NChecker`` its repeat-scan
 behaviour (one session per package, keyed by the structural
-fingerprint, LRU-bounded for corpus sweeps) — the successor of the old
-per-APK ``SummaryCache``.
+fingerprint, LRU-bounded for corpus sweeps).
 
 Sessions are also where the **persistent cross-run cache**
 (:mod:`repro.pipeline.cachestore`, ``NCheckerOptions.cache_backend`` /
@@ -226,7 +225,9 @@ class ScanSession:
         and offline-cache passes read the whole-app connectivity view,
         and the failure-notification pass queries UI/handler (and, with
         displayed broadcasts in the ICC model, broadcast) facts on the
-        error callbacks registered at request sites.  The decomposition
+        error callbacks registered at request sites (unless the
+        notification-depth ablation replaces those facts with its capped
+        walk).  The decomposition
         into SCC wavefronts is identical for every ``intra_jobs`` value —
         the worker count only chooses how many independent SCCs of one
         wavefront evaluate concurrently — so counters and profile trees
@@ -235,15 +236,16 @@ class ScanSession:
         """
         from ..callgraph.cha import EDGE_LIB_CALLBACK
 
-        opts = self.options
         engine = ctx.summaries
-        engine.eager = opts.eager_summaries
-        engine.intra_jobs = max(1, opts.intra_jobs)
+        engine.intra_jobs = max(1, self.options.intra_jobs)
         planned = {scheduled_pass.name for scheduled_pass in scheduled}
         demands: list = []
         if planned & {"connectivity", "offline-cache"}:
             demands.append(("connectivity", None))
-        if "failure-notification" in planned:
+        if (
+            "failure-notification" in planned
+            and notification_check.callee_depth is None
+        ):
             roots = sorted(
                 {
                     edge.callee
@@ -309,12 +311,11 @@ class ScanSession:
 class SessionCache:
     """One scan session per APK package, keyed by structural fingerprint.
 
-    The successor of the per-APK ``SummaryCache``: a repeat ``scan()`` of
-    a structurally unchanged app reuses the whole artifact store (call
-    graph, CFGs, summaries, requests), and any statement inserted or
-    removed (the patcher's edits) changes the fingerprint and misses.
-    ``hits``/``misses`` keep the legacy counter semantics the ablation
-    benchmarks assert.
+    A repeat ``scan()`` of a structurally unchanged app reuses the whole
+    artifact store (call graph, CFGs, summaries, requests), and any
+    statement inserted or removed (the patcher's edits) changes the
+    fingerprint and misses: ``hits``/``misses`` count one miss per
+    structurally distinct app state.
     """
 
     max_entries: int = 64

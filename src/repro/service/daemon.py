@@ -79,7 +79,6 @@ class ServiceConfig:
     cache_backend: Optional[str] = None
     extended_checks: bool = False
     intra_jobs: int = 1
-    eager_summaries: bool = False
     #: Reject request bodies beyond this size with 413.
     max_body_bytes: int = parse_size("16M")
     #: Test hook: builds the pool from the worker count.  ``None`` means
@@ -129,7 +128,6 @@ class ScanService:
             cache_dir=self.config.cache_dir,
             cache_backend=spec,
             intra_jobs=self.config.intra_jobs,
-            eager_summaries=self.config.eager_summaries,
             enabled_checks=enabled,
         )
 

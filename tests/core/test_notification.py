@@ -131,3 +131,50 @@ class TestErrorTypes:
             RequestSpec(library="asynchttp", with_notification=Notification.TOAST)
         )
         assert result.count_of(DefectKind.MISSED_ERROR_TYPE_CHECK) == 0
+
+
+def _toast_two_helpers_down():
+    """A catch block calls showError, which calls reallyShow, which shows
+    the Toast: the notification sits two calls below the error path."""
+    from repro.corpus.appbuilder import AppBuilder
+    from repro.ir import Local
+
+    app = AppBuilder("com.depth.app")
+    activity = app.activity("MainActivity")
+    body = activity.method("onClick", params=[("android.view.View", "v")])
+    client = body.new("com.turbomanage.httpclient.BasicHttpClient", "c")
+    region = body.begin_try()
+    body.call(client, "get", "http://x", ret="r")
+    body.begin_catch(region, "java.io.IOException")
+    body.call(Local("this"), "showError", cls=activity.name)
+    body.end_try(region)
+    body.ret()
+    activity.add(body)
+    helper = activity.method("showError")
+    helper.call(Local("this"), "reallyShow", cls=activity.name)
+    helper.ret()
+    activity.add(helper)
+    inner = activity.method("reallyShow")
+    toast = inner.static_call(
+        "android.widget.Toast", "makeText", "ctx", "err", 0,
+        ret="t", return_type="android.widget.Toast",
+    )
+    inner.call(toast, "show", cls="android.widget.Toast")
+    inner.ret()
+    activity.add(inner)
+    return app.build()
+
+
+class TestCalleeDepthAblation:
+    """``notification_callee_depth``: the default follows the engine's
+    transitive facts; an int caps the error-path callee walk."""
+
+    @pytest.mark.parametrize(
+        "depth, missed", [(None, 0), (0, 1), (1, 1), (2, 0)]
+    )
+    def test_depth_cap(self, depth, missed):
+        from repro.core import NCheckerOptions
+
+        options = NCheckerOptions(notification_callee_depth=depth)
+        result = NChecker(options=options).scan(_toast_two_helpers_down())
+        assert result.count_of(DefectKind.MISSED_NOTIFICATION) == missed

@@ -247,10 +247,10 @@ class TestEngineCache:
         apk = _deep_chain_app()
         checker = NChecker()
         checker.scan(apk)
-        assert checker.summary_cache.misses == 1
+        assert checker.sessions.misses == 1
         checker.scan(apk)
-        assert checker.summary_cache.hits == 1
-        assert checker.summary_cache.misses == 1
+        assert checker.sessions.hits == 1
+        assert checker.sessions.misses == 1
 
     def test_structural_change_invalidates(self):
         apk = _deep_chain_app()
@@ -263,7 +263,7 @@ class TestEngineCache:
         method = next(iter(next(iter(apk.classes())).methods()))
         insert_statements(method, 0, [NopStmt()])
         checker.scan(apk)
-        assert checker.summary_cache.misses == 2
+        assert checker.sessions.misses == 2
 
     def test_fingerprint_stable_for_unchanged_app(self):
         apk = _deep_chain_app()
@@ -273,17 +273,12 @@ class TestEngineCache:
 class TestEndToEnd:
     def test_deep_config_chain_suppresses_false_alarms(self):
         """The config object is configured three frames above the request:
-        summary mode resolves it, the one-hop ablation baseline cannot."""
-        from repro.core.checker import NCheckerOptions
-
+        the caller-chain climb resolves it, so nothing is reported."""
         apk = _deep_chain_app(configure_at_top=True)
         summary = NChecker().scan(apk)
-        legacy = NChecker(options=NCheckerOptions(summary_based=False)).scan(apk)
 
         assert summary.count_of(DefectKind.MISSED_TIMEOUT) == 0
         assert summary.count_of(DefectKind.MISSED_RETRY) == 0
-        assert legacy.count_of(DefectKind.MISSED_TIMEOUT) == 1
-        assert legacy.count_of(DefectKind.MISSED_RETRY) == 1
 
         info = summary.config_of(summary.requests[0])
         assert info.timeout_ms == 7000
@@ -291,51 +286,10 @@ class TestEndToEnd:
         assert not info.retries_from_default
 
     def test_unconfigured_deep_chain_still_warns(self):
-        """Summary mode keeps the true positive when nothing configures the
-        client anywhere on the chain."""
+        """The true positive stays when nothing configures the client
+        anywhere on the chain."""
         apk = _deep_chain_app(configure_at_top=False)
         result = NChecker().scan(apk)
         assert result.count_of(DefectKind.MISSED_TIMEOUT) == 1
         assert result.count_of(DefectKind.MISSED_RETRY) == 1
 
-
-class TestSupersetOfLegacy:
-    """Summary mode must dominate the one-hop baseline: at least as many
-    correct warnings per Table 9 group, on every corpus app."""
-
-    def test_corpus_slice(self, small_corpus):
-        from repro.core.checker import NCheckerOptions
-        from repro.corpus.groundtruth import TABLE9_ROWS, confusion_for_app
-
-        summary_checker = NChecker()
-        legacy_checker = NChecker(options=NCheckerOptions(summary_based=False))
-        for apk, truth in small_corpus[:12]:
-            with_summaries = summary_checker.scan(apk)
-            one_hop = legacy_checker.scan(apk)
-            for label, kinds in TABLE9_ROWS:
-                correct = confusion_for_app(truth, with_summaries, kinds).correct
-                baseline = confusion_for_app(truth, one_hop, kinds).correct
-                assert correct >= baseline, (apk.package, label)
-
-    def test_example_apps_agree(self):
-        """The shipped examples are shallow enough that both modes must
-        report the identical finding set."""
-        from pathlib import Path
-
-        from repro.app.loader import load_apk
-        from repro.core.checker import NCheckerOptions
-
-        examples = Path(__file__).resolve().parents[2] / "examples" / "apps"
-        summary_checker = NChecker()
-        legacy_checker = NChecker(options=NCheckerOptions(summary_based=False))
-        for path in sorted(examples.glob("*.apkt")):
-            apk = load_apk(path)
-            with_summaries = {
-                (f.method_key, f.stmt_index, f.kind)
-                for f in summary_checker.scan(apk).findings
-            }
-            one_hop = {
-                (f.method_key, f.stmt_index, f.kind)
-                for f in legacy_checker.scan(apk).findings
-            }
-            assert with_summaries == one_hop, path.name

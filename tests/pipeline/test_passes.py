@@ -87,7 +87,12 @@ class TestPlanning:
         assert "icc-model" in plan.artifacts
 
     def test_no_summaries_skips_the_engine(self):
-        plan = self.plan(summary_based=False)
+        """With no enabled pass reading summaries (connectivity alone,
+        restricted to the request's method), the engine is skipped."""
+        plan = self.plan(
+            enabled_checks=frozenset({"connectivity"}),
+            interprocedural_connectivity=False,
+        )
         assert "summaries" in plan.skipped
 
 
@@ -113,7 +118,12 @@ class TestSkippedArtifactsNotBuilt:
         assert counters.builds_of("callgraph") == 1
 
     def test_summary_ablation_never_builds_the_engine(self):
-        counters = self.scan_counters(summary_based=False)
+        """The intraprocedural connectivity ablation, run alone, reads no
+        summaries, so the engine is never built."""
+        counters = self.scan_counters(
+            enabled_checks=frozenset({"connectivity"}),
+            interprocedural_connectivity=False,
+        )
         assert counters.builds_of("summaries") == 0
 
     def test_scan_results_unchanged_by_pipeline_for_enabled_kinds(self):

@@ -86,6 +86,26 @@ class TestErrorHandling:
         with pytest.raises(SystemExit):
             main(["patch", "/no/such/file.apkt"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--jobs", "0", "app.apkt"],
+            ["scan", "--intra-jobs", "-5", "app.apkt"],
+            ["scan", "-j", "many", "app.apkt"],
+            ["bench", "record", "--jobs", "-1"],
+            ["bench", "gate", "--baseline", "b.json", "--intra-jobs", "0"],
+            ["serve", "--intra-jobs", "0"],
+        ],
+    )
+    def test_non_positive_worker_counts_rejected_at_parse_time(
+        self, capsys, argv
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "jobs" in err and ("at least 1" in err or "invalid" in err)
+
 
 class TestExperiments:
     def test_unknown_experiment_rejected(self, capsys):

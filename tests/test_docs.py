@@ -85,10 +85,11 @@ class TestReadmeClaims:
 
 
 class TestCliDoc:
-    """docs/CLI.md stays exhaustive: every subcommand and flag the
-    argparse tree defines must appear there."""
+    """docs/CLI.md and the argparse tree match both ways: every
+    subcommand and flag the parser defines appears on the page, and
+    every flag the page's flag tables list exists in the parser."""
 
-    def cli_surface(self):
+    def cli_surface(self, long_only=True):
         """(path, flags) per parser in the subcommand tree."""
         import argparse
 
@@ -104,7 +105,8 @@ class TestCliDoc:
                         walk(sub, path + [name])
                 elif action.option_strings:
                     flags.update(
-                        s for s in action.option_strings if s.startswith("--")
+                        s for s in action.option_strings
+                        if s.startswith("--") or not long_only
                     )
             surface.append((path, flags))
 
@@ -123,6 +125,37 @@ class TestCliDoc:
                 if f"`{flag}" not in doc and f"{flag} " not in doc:
                     missing.append(f"{'/'.join(path)}: {flag}")
         assert not missing, f"undocumented CLI surface: {missing}"
+
+    def test_every_documented_flag_exists(self):
+        """The first cell of a flag-table row names flags of the
+        section's subcommand (or, in the ``cache`` table, of the action
+        the row names); each must be defined there."""
+        flags_of = {
+            " ".join(path): flags
+            for path, flags in self.cli_surface(long_only=False)
+        }
+        heading = re.compile(r"^#+ `nchecker ([a-z ]+)`")
+        flag = re.compile(r"`(-{1,2}[A-Za-z][\w-]*)")
+        command, stale, checked = None, [], 0
+        for line in (ROOT / "docs" / "CLI.md").read_text().splitlines():
+            match = heading.match(line)
+            if match:
+                command = match.group(1)
+                continue
+            if not line.startswith("| ") or command is None:
+                continue
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            owner, flag_cells = command, cells[:1]
+            named = re.fullmatch(r"`nchecker ([a-z ]+)`", cells[0])
+            if named:
+                owner, flag_cells = named.group(1), cells[1:-1]
+            for cell in flag_cells:
+                for name in flag.findall(cell):
+                    checked += 1
+                    if name not in flags_of.get(owner, ()):
+                        stale.append(f"{owner}: {name}")
+        assert checked > 50, "no flag-table rows found in docs/CLI.md"
+        assert not stale, f"documented flags the parser lacks: {stale}"
 
     def test_readme_points_at_the_new_docs(self):
         readme = (ROOT / "README.md").read_text()
