@@ -21,7 +21,7 @@ from .entrypoints import (
     entry_points_by_key,
     method_key,
 )
-from .reachability import CallChain, chains_to_method, entries_reaching
+from .reachability import CallChain, chains_to_method
 from .resolve import MethodAnalysisCache, collect_field_types, origin_classes
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "chains_to_method",
     "collect_field_types",
     "discover_entry_points",
-    "entries_reaching",
     "entry_points_by_key",
     "method_key",
     "origin_classes",
