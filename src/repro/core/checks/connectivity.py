@@ -31,6 +31,10 @@ from ..findings import Finding, context_of
 from ..requests import AnalysisContext, NetworkRequest
 from .base import request_frames
 
+#: (method name, arity) -> classes declaring an app method of that
+#: signature that transitively performs a connectivity check.
+CheckerIndex = dict[tuple[str, int], set[str]]
+
 
 class ConnectivityCheck:
     name = "connectivity"
@@ -61,14 +65,16 @@ class ConnectivityCheck:
     def run(
         self, ctx: AnalysisContext, requests: list[NetworkRequest]
     ) -> list[Finding]:
-        checker_methods: set[MethodKey] = set()
+        checkers: CheckerIndex = {}
         if self.interprocedural:
             # The engine's memoized transitive fact, computed once per app
-            # and shared across checks and repeat scans.
-            checker_methods = ctx.summaries.connectivity_methods()
+            # and shared across checks and repeat scans; indexed by call
+            # signature for the per-invoke-site lookup.
+            for cls, name, arity in ctx.summaries.connectivity_methods():
+                checkers.setdefault((name, arity), set()).add(cls)
         findings: list[Finding] = []
         for request in requests:
-            unguarded = self._unguarded_chains(ctx, request, checker_methods)
+            unguarded = self._unguarded_chains(ctx, request, checkers)
             if unguarded == 0:
                 continue
             findings.append(
@@ -92,12 +98,12 @@ class ConnectivityCheck:
         self,
         ctx: AnalysisContext,
         request: NetworkRequest,
-        checker_methods: set[MethodKey],
+        checkers: CheckerIndex,
     ) -> int:
         """Number of entry→request chains with no connectivity check."""
         unguarded = 0
         for frames in request_frames(request):
-            if not self._chain_checked(ctx, frames, checker_methods):
+            if not self._chain_checked(ctx, frames, checkers):
                 unguarded += 1
         return unguarded
 
@@ -105,7 +111,7 @@ class ConnectivityCheck:
         self,
         ctx: AnalysisContext,
         frames: list[tuple[MethodKey, int]],
-        checker_methods: set[MethodKey],
+        checkers: CheckerIndex,
     ) -> bool:
         if not self.interprocedural:
             frames = frames[-1:]
@@ -113,14 +119,14 @@ class ConnectivityCheck:
             method = ctx.callgraph.methods.get(key)
             if method is None:
                 continue
-            if self._checked_in_method(ctx, method, site, checker_methods):
+            if self._checked_in_method(ctx, method, site, checkers):
                 return True
         if self.icc_model is not None and frames:
-            return self._checked_by_launcher(ctx, frames[0][0], checker_methods)
+            return self._checked_by_launcher(ctx, frames[0][0], checkers)
         return False
 
     def _checked_by_launcher(
-        self, ctx: AnalysisContext, entry_key: MethodKey, checker_methods
+        self, ctx: AnalysisContext, entry_key: MethodKey, checkers: CheckerIndex
     ) -> bool:
         """ICC extension: a check preceding the ``startActivity`` that
         launches this component counts as guarding its requests."""
@@ -130,20 +136,20 @@ class ConnectivityCheck:
             if launcher is None:
                 continue
             if self._checked_in_method(
-                ctx, launcher, site.stmt_index, checker_methods
+                ctx, launcher, site.stmt_index, checkers
             ):
                 return True
         return False
 
     def _checked_in_method(
-        self, ctx, method, before_site: int, checker_methods: set[MethodKey]
+        self, ctx, method, before_site: int, checkers: CheckerIndex
     ) -> bool:
         cfg = ctx.cache.cfg(method)
         check_sites = []
         for idx, invoke in method.invoke_sites():
             if idx == before_site:
                 continue
-            if self._is_check_invoke(ctx, invoke, checker_methods):
+            if self._is_check_invoke(ctx, invoke, checkers):
                 if cfg.reaches(idx, before_site):
                     check_sites.append(idx)
         if not check_sites:
@@ -157,20 +163,14 @@ class ConnectivityCheck:
         return any(site in guard_slice for site in check_sites)
 
     def _is_check_invoke(
-        self, ctx, invoke: InvokeExpr, checker_methods: set[MethodKey]
+        self, ctx, invoke: InvokeExpr, checkers: CheckerIndex
     ) -> bool:
         if is_connectivity_check(invoke):
             return True
         if not self.interprocedural:
             return False
         # A call into an app helper that performs the check.
-        candidates = [
-            key
-            for key in checker_methods
-            if key[1] == invoke.sig.name and key[2] == invoke.sig.arity
-        ]
-        if not candidates:
+        classes = checkers.get((invoke.sig.name, invoke.sig.arity))
+        if not classes:
             return False
-        if invoke.sig.class_name == "?":
-            return True
-        return any(key[0] == invoke.sig.class_name for key in candidates)
+        return invoke.sig.class_name == "?" or invoke.sig.class_name in classes
