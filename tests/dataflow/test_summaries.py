@@ -242,6 +242,40 @@ class TestBooleanFacts:
         assert engine.stats.bool_fact_passes == 2  # connectivity + ui
 
 
+class TestPrewarmPool:
+    """``intra_jobs > 1`` runs a prewarm's wide wavefronts on one thread
+    pool, shared by all of its fact demands."""
+
+    DEMANDS = [("connectivity", None), ("ui", None), ("handler", None)]
+
+    def test_one_executor_per_prewarm(self, monkeypatch):
+        import concurrent.futures
+
+        constructed = []
+
+        class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                constructed.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(
+            concurrent.futures, "ThreadPoolExecutor", CountingExecutor
+        )
+        apk = TestBooleanFacts()._app()
+        serial = build_engine(apk)
+        serial.prewarm_bool_facts(self.DEMANDS, intra_jobs=1)
+        assert constructed == []
+        parallel = build_engine(apk)
+        parallel.prewarm_bool_facts(self.DEMANDS, intra_jobs=2)
+        assert len(constructed) == 1
+        assert parallel.stats.bool_fact_sccs == serial.stats.bool_fact_sccs
+        for name, _roots in self.DEMANDS:
+            assert (
+                parallel._bool_states[name].resolved
+                == serial._bool_states[name].resolved
+            )
+
+
 class TestEngineCache:
     def test_repeat_scan_reuses_engine(self):
         apk = _deep_chain_app()
