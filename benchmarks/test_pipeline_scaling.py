@@ -7,16 +7,13 @@ Four claims from the pipeline work, measured:
   *identical* results — the speedup is bounded by the core count, so the
   ≥2x assertion only applies on multi-core hosts (CI smoke runs may be
   single-core);
-* the persistent artifact cache (``--cache-dir`` / ``--cache-backend``)
-  makes a warm re-scan perform **zero** app-scoped artifact builds with
-  identical findings, timed against both a cold and a cache-disabled
-  sweep — including the ``threadcontext`` artifact the extended checks
-  add (timed and asserted separately, since default scans never build
-  it) — and the guarantee holds on every backend (``local``,
-  ``memory``, ``memory+local``), measured per backend;
+* the opt-in persistent artifact cache (``--cache-dir``) makes a warm
+  re-scan perform **zero** app-scoped artifact builds with identical
+  findings, timed against both a cold and a cache-disabled sweep —
+  including the ``threadcontext`` artifact the extended checks add
+  (timed and asserted separately, since default scans never build it);
 * the ``nchecker serve`` daemon sustains the corpus over HTTP — warm
-  resubmissions and a second host on the ``remote:URL`` cache tier
-  both complete with zero app-scoped artifact builds;
+  resubmissions complete with zero app-scoped artifact builds;
 * the incremental patch loop rebuilds only the dirty region after each
   patch round — asserted via the public metrics snapshot
   (``artifact.cfg.builds`` / ``artifact.invalidated_methods``), not by
@@ -194,86 +191,6 @@ def test_disk_cache_cold_warm(benchmark, tmp_path):
     })
 
 
-def test_cache_backends_cold_warm(benchmark, tmp_path):
-    """Every cache backend gives a build-free warm re-scan with
-    identical findings; cold/warm wall times are recorded per backend
-    into the ``cache_backends`` section of ``BENCH_pipeline.json``."""
-    from repro.pipeline.cachestore import (
-        LocalDirBackend,
-        MemoryBackend,
-        TieredBackend,
-    )
-
-    n_apps = 8
-    apps = [apk for apk, _ in CorpusGenerator(PAPER_PROFILE.scaled(n_apps)).generate()]
-    blobs = [dumps_apk(apk) for apk in apps]
-    app_kinds = ("callgraph", "summaries", "requests", "retry-loops", "icc-model")
-    # (spec, backend, the tier a warm hit is served from) — the tiered
-    # chain serves warm hits from memory after the cold run's
-    # write-through.
-    backends = [
-        ("local", LocalDirBackend(tmp_path / "local-root"), "local"),
-        ("memory", MemoryBackend(), "memory"),
-        (
-            "memory+local",
-            TieredBackend(
-                [MemoryBackend(), LocalDirBackend(tmp_path / "tier-root")]
-            ),
-            "memory",
-        ),
-    ]
-
-    def sweep(backend):
-        options = NCheckerOptions(cache_backend=backend)
-        with use_metrics() as registry:
-            checker = NChecker(options=options)
-            results = [
-                checker.open_session(loads_apk(blob)).scan() for blob in blobs
-            ]
-            return results, registry.snapshot()
-
-    section = {}
-    baseline_sig = None
-    for spec, backend, serving in backends:
-        start = time.perf_counter()
-        cold_results, _cold_snap = sweep(backend)
-        cold_s = time.perf_counter() - start
-
-        if spec == backends[-1][0]:
-            warm_results, warm_snap = benchmark.pedantic(
-                sweep, args=(backend,), rounds=1, iterations=1
-            )
-            warm_s = benchmark.stats.stats.mean
-        else:
-            start = time.perf_counter()
-            warm_results, warm_snap = sweep(backend)
-            warm_s = time.perf_counter() - start
-
-        if baseline_sig is None:
-            baseline_sig = _scan_signature(cold_results)
-        assert baseline_sig == _scan_signature(cold_results), spec
-        assert baseline_sig == _scan_signature(warm_results), spec
-        counters = warm_snap["counters"]
-        for kind in app_kinds:
-            assert counters.get(f"artifact.{kind}.builds", 0) == 0, (
-                f"{spec}: warm run built {kind}"
-            )
-        assert counters.get(f"cache.{serving}.callgraph.hits", 0) == n_apps, spec
-        section[spec] = {
-            "cold_s": cold_s,
-            "warm_s": warm_s,
-            "warm_app_scoped_builds": 0,
-            "warm_hits_tier": serving,
-            "identical_results": True,
-        }
-        print(
-            f"\ncache backend {spec} over {n_apps} apps: "
-            f"cold {cold_s*1000:.0f} ms, warm {warm_s*1000:.0f} ms "
-            f"(warm hits from {serving})"
-        )
-    _record("cache_backends", {"n_apps": n_apps, "backends": section})
-
-
 def test_threadcontext_cache_warm(benchmark, tmp_path):
     """Extended-checks sweep: the thread-context analysis builds once
     per app cold and **zero** times on a warm re-scan, and its build time
@@ -400,10 +317,9 @@ def test_summary_laziness(benchmark):
 
 def test_service_throughput(benchmark, tmp_path):
     """The ``nchecker serve`` daemon under load: submissions/second over
-    a small corpus (cold, then warm on the same daemon), plus a second
-    host completing the same sweep warm through the ``remote:URL`` cache
-    tier with zero app-scoped builds — recorded to the ``service``
-    section of ``BENCH_pipeline.json``."""
+    a small corpus (cold, then warm on the same daemon), the warm sweep
+    with zero app-scoped builds — recorded to the ``service`` section of
+    ``BENCH_pipeline.json``."""
     import urllib.request
 
     from repro.service import ServiceConfig, start_in_thread
@@ -446,16 +362,6 @@ def test_service_throughput(benchmark, tmp_path):
             views.append(view)
         return views
 
-    def remote_sweep():
-        """A fresh host pointed at the daemon's cache over HTTP."""
-        options = NCheckerOptions(cache_backend=f"remote:{handle.base_url}")
-        with use_metrics() as registry:
-            checker = NChecker(options=options)
-            results = [
-                checker.open_session(loads_apk(blob)).scan() for blob in blobs
-            ]
-            return results, registry.snapshot()
-
     try:
         start = time.perf_counter()
         cold_views = sweep()
@@ -471,21 +377,11 @@ def test_service_throughput(benchmark, tmp_path):
             v["findings"] for v in warm_views
         ]
         # Warm jobs rebuild nothing app-scoped: either the worker's
-        # session is warm or the shared cache tiers serve every blob.
+        # session is warm or the workers' shared cache directory serves
+        # every artifact.
         for view in warm_views:
             for kind in app_kinds:
                 assert view["counters"].get(f"artifact.{kind}.builds", 0) == 0
-
-        start = time.perf_counter()
-        remote_results, remote_snap = remote_sweep()
-        remote_s = time.perf_counter() - start
-        assert _scan_signature(remote_results), "remote sweep scanned nothing"
-        remote_counters = remote_snap["counters"]
-        for kind in app_kinds:
-            assert remote_counters.get(f"artifact.{kind}.builds", 0) == 0, (
-                f"second host rebuilt {kind} despite the remote tier"
-            )
-        assert remote_counters.get("cache.remote.callgraph.hits", 0) == n_apps
 
         service_counters = get_json("/metrics")["counters"]
         assert service_counters["service.scans.completed"] == 2 * n_apps
@@ -498,7 +394,7 @@ def test_service_throughput(benchmark, tmp_path):
         f"\nservice over {n_apps} apps ({workers} workers): "
         f"cold {cold_s*1000:.0f} ms ({cold_rps:.1f} scans/s), "
         f"warm {warm_s*1000:.0f} ms ({warm_rps:.1f} scans/s), "
-        f"remote-tier second host {remote_s*1000:.0f} ms, zero warm builds"
+        f"zero warm builds"
     )
     _record("service", {
         "n_apps": n_apps,
@@ -507,9 +403,7 @@ def test_service_throughput(benchmark, tmp_path):
         "warm_s": warm_s,
         "cold_scans_per_s": cold_rps,
         "warm_scans_per_s": warm_rps,
-        "remote_warm_s": remote_s,
         "warm_app_scoped_builds": 0,
-        "remote_app_scoped_builds": 0,
         "counters": {
             name: value for name, value in sorted(service_counters.items())
             if name.startswith("service.")

@@ -80,45 +80,12 @@ def condensation_order(
     nodes: Sequence[Node],
     successors: Callable[[Node], Iterable[Node]],
 ) -> tuple[list[tuple[Node, ...]], dict[Node, int]]:
-    """(SCCs in callee-first order, node → SCC position map)."""
+    """(SCCs in callee-first order, node → SCC position map).
+
+    Positions follow that order, so every edge between two SCCs runs from
+    a higher position to a lower one: evaluating SCCs by ascending
+    position is a bottom-up schedule."""
     sccs = strongly_connected_components(nodes, successors)
     position = {node: i for i, scc in enumerate(sccs) for node in scc}
     return sccs, position
 
-
-def condensation_wavefronts(
-    scc_indices: Iterable[int],
-    sccs: Sequence[tuple[Node, ...]],
-    position: dict[Node, int],
-    successors: Callable[[Node], Iterable[Node]],
-) -> list[list[int]]:
-    """Group the given SCCs of a condensation into topological *wavefronts*.
-
-    Wavefront ``k`` holds every selected SCC whose longest chain of
-    selected-SCC dependencies (condensation edges to other selected SCCs)
-    has length ``k``.  All SCCs within one wavefront are mutually
-    independent, so a scheduler may evaluate them concurrently; processing
-    wavefronts in order preserves callee-first (bottom-up) evaluation.
-    SCC indices inside each wavefront are sorted, so the decomposition is
-    deterministic for a deterministic condensation.
-    """
-    selected = set(scc_indices)
-    depth: dict[int, int] = {}
-    for idx in sorted(selected):  # callee-first: deps have smaller indices
-        level = 0
-        for node in sccs[idx]:
-            for succ in successors(node):
-                succ_idx = position.get(succ)
-                if succ_idx is None or succ_idx == idx or succ_idx not in selected:
-                    continue
-                succ_level = depth.get(succ_idx)
-                if succ_level is not None and succ_level >= level:
-                    level = succ_level + 1
-        depth[idx] = level
-    fronts: list[list[int]] = []
-    for idx in sorted(depth):
-        level = depth[idx]
-        while len(fronts) <= level:
-            fronts.append([])
-        fronts[level].append(idx)
-    return fronts

@@ -11,8 +11,8 @@ Subcommands:
 * ``bench record|compare|gate`` — record performance runs into the
   append-only run ledger and gate regressions against a baseline
   (``docs/BENCHMARKS.md``);
-* ``serve`` — run the scan-as-a-service HTTP daemon, including the
-  ``remote:URL`` cache tier's server side (``docs/SERVICE.md``).
+* ``serve`` — run the scan-as-a-service HTTP daemon
+  (``docs/SERVICE.md``).
 
 Every subcommand and flag is documented in ``docs/CLI.md``
 (``tests/test_docs.py`` asserts the doc covers this parser, so it
@@ -36,46 +36,6 @@ from .obs import get_logger
 log = get_logger("cli")
 
 
-def _resolve_cache_dir(args: argparse.Namespace) -> str | None:
-    """The persistent-cache root a command should use: ``--no-disk-cache``
-    wins, then ``--cache-dir``, then ``$NCHECKER_CACHE_DIR``, then the
-    conventional ``$XDG_CACHE_HOME/nchecker`` (``~/.cache/nchecker``)."""
-    if getattr(args, "no_disk_cache", False):
-        return None
-    explicit = getattr(args, "cache_dir", None)
-    if explicit:
-        return explicit
-    env = os.environ.get("NCHECKER_CACHE_DIR")
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return os.path.join(base, "nchecker")
-
-
-def _resolve_cache_backend(args: argparse.Namespace) -> str | None:
-    """The ``--cache-backend`` spec a command should use (``None`` falls
-    back to a plain local backend over the resolved cache dir);
-    ``--no-disk-cache`` disables every tier, spec or not.
-
-    A bad spec dies here, before any scanning starts, rather than as a
-    traceback out of session construction (or, worse, out of a ``--jobs``
-    worker)."""
-    if getattr(args, "no_disk_cache", False):
-        return None
-    spec = getattr(args, "cache_backend", None)
-    if spec is not None:
-        from .pipeline.cachestore import backend_from_spec
-
-        try:
-            backend_from_spec(spec, local_root=_resolve_cache_dir(args))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(2)
-    return spec
-
-
 def _enabled_checks(args: argparse.Namespace) -> frozenset[str]:
     if getattr(args, "extended_checks", False):
         return DEFAULT_CHECKS | EXTENDED_CHECKS
@@ -86,9 +46,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     options = NCheckerOptions(
         guard_aware_connectivity=args.guard_aware,
         interprocedural_connectivity=not args.intraprocedural,
-        intra_jobs=args.intra_jobs,
-        cache_dir=_resolve_cache_dir(args),
-        cache_backend=_resolve_cache_backend(args),
+        cache_dir=args.cache_dir,
         enabled_checks=_enabled_checks(args),
     )
     from .pipeline.batch import BatchScanner
@@ -276,12 +234,7 @@ def _cmd_patch(args: argparse.Namespace) -> int:
 
     if args.output and len(args.apps) > 1:
         args.parser.error("-o/--output requires exactly one input app")
-    checker = NChecker(
-        options=NCheckerOptions(
-            cache_dir=_resolve_cache_dir(args),
-            cache_backend=_resolve_cache_backend(args),
-        )
-    )
+    checker = NChecker(options=NCheckerOptions(cache_dir=args.cache_dir))
     patcher = Patcher()
     exit_code = 0
     for path in args.apps:
@@ -386,14 +339,9 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from .pipeline.cachestore import backend_from_spec, format_size, parse_size
+    from .pipeline.cachestore import LocalDirBackend, format_size, parse_size
 
-    spec = getattr(args, "cache_backend", None) or "local"
-    try:
-        backend = backend_from_spec(spec, local_root=_resolve_cache_dir(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    backend = LocalDirBackend(args.cache_dir)
     if args.action == "stats":
         print(backend.stats().render())
         return 0
@@ -434,7 +382,7 @@ def _bench_measure(apps, jobs: int, options, label):
     """One instrumented benchmark scan -> a ledger record.
 
     The persistent cache is left disabled (the options carry no cache
-    dir/backend) so every counter is a pure function of (apps, options)
+    dir) so every counter is a pure function of (apps, options)
     — the determinism `bench compare`'s exact-match rule relies on.
     """
     import time
@@ -487,10 +435,7 @@ def _cmd_bench_record(args: argparse.Namespace) -> int:
         print("error: no apps given and no examples/apps/*.apkt found "
               "under the working directory", file=sys.stderr)
         return 2
-    options = NCheckerOptions(
-        enabled_checks=_enabled_checks(args),
-        intra_jobs=args.intra_jobs,
-    )
+    options = NCheckerOptions(enabled_checks=_enabled_checks(args))
     record = _bench_measure(apps, args.jobs, options, args.label)
     ledger = RunLedger(resolve_ledger_dir(args.ledger_dir))
     ledger.append(record)
@@ -556,10 +501,7 @@ def _cmd_bench_gate(args: argparse.Namespace) -> int:
             print("error: no apps given, no --current file, and no "
                   "examples/apps/*.apkt found", file=sys.stderr)
             return 2
-        options = NCheckerOptions(
-            enabled_checks=_enabled_checks(args),
-            intra_jobs=args.intra_jobs,
-        )
+        options = NCheckerOptions(enabled_checks=_enabled_checks(args))
         current = _bench_measure(apps, args.jobs, options,
                                  args.label or "gate")
         RunLedger(resolve_ledger_dir(args.ledger_dir)).append(current)
@@ -605,10 +547,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         rate_limit=args.rate_limit,
         rate_burst=args.rate_burst,
-        cache_dir=_resolve_cache_dir(args),
-        cache_backend=_resolve_cache_backend(args),
+        cache_dir=args.cache_dir,
         extended_checks=args.extended_checks,
-        intra_jobs=args.intra_jobs,
         max_body_bytes=max_body,
     )
     try:
@@ -652,38 +592,23 @@ def build_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="count", default=0,
         help="enable debug diagnostics on stderr",
     )
-    # The persistent artifact cache rides on every command that scans
-    # (and on `cache`, which manages it).  See docs/CACHING.md.
+    # The opt-in persistent artifact cache rides on every command that
+    # scans; `cache`, which manages it, requires it.  See docs/CACHING.md.
     caching = argparse.ArgumentParser(add_help=False)
     caching.add_argument(
         "--cache-dir", metavar="DIR",
-        help="persistent artifact cache location (default: "
-        "$NCHECKER_CACHE_DIR, else ~/.cache/nchecker)",
+        help="read and write the persistent artifact cache in DIR "
+        "(default: no cache; output is byte-identical either way)",
     )
-    caching.add_argument(
-        "--cache-backend", metavar="SPEC",
-        help="cache backend composition: 'local', 'memory', "
-        "'remote:URL' (a `nchecker serve` daemon's shared cache), or a "
-        "fastest-first '+' chain like 'memory+local' or "
-        "'memory+remote:http://host:8321' (tiers read through with "
-        "promotion and write through); 'local' may carry a directory "
-        "as 'local:DIR', otherwise it uses the resolved --cache-dir. "
-        "See docs/CACHING.md",
-    )
-    # The summary-engine thread knob, shared by every command that scans.
-    # It cannot change scan output, so it is excluded from the
-    # scan-options fingerprint.
-    perf = argparse.ArgumentParser(add_help=False)
-    perf.add_argument(
-        "--intra-jobs", type=_positive_int, default=1, metavar="N",
-        help="evaluate independent summary SCCs of one wavefront on N "
-        "threads while prewarming (output, counters, and profile shapes "
-        "are identical to --intra-jobs 1)",
+    cache_root = argparse.ArgumentParser(add_help=False)
+    cache_root.add_argument(
+        "--cache-dir", metavar="DIR", required=True,
+        help="the persistent artifact cache to manage",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="scan app files for NPDs",
-                          parents=[common, caching, perf])
+                          parents=[common, caching])
     scan.add_argument("apps", nargs="+", help=".apkt files to scan")
     scan.add_argument(
         "--summary", action="store_true", help="print per-kind counts only"
@@ -742,11 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the connectivity analysis to the request's method",
     )
     scan.add_argument(
-        "--no-disk-cache", action="store_true",
-        help="do not read or write the persistent artifact cache "
-        "(output is byte-identical either way)",
-    )
-    scan.add_argument(
         "--extended-checks", action="store_true",
         help="also run the extended-taxonomy checks (ui-thread-network, "
         "callback-leak, offline-cache); off by default so output matches "
@@ -783,10 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     patch.add_argument(
         "-o", "--output", help="output path (single input only; default: "
         "<input>.fixed.apkt)"
-    )
-    patch.add_argument(
-        "--no-disk-cache", action="store_true",
-        help="do not read or write the persistent artifact cache",
     )
     patch.set_defaults(func=_cmd_patch, parser=patch)
 
@@ -836,11 +752,11 @@ def build_parser() -> argparse.ArgumentParser:
     action = cache.add_subparsers(dest="action", required=True)
     action.add_parser(
         "stats", help="print entry counts and sizes per artifact kind",
-        parents=[common, caching],
+        parents=[common, cache_root],
     )
     gc = action.add_parser(
         "gc", help="drop least-recently-used entries to fit a size budget",
-        parents=[common, caching],
+        parents=[common, cache_root],
     )
     gc.add_argument(
         "--max-size", required=True, metavar="SIZE",
@@ -852,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(grace window protecting concurrent scanners; default 60)",
     )
     action.add_parser(
-        "clear", help="delete every cache entry", parents=[common, caching]
+        "clear", help="delete every cache entry", parents=[common, cache_root]
     )
     cache.set_defaults(func=_cmd_cache)
 
@@ -867,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
         "record",
         help="run an instrumented, cache-disabled benchmark scan and "
         "append it to the run ledger",
-        parents=[common, perf],
+        parents=[common],
     )
     record.add_argument(
         "apps", nargs="*",
@@ -929,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
     gate = bench_action.add_parser(
         "gate",
         help="compare against a baseline and exit nonzero on regressions",
-        parents=[common, perf],
+        parents=[common],
     )
     gate.add_argument(
         "apps", nargs="*",
@@ -974,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the scan-as-a-service HTTP daemon (docs/SERVICE.md)",
-        parents=[common, caching, perf],
+        parents=[common, caching],
     )
     serve.add_argument(
         "--host", default="127.0.0.1", metavar="ADDR",
@@ -1009,11 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-body", default="16M", metavar="SIZE",
         help="largest accepted request body (413 beyond it); sizes like "
         "16M, 1.5G, or raw bytes (default 16M)",
-    )
-    serve.add_argument(
-        "--no-disk-cache", action="store_true",
-        help="serve without any persistent cache: no /v1/cache blueprint "
-        "and no local tier under the workers (warm sessions only)",
     )
     serve.add_argument(
         "--extended-checks", action="store_true",

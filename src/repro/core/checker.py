@@ -66,12 +66,6 @@ class NCheckerOptions:
     #: default — uses the summary engine's transitive notification facts;
     #: an int caps the failure-notification callee walk at that depth.
     notification_callee_depth: Optional[int] = None
-    #: Wavefront workers for summary prewarming: independent SCCs of the
-    #: call-graph condensation evaluate concurrently on up to this many
-    #: threads.  Purely an execution detail — results, counters, and
-    #: profile shapes are identical for any value — so it is excluded
-    #: from the scan-options fingerprint.
-    intra_jobs: int = 1
     #: Enable the experimental network-switch analysis (paper Cause 4,
     #: which the original tool could not check — §4.2).  Needs a registry
     #: including the aSmack model (`repro.libmodels.extended_registry`).
@@ -81,24 +75,13 @@ class NCheckerOptions:
     #: broadcast-routed error displays are then recognised, removing the
     #: paper's two FP classes.
     inter_component: bool = False
-    #: Root directory of the persistent cross-run artifact cache
-    #: (:mod:`repro.pipeline.cachestore`) — the one-directory shorthand
-    #: for a plain local backend.  ``None`` — the library default —
-    #: keeps every artifact in-memory only; the CLI resolves this to
-    #: ``$NCHECKER_CACHE_DIR`` or ``~/.cache/nchecker`` unless
-    #: ``--no-disk-cache`` is given.  Cached artifacts are keyed by app
-    #: content, so the flag can never change scan output — only where the
-    #: artifacts come from.
+    #: Root directory of the opt-in persistent cross-run artifact cache
+    #: (:mod:`repro.pipeline.cachestore`).  ``None`` — the default, also
+    #: on the CLI unless ``--cache-dir`` is given — keeps every artifact
+    #: in-memory only.  Cached artifacts are keyed by app content, so
+    #: this can never change scan output — only where the artifacts come
+    #: from.
     cache_dir: Optional[str] = None
-    #: Which cache backend composition to use: a spec string
-    #: (``"local"``, ``"memory"``, ``"memory+local"``,
-    #: ``"local:/some/dir"`` — grammar in
-    #: :mod:`repro.pipeline.cachestore.store`) or a live
-    #: :class:`~repro.pipeline.cachestore.backend.CacheBackend` instance
-    #: for library embedding.  Wins over ``cache_dir`` when set; a
-    #: pathless ``local`` tier takes its directory from ``cache_dir``.
-    #: Like ``cache_dir``, this can never change scan output.
-    cache_backend: Optional[object] = None
     enabled_checks: frozenset[str] = DEFAULT_CHECKS
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from ..callgraph.scc import condensation_order, condensation_wavefronts
+from ..callgraph.scc import condensation_order
 from ..ir.method import IRMethod
 from ..obs import metrics as obs_metrics
 from ..obs import span
@@ -141,29 +141,6 @@ BOOL_FACT_SPECS: dict[str, tuple[Callable[[InvokeExpr], bool], bool]] = {
 }
 
 
-class _WavefrontPool:
-    """Worker threads for SCC wavefronts, started on first use and shared
-    by every fact a prewarm evaluates."""
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self._executor = None
-
-    def map(self, fn: Callable, items: list) -> list:
-        if self._executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="nchecker-scc"
-            )
-        return list(self._executor.map(fn, items))
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-
 @dataclass
 class _BoolFactState:
     """Memoized state of one transitive boolean fact.
@@ -190,9 +167,7 @@ class SummaryEngine:
     callee-first order, memoizing per-SCC results; whole-app views
     (``connectivity_methods``) evaluate every SCC.  Either way the
     per-SCC fixpoint is the same, so answers are independent of query
-    order, of point vs. whole-app evaluation, and of how many
-    wavefront workers (``intra_jobs``) evaluated independent SCCs
-    concurrently.
+    order and of point vs. whole-app evaluation.
     """
 
     def __init__(
@@ -209,11 +184,6 @@ class SummaryEngine:
         self.cache = cache
         self.stats = SummaryStats()
         self._edge_direct = EDGE_DIRECT
-        #: Wavefront workers for prewarming (other queries run on the
-        #: querying thread).  Purely an execution detail: results,
-        #: counters, and profile shapes are identical for any value (see
-        #: ``prewarm_bool_facts``).
-        self.intra_jobs: int = 1
         #: SCC condensation of the call graph, computed lazily so an
         #: incremental invalidation (which refreshes edges) can simply
         #: drop it and have the next fact pass recompute the order.
@@ -327,10 +297,8 @@ class SummaryEngine:
     ) -> dict["MethodKey", bool]:
         """One SCC's facts: the local predicate per member, then the
         within-SCC (boolean-OR, hence fast) fixpoint, pulling callee facts
-        outside the SCC from ``state.resolved``.  Thread-safe given its
-        wavefront contract: every external dependency is resolved before
-        this SCC is scheduled, and ``resolved`` is only written between
-        wavefronts."""
+        outside the SCC from ``state.resolved``, where callee-first order
+        has already put them."""
         values: dict["MethodKey", bool] = {}
         for key in scc:
             method = self.graph.methods[key]
@@ -360,52 +328,30 @@ class SummaryEngine:
         state: _BoolFactState,
         predicate: Callable[[InvokeExpr], bool],
         indices: Iterable[int],
-        pool: Optional[_WavefrontPool] = None,
     ) -> None:
-        """Evaluate the given SCCs callee-first, in topological wavefronts.
-
-        SCCs within one wavefront have no dependencies on each other, so
-        with a ``pool`` they are evaluated on its threads; results are
-        merged wavefront-by-wavefront in sorted SCC order, making
-        ``state.resolved`` identical for any worker count.
-        """
-        pending = [i for i in indices if i not in state.evaluated_sccs]
+        """Evaluate the given SCCs callee-first.  The condensation numbers
+        every callee SCC before its callers, so ascending index order is
+        a bottom-up schedule."""
+        pending = sorted(i for i in indices if i not in state.evaluated_sccs)
         if not pending:
             return
-        sccs, position = self._ensure_scc_order()
-        fronts = condensation_wavefronts(
-            pending,
-            sccs,
-            position,
-            lambda k: self._callee_keys(k, state.all_edge_kinds),
-        )
+        sccs, _position = self._ensure_scc_order()
         self.stats.bool_fact_sccs += len(pending)
         obs_metrics().inc("dataflow.bool_fact_sccs", len(pending))
-        for front in fronts:
-            if pool is not None and len(front) > 1:
-                results = pool.map(
-                    lambda i: self._eval_scc_values(sccs[i], predicate, state),
-                    front,
-                )
-            else:
-                results = [
-                    self._eval_scc_values(sccs[i], predicate, state)
-                    for i in front
-                ]
-            for idx, values in zip(front, results):
-                state.resolved.update(values)
-                state.evaluated_sccs.add(idx)
+        for idx in pending:
+            values = self._eval_scc_values(sccs[idx], predicate, state)
+            state.resolved.update(values)
+            state.evaluated_sccs.add(idx)
 
     def _resolve_full(
         self,
         state: _BoolFactState,
         predicate: Callable[[InvokeExpr], bool],
-        pool: Optional[_WavefrontPool] = None,
     ) -> None:
         if state.complete:
             return
         sccs, _position = self._ensure_scc_order()
-        self._resolve_sccs(state, predicate, range(len(sccs)), pool)
+        self._resolve_sccs(state, predicate, range(len(sccs)))
         state.complete = True
 
     def _bool_fact(
@@ -421,47 +367,33 @@ class SummaryEngine:
             return cached
         if state.complete or key not in self.graph.methods:
             return False
-        # Demand-driven: evaluate only this key's callee cone, on the
-        # querying thread (cones are small; prewarming covers the rest).
+        # Demand-driven: evaluate only this key's callee cone (cones are
+        # small; prewarming covers the rest).
         self._resolve_sccs(state, predicate, self._cone_indices(state, (key,)))
         return state.resolved.get(key, False)
 
     def prewarm_bool_facts(
         self,
         demands: Iterable[tuple[str, Optional[Iterable["MethodKey"]]]],
-        intra_jobs: Optional[int] = None,
     ) -> None:
         """Evaluate the fact cones the planned passes will query.
 
         ``demands`` pairs a fact name from :data:`BOOL_FACT_SPECS` with
         the methods whose facts will be demanded (``None`` = whole app,
-        for facts served as whole-app views).  The decomposition into
-        SCC wavefronts is the same for every ``intra_jobs`` value — the
-        worker count only chooses how many independent SCCs of one
-        wavefront evaluate concurrently — so deterministic counters and
-        results do not depend on it.  Queries the prewarm did not cover
-        simply fall back to lazy evaluation.
+        for facts served as whole-app views).  Queries the prewarm did
+        not cover simply fall back to lazy evaluation.
         """
-        if intra_jobs is not None:
-            self.intra_jobs = intra_jobs
-        # One pool serves every demand: its threads start on the first
-        # wavefront wide enough to use them, not once per fact.
-        pool = _WavefrontPool(self.intra_jobs) if self.intra_jobs > 1 else None
-        try:
-            for name, roots in demands:
-                predicate, all_edge_kinds = BOOL_FACT_SPECS[name]
-                state = self._bool_state(name, all_edge_kinds)
-                if state.complete:
-                    continue
-                if roots is None:
-                    self._resolve_full(state, predicate, pool)
-                else:
-                    self._resolve_sccs(
-                        state, predicate, self._cone_indices(state, roots), pool
-                    )
-        finally:
-            if pool is not None:
-                pool.close()
+        for name, roots in demands:
+            predicate, all_edge_kinds = BOOL_FACT_SPECS[name]
+            state = self._bool_state(name, all_edge_kinds)
+            if state.complete:
+                continue
+            if roots is None:
+                self._resolve_full(state, predicate)
+            else:
+                self._resolve_sccs(
+                    state, predicate, self._cone_indices(state, roots)
+                )
 
     def performs_connectivity_check(self, key: "MethodKey") -> bool:
         return self._bool_fact("connectivity", is_connectivity_check, True, key)

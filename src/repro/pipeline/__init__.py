@@ -10,11 +10,9 @@ scanning, incremental re-scan.
 * :mod:`repro.pipeline.batch` — the parallel batch scanner
   (``nchecker scan --jobs N``) with deterministic, input-order-stable
   output;
-* :mod:`repro.pipeline.cachestore` — the persistent cross-run cache as
-  a layered subsystem: content addressing, codec, and the pluggable
-  ``CacheBackend`` protocol (local / memory / tiered) behind
-  ``--cache-backend`` (``repro.pipeline.diskcache`` is its thin
-  compatibility facade).
+* :mod:`repro.pipeline.cachestore` — the opt-in persistent cross-run
+  cache behind ``--cache-dir``: content addressing, codec, and the
+  local-directory backend.
 """
 
 from .artifacts import (
@@ -30,13 +28,7 @@ from .artifacts import (
     ArtifactKey,
     ArtifactStore,
 )
-from .cachestore import (
-    CacheBackend,
-    CacheStore,
-    LocalDirBackend,
-    MemoryBackend,
-    TieredBackend,
-)
+from .cachestore import CacheBackend, CacheStore, LocalDirBackend
 from .passes import ScanPlan, ScheduledPass, build_plan, order_passes, resolve_reads
 from .scan import ScanSession, SessionCache
 
@@ -45,8 +37,6 @@ __all__ = [
     "CacheBackend",
     "CacheStore",
     "LocalDirBackend",
-    "MemoryBackend",
-    "TieredBackend",
     "ArtifactCounters",
     "ArtifactKey",
     "ArtifactStore",

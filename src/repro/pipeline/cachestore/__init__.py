@@ -1,8 +1,8 @@
-"""The layered cache-store subsystem (``--cache-backend`` /
+"""The opt-in persistent artifact cache (``--cache-dir`` /
 ``nchecker cache``).
 
-The persistent cross-run artifact cache, split along its three concerns
-so each can evolve (and be replaced) independently:
+The cross-run artifact cache, split along its three concerns so each can
+evolve (and be replaced) independently:
 
 * :mod:`~repro.pipeline.cachestore.fingerprints` — content addressing:
   app/registry/options fingerprints and the per-entry digest;
@@ -11,18 +11,13 @@ so each can evolve (and be replaced) independently:
   magic/version/checksum header enforcing corruption-is-a-miss;
 * :mod:`~repro.pipeline.cachestore.backend` — the narrow
   :class:`CacheBackend` protocol (``get/put/delete/list_entries/stats``
-  plus ``gc/clear`` management) every storage tier implements, with
-  four implementations: :class:`LocalDirBackend` (the on-disk store,
-  format-compatible with pre-split caches), :class:`MemoryBackend`
-  (process-local), :class:`RemoteBackend` (a ``nchecker serve``
-  daemon's ``/v1/cache`` API over HTTP — the fleet-wide tier), and
-  :class:`TieredBackend` (read-through / write-through composition,
-  e.g. ``memory+local`` or ``memory+remote:URL``).
+  plus ``gc/clear`` management), implemented by
+  :class:`LocalDirBackend` (:mod:`~repro.pipeline.cachestore.local`),
+  the on-disk store under one directory.
 
 :class:`CacheStore` (:mod:`~repro.pipeline.cachestore.store`) ties the
-three together for the scan session; ``repro.pipeline.diskcache``
-remains as a thin compatibility facade over ``local``.  The user-facing
-guide is ``docs/CACHING.md``.
+three together for the scan session.  The user-facing guide is
+``docs/CACHING.md``.
 """
 
 from .backend import (
@@ -46,10 +41,7 @@ from .fingerprints import (
     registry_fingerprint,
 )
 from .local import LocalDirBackend
-from .memory import MemoryBackend, shared_memory_backend
-from .remote import RemoteBackend
-from .store import CacheStore, backend_from_spec
-from .tiered import TieredBackend
+from .store import CacheStore
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
@@ -63,11 +55,7 @@ __all__ = [
     "EntryKey",
     "GetResult",
     "LocalDirBackend",
-    "MemoryBackend",
-    "RemoteBackend",
-    "TieredBackend",
     "app_content_fingerprint",
-    "backend_from_spec",
     "decode_artifact",
     "encode_artifact",
     "entry_digest",
@@ -76,5 +64,4 @@ __all__ = [
     "options_fingerprint",
     "parse_size",
     "registry_fingerprint",
-    "shared_memory_backend",
 ]

@@ -1,36 +1,30 @@
-"""The ``CacheBackend`` protocol: the narrow seam every cache tier
-implements.
+"""The ``CacheBackend`` protocol: the narrow seam the cache store writes
+through.
 
 A backend is a content-addressed blob store.  It never interprets entry
 payloads — serialization lives in :mod:`.codec`, addressing in
 :mod:`.fingerprints` — it only moves opaque ``bytes`` under an
-:class:`EntryKey`.  Four implementations ship today
-(:class:`~repro.pipeline.cachestore.local.LocalDirBackend`,
-:class:`~repro.pipeline.cachestore.memory.MemoryBackend`,
-:class:`~repro.pipeline.cachestore.remote.RemoteBackend` — the
-HTTP tier served by the ``nchecker serve`` daemon — and
-:class:`~repro.pipeline.cachestore.tiered.TieredBackend`); each plugs
-in behind the same five methods without touching the pipeline.
+:class:`EntryKey`.  One implementation ships:
+:class:`~repro.pipeline.cachestore.local.LocalDirBackend`.
 
-Semantics every backend MUST honour (enforced by the shared conformance
-suite in ``tests/pipeline/test_cachestore.py``):
+Semantics a backend MUST honour (enforced by the conformance suite in
+``tests/pipeline/test_cachestore.py``):
 
 * **Best-effort, never raising.**  ``get`` returns ``None`` for an
-  absent *or unreadable* entry; ``put`` returns the tiers actually
-  written — possibly empty on I/O failure — and ``delete`` the number
+  absent *or unreadable* entry; ``put`` returns the backend names
+  actually written — empty on I/O failure — and ``delete`` the number
   of copies removed.  Storage trouble degrades to a miss or a skipped
   write, never an exception out of the backend.
 * **Atomic publication.**  A concurrent reader of ``put`` sees either
   the previous complete blob or the new complete blob, never a torn
   intermediate (the local backend writes a temp file and
-  ``os.replace``\\ s it; the in-memory backend relies on atomic dict
-  assignment).  Parallel ``--jobs`` workers sharing a backend therefore
-  race benignly.
+  ``os.replace``\\ s it).  Parallel ``--jobs`` workers sharing a
+  backend therefore race benignly.
 * **Corruption is a miss.**  Backends return blob bytes verbatim; the
   codec's magic/version/checksum header is what detects a damaged
   entry.  After the caller reports one (by ``delete``-ing the key), the
   backend must actually drop it so the rebuilt artifact's ``put``
-  replaces it everywhere.
+  replaces it.
 * **Eviction grace.**  ``gc`` never removes an entry younger than
   ``grace_seconds`` (default :data:`GC_GRACE_SECONDS`): a concurrent
   scanner that just published an entry must not lose it to a garbage
@@ -39,7 +33,8 @@ suite in ``tests/pipeline/test_cachestore.py``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional, Protocol, runtime_checkable
 
 #: ``gc`` keeps entries written within this many seconds regardless of
@@ -54,9 +49,7 @@ class EntryKey:
 
     ``app_fp`` is the app content fingerprint, ``kind`` the artifact
     kind, ``digest`` the :func:`~repro.pipeline.cachestore.fingerprints.
-    entry_digest` folding registry/options state.  The same key names
-    the same entry on every backend — that is what lets a tiered
-    composition promote and write through without translation.
+    entry_digest` folding registry/options state.
     """
 
     app_fp: str
@@ -65,8 +58,7 @@ class EntryKey:
 
     @property
     def filename(self) -> str:
-        """Canonical file name (the on-disk layout every local-style
-        backend shares, and the pre-refactor ``DiskCache`` wrote)."""
+        """Canonical file name of the entry in its app directory."""
         return f"{self.kind}-{self.digest}.bin"
 
 
@@ -77,8 +69,7 @@ class EntryInfo:
     key: EntryKey
     size: int
     mtime: float
-    #: Name of the tier holding this copy (tiered backends enumerate
-    #: every tier, so one key may appear once per tier).
+    #: Name of the backend holding this copy.
     tier: str
 
 
@@ -86,24 +77,20 @@ class EntryInfo:
 class GetResult:
     """A successful ``get``: the blob plus its provenance.
 
-    ``tier`` names the tier that served the bytes — the namespace the
+    ``tier`` names the backend that served the bytes — the namespace the
     caller's ``cache.<tier>.<kind>.hits`` accounting lands in.
-    ``promoted`` names the faster tiers the entry was copied into on the
-    way out (read-through promotion), counted as
-    ``cache.<tier>.<kind>.promotions``.
     """
 
     blob: bytes
     tier: str
-    promoted: tuple[str, ...] = ()
 
 
 @runtime_checkable
 class CacheBackend(Protocol):
-    """What a cache tier must provide.  See the module docstring for the
-    atomicity / corruption / grace semantics conformance requires."""
+    """What a cache backend must provide.  See the module docstring for
+    the atomicity / corruption / grace semantics conformance requires."""
 
-    #: Short tier name; namespaces this backend's metrics
+    #: Short backend name; namespaces this backend's metrics
     #: (``cache.<name>.*``) and labels its stats section.
     name: str
 
@@ -114,7 +101,7 @@ class CacheBackend(Protocol):
 
     def put(self, key: EntryKey, blob: bytes) -> tuple[str, ...]:
         """Store ``blob`` under ``key`` atomically; returns the names of
-        the tiers actually written (empty when every write failed —
+        the backends actually written (empty when the write failed —
         best-effort, the caller simply retries next run)."""
         ...
 
@@ -123,11 +110,11 @@ class CacheBackend(Protocol):
         ...
 
     def list_entries(self) -> list[EntryInfo]:
-        """Every stored entry (every per-tier copy), for stats/gc."""
+        """Every stored entry, for stats/gc."""
         ...
 
     def stats(self) -> "CacheStats":
-        """Aggregate entry counts and sizes (per kind, per tier)."""
+        """Aggregate entry counts and sizes (per kind)."""
         ...
 
     def gc(
@@ -155,19 +142,22 @@ def parse_size(text: str) -> int:
 
     Accepts fractional values and case-insensitive ``K/M/G/T`` (and
     ``B``) suffixes; :func:`format_size` output always round-trips
-    through this parser."""
-    text = text.strip()
+    through this parser.  Anything else — including ``inf`` and
+    ``nan`` — raises :class:`ValueError` quoting the whole input."""
+    number = text.strip()
     multiplier = 1
-    if text and text[-1].upper() in _SIZE_UNITS:
-        multiplier = _SIZE_UNITS[text[-1].upper()]
-        text = text[:-1]
+    if number and number[-1].upper() in _SIZE_UNITS:
+        multiplier = _SIZE_UNITS[number[-1].upper()]
+        number = number[:-1]
     try:
-        value = float(text)
+        value = float(number) * multiplier
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise ValueError(f"unparsable size: {text!r} (use e.g. 512M, 1.5G)")
     if value < 0:
         raise ValueError("size must be non-negative")
-    return int(value * multiplier)
+    return int(value)
 
 
 def format_size(n: int) -> str:
@@ -188,7 +178,7 @@ def format_size(n: int) -> str:
 class CacheStats:
     """What ``nchecker cache stats`` prints: aggregate entry counts and
     bytes, broken down per artifact kind (so cache growth is
-    attributable) and — for tiered backends — per tier."""
+    attributable)."""
 
     label: str
     apps: int
@@ -196,28 +186,22 @@ class CacheStats:
     total_bytes: int
     #: kind -> (entry count, bytes)
     by_kind: dict[str, tuple[int, int]]
-    #: Per-tier sections (tiered backends only).
-    tiers: list["CacheStats"] = field(default_factory=list)
 
-    def render(self, indent: str = "") -> str:
-        lines = [f"{indent}cache {self.label}"]
+    def render(self) -> str:
+        lines = [f"cache {self.label}"]
         lines.append(
-            f"{indent}  {self.entries} "
+            f"  {self.entries} "
             f"entr{'y' if self.entries == 1 else 'ies'} "
             f"for {self.apps} app(s), {format_size(self.total_bytes)}"
         )
         for kind in sorted(self.by_kind):
             count, size = self.by_kind[kind]
-            lines.append(f"{indent}  {kind:<13} {count:>5}  {format_size(size)}")
-        for tier in self.tiers:
-            lines.append(tier.render(indent + "  ").replace(
-                f"{indent}  cache ", f"{indent}  tier ", 1))
+            lines.append(f"  {kind:<13} {count:>5}  {format_size(size)}")
         return "\n".join(lines)
 
 
 def stats_from_entries(label: str, entries: list[EntryInfo]) -> CacheStats:
-    """Fold a ``list_entries`` result into a :class:`CacheStats` — the
-    shared accounting every single-tier backend uses."""
+    """Fold a ``list_entries`` result into a :class:`CacheStats`."""
     by_kind: dict[str, tuple[int, int]] = {}
     apps: set[str] = set()
     total = 0

@@ -15,7 +15,7 @@ format version and a blake2b checksum of the payload.  Decoding is
 where **corruption-is-a-miss** is enforced for every backend: a
 truncated, bit-flipped, or version-mismatched blob raises
 :class:`CacheMiss` — always handled as a rebuild, never a crash —
-regardless of which tier served the bytes.
+regardless of where the bytes came from.
 """
 
 from __future__ import annotations

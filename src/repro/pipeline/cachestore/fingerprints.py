@@ -19,8 +19,7 @@ Every cache entry is addressed by a fingerprint folding together
   splits its entries.
 
 These functions are pure over their inputs: no backend ever influences
-an address, which is what lets every backend (local directory,
-in-memory, tiered, a future remote) serve the very same entries.
+an address.
 """
 
 from __future__ import annotations
@@ -104,21 +103,17 @@ def scan_options_fingerprint(options: "NCheckerOptions") -> str:
 
     The run ledger (:mod:`repro.obs.events`) stamps this on every record
     so ``nchecker bench compare`` never silently diffs runs produced
-    under different flags.  Storage-only fields (``cache_dir``,
-    ``cache_backend``) are excluded: they can never change scan output,
-    and a live backend instance has no stable repr anyway.
-    ``intra_jobs`` is likewise excluded — it only picks how many threads
-    evaluate one wavefront's independent SCCs, with results, counters,
-    and profile shapes identical for any value.  Unordered
-    collections are sorted before hashing so the digest is stable across
-    interpreter hash seeds.
+    under different flags.  The storage-only ``cache_dir`` is excluded:
+    it can never change scan output.  Unordered collections are sorted
+    before hashing so the digest is stable across interpreter hash
+    seeds.
     """
     import dataclasses
 
     h = hashlib.blake2b(digest_size=12)
     h.update(f"fmt{CACHE_FORMAT_VERSION};lib{LIBMODELS_VERSION}".encode())
     for field in dataclasses.fields(options):
-        if field.name in ("cache_dir", "cache_backend", "intra_jobs"):
+        if field.name == "cache_dir":
             continue
         value = getattr(options, field.name)
         if isinstance(value, (set, frozenset)):

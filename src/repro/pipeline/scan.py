@@ -15,15 +15,14 @@ region.  :class:`SessionCache` gives ``NChecker`` its repeat-scan
 behaviour (one session per package, keyed by the structural
 fingerprint, LRU-bounded for corpus sweeps).
 
-Sessions are also where the **persistent cross-run cache**
-(:mod:`repro.pipeline.cachestore`, ``NCheckerOptions.cache_backend`` /
-``cache_dir``) plugs in: before the first pass runs, every valid cached
-artifact for the app's content fingerprint is adopted into the store
-(zero builds on a warm run), and after each scan the artifacts the run
-had to build are written back through whatever backend the options
-selected (local directory, in-memory, or a tier chain).  Output is
-byte-identical with the cache hot, cold, or disabled, on every
-backend — the cache only changes where artifacts come from.
+Sessions are also where the opt-in **persistent cross-run cache**
+(:mod:`repro.pipeline.cachestore`, ``NCheckerOptions.cache_dir``) plugs
+in: before the first pass runs, every valid cached artifact for the
+app's content fingerprint is adopted into the store (zero builds on a
+warm run), and after each scan the artifacts the run had to build are
+written back to the cache directory.  Output is byte-identical with the
+cache hot, cold, or disabled — the cache only changes where artifacts
+come from.
 """
 
 from __future__ import annotations
@@ -65,20 +64,15 @@ class ScanSession:
         self.store = ArtifactStore(apk, registry)
         from .cachestore import CacheStore
 
-        #: Persistent cross-run cache, or ``None`` (no ``cache_backend``
-        #: and no ``cache_dir`` in the options).
+        #: Persistent cross-run cache, or ``None`` (no ``cache_dir`` in
+        #: the options).
         self.artifact_cache = CacheStore.from_options(options)
         #: ``(app_fingerprint, kind)`` pairs already persisted — loaded
-        #: from or written to the backend by this session — so repeat
+        #: from or written to the cache by this session — so repeat
         #: scans rewrite nothing and a patch round persists only the
         #: rebuilt cone.
         self._cache_synced: set[tuple[str, str]] = set()
         self._app_fp: Optional[str] = None
-
-    @property
-    def disk_cache(self):
-        """Pre-split alias for :attr:`artifact_cache`."""
-        return self.artifact_cache
 
     # -- pass construction ---------------------------------------------------
 
@@ -227,17 +221,12 @@ class ScanSession:
         displayed broadcasts in the ICC model, broadcast) facts on the
         error callbacks registered at request sites (unless the
         notification-depth ablation replaces those facts with its capped
-        walk).  The decomposition
-        into SCC wavefronts is identical for every ``intra_jobs`` value —
-        the worker count only chooses how many independent SCCs of one
-        wavefront evaluate concurrently — so counters and profile trees
-        never depend on it.  Queries the prewarm did not anticipate fall
-        back to lazy point evaluation inside the engine.
+        walk).  Queries the prewarm did not anticipate fall back to lazy
+        point evaluation inside the engine.
         """
         from ..callgraph.cha import EDGE_LIB_CALLBACK
 
         engine = ctx.summaries
-        engine.intra_jobs = max(1, self.options.intra_jobs)
         planned = {scheduled_pass.name for scheduled_pass in scheduled}
         demands: list = []
         if planned & {"connectivity", "offline-cache"}:

@@ -3,9 +3,7 @@
 A long-lived asyncio HTTP/JSON daemon that accepts APK submissions,
 runs them on a persistent worker-process pool (each worker keeps its
 ``NChecker`` session cache warm across requests), and serves results as
-findings JSON or SARIF — plus the server half of the ``remote:URL``
-cache tier, so one fleet's scans warm every host's cache.  The module
-split mirrors the concerns:
+findings JSON or SARIF.  The module split mirrors the concerns:
 
 * :mod:`~repro.service.http` — a dependency-free asyncio HTTP/1.1
   server core (request parsing, response writing, JSON helpers);
@@ -15,8 +13,8 @@ split mirrors the concerns:
 * :mod:`~repro.service.worker` — the picklable scan execution function
   dispatched to the pool (rendered results + telemetry snapshot back);
 * :mod:`~repro.service.daemon` — :class:`ScanService`: routing,
-  admission control (queue bound, rate limits), the worker pool, the
-  ``/v1/cache`` blueprint, and ``/healthz`` + ``/metrics``.
+  admission control (queue bound, rate limits), the worker pool, and
+  ``/healthz`` + ``/metrics``.
 
 The HTTP API, deployment notes, and a curl quickstart live in
 ``docs/SERVICE.md``.

@@ -9,8 +9,7 @@ same APK, by construction.
 
 Workers are long-lived on purpose.  :func:`execute_scan` keeps one
 :class:`~repro.core.checker.NChecker` per options profile in module
-state, so a worker process carries its ``SessionCache`` (and, with a
-``memory`` cache tier in the options, its in-process blob tier) across
+state, so a worker process carries its ``SessionCache`` across
 requests — a resubmitted unchanged app reuses the whole artifact store
 without touching disk.  Telemetry isolation still holds: every task
 installs a fresh tracer/registry pair for its duration and ships the

@@ -242,38 +242,40 @@ class TestBooleanFacts:
         assert engine.stats.bool_fact_passes == 2  # connectivity + ui
 
 
-class TestPrewarmPool:
-    """``intra_jobs > 1`` runs a prewarm's wide wavefronts on one thread
-    pool, shared by all of its fact demands."""
+class TestSerialPrewarm:
+    """The prewarm evaluates SCCs one at a time, callee-first: whatever
+    order the SCC indices arrive in, every callee's fact is final before
+    a caller reads it."""
 
     DEMANDS = [("connectivity", None), ("ui", None), ("handler", None)]
 
-    def test_one_executor_per_prewarm(self, monkeypatch):
-        import concurrent.futures
-
-        constructed = []
-
-        class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                constructed.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(
-            concurrent.futures, "ThreadPoolExecutor", CountingExecutor
-        )
+    def test_prewarm_matches_lazy_point_queries(self):
         apk = TestBooleanFacts()._app()
-        serial = build_engine(apk)
-        serial.prewarm_bool_facts(self.DEMANDS, intra_jobs=1)
-        assert constructed == []
-        parallel = build_engine(apk)
-        parallel.prewarm_bool_facts(self.DEMANDS, intra_jobs=2)
-        assert len(constructed) == 1
-        assert parallel.stats.bool_fact_sccs == serial.stats.bool_fact_sccs
-        for name, _roots in self.DEMANDS:
-            assert (
-                parallel._bool_states[name].resolved
-                == serial._bool_states[name].resolved
-            )
+        warm = build_engine(apk)
+        warm.prewarm_bool_facts(self.DEMANDS)
+        lazy = build_engine(apk)
+        for key in lazy.graph.methods:
+            assert warm.performs_connectivity_check(
+                key
+            ) == lazy.performs_connectivity_check(key)
+            assert warm.notifies_ui(key) == lazy.notifies_ui(key)
+            assert warm.notifies_via_handler(key) == lazy.notifies_via_handler(key)
+        # Each SCC is evaluated once per fact, either way.
+        assert warm.stats.bool_fact_sccs == lazy.stats.bool_fact_sccs
+
+    def test_caller_first_index_order_still_resolves_callees_first(self):
+        from repro.dataflow.summaries import BOOL_FACT_SPECS
+
+        engine = build_engine(TestBooleanFacts()._app())
+        predicate, all_edge_kinds = BOOL_FACT_SPECS["connectivity"]
+        state = engine._bool_state("connectivity", all_edge_kinds)
+        engine._resolve_sccs(
+            state, predicate, reversed(range(len(engine.sccs)))
+        )
+        # refresh -> guard -> isOnline: only a callee-first schedule
+        # carries the fact two frames up.
+        assert state.resolved[("com.conn.MainActivity", "refresh", 0)]
+        assert not state.resolved[("com.conn.MainActivity", "unrelated", 0)]
 
 
 class TestEngineCache:

@@ -163,7 +163,7 @@ class TestScanLedgerHook:
     def test_scan_ledger_flag_appends_a_scan_record(self, tmp_path, capsys,
                                                     monkeypatch):
         monkeypatch.setenv("NCHECKER_LEDGER_DIR", str(tmp_path / "scan-ledger"))
-        main(["scan", "--no-disk-cache", "--ledger", APPS[0]])
+        main(["scan", "--ledger", APPS[0]])
         capsys.readouterr()
         record = RunLedger(str(tmp_path / "scan-ledger")).last("scan")
         assert record is not None
@@ -173,13 +173,13 @@ class TestScanLedgerHook:
     def test_env_dir_alone_records_instrumented_scans(self, tmp_path, capsys,
                                                       monkeypatch):
         monkeypatch.setenv("NCHECKER_LEDGER_DIR", str(tmp_path / "auto"))
-        main(["scan", "--no-disk-cache", "--stats", APPS[0]])
+        main(["scan", "--stats", APPS[0]])
         capsys.readouterr()
         assert RunLedger(str(tmp_path / "auto")).last("scan") is not None
 
     def test_plain_scan_never_touches_the_ledger(self, tmp_path, capsys,
                                                  monkeypatch):
         monkeypatch.setenv("NCHECKER_LEDGER_DIR", str(tmp_path / "untouched"))
-        main(["scan", "--no-disk-cache", APPS[0]])
+        main(["scan", APPS[0]])
         capsys.readouterr()
         assert not (tmp_path / "untouched").exists()

@@ -1,12 +1,12 @@
-"""Persistent cross-run artifact cache over the default local backend
-(`repro.pipeline.cachestore`, via the `repro.pipeline.diskcache` facade).
+"""Persistent cross-run artifact cache over its local-directory backend
+(`repro.pipeline.cachestore`: `CacheStore` over `LocalDirBackend`).
 
 The contract under test: a warm re-scan of an unchanged app performs
 zero app-scoped artifact builds, scan output is byte-identical with the
 cache cold, warm, or disabled (including ``--jobs``), corrupted entries
 degrade to rebuilds, and a patched app rebuilds only the invalidation
-cone.  The backend seam itself (protocol conformance, memory/tiered
-backends, ``--cache-backend``) is covered in ``test_cachestore.py``.
+cone.  The backend seam itself (protocol conformance, codec, options
+addressing) is covered in ``test_cachestore.py``.
 """
 
 import json
@@ -23,11 +23,12 @@ from repro.core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NCheckerOptions
 from repro.core.patcher import Patcher
 from repro.corpus.snippets import Connectivity, Notification, RequestSpec
 from repro.ir.statements import NopStmt
-from repro.pipeline.cachestore import fingerprints
-from repro.pipeline.diskcache import (
+from repro.pipeline.cachestore import (
     CACHE_FORMAT_VERSION,
-    DiskCache,
+    CacheStore,
+    LocalDirBackend,
     app_content_fingerprint,
+    fingerprints,
     format_size,
     parse_size,
     registry_fingerprint,
@@ -105,9 +106,14 @@ class TestSizes:
         assert parse_size(text) == expected
 
     @pytest.mark.parametrize("bad", ["", "garbage", "-1", "1X5", "-2G",
-                                     "G", "1.2.3M"])
+                                     "G", "1.2.3M", "inf", "nan", "5MB"])
     def test_parse_size_rejects(self, bad):
         with pytest.raises(ValueError):
+            parse_size(bad)
+
+    @pytest.mark.parametrize("bad", ["5MB", "inf", "1e400", "1X5"])
+    def test_parse_size_error_quotes_the_whole_input(self, bad):
+        with pytest.raises(ValueError, match=f"unparsable size: '{bad}'"):
             parse_size(bad)
 
     def test_format_size(self):
@@ -150,17 +156,18 @@ class TestWarmScan:
 
     def test_disabled_cache_writes_nothing(self, tmp_path):
         cache_dir = tmp_path / "cache"
+        assert CacheStore.from_options(NCheckerOptions()) is None
         _r, _s = scan_once(None)
         assert not cache_dir.exists()
-        assert DiskCache(cache_dir)._entry_files() == []
+        assert LocalDirBackend(cache_dir)._entry_files() == []
 
     def test_repeat_scan_rewrites_nothing(self, tmp_path):
         cache_dir = tmp_path / "cache"
         _r, session = scan_once(cache_dir)
-        entries = {p: p.stat().st_mtime_ns for p in DiskCache(cache_dir)._entry_files()}
+        entries = {p: p.stat().st_mtime_ns for p in LocalDirBackend(cache_dir)._entry_files()}
         assert entries
         session.scan()  # same session, same fingerprint: already synced
-        after = {p: p.stat().st_mtime_ns for p in DiskCache(cache_dir)._entry_files()}
+        after = {p: p.stat().st_mtime_ns for p in LocalDirBackend(cache_dir)._entry_files()}
         assert after == entries
 
     def test_format_version_bump_is_cold(self, tmp_path, monkeypatch):
@@ -182,7 +189,7 @@ class TestWarmScan:
 
 class TestCorruption:
     def entry(self, cache_dir, kind) -> "list":
-        return [p for p in DiskCache(cache_dir)._entry_files()
+        return [p for p in LocalDirBackend(cache_dir)._entry_files()
                 if p.name.startswith(f"{kind}-")]
 
     def corrupt_and_rescan(self, tmp_path, mutate, kind="summaries"):
@@ -288,7 +295,7 @@ class TestManagement:
     def populated(self, tmp_path):
         cache_dir = tmp_path / "cache"
         scan_once(cache_dir)
-        return DiskCache(cache_dir)
+        return LocalDirBackend(cache_dir)
 
     def test_stats(self, tmp_path):
         cache = self.populated(tmp_path)
@@ -345,7 +352,7 @@ class TestManagement:
         assert cache.stats().entries == 0
 
     def test_stats_on_missing_root(self, tmp_path):
-        cache = DiskCache(tmp_path / "never-created")
+        cache = LocalDirBackend(tmp_path / "never-created")
         assert cache.stats().entries == 0
         assert cache.gc(0) == (0, 0)
         assert cache.clear() == 0
@@ -374,29 +381,33 @@ class TestCLIByteIdentity:
         save_apk(clean, paths[1])
         return [str(p) for p in paths]
 
+    @pytest.fixture()
+    def cache(self, tmp_path):
+        return ["--cache-dir", str(tmp_path / "cache")]
+
     def run(self, argv, capsys):
         code = main(argv)
         out = capsys.readouterr().out
         return code, out
 
-    def test_report_mode(self, app_files, capsys):
-        disabled = self.run(["scan", "--no-disk-cache", *app_files], capsys)
-        cold = self.run(["scan", *app_files], capsys)
-        warm = self.run(["scan", *app_files], capsys)
-        warm_jobs = self.run(["scan", "--jobs", "2", *app_files], capsys)
+    def test_report_mode(self, app_files, cache, capsys):
+        disabled = self.run(["scan", *app_files], capsys)
+        cold = self.run(["scan", *cache, *app_files], capsys)
+        warm = self.run(["scan", *cache, *app_files], capsys)
+        warm_jobs = self.run(["scan", "--jobs", "2", *cache, *app_files], capsys)
         assert disabled == cold == warm == warm_jobs
 
-    def test_json_mode(self, app_files, capsys):
-        disabled = self.run(["scan", "--json", "--no-disk-cache", *app_files], capsys)
-        cold = self.run(["scan", "--json", *app_files], capsys)
-        warm = self.run(["scan", "--json", *app_files], capsys)
+    def test_json_mode(self, app_files, cache, capsys):
+        disabled = self.run(["scan", "--json", *app_files], capsys)
+        cold = self.run(["scan", "--json", *cache, *app_files], capsys)
+        warm = self.run(["scan", "--json", *cache, *app_files], capsys)
         assert disabled == cold == warm
 
-    def test_sarif_output(self, app_files, tmp_path, capsys):
+    def test_sarif_output(self, app_files, cache, tmp_path, capsys):
         logs = []
         for name, extra in (
-            ("disabled", ["--no-disk-cache"]), ("cold", []), ("warm", []),
-            ("jobs", ["--jobs", "2"]),
+            ("disabled", []), ("cold", cache), ("warm", cache),
+            ("jobs", ["--jobs", "2", *cache]),
         ):
             path = tmp_path / f"{name}.sarif"
             main(["scan", "--sarif", str(path), *extra, *app_files])
@@ -404,11 +415,11 @@ class TestCLIByteIdentity:
             logs.append(path.read_bytes())
         assert len(set(logs)) == 1
 
-    def test_warm_run_has_zero_app_builds(self, app_files, tmp_path, capsys):
+    def test_warm_run_has_zero_app_builds(self, app_files, cache, tmp_path, capsys):
         cold_metrics = tmp_path / "cold.json"
         warm_metrics = tmp_path / "warm.json"
-        main(["scan", "--metrics", str(cold_metrics), *app_files])
-        main(["scan", "--metrics", str(warm_metrics), *app_files])
+        main(["scan", *cache, "--metrics", str(cold_metrics), *app_files])
+        main(["scan", *cache, "--metrics", str(warm_metrics), *app_files])
         capsys.readouterr()
         cold = json.loads(cold_metrics.read_text())["counters"]
         warm = json.loads(warm_metrics.read_text())["counters"]
@@ -418,22 +429,35 @@ class TestCLIByteIdentity:
         for kind in ("callgraph", "summaries", "requests", "retry-loops"):
             assert warm.get(f"cache.local.{kind}.hits", 0) == 2
 
-    def test_warm_jobs_run_has_zero_app_builds(self, app_files, tmp_path, capsys):
+    def test_warm_jobs_run_has_zero_app_builds(
+        self, app_files, cache, tmp_path, capsys
+    ):
         warm_metrics = tmp_path / "warm-jobs.json"
-        main(["scan", *app_files])  # cold, populate
-        main(["scan", "--jobs", "2", "--metrics", str(warm_metrics), *app_files])
+        main(["scan", *cache, *app_files])  # cold, populate
+        main(["scan", "--jobs", "2", *cache, "--metrics", str(warm_metrics),
+              *app_files])
         capsys.readouterr()
         warm = json.loads(warm_metrics.read_text())["counters"]
         for kind in APP_KINDS:
             assert warm.get(f"artifact.{kind}.builds", 0) == 0
 
-    def test_no_disk_cache_flag_leaves_cache_untouched(
+    def test_default_scan_and_patch_leave_every_cache_location_empty(
         self, app_files, tmp_path, capsys, monkeypatch
     ):
-        cache_dir = tmp_path / "explicit-cache"
-        main(["scan", "--no-disk-cache", "--cache-dir", str(cache_dir), *app_files])
+        """The cache is opt-in: without ``--cache-dir`` neither command
+        writes under any location an older default could have used."""
+        homes = {
+            var: tmp_path / var.lower()
+            for var in ("HOME", "XDG_CACHE_HOME", "NCHECKER_CACHE_DIR")
+        }
+        for var, path in homes.items():
+            path.mkdir()
+            monkeypatch.setenv(var, str(path))
+        assert main(["scan", *app_files]) == 1
+        assert main(["patch", app_files[0]]) == 0
         capsys.readouterr()
-        assert not cache_dir.exists()
+        for path in homes.values():
+            assert list(path.iterdir()) == []
 
 
 class TestExtendedChecksCache:
@@ -466,7 +490,7 @@ class TestExtendedChecksCache:
     def test_default_scan_never_persists_threadcontext(self, tmp_path):
         cache_dir = tmp_path / "cache"
         scan_once(cache_dir)
-        entries = DiskCache(cache_dir)._entry_files()
+        entries = LocalDirBackend(cache_dir)._entry_files()
         assert entries
         assert not [p for p in entries if p.name.startswith("threadcontext-")]
 
@@ -481,15 +505,16 @@ class TestExtendedChecksCache:
             paths.append(str(path))
         return paths
 
-    def test_cli_byte_identity(self, lifecycle_files, capsys):
+    def test_cli_byte_identity(self, lifecycle_files, tmp_path, capsys):
         def run(extra):
             code = main(["scan", "--extended-checks", *extra, *lifecycle_files])
             return code, capsys.readouterr().out
 
-        disabled = run(["--no-disk-cache"])
-        cold = run([])
-        warm = run([])
-        warm_jobs = run(["--jobs", "2"])
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        disabled = run([])
+        cold = run(cache)
+        warm = run(cache)
+        warm_jobs = run(["--jobs", "2", *cache])
         assert disabled == cold == warm == warm_jobs
         assert "main (UI) thread" in disabled[1]
 
@@ -497,11 +522,13 @@ class TestExtendedChecksCache:
         self, lifecycle_files, tmp_path, capsys
     ):
         warm_metrics = tmp_path / "warm.json"
-        main(["scan", "--extended-checks", *lifecycle_files])
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        main(["scan", "--extended-checks", *cache, *lifecycle_files])
         main(
             [
                 "scan",
                 "--extended-checks",
+                *cache,
                 "--metrics",
                 str(warm_metrics),
                 *lifecycle_files,
@@ -521,16 +548,20 @@ class TestCacheSubcommand:
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    def populate(self, tmp_path, capsys):
+    def populate(self, tmp_path, capsys) -> list[str]:
+        """Scan one app into ``tmp_path/cache``; returns the ``--cache-dir``
+        arguments naming it."""
         apk, _ = single_request_app(RequestSpec())
         path = tmp_path / "app.apkt"
         save_apk(apk, path)
-        main(["scan", str(path)])
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        main(["scan", *cache, str(path)])
         capsys.readouterr()
+        return cache
 
     def test_stats_and_clear(self, tmp_path, capsys):
-        self.populate(tmp_path, capsys)
-        code, out, _ = self.run(["cache", "stats"], capsys)
+        cache = self.populate(tmp_path, capsys)
+        code, out, _ = self.run(["cache", "stats", *cache], capsys)
         assert code == 0 and "entries for 1 app(s)" in out
         # Per-kind breakdown: every persisted kind gets its own row with
         # an entry count and a size, so cache growth is attributable.
@@ -539,32 +570,57 @@ class TestCacheSubcommand:
                 line.split()[0] == kind and len(line.split()) == 3
                 for line in out.splitlines()
             ), f"no per-kind row for {kind}:\n{out}"
-        code, out, _ = self.run(["cache", "clear"], capsys)
+        code, out, _ = self.run(["cache", "clear", *cache], capsys)
         assert code == 0 and out.startswith("removed ")
-        code, out, _ = self.run(["cache", "stats"], capsys)
+        code, out, _ = self.run(["cache", "stats", *cache], capsys)
         assert "0 entries" in out
 
     def test_gc_spares_fresh_entries_by_default(self, tmp_path, capsys):
-        self.populate(tmp_path, capsys)
-        code, out, _ = self.run(["cache", "gc", "--max-size", "0"], capsys)
+        cache = self.populate(tmp_path, capsys)
+        code, out, _ = self.run(
+            ["cache", "gc", *cache, "--max-size", "0"], capsys
+        )
         assert code == 0 and out.startswith("removed 0 ")
-        _code, out, _ = self.run(["cache", "stats"], capsys)
+        _code, out, _ = self.run(["cache", "stats", *cache], capsys)
         assert "0 entries" not in out  # just-written entries survive
 
     def test_gc_min_age_zero_collects_everything(self, tmp_path, capsys):
-        self.populate(tmp_path, capsys)
+        cache = self.populate(tmp_path, capsys)
         code, out, _ = self.run(
-            ["cache", "gc", "--max-size", "0", "--min-age", "0"], capsys
+            ["cache", "gc", *cache, "--max-size", "0", "--min-age", "0"], capsys
         )
         assert code == 0 and "freed" in out
-        _code, out, _ = self.run(["cache", "stats"], capsys)
+        _code, out, _ = self.run(["cache", "stats", *cache], capsys)
         assert "0 entries" in out
 
-    def test_gc_rejects_bad_size(self, capsys):
-        code, _out, err = self.run(["cache", "gc", "--max-size", "lots"], capsys)
+    def test_gc_rejects_bad_size(self, tmp_path, capsys):
+        code, _out, err = self.run(
+            ["cache", "gc", "--cache-dir", str(tmp_path), "--max-size", "lots"],
+            capsys,
+        )
         assert code == 2 and "unparsable size" in err
+
+    @pytest.mark.parametrize("size", ["inf", "nan", "5MB"])
+    def test_gc_rejects_non_finite_and_suffixed_sizes(self, tmp_path, capsys, size):
+        code, _out, err = self.run(
+            ["cache", "gc", "--cache-dir", str(tmp_path), "--max-size", size],
+            capsys,
+        )
+        assert code == 2 and f"unparsable size: {size!r}" in err
 
     def test_explicit_cache_dir_flag(self, tmp_path, capsys):
         other = tmp_path / "elsewhere"
         code, out, _ = self.run(["cache", "stats", "--cache-dir", str(other)], capsys)
         assert code == 0 and str(other) in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["stats"], ["gc", "--max-size", "1G"], ["clear"]],
+        ids=["stats", "gc", "clear"],
+    )
+    def test_cache_dir_is_required(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", *argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--cache-dir" in captured.err

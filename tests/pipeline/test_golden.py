@@ -109,8 +109,7 @@ def scan_digest(names: list[str], flag_set: str, fmt: str) -> str:
     stdout = StringIO()
     try:
         with redirect_stdout(stdout):
-            code = cli.main(["scan", "-q", "--no-disk-cache", *flags,
-                             *FORMATS[fmt], *names])
+            code = cli.main(["scan", "-q", *flags, *FORMATS[fmt], *names])
     finally:
         cli.NCheckerOptions = original
     data = (Path("out.sarif").read_bytes() if fmt == "sarif"
@@ -134,7 +133,6 @@ def test_output_digest(inputs, monkeypatch, flag_set, fmt):
 
 def _print_table() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        os.environ["NCHECKER_CACHE_DIR"] = os.path.join(tmp, "cache")
         root = Path(tmp)
         names = write_inputs(root)
         os.chdir(root)

@@ -3,8 +3,8 @@
 Covers the full surface promised by ``docs/SERVICE.md``: submit → poll
 → fetch, byte-identical JSON/SARIF parity with the CLI on the same app,
 queue-full and rate-limit rejection, the ``/metrics`` merge across a
-multi-process pool, and the second-host warm scan through the
-``remote:URL`` cache tier.
+multi-process pool, and the cache being each worker's private,
+opt-in directory (no HTTP route reaches it).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.service import ServiceConfig, start_in_thread
+from repro.service import ScanService, ServiceConfig, start_in_thread
 
 from .conftest import (
     app_builds,
@@ -138,6 +138,24 @@ class TestBadRequests:
             "DELETE", daemon.base_url + f"/v1/scans/{view['id']}"
         )
         assert status == 405
+
+    @pytest.mark.parametrize(
+        "method,path",
+        [
+            ("PUT", f"/v1/cache/{'a' * 40}/summaries/{'0' * 32}"),
+            ("GET", f"/v1/cache/{'a' * 40}/summaries/{'0' * 32}"),
+            ("DELETE", f"/v1/cache/{'a' * 40}/summaries/{'0' * 32}"),
+            ("GET", "/v1/cache/entries"),
+            ("POST", "/v1/cache/gc"),
+            ("POST", "/v1/cache/clear"),
+        ],
+    )
+    def test_no_route_reaches_the_cache(self, daemon, method, path):
+        """The daemon has a cache directory, but no client can read,
+        write or manage it: cache entries are pickles, so a writable
+        route would let any client run code in every scanner."""
+        body = b"{}" if method in ("PUT", "POST") else None
+        assert http(method, daemon.base_url + path, body)[0] == 404
 
 
 class TestCliParity:
@@ -273,38 +291,21 @@ class TestMetricsMerge:
             handle.stop()
 
 
-class TestRemoteSecondHost:
-    """The flagship cache-tier scenario: host A scans through
-    ``remote:URL`` and populates the daemon; host B completes the same
-    scan warm, with zero app-scoped artifact builds."""
-
-    def test_second_host_scans_warm_through_the_daemon(
-        self, tmp_path, capsys
+class TestCacheDefaults:
+    def test_workers_run_without_a_cache_unless_one_is_named(
+        self, monkeypatch
     ):
-        handle = start_in_thread(
-            ServiceConfig(port=0, cache_dir=str(tmp_path / "served"))
-        )
-        try:
-            spec = f"remote:{handle.base_url}"
-            path = tmp_path / "shared.apkt"
-            path.write_text(app_text("com.two.hosts"))
+        assert ScanService(ServiceConfig()).worker_options().cache_dir is None
 
-            main(["scan", "--json", "--cache-backend", spec, str(path)])
-            host_a = capsys.readouterr().out
+        import repro.service
 
-            metrics_file = tmp_path / "hostb.json"
-            main(["scan", "--json", "--cache-backend", spec,
-                  "--metrics", str(metrics_file), str(path)])
-            host_b = capsys.readouterr().out
-            assert host_b == host_a
+        configs = []
 
-            counters = json.loads(metrics_file.read_text())["counters"]
-            assert app_builds(counters) == 0
-            for kind in ("callgraph", "summaries", "requests", "retry-loops"):
-                assert counters[f"cache.remote.{kind}.hits"] == 1
+        async def fake_serve(config):
+            configs.append(config)
 
-            served = get_json(handle.base_url + "/metrics")["counters"]
-            assert served["service.cache.puts"] >= 4
-            assert served["service.cache.gets"] >= 4
-        finally:
-            handle.stop()
+        monkeypatch.setattr(repro.service, "serve", fake_serve)
+        assert main(["serve", "--port", "0"]) == 0
+        (config,) = configs
+        assert config.cache_dir is None
+        assert ScanService(config).worker_options().cache_dir is None

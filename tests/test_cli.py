@@ -90,11 +90,11 @@ class TestErrorHandling:
         "argv",
         [
             ["scan", "--jobs", "0", "app.apkt"],
-            ["scan", "--intra-jobs", "-5", "app.apkt"],
+            ["scan", "--jobs", "-5", "app.apkt"],
             ["scan", "-j", "many", "app.apkt"],
             ["bench", "record", "--jobs", "-1"],
-            ["bench", "gate", "--baseline", "b.json", "--intra-jobs", "0"],
-            ["serve", "--intra-jobs", "0"],
+            ["bench", "gate", "--baseline", "b.json", "--jobs", "0"],
+            ["bench", "record", "-j", "0"],
         ],
     )
     def test_non_positive_worker_counts_rejected_at_parse_time(
@@ -105,6 +105,12 @@ class TestErrorHandling:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "jobs" in err and ("at least 1" in err or "invalid" in err)
+
+
+    @pytest.mark.parametrize("size", ["inf", "nan", "5MB"])
+    def test_serve_rejects_an_unparsable_max_body(self, capsys, size):
+        assert main(["serve", "--max-body", size]) == 2
+        assert f"--max-body: unparsable size: {size!r}" in capsys.readouterr().err
 
 
 class TestExperiments:
