@@ -5,10 +5,10 @@ extract network requests with their contexts, identify customized retry
 loops, and run the four analyses of §4.4 — as a **pass pipeline** over a
 per-APK artifact store (see :mod:`repro.pipeline`): each enabled check
 declares the artifacts it reads, the scheduler orders the passes and
-builds only the artifacts some enabled pass needs, and repeat scans of a
-structurally unchanged app reuse the whole store.  The result object
-carries the findings plus the per-request facts the evaluation harness
-aggregates into the paper's tables and CDFs.
+builds only the artifacts some enabled pass needs, and repeat scans of an
+unchanged app reuse the whole store.  The result object carries the
+findings plus the per-request facts the evaluation harness aggregates
+into the paper's tables and CDFs.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ class NChecker:
 
     A thin façade over :class:`repro.pipeline.scan.ScanSession`: each
     scanned app gets a session owning its artifact store, cached per
-    package (keyed by structural fingerprint) so repeat scans of the same
+    package (keyed by content fingerprint) so repeat scans of the same
     app — corpus rescans, scan-after-patch comparisons — reuse every
     derived artifact instead of just the summary engine.
     """
@@ -183,7 +183,7 @@ class NChecker:
         self.registry = registry or default_registry()
         self.options = options
         #: Per-APK scan sessions (artifact stores), reused across repeat
-        #: scans of the same (structurally unchanged) app.
+        #: scans of the same (unchanged) app.
         self.sessions = SessionCache()
 
     def scan(self, apk: APK) -> ScanResult:

@@ -19,7 +19,6 @@ from .summaries import (
     RECEIVER,
     SummaryEngine,
     SummaryStats,
-    apk_fingerprint,
 )
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "SummaryStats",
     "TOP",
     "TaintPolicy",
-    "apk_fingerprint",
     "config_call_values",
     "trace_origins",
 ]

@@ -35,8 +35,8 @@ carry.
 
 Summaries are memoized for the lifetime of the engine, and the scan
 session cache (:class:`~repro.pipeline.scan.SessionCache`) keeps one
-engine per APK (keyed by a structural fingerprint, so patched/rebuilt
-apps miss), which is what makes repeat ``scan()`` calls and corpus
+engine per APK (keyed by the app's content fingerprint, so patched or
+edited apps miss), which is what makes repeat ``scan()`` calls and corpus
 sweeps stop re-deriving the same facts per request.
 """
 
@@ -62,7 +62,6 @@ from .constants import ConstantPropagation
 from .taint import ForwardTaint
 
 if TYPE_CHECKING:
-    from ..app.apk import APK
     from ..callgraph.cha import CallGraph
     from ..callgraph.entrypoints import MethodKey
     from ..callgraph.resolve import MethodAnalysisCache
@@ -646,21 +645,3 @@ class SummaryEngine:
             }
             self._direct_maps[key] = direct
         return direct.get(idx)
-
-
-# ---------------------------------------------------------------------------
-# APK fingerprint
-# ---------------------------------------------------------------------------
-
-
-def apk_fingerprint(apk: "APK") -> int:
-    """A cheap structural fingerprint: any statement inserted or removed
-    (the patcher's edits) changes it, invalidating cached summaries."""
-    return hash(
-        tuple(
-            sorted(
-                (m.class_name, m.name, m.sig.arity, len(m.statements))
-                for m in apk.methods()
-            )
-        )
-    )

@@ -28,13 +28,12 @@ from .artifacts import (
     ArtifactKey,
     ArtifactStore,
 )
-from .cachestore import CacheBackend, CacheStore, LocalDirBackend
+from .cachestore import CacheStore, LocalDirBackend
 from .passes import ScanPlan, ScheduledPass, build_plan, order_passes, resolve_reads
 from .scan import ScanSession, SessionCache
 
 __all__ = [
     "ARTIFACTS",
-    "CacheBackend",
     "CacheStore",
     "LocalDirBackend",
     "ArtifactCounters",

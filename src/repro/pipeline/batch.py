@@ -135,7 +135,9 @@ def _render_payload(task: _ScanTask) -> ScanPayload:
 
     from ..core.checker import NChecker
 
-    result = NChecker(options=task.options).scan(apk)
+    # A throwaway checker's session cache could never hit, so skip it
+    # (and the content fingerprint it would compute).
+    result = NChecker(options=task.options).open_session(apk).scan()
     payload = ScanPayload(
         task.path,
         ok=True,

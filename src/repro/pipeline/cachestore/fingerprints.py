@@ -9,17 +9,13 @@ Every cache entry is addressed by a fingerprint folding together
   LIBMODELS_VERSION`) and the registered library keys — re-annotating a
   library invalidates everything derived under the old annotations;
 * the **cache format version** — unpicklable layout changes miss
-  instead of crashing;
-* the declared :class:`NCheckerOptions <repro.core.checker.
-  NCheckerOptions>` subset read by the artifact's builder
-  (:data:`OPTIONS_READ_BY`).  Today every builder is
-  options-independent (options select *which* artifacts build, never
-  their content), so artifacts are shared across flag combinations; an
-  option-sensitive builder added later declares its fields here and
-  splits its entries.
+  instead of crashing.
 
-These functions are pure over their inputs: no backend ever influences
-an address.
+No :class:`NCheckerOptions <repro.core.checker.NCheckerOptions>` field
+reaches an address: options select *which* artifacts a scan builds,
+never their content, so entries are shared across flag combinations.
+These functions are pure over their inputs: storage never influences an
+address.
 """
 
 from __future__ import annotations
@@ -40,22 +36,8 @@ if TYPE_CHECKING:
 #: that older readers/writers cannot handle; old entries then miss (and
 #: are garbage-collected by ``nchecker cache gc``) instead of crashing.
 #: Folded into both the entry header (:mod:`.codec`) and the local
-#: backend's ``v<N>`` path segment.
+#: directory's ``v<N>`` path segment.
 CACHE_FORMAT_VERSION = 2  # v2: __slots__ IR values/statements change pickle shapes
-
-#: NCheckerOptions fields folded into each artifact kind's cache key —
-#: the options subset the artifact's builder reads.  All empty today:
-#: options decide which artifacts a scan plan *builds*, never what any
-#: artifact *contains*, so entries are shared across flag combinations.
-#: A future option-sensitive builder declares its fields here.
-OPTIONS_READ_BY: dict[str, tuple[str, ...]] = {
-    "callgraph": (),
-    "summaries": (),
-    "requests": (),
-    "retry-loops": (),
-    "icc-model": (),
-    "threadcontext": (),
-}
 
 
 def method_content_hash(method: IRMethod) -> bytes:
@@ -91,15 +73,8 @@ def registry_fingerprint(registry) -> str:
     return f"v{LIBMODELS_VERSION}:{keys}"
 
 
-def options_fingerprint(kind: str, options: "NCheckerOptions") -> str:
-    """The declared options subset for ``kind``, rendered stably."""
-    fields = OPTIONS_READ_BY.get(kind, ())
-    return ";".join(f"{f}={getattr(options, f)!r}" for f in fields)
-
-
 def scan_options_fingerprint(options: "NCheckerOptions") -> str:
-    """One digest over every analysis-shaping option field — the whole-run
-    counterpart of the per-kind :func:`options_fingerprint`.
+    """One digest over every analysis-shaping option field.
 
     The run ledger (:mod:`repro.obs.events`) stamps this on every record
     so ``nchecker bench compare`` never silently diffs runs produced
@@ -122,14 +97,14 @@ def scan_options_fingerprint(options: "NCheckerOptions") -> str:
     return h.hexdigest()
 
 
-def entry_digest(
-    kind: str, app_fp: str, registry, options: "NCheckerOptions"
-) -> str:
-    """The per-entry digest of one (app, artifact-kind, options) triple —
-    the backend-independent half of the entry address (the app
-    fingerprint plus this digest name an entry on every backend)."""
+def entry_digest(app_fp: str, registry) -> str:
+    """The per-entry digest of one app under one library registry — with
+    the app fingerprint and the artifact kind, the address of an entry.
+
+    The trailing ``\\0`` (an empty options field in earlier layouts)
+    keeps addresses byte-identical to caches those layouts wrote."""
     h = hashlib.blake2b(digest_size=16)
     h.update(app_fp.encode())
     h.update(b"\0" + registry_fingerprint(registry).encode())
-    h.update(b"\0" + options_fingerprint(kind, options).encode())
+    h.update(b"\0")
     return h.hexdigest()

@@ -1,44 +1,165 @@
-"""The local-directory backend: the on-disk cache behind ``--cache-dir``.
+"""The local directory behind ``--cache-dir``: where cache entries live.
 
 Layout:
 
     <root>/v<FORMAT>/<app_fp[:2]>/<app_fp>/<kind>-<digest>.bin
 
 one directory per app fingerprint (the per-APK cache files that
-``--jobs`` workers share), one entry file per artifact kind and
-declared-options subset.  Writes go through a temp file plus
-:func:`os.replace`, so parallel workers sharing one directory race
-benignly: readers see either the old or the new complete entry, never a
-torn one.
+``--jobs`` workers share), one entry file per artifact kind.  This
+module alone decides that layout: :attr:`EntryKey.filename` formats an
+entry's file name and :meth:`LocalDirBackend.list_entries` parses it
+back.
+
+:class:`LocalDirBackend` is a content-addressed blob store.  It never
+interprets entry payloads — serialization lives in :mod:`.codec`,
+addressing in :mod:`.fingerprints` — it only moves opaque ``bytes``
+under an :class:`EntryKey`.  Its contract (enforced by
+``tests/pipeline/test_cachestore.py``):
+
+* **Never raising.**  ``get`` returns ``None`` for an absent *or
+  unreadable* entry, ``put`` returns ``False`` when the write failed and
+  ``delete`` ``False`` when nothing was removed.  Storage trouble
+  degrades to a miss or a skipped write, never an exception.
+* **Atomic publication.**  ``put`` writes a temp file and
+  :func:`os.replace`\\ s it, so a concurrent reader sees either the
+  previous complete blob or the new one, never a torn intermediate.
+  Parallel ``--jobs`` workers sharing one directory race benignly.
+* **Corruption is a miss.**  Blobs come back verbatim; the codec's
+  magic/version/checksum header is what detects a damaged entry.  The
+  cache store then ``delete``\\ s the key, so the rebuilt artifact's
+  ``put`` replaces it.
+* **Eviction grace.**  ``gc`` never removes an entry younger than
+  ``grace_seconds`` (default :data:`GC_GRACE_SECONDS`): a concurrent
+  scanner that just published an entry must not lose it to a garbage
+  collection racing the scan.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from ...obs import get_logger
 from . import fingerprints
-from .backend import (
-    GC_GRACE_SECONDS,
-    CacheStats,
-    EntryInfo,
-    EntryKey,
-    GetResult,
-    stats_from_entries,
-)
 
 log = get_logger("cachestore.local")
+
+#: ``gc`` keeps entries written within this many seconds regardless of
+#: the size budget, so a collection racing a live scan cannot drop an
+#: in-flight entry (override per call; the CLI exposes ``--min-age``).
+GC_GRACE_SECONDS = 60.0
+
+
+@dataclass(frozen=True)
+class EntryKey:
+    """Address of one cache entry.
+
+    ``app_fp`` is the app content fingerprint, ``kind`` the artifact
+    kind, ``digest`` the :func:`~repro.pipeline.cachestore.fingerprints.
+    entry_digest` folding the library-model state.
+    """
+
+    app_fp: str
+    kind: str
+    digest: str
+
+    @property
+    def filename(self) -> str:
+        """File name of the entry in its app directory."""
+        return f"{self.kind}-{self.digest}.bin"
+
+
+@dataclass(frozen=True)
+class EntryInfo:
+    """One stored entry, as enumerated by ``list_entries``."""
+
+    key: EntryKey
+    size: int
+    mtime: float
+
+
+# ---------------------------------------------------------------------------
+# Sizes (gc budgets, stats rendering)
+# ---------------------------------------------------------------------------
+
+_SIZE_UNITS = {"B": 1, "K": 1 << 10, "M": 1 << 20, "G": 1 << 30, "T": 1 << 40}
+
+
+def parse_size(text: str) -> int:
+    """``"512M"`` / ``"1.5G"`` / ``"512m"`` / ``"4096"`` → bytes.
+
+    Accepts fractional values and case-insensitive ``K/M/G/T`` (and
+    ``B``) suffixes; :func:`format_size` output always round-trips
+    through this parser.  Anything else — including ``inf`` and
+    ``nan`` — raises :class:`ValueError` quoting the whole input."""
+    number = text.strip()
+    multiplier = 1
+    if number and number[-1].upper() in _SIZE_UNITS:
+        multiplier = _SIZE_UNITS[number[-1].upper()]
+        number = number[:-1]
+    try:
+        value = float(number) * multiplier
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"unparsable size: {text!r} (use e.g. 512M, 1.5G)")
+    if value < 0:
+        raise ValueError("size must be non-negative")
+    return int(value)
+
+
+def format_size(n: int) -> str:
+    """Human size, guaranteed to ``parse_size`` back to within one
+    rendered decimal (``1536 -> "1.5K" -> 1536``)."""
+    for unit, width in (("G", 1 << 30), ("M", 1 << 20), ("K", 1 << 10)):
+        if n >= width:
+            return f"{n / width:.1f}{unit}"
+    return f"{n}B"
+
+
+# ---------------------------------------------------------------------------
+# Stats
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class CacheStats:
+    """What ``nchecker cache stats`` prints: aggregate entry counts and
+    bytes, broken down per artifact kind (so cache growth is
+    attributable)."""
+
+    label: str
+    apps: int
+    entries: int
+    total_bytes: int
+    #: kind -> (entry count, bytes)
+    by_kind: dict[str, tuple[int, int]]
+
+    def render(self) -> str:
+        lines = [f"cache {self.label}"]
+        lines.append(
+            f"  {self.entries} "
+            f"entr{'y' if self.entries == 1 else 'ies'} "
+            f"for {self.apps} app(s), {format_size(self.total_bytes)}"
+        )
+        for kind in sorted(self.by_kind):
+            count, size = self.by_kind[kind]
+            lines.append(f"  {kind:<13} {count:>5}  {format_size(size)}")
+        return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# The directory
+# ---------------------------------------------------------------------------
 
 
 class LocalDirBackend:
     """Content-addressed blob store over one local directory."""
-
-    #: Namespaces this backend's metrics (``cache.local.*``).
-    name = "local"
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root).expanduser()
@@ -63,25 +184,28 @@ class LocalDirBackend:
 
     # -- blob store ----------------------------------------------------------
 
-    def get(self, key: EntryKey) -> Optional[GetResult]:
+    def get(self, key: EntryKey) -> Optional[bytes]:
+        """The stored blob for ``key``, or ``None`` when absent or
+        unreadable."""
         path = self.entry_path(key)
         try:
-            blob = path.read_bytes()
+            return path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError as exc:
             log.debug("cache read failed for %s: %s", path, exc)
             return None
-        return GetResult(blob, self.name)
 
-    def put(self, key: EntryKey, blob: bytes) -> tuple[str, ...]:
+    def put(self, key: EntryKey, blob: bytes) -> bool:
+        """Store ``blob`` under ``key`` atomically; ``False`` when the
+        write failed (the caller simply retries next run)."""
         path = self.entry_path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
         except OSError as exc:
             log.warning("cannot write cache entry %s: %s", path, exc)
-            return ()
+            return False
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)
@@ -92,21 +216,22 @@ class LocalDirBackend:
                 os.unlink(tmp)
             except OSError:
                 pass
-            return ()
+            return False
         except BaseException:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
             raise
-        return (self.name,)
+        return True
 
-    def delete(self, key: EntryKey) -> int:
+    def delete(self, key: EntryKey) -> bool:
+        """Drop ``key``'s entry; ``False`` when there was none."""
         try:
             self.entry_path(key).unlink()
         except OSError:
-            return 0
-        return 1
+            return False
+        return True
 
     # -- enumeration / management --------------------------------------------
 
@@ -129,18 +254,29 @@ class LocalDirBackend:
                 continue
             entries.append(EntryInfo(
                 EntryKey(path.parent.name, kind, digest),
-                st.st_size, st.st_mtime, self.name,
+                st.st_size, st.st_mtime,
             ))
         return entries
 
     def stats(self) -> CacheStats:
-        return stats_from_entries(
-            f"{self.name} {self.root}", self.list_entries()
+        by_kind: dict[str, tuple[int, int]] = {}
+        apps: set[str] = set()
+        entries = self.list_entries()
+        for info in entries:
+            count, kind_bytes = by_kind.get(info.key.kind, (0, 0))
+            by_kind[info.key.kind] = (count + 1, kind_bytes + info.size)
+            apps.add(info.key.app_fp)
+        total = sum(info.size for info in entries)
+        return CacheStats(
+            f"local {self.root}", len(apps), len(entries), total, by_kind
         )
 
     def gc(
         self, max_bytes: int, grace_seconds: float = GC_GRACE_SECONDS
     ) -> tuple[int, int]:
+        """Evict least-recently-written entries until the directory fits
+        ``max_bytes``, never touching entries younger than
+        ``grace_seconds``; returns ``(entries removed, bytes freed)``."""
         files = []
         for p in self._entry_files():
             try:
@@ -170,6 +306,7 @@ class LocalDirBackend:
         return removed, freed
 
     def clear(self) -> int:
+        """Delete every entry; returns the number removed."""
         removed = 0
         for path in self._entry_files():
             try:

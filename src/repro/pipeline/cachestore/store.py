@@ -2,16 +2,15 @@
 
 :class:`CacheStore` is what a :class:`~repro.pipeline.scan.ScanSession`
 holds: it owns the addressing (:mod:`.fingerprints`), the serialization
-(:mod:`.codec`), and the telemetry, and delegates storage to one
-:class:`~repro.pipeline.cachestore.backend.CacheBackend` — a
+(:mod:`.codec`), and the telemetry, and delegates storage to the
 :class:`~repro.pipeline.cachestore.local.LocalDirBackend` over the
 ``cache_dir`` the options name.
 
-Telemetry is namespaced by backend name: ``cache.local.<kind>.hits`` /
-``.misses`` counters and ``cache.local.<kind>.load_ms`` / ``.store_ms``
-timers land in the store's registry (and the active global one), riding
-the same snapshot/merge protocol as every other counter — ``--metrics``
-of a ``--jobs N`` run sums them across workers.  A write-back counts one
+Telemetry: ``cache.local.<kind>.hits`` / ``.misses`` counters and
+``cache.local.<kind>.load_ms`` / ``.store_ms`` timers land in the
+store's registry (and the active global one), riding the same
+snapshot/merge protocol as every other counter — ``--metrics`` of a
+``--jobs N`` run sums them across workers.  A write-back counts one
 miss (the cache could not supply the artifact, so the scan built it),
 which is what makes ``hits/(hits+misses)`` a true hit rate.
 """
@@ -26,10 +25,9 @@ from ...callgraph.entrypoints import method_key
 from ...obs import get_logger
 from ..artifacts import ArtifactStore
 from ..passes import _APP_ARTIFACT_ORDER
-from .backend import CacheBackend, EntryKey
 from .codec import CacheMiss, decode_artifact, encode_artifact
 from .fingerprints import entry_digest
-from .local import LocalDirBackend
+from .local import EntryKey, LocalDirBackend
 
 if TYPE_CHECKING:
     from ...core.checker import NCheckerOptions
@@ -38,9 +36,9 @@ log = get_logger("cachestore")
 
 
 class CacheStore:
-    """Persistent artifact cache over one backend."""
+    """Persistent artifact cache over one local directory."""
 
-    def __init__(self, backend: CacheBackend) -> None:
+    def __init__(self, backend: LocalDirBackend) -> None:
         self.backend = backend
 
     @classmethod
@@ -50,12 +48,8 @@ class CacheStore:
         cache_dir = options.cache_dir
         return cls(LocalDirBackend(cache_dir)) if cache_dir else None
 
-    def entry_key(
-        self, app_fp: str, kind: str, registry, options: "NCheckerOptions"
-    ) -> EntryKey:
-        return EntryKey(
-            app_fp, kind, entry_digest(kind, app_fp, registry, options)
-        )
+    def entry_key(self, app_fp: str, kind: str, registry) -> EntryKey:
+        return EntryKey(app_fp, kind, entry_digest(app_fp, registry))
 
     # -- session API ---------------------------------------------------------
 
@@ -68,35 +62,38 @@ class CacheStore:
         Kinds already present in the store are left alone.  Invalid
         entries (truncated, corrupt, wrong version, dangling references)
         are deleted and treated as misses — the caller rebuilds on demand
-        and :meth:`store_from` overwrites them.
+        and :meth:`store_from` overwrites them.  ``options`` never reaches
+        an entry's address: options decide which artifacts a scan builds,
+        never what one contains, so entries are shared across flag
+        combinations.
         """
         loaded: set[str] = set()
         methods: Optional[dict] = None
         for key in _APP_ARTIFACT_ORDER:
             if store.peek(key) is not None:
                 continue
-            entry = self.entry_key(app_fp, key.name, store.registry, options)
-            result = self.backend.get(entry)
-            if result is None:
+            entry = self.entry_key(app_fp, key.name, store.registry)
+            blob = self.backend.get(entry)
+            if blob is None:
                 continue
             if methods is None:
                 methods = {method_key(m): m for m in store.apk.methods()}
             start = time.perf_counter()
             try:
-                value = decode_artifact(result.blob, store, methods)
+                value = decode_artifact(blob, store, methods)
             except CacheMiss as exc:
                 log.info(
                     "cache entry %s/%s unusable (%s): rebuilding",
                     app_fp[:12], key.name, exc,
                 )
-                store._count(f"cache.{result.tier}.{key.name}.misses")
-                store._count(f"cache.{result.tier}.errors")
+                store._count(f"cache.local.{key.name}.misses")
+                store._count("cache.local.errors")
                 self.backend.delete(entry)
                 continue
             store.adopt(key, value)
-            store._count(f"cache.{result.tier}.{key.name}.hits")
+            store._count(f"cache.local.{key.name}.hits")
             store._observe(
-                f"cache.{result.tier}.{key.name}.load_ms",
+                f"cache.local.{key.name}.load_ms",
                 (time.perf_counter() - start) * 1000.0,
             )
             if key.name == "callgraph":
@@ -121,7 +118,7 @@ class CacheStore:
         present and not in ``exclude`` — the kinds already synced with
         this fingerprint); returns the kinds written.
 
-        Every entry written counts one ``cache.<tier>.<kind>.misses`` —
+        Every entry written counts one ``cache.local.<kind>.misses`` —
         the cache could not supply the artifact, so the scan built it.
         """
         present = {
@@ -135,7 +132,7 @@ class CacheStore:
             value = present.get(key.name)
             if value is None or key.name in exclude:
                 continue
-            entry = self.entry_key(app_fp, key.name, store.registry, options)
+            entry = self.entry_key(app_fp, key.name, store.registry)
             ids = dict(artifact_ids)
             del ids[id(value)]  # the dumped artifact itself is no reference
             start = time.perf_counter()
@@ -144,13 +141,11 @@ class CacheStore:
             except pickle.PicklingError as exc:
                 log.warning("cannot encode cache entry %s: %s", key.name, exc)
                 continue
-            names = self.backend.put(entry, blob)
-            if not names:
+            if not self.backend.put(entry, blob):
                 continue  # write failed; retried next run
-            for name in names:
-                store._count(f"cache.{name}.{key.name}.misses")
+            store._count(f"cache.local.{key.name}.misses")
             store._observe(
-                f"cache.{self.backend.name}.{key.name}.store_ms",
+                f"cache.local.{key.name}.store_ms",
                 (time.perf_counter() - start) * 1000.0,
             )
             written.add(key.name)

@@ -12,7 +12,7 @@ Sessions are the unit of incrementality: the patcher holds one session
 per app, reports the methods each patch round touched, and
 :meth:`ScanSession.invalidate_methods` narrows the rebuild to the dirty
 region.  :class:`SessionCache` gives ``NChecker`` its repeat-scan
-behaviour (one session per package, keyed by the structural
+behaviour (one session per package, keyed by the app's content
 fingerprint, LRU-bounded for corpus sweeps).
 
 Sessions are also where the opt-in **persistent cross-run cache**
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..dataflow.summaries import apk_fingerprint
 from ..obs import metrics, span
 from .artifacts import (
     ICC_MODEL,
@@ -57,6 +56,7 @@ class ScanSession:
         apk: "APK",
         registry: "LibraryRegistry",
         options: "NCheckerOptions",
+        app_fp: Optional[str] = None,
     ) -> None:
         self.apk = apk
         self.registry = registry
@@ -67,12 +67,13 @@ class ScanSession:
         #: Persistent cross-run cache, or ``None`` (no ``cache_dir`` in
         #: the options).
         self.artifact_cache = CacheStore.from_options(options)
-        #: ``(app_fingerprint, kind)`` pairs already persisted — loaded
-        #: from or written to the cache by this session — so repeat
-        #: scans rewrite nothing and a patch round persists only the
-        #: rebuilt cone.
-        self._cache_synced: set[tuple[str, str]] = set()
-        self._app_fp: Optional[str] = None
+        #: Artifact kinds already persisted under the current content
+        #: fingerprint — loaded from or written to the cache by this
+        #: session — so repeat scans rewrite nothing.
+        self._cache_synced: set[str] = set()
+        #: The app's content fingerprint (computed on first use unless
+        #: the caller already has it), dropped by every invalidation.
+        self._app_fp = app_fp
 
     # -- pass construction ---------------------------------------------------
 
@@ -271,46 +272,44 @@ class ScanSession:
         if self.artifact_cache is None:
             return
         fp = self._content_fingerprint()
-        loaded = self.artifact_cache.load_into(self.store, fp, self.options)
-        self._cache_synced.update((fp, kind) for kind in loaded)
+        self._cache_synced |= self.artifact_cache.load_into(
+            self.store, fp, self.options
+        )
 
     def _persist_to_disk(self) -> None:
         if self.artifact_cache is None:
             return
-        fp = self._content_fingerprint()
-        synced = {kind for f, kind in self._cache_synced if f == fp}
-        written = self.artifact_cache.store_from(
-            self.store, fp, self.options, exclude=synced
+        self._cache_synced |= self.artifact_cache.store_from(
+            self.store, self._content_fingerprint(), self.options,
+            exclude=self._cache_synced,
         )
-        self._cache_synced.update((fp, kind) for kind in written)
 
     # -- incrementality ------------------------------------------------------
 
     def invalidate_methods(self, touched: "set[MethodKey]") -> None:
         """Forward a patch round's touched-method report to the store."""
-        self._app_fp = None  # in-place mutation: re-fingerprint next scan
+        # In-place mutation: re-fingerprint next scan, and persist every
+        # kind again under the new fingerprint.
+        self._app_fp = None
+        self._cache_synced.clear()
         self.store.invalidate_methods(touched)
-
-    @property
-    def fingerprint(self) -> int:
-        return apk_fingerprint(self.apk)
 
 
 @dataclass
 class SessionCache:
-    """One scan session per APK package, keyed by structural fingerprint.
+    """One scan session per APK package, keyed by content fingerprint.
 
-    A repeat ``scan()`` of a structurally unchanged app reuses the whole
-    artifact store (call graph, CFGs, summaries, requests), and any
-    statement inserted or removed (the patcher's edits) changes the
-    fingerprint and misses: ``hits``/``misses`` count one miss per
-    structurally distinct app state.
+    A repeat ``scan()`` of an unchanged app reuses the whole artifact
+    store (call graph, CFGs, summaries, requests).  The fingerprint is
+    recomputed on every call, so any edit — a new app object or the same
+    one mutated in place — misses: ``hits``/``misses`` count one miss
+    per distinct app content.
     """
 
     max_entries: int = 64
     hits: int = 0
     misses: int = 0
-    _sessions: dict[str, tuple[int, ScanSession]] = field(default_factory=dict)
+    _sessions: dict[str, tuple[str, ScanSession]] = field(default_factory=dict)
 
     def session_for(
         self,
@@ -318,7 +317,9 @@ class SessionCache:
         registry: "LibraryRegistry",
         options: "NCheckerOptions",
     ) -> ScanSession:
-        fingerprint = apk_fingerprint(apk)
+        from .cachestore import app_content_fingerprint
+
+        fingerprint = app_content_fingerprint(apk)
         entry = self._sessions.get(apk.package)
         if entry is not None and entry[0] == fingerprint:
             self.hits += 1
@@ -326,7 +327,7 @@ class SessionCache:
             self._sessions[apk.package] = self._sessions.pop(apk.package)
             return entry[1]
         self.misses += 1
-        session = ScanSession(apk, registry, options)
+        session = ScanSession(apk, registry, options, app_fp=fingerprint)
         self._sessions[apk.package] = (fingerprint, session)
         while len(self._sessions) > self.max_entries:
             self._sessions.pop(next(iter(self._sessions)))

@@ -11,9 +11,10 @@ Workers are long-lived on purpose.  :func:`execute_scan` keeps one
 :class:`~repro.core.checker.NChecker` per options profile in module
 state, so a worker process carries its ``SessionCache`` across
 requests — a resubmitted unchanged app reuses the whole artifact store
-without touching disk.  Telemetry isolation still holds: every task
-installs a fresh tracer/registry pair for its duration and ships the
-snapshot back for the daemon to merge.
+without touching disk, and an edited one (its content fingerprint
+differs) gets a fresh session.  Telemetry isolation still holds: every
+task installs a fresh tracer/registry pair for its duration and ships
+the snapshot back for the daemon to merge.
 """
 
 from __future__ import annotations

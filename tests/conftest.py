@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.app import APK, Manifest
@@ -9,6 +11,22 @@ from repro.corpus.appbuilder import AppBuilder
 from repro.corpus.snippets import RequestSpec, inject_request
 from repro.core import NChecker
 from repro.ir import ClassBuilder, MethodBuilder
+
+
+NEWSREADER = Path(__file__).resolve().parent.parent / "examples" / "apps" / "newsreader.apkt"
+
+
+def newsreader_texts() -> tuple[str, str]:
+    """The newsreader example and an edit of it with the same method
+    shapes: its one connectivity check becomes ``toString()``, which
+    adds a ``missed-connectivity-check`` finding (5 -> 6)."""
+    original = NEWSREADER.read_text()
+    edited = original.replace(
+        "ConnectivityManager#getActiveNetworkInfo()",
+        "ConnectivityManager#toString()",
+    )
+    assert edited != original
+    return original, edited
 
 
 def make_method(build) -> "repro.ir.IRMethod":

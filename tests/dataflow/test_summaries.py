@@ -8,7 +8,6 @@ from repro.dataflow.summaries import (
     CONFIG_TOP,
     RECEIVER,
     SummaryEngine,
-    apk_fingerprint,
 )
 from repro.ir import Local
 from repro.libmodels import default_registry
@@ -300,10 +299,6 @@ class TestEngineCache:
         insert_statements(method, 0, [NopStmt()])
         checker.scan(apk)
         assert checker.sessions.misses == 2
-
-    def test_fingerprint_stable_for_unchanged_app(self):
-        apk = _deep_chain_app()
-        assert apk_fingerprint(apk) == apk_fingerprint(apk)
 
 
 class TestEndToEnd:

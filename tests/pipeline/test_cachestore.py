@@ -1,14 +1,12 @@
-"""Conformance suite for the cache-store backend.
+"""Conformance suite for the cache's local directory.
 
-A battery of tests runs against every :class:`CacheBackend`
-implementation (today the one ``local`` directory backend) so the
-protocol semantics documented in :mod:`repro.pipeline.cachestore.backend`
-(best-effort never raising, atomic publication, corruption-is-a-miss,
-gc grace) are enforced, not aspirational.  On top of the protocol
-battery:
+A battery of tests runs against :class:`LocalDirBackend` so the
+contract documented in :mod:`repro.pipeline.cachestore.local` (never
+raising, atomic publication, corruption-is-a-miss, gc grace) is
+enforced, not aspirational.  On top of that battery:
 
 * scan-level tests proving a warm re-scan does **zero** app-scoped
-  builds, with hits attributed to the serving backend;
+  builds, with hits counted under ``cache.local.*``;
 * format compatibility: ``LocalDirBackend`` reads a cache laid out by
   the entry-path formula earlier releases wrote, and the entry header
   is pinned byte-for-byte.
@@ -25,20 +23,21 @@ from repro.core.checker import NCheckerOptions
 from repro.corpus.snippets import RequestSpec
 from repro.pipeline.cachestore import (
     CACHE_FORMAT_VERSION,
-    CacheBackend,
     CacheStore,
     EntryKey,
     LocalDirBackend,
     app_content_fingerprint,
     entry_digest,
+    registry_fingerprint,
 )
 from tests.conftest import single_request_app
 
 APP_KINDS = ("callgraph", "summaries", "requests", "retry-loops", "icc-model")
 PERSISTED_KINDS = ("callgraph", "summaries", "requests", "retry-loops")
 @pytest.fixture(params=["local"])
-def backend(tmp_path) -> CacheBackend:
-    """Every backend implementation, by parametrize id."""
+def backend(tmp_path) -> LocalDirBackend:
+    """A fresh local cache directory (the ``local`` id keeps test names
+    stable)."""
     return LocalDirBackend(tmp_path / "cache")
 
 
@@ -78,32 +77,24 @@ def counter(session, name: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The shared protocol battery — every backend must pass every test.
+# The contract battery.
 # ---------------------------------------------------------------------------
 
 
 class TestBackendConformance:
-    def test_satisfies_the_protocol(self, backend):
-        assert isinstance(backend, CacheBackend)
-        assert backend.name
-
     def test_get_absent_is_none(self, backend):
         assert backend.get(key()) is None
 
     def test_put_get_round_trip(self, backend):
         k = key()
-        written = backend.put(k, b"payload")
-        assert written  # the backend took the write
-        result = backend.get(k)
-        assert result is not None
-        assert result.blob == b"payload"
-        assert result.tier in written
+        assert backend.put(k, b"payload") is True
+        assert backend.get(k) == b"payload"
 
     def test_overwrite_replaces(self, backend):
         k = key()
         backend.put(k, b"old")
         backend.put(k, b"new-and-longer")
-        assert backend.get(k).blob == b"new-and-longer"
+        assert backend.get(k) == b"new-and-longer"
         assert unique_keys(backend) == {k}
         assert all(
             info.size == len(b"new-and-longer") for info in backend.list_entries()
@@ -111,10 +102,10 @@ class TestBackendConformance:
 
     def test_delete_drops_every_copy(self, backend):
         k = key()
-        copies = len(backend.put(k, b"x"))
-        assert backend.delete(k) == copies
+        backend.put(k, b"x")
+        assert backend.delete(k) is True
         assert backend.get(k) is None
-        assert backend.delete(k) == 0  # idempotent, best-effort
+        assert backend.delete(k) is False  # idempotent, best-effort
 
     def test_distinct_digests_coexist(self, backend):
         """Two entries differing only in digest (same app, same kind —
@@ -123,8 +114,8 @@ class TestBackendConformance:
         k2 = key(digest="2222222222222222")
         backend.put(k1, b"one")
         backend.put(k2, b"two")
-        assert backend.get(k1).blob == b"one"
-        assert backend.get(k2).blob == b"two"
+        assert backend.get(k1) == b"one"
+        assert backend.get(k2) == b"two"
 
     def test_list_entries_and_stats_agree(self, backend):
         keys = [
@@ -151,12 +142,11 @@ class TestBackendConformance:
         assert backend.get(key()) is not None
 
     def test_gc_without_grace_enforces_the_budget(self, backend):
-        copies = 0
         for i in range(3):
-            copies += len(backend.put(key(digest=f"{i:016d}"), b"x" * 10))
+            backend.put(key(digest=f"{i:016d}"), b"x" * 10)
         removed, freed = backend.gc(0, grace_seconds=0)
-        assert removed == copies
-        assert freed == copies * 10
+        assert removed == 3
+        assert freed == 3 * 10
         assert backend.list_entries() == []
 
     def test_gc_noop_when_under_budget(self, backend):
@@ -165,10 +155,9 @@ class TestBackendConformance:
         assert backend.get(key()) is not None
 
     def test_clear_empties_everything(self, backend):
-        copies = 0
         for i in range(3):
-            copies += len(backend.put(key(digest=f"{i:016d}"), b"x"))
-        assert backend.clear() == copies
+            backend.put(key(digest=f"{i:016d}"), b"x")
+        assert backend.clear() == 3
         assert backend.list_entries() == []
         assert backend.stats().entries == 0
 
@@ -195,7 +184,7 @@ class TestLocalBackendEdgeCases:
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("in the way")
         backend = LocalDirBackend(blocker)  # root is a file: every mkdir fails
-        assert backend.put(key(), b"x") == ()
+        assert backend.put(key(), b"x") is False
         assert backend.get(key()) is None
 
     def test_unreadable_entry_is_a_miss(self, tmp_path):
@@ -227,7 +216,7 @@ class TestWarmScanEveryBackend:
         warm_result, warm_session = scan_with(backend, loads_apk(dumps_apk(apk)))
         assert app_builds(warm_session) == dict.fromkeys(APP_KINDS, 0)
         for kind in PERSISTED_KINDS:
-            assert counter(warm_session, f"cache.{backend.name}.{kind}.hits") == 1
+            assert counter(warm_session, f"cache.local.{kind}.hits") == 1
         assert finding_sigs(warm_result) == finding_sigs(cold_result)
 
     def test_output_matches_uncached_scan(self, backend):
@@ -241,8 +230,8 @@ class TestWarmScanEveryBackend:
 
     def test_cold_scan_counts_one_miss_per_tier_written(self, backend):
         _result, session = scan_with(backend)
-        assert counter(session, f"cache.{backend.name}.callgraph.misses") == 1
-        assert counter(session, f"cache.{backend.name}.callgraph.hits") == 0
+        assert counter(session, "cache.local.callgraph.misses") == 1
+        assert counter(session, "cache.local.callgraph.hits") == 0
 
 
 class TestCorruptionEveryBackend:
@@ -259,18 +248,18 @@ class TestCorruptionEveryBackend:
         result, session = scan_with(backend, loads_apk(dumps_apk(apk)))
         assert finding_sigs(result) == finding_sigs(cold_result)
         assert session.store.counters.builds_of("summaries") == 1
-        assert counter(session, f"cache.{backend.name}.summaries.misses") >= 1
-        assert counter(session, f"cache.{backend.name}.errors") == 1
+        assert counter(session, "cache.local.summaries.misses") >= 1
+        assert counter(session, "cache.local.errors") == 1
         # The bad entry was dropped and the rebuilt artifact re-published
         # — the next reader gets a valid blob.
         repaired = backend.get(k)
-        assert repaired is not None and repaired.blob[:4] == b"NCKC"
+        assert repaired is not None and repaired[:4] == b"NCKC"
 
     def test_header_version_mismatch_is_a_miss(self, backend):
         apk = fresh_apk()
         cold_result, _ = scan_with(backend, apk)
         k = self.summaries_key(backend)
-        stale = bytearray(backend.get(k).blob)
+        stale = bytearray(backend.get(k))
         struct.pack_into(">I", stale, 4, CACHE_FORMAT_VERSION + 1)
         backend.put(k, bytes(stale))
 
@@ -282,7 +271,7 @@ class TestCorruptionEveryBackend:
         apk = fresh_apk()
         cold_result, _ = scan_with(backend, apk)
         k = self.summaries_key(backend)
-        flipped = bytearray(backend.get(k).blob)
+        flipped = bytearray(backend.get(k))
         flipped[-1] ^= 0xFF
         backend.put(k, bytes(flipped))
 
@@ -310,7 +299,7 @@ class TestPreSplitFormatCompat:
 
         fp = app_content_fingerprint(apk)
         for kind in PERSISTED_KINDS:
-            digest = entry_digest(kind, fp, session.registry, options)
+            digest = entry_digest(fp, session.registry)
             expected = (
                 cache_dir
                 / f"v{CACHE_FORMAT_VERSION}"
@@ -320,13 +309,27 @@ class TestPreSplitFormatCompat:
             )
             assert expected.is_file(), f"{kind} entry not at the legacy path"
 
+    def test_entry_digest_is_pinned_to_the_earlier_formula(self):
+        """blake2b-128 over the app fingerprint, a NUL, the registry
+        fingerprint and a trailing NUL — recomputed here from raw bytes,
+        so a cache written by an earlier release keeps its addresses."""
+        from repro.libmodels import default_registry
+
+        registry = default_registry()
+        fp = "ab" * 20
+        expected = hashlib.blake2b(
+            fp.encode() + b"\0" + registry_fingerprint(registry).encode() + b"\0",
+            digest_size=16,
+        ).hexdigest()
+        assert entry_digest(fp, registry) == expected
+
     def test_entry_header_is_pinned_byte_for_byte(self, tmp_path):
         """Magic ``NCKC``, big-endian format version, blake2b-128 payload
         checksum — asserted against raw bytes, not the codec's own
         constants, so a silent format change fails loudly here."""
         backend = LocalDirBackend(tmp_path / "cache")
         scan_with(backend)
-        blob = backend.get(next(iter(unique_keys(backend)))).blob
+        blob = backend.get(next(iter(unique_keys(backend))))
         assert blob[:4] == b"NCKC"
         (version,) = struct.unpack(">I", blob[4:8])
         assert version == CACHE_FORMAT_VERSION
@@ -344,7 +347,7 @@ class TestPreSplitFormatCompat:
         fp = app_content_fingerprint(apk)
         legacy_root = tmp_path / "legacy"
         for kind in PERSISTED_KINDS:
-            name = f"{kind}-{entry_digest(kind, fp, writer.registry, options)}.bin"
+            name = f"{kind}-{entry_digest(fp, writer.registry)}.bin"
             src = (
                 tmp_path / "writer" / f"v{CACHE_FORMAT_VERSION}" / fp[:2] / fp / name
             )

@@ -575,6 +575,31 @@ class TestCacheSubcommand:
         code, out, _ = self.run(["cache", "stats", *cache], capsys)
         assert "0 entries" in out
 
+    def test_stats_output_is_pinned(self, tmp_path, capsys):
+        """``cache stats`` prints ``cache local <DIR>``, a totals line and
+        one row per kind, in this exact layout, computed here from the
+        entry files themselves."""
+        cache = self.populate(tmp_path, capsys)
+        files = sorted((tmp_path / "cache").rglob("*.bin"))
+        by_kind: dict[str, list[int]] = {}
+        for path in files:
+            kind = path.stem.rpartition("-")[0]
+            by_kind.setdefault(kind, []).append(path.stat().st_size)
+        total = sum(sum(sizes) for sizes in by_kind.values())
+        expected = [
+            f"cache local {tmp_path / 'cache'}",
+            f"  {len(files)} entries for 1 app(s), {format_size(total)}",
+            *(
+                f"  {kind:<13} {len(sizes):>5}  {format_size(sum(sizes))}"
+                for kind, sizes in sorted(by_kind.items())
+            ),
+        ]
+        assert sorted(by_kind) == ["callgraph", "requests", "retry-loops",
+                                   "summaries"]
+        code, out, _ = self.run(["cache", "stats", *cache], capsys)
+        assert code == 0
+        assert out == "\n".join(expected) + "\n"
+
     def test_gc_spares_fresh_entries_by_default(self, tmp_path, capsys):
         cache = self.populate(tmp_path, capsys)
         code, out, _ = self.run(

@@ -8,7 +8,7 @@ from repro.corpus.generator import CorpusGenerator
 from repro.corpus.profiles import PAPER_PROFILE
 from repro.corpus.snippets import RequestSpec
 
-from tests.conftest import single_request_app
+from tests.conftest import newsreader_texts, single_request_app
 
 
 class TestSessionCache:
@@ -31,6 +31,18 @@ class TestSessionCache:
         method.statements.insert(0, NopStmt())
         method.validate()
         checker.scan(mutated)
+        assert checker.sessions.misses == 2
+
+    def test_content_edit_with_the_same_shape_misses(self):
+        """An edit that keeps every method's statement count must still
+        miss: the second scan gets the edited app's own findings."""
+        original, edited = newsreader_texts()
+        checker = NChecker()
+        checker.scan(loads_apk(original))
+        rescanned = checker.scan(loads_apk(edited))
+        fresh = NChecker().scan(loads_apk(edited))
+        assert rescanned.to_dict() == fresh.to_dict()
+        assert len(rescanned.findings) == 6
         assert checker.sessions.misses == 2
 
     def test_lru_bound(self):
