@@ -49,7 +49,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         enabled_checks=_enabled_checks(args),
     )
-    from .pipeline.batch import BatchScanner
+    from .pipeline.batch import BatchScanner, json_document, sarif_document
 
     # --trace / --metrics / --stats / --profile / --ledger all ride on
     # the worker telemetry round-trip; none of them touch stdout, which
@@ -84,19 +84,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         progress=progress,
     )
     exit_code = 0
-    json_payload = []
-    sarif_kinds, sarif_results = [], []
     for payload in payloads:
         if not payload.ok:
             print(payload.error, file=sys.stderr)
             raise SystemExit(2)
         if payload.n_findings:
             exit_code = 1
-        if args.sarif:
-            sarif_kinds.extend(payload.sarif_kind_values)
-            sarif_results.extend(payload.sarif_results)
-        if args.json:
-            json_payload.append(payload.json_dict)
         if args.json or args.sarif:
             continue
         print(f"== {payload.package}: {payload.n_findings} NPD(s), "
@@ -112,17 +105,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 print(text)
                 print()
     if args.json:
-        import json
-
-        print(json.dumps(json_payload, indent=2))
+        sys.stdout.write(json_document(payloads))
     if args.sarif:
-        import json
-
-        from .eval.sarif import assemble_sarif_log
-
-        sarif_log = assemble_sarif_log(sarif_kinds, sarif_results)
         try:
-            Path(args.sarif).write_text(json.dumps(sarif_log, indent=2))
+            Path(args.sarif).write_text(sarif_document(payloads))
         except OSError as exc:
             print(f"error: cannot write SARIF log to {args.sarif}: {exc}",
                   file=sys.stderr)
@@ -540,6 +526,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: --max-body: {exc}", file=sys.stderr)
         return 2
+    if not args.rate_limit >= 0:
+        print(f"error: --rate-limit: must be at least 0, got {args.rate_limit}",
+              file=sys.stderr)
+        return 2
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -559,7 +549,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for worker counts: an integer of at least 1."""
+    """argparse type for counts (workers, queue depth, burst): an
+    integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -902,12 +893,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="port to bind (default 8321; 0 picks a free port)",
     )
     serve.add_argument(
-        "--workers", type=int, default=2, metavar="N",
+        "--workers", type=_positive_int, default=2, metavar="N",
         help="scan worker processes; each keeps its session cache warm "
         "across requests (default 2)",
     )
     serve.add_argument(
-        "--queue-depth", type=int, default=64, metavar="N",
+        "--queue-depth", type=_positive_int, default=64, metavar="N",
         help="max admitted-but-unfinished scan jobs before submissions "
         "get 503 (default 64)",
     )
@@ -917,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(token-bucket refill rate; default 0 = unlimited)",
     )
     serve.add_argument(
-        "--rate-burst", type=int, default=8, metavar="N",
+        "--rate-burst", type=_positive_int, default=8, metavar="N",
         help="token-bucket capacity: burst size a tenant may submit "
         "before --rate-limit applies (default 8)",
     )

@@ -46,7 +46,8 @@ def _rule(kind: DefectKind) -> dict:
     }
 
 
-def _result(finding: Finding, artifact_uri: Optional[str]) -> dict:
+def finding_result(finding: Finding, artifact_uri: Optional[str]) -> dict:
+    """The SARIF ``result`` object for one finding."""
     cls, name, arity = finding.method_key
     physical: dict = {
         "region": {"startLine": finding.stmt_index + 1}
@@ -76,12 +77,6 @@ def _result(finding: Finding, artifact_uri: Optional[str]) -> dict:
         },
     }
     return result
-
-
-def finding_result(finding: Finding, artifact_uri: Optional[str]) -> dict:
-    """The SARIF ``result`` object for one finding (public entry point
-    for the batch scanner, whose workers pre-render these)."""
-    return _result(finding, artifact_uri)
 
 
 def assemble_sarif_log(kind_values: list[str], results: list[dict]) -> dict:
@@ -128,7 +123,7 @@ def sarif_log(
         f.kind.value for result in results for f in result.findings
     ]
     sarif_results = [
-        _result(finding, uri)
+        finding_result(finding, uri)
         for result, uri in zip(results, artifact_uris)
         for finding in result.findings
     ]

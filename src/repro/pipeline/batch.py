@@ -12,6 +12,12 @@ payload rendering is a pure function of one app, and ``--jobs 1`` runs
 the *same* payload function in-process — so the CLI output is
 byte-identical across job counts, by construction.
 
+The ``nchecker serve`` daemon reuses all of it but the loading: its
+workers scan submitted text into the same payload
+(:func:`render_payload`, under :func:`with_telemetry`), and both front
+ends print :func:`json_document` / :func:`sarif_document` — one
+renderer, so the daemon's bytes are the CLI's.
+
 :func:`scan_corpus` applies the same fan-out to the synthetic evaluation
 corpus (generation is deterministic per app index, so workers regenerate
 their slice instead of shipping APKs over the pipe).
@@ -19,14 +25,17 @@ their slice instead of shipping APKs over the pipe).
 
 from __future__ import annotations
 
+import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..core.checker import NCheckerOptions
-from ..obs import MetricsRegistry, Tracer, set_metrics, set_tracer, span
+from ..obs import Tracer, profile_from_events, span, use_metrics, use_tracer
 
 if TYPE_CHECKING:
+    from ..app.apk import APK
     from ..core.checker import ScanResult
     from ..corpus.profiles import CorpusProfile
 
@@ -56,9 +65,9 @@ class _ScanTask:
 class ScanPayload:
     """Rendered scan output for one app (or the error that prevented it).
 
-    Everything the CLI prints is pre-rendered here, in the worker, so the
-    parent process only concatenates strings — the key to byte-identical
-    output across ``--jobs`` values.
+    Everything the CLI and the daemon print is pre-rendered here, in the
+    worker, so the parent process only concatenates strings — the key to
+    byte-identical output across ``--jobs`` values and front ends.
     """
 
     path: str
@@ -84,42 +93,108 @@ class ScanPayload:
     metrics_snapshot: Optional[dict] = None
 
 
-def _scan_payload(task: _ScanTask) -> ScanPayload:
-    """Scan one app file and render its output (module-level so it can be
-    dispatched to a worker process).
+def with_telemetry(
+    render: Callable[[], ScanPayload],
+    *,
+    trace: bool,
+    metrics: bool,
+    profile: bool,
+) -> ScanPayload:
+    """Run ``render`` under a fresh tracer/registry pair and attach what
+    was asked for to its payload: the span events (``trace``), the
+    metrics snapshot (``metrics``), and the profile tree folded into
+    that snapshot (``profile``).
 
-    When the task asks for telemetry, a fresh tracer/registry pair is
-    installed for the duration of the scan and its export travels back in
-    the payload — the parent merges across workers, so the telemetry of a
-    ``--jobs N`` run is the sum of per-app snapshots regardless of which
-    process scanned which app.
+    Both front ends' workers go through here, so the telemetry of a run
+    is the sum of per-app exports whichever process scanned which app.
     """
-    if not (task.want_trace or task.want_metrics or task.want_profile):
-        return _render_payload(task)
+    if not (trace or metrics or profile):
+        return render()
     # Profiling needs the span stream, so it enables the tracer even
-    # when no --trace file was asked for.
-    trace = Tracer(enabled=task.want_trace or task.want_profile)
-    registry = MetricsRegistry()
-    old_tracer = set_tracer(trace)
-    old_metrics = set_metrics(registry)
-    try:
-        payload = _render_payload(task)
-    finally:
-        set_tracer(old_tracer)
-        set_metrics(old_metrics)
-    if task.want_trace:
-        payload.trace_events = trace.export()
-    if task.want_metrics or task.want_profile:
+    # when no trace was asked for.
+    tracer = Tracer(enabled=trace or profile)
+    with use_tracer(tracer), use_metrics() as registry:
+        payload = render()
+    if trace:
+        payload.trace_events = tracer.export()
+    if metrics or profile:
         snapshot = registry.snapshot()
-        if task.want_profile:
-            from ..obs import profile_from_events
-
-            snapshot["profile"] = profile_from_events(trace.export())
+        if profile:
+            snapshot["profile"] = profile_from_events(tracer.export())
         payload.metrics_snapshot = snapshot
     return payload
 
 
-def _render_payload(task: _ScanTask) -> ScanPayload:
+def render_payload(
+    name: str,
+    apk: "APK",
+    result: "ScanResult",
+    *,
+    want_json: bool = False,
+    want_sarif: bool = False,
+    want_stats: bool = False,
+    want_summary: bool = False,
+) -> ScanPayload:
+    """Render one scanned app into the payload every front end prints
+    from; ``name`` is the app's path (the SARIF artifact URI)."""
+    payload = ScanPayload(
+        name,
+        ok=True,
+        package=apk.package,
+        n_findings=len(result.findings),
+        n_requests=len(result.requests),
+    )
+    if want_json:
+        payload.json_dict = result.to_dict()
+    if want_sarif:
+        from ..eval.sarif import finding_result
+
+        uri = Path(name).as_posix()
+        payload.sarif_kind_values = [f.kind.value for f in result.findings]
+        payload.sarif_results = [finding_result(f, uri) for f in result.findings]
+    if want_json or want_sarif:
+        return payload  # machine output modes print nothing per app
+    if want_stats:
+        from ..ir.metrics import app_metrics
+
+        payload.stats_rows = list(app_metrics(apk).as_rows())
+    if want_summary:
+        payload.summary_counts = sorted(result.summary().items())
+    else:
+        payload.report_texts = [report.render() for report in result.reports()]
+    return payload
+
+
+def json_document(payloads: Sequence[ScanPayload]) -> str:
+    """The ``scan --json`` document, trailing newline included (also the
+    daemon's ``/findings`` body)."""
+    return json.dumps([p.json_dict for p in payloads], indent=2) + "\n"
+
+
+def sarif_document(payloads: Sequence[ScanPayload]) -> str:
+    """The log ``scan --sarif FILE`` writes, with no trailing newline
+    (also the daemon's ``/sarif`` body)."""
+    from ..eval.sarif import assemble_sarif_log
+
+    sarif_log = assemble_sarif_log(
+        [kind for p in payloads for kind in p.sarif_kind_values],
+        [result for p in payloads for result in p.sarif_results],
+    )
+    return json.dumps(sarif_log, indent=2)
+
+
+def _scan_payload(task: _ScanTask) -> ScanPayload:
+    """Scan one app file and render its output (module-level so it can be
+    dispatched to a worker process)."""
+    return with_telemetry(
+        lambda: _load_and_render(task),
+        trace=task.want_trace,
+        metrics=task.want_metrics,
+        profile=task.want_profile,
+    )
+
+
+def _load_and_render(task: _ScanTask) -> ScanPayload:
     from ..app.loader import load_apk
     from ..ir.parser import ParseError
 
@@ -138,32 +213,15 @@ def _render_payload(task: _ScanTask) -> ScanPayload:
     # A throwaway checker's session cache could never hit, so skip it
     # (and the content fingerprint it would compute).
     result = NChecker(options=task.options).open_session(apk).scan()
-    payload = ScanPayload(
+    return render_payload(
         task.path,
-        ok=True,
-        package=apk.package,
-        n_findings=len(result.findings),
-        n_requests=len(result.requests),
+        apk,
+        result,
+        want_json=task.want_json,
+        want_sarif=task.want_sarif,
+        want_stats=task.want_stats,
+        want_summary=task.want_summary,
     )
-    if task.want_json:
-        payload.json_dict = result.to_dict()
-    if task.want_sarif:
-        from ..eval.sarif import finding_result
-
-        uri = Path(task.path).as_posix()
-        payload.sarif_kind_values = [f.kind.value for f in result.findings]
-        payload.sarif_results = [finding_result(f, uri) for f in result.findings]
-    if task.want_json or task.want_sarif:
-        return payload  # machine output modes print nothing per app
-    if task.want_stats:
-        from ..ir.metrics import app_metrics
-
-        payload.stats_rows = list(app_metrics(apk).as_rows())
-    if task.want_summary:
-        payload.summary_counts = sorted(result.summary().items())
-    else:
-        payload.report_texts = [report.render() for report in result.reports()]
-    return payload
 
 
 @dataclass
@@ -228,24 +286,19 @@ class BatchScanner:
 
 def _scan_corpus_chunk(task) -> tuple:
     """Regenerate and scan one slice of corpus app indices; returns the
-    ``(index, result)`` pairs plus this worker's metrics snapshot (or
+    ``(index, result)`` pairs plus this slice's metrics snapshot (or
     ``None`` when the caller did not ask for telemetry)."""
     profile, indices, options, collect = task
     from ..core.checker import NChecker
     from ..corpus.generator import CorpusGenerator
 
-    registry = MetricsRegistry() if collect else None
-    old = set_metrics(registry) if collect else None
-    try:
+    with use_metrics() if collect else nullcontext() as registry:
         generator = CorpusGenerator(profile)
         checker = NChecker(options=options)
-        out = []
-        for index in indices:
-            apk, _truth = generator.generate_app(index)
-            out.append((index, checker.scan(apk)))
-    finally:
-        if collect:
-            set_metrics(old)
+        out = [
+            (index, checker.scan(generator.generate_app(index)[0]))
+            for index in indices
+        ]
     return out, registry.snapshot() if collect else None
 
 
@@ -267,35 +320,24 @@ def scan_corpus(
     workers) — the public accounting the benchmarks and experiments
     assert on instead of reaching into store internals.
     """
-    from ..obs import merge_snapshots, use_metrics
+    from ..obs import merge_snapshots
 
     profile = profile.scaled(n_apps)
     collect = telemetry is not None
-    if jobs <= 1 or n_apps <= 1:
-        from ..core.checker import NChecker
-        from ..corpus.generator import CorpusGenerator
-
-        if collect:
-            with use_metrics() as registry:
-                generator = CorpusGenerator(profile)
-                checker = NChecker(options=options)
-                results = [checker.scan(apk) for apk, _ in generator.iter_apps()]
-            telemetry.update(merge_snapshots([registry.snapshot()]))
-            return results
-        generator = CorpusGenerator(profile)
-        checker = NChecker(options=options)
-        return [checker.scan(apk) for apk, _ in generator.iter_apps()]
-    workers = min(jobs, n_apps)
+    workers = max(1, min(jobs, n_apps))
     # Round-robin slices balance the load; the final sort restores input
     # order.
     chunks = [
         (profile, tuple(range(start, n_apps, workers)), options, collect)
         for start in range(workers)
     ]
-    from concurrent.futures import ProcessPoolExecutor
+    if workers == 1:
+        chunk_results = [_scan_corpus_chunk(chunks[0])]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk_results = list(pool.map(_scan_corpus_chunk, chunks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk_results = list(pool.map(_scan_corpus_chunk, chunks))
     indexed = [pair for pairs, _snap in chunk_results for pair in pairs]
     indexed.sort(key=lambda pair: pair[0])
     if collect:

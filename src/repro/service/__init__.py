@@ -10,8 +10,9 @@ findings JSON or SARIF.  The module split mirrors the concerns:
 * :mod:`~repro.service.jobs` — the in-memory job table
   (``queued → running → done|failed``) behind ``/v1/scans``;
 * :mod:`~repro.service.ratelimit` — per-tenant token buckets;
-* :mod:`~repro.service.worker` — the picklable scan execution function
-  dispatched to the pool (rendered results + telemetry snapshot back);
+* :mod:`~repro.service.worker` — the scan function dispatched to the
+  pool; it returns the batch scanner's ``ScanPayload``, and the daemon
+  prints it through the same renderer as ``nchecker scan``;
 * :mod:`~repro.service.daemon` — :class:`ScanService`: routing,
   admission control (queue bound, rate limits), the worker pool, and
   ``/healthz`` + ``/metrics``.
@@ -24,7 +25,7 @@ from .daemon import ScanService, ServiceConfig, serve, start_in_thread
 from .http import Request, Response, json_response
 from .jobs import Job, JobStore
 from .ratelimit import RateLimiter, TokenBucket
-from .worker import ServiceScanTask, execute_scan
+from .worker import execute_scan
 
 __all__ = [
     "Job",
@@ -34,7 +35,6 @@ __all__ = [
     "Response",
     "ScanService",
     "ServiceConfig",
-    "ServiceScanTask",
     "TokenBucket",
     "execute_scan",
     "json_response",

@@ -19,7 +19,6 @@ Every route, schema, and error code is documented in
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 import time
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from typing import Callable, Optional
 
 from ..core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NCheckerOptions
 from ..obs import chrome_trace, empty_snapshot, get_logger, merge_snapshots
+from ..pipeline.batch import json_document, sarif_document
 from ..pipeline.cachestore import parse_size
 from .http import (
     HttpServer,
@@ -38,7 +38,7 @@ from .http import (
 )
 from .jobs import JobStore
 from .ratelimit import RateLimiter
-from .worker import ServiceScanTask, execute_scan
+from .worker import execute_scan
 
 log = get_logger("service")
 
@@ -202,9 +202,8 @@ class ScanService:
             )
         apkt_text, filename = self._parse_submission(request)
         job = self.jobs.create(tenant, filename)
-        task = ServiceScanTask(apkt_text, filename, self.worker_options())
         self.registry.inc("service.scans.submitted")
-        asyncio.get_running_loop().create_task(self._run_job(job, task))
+        asyncio.get_running_loop().create_task(self._run_job(job, apkt_text))
         self._update_gauges()
         return json_response(
             {"id": job.id, "status": job.status, "url": f"/v1/scans/{job.id}"},
@@ -233,37 +232,31 @@ class ScanService:
         except UnicodeDecodeError:
             raise ProtocolError(400, "submission body is not UTF-8 text")
 
-    async def _run_job(self, job, task: ServiceScanTask) -> None:
+    async def _run_job(self, job, apkt_text: str) -> None:
         job.status = "running"
         self._update_gauges()
         loop = asyncio.get_running_loop()
         try:
-            result = await loop.run_in_executor(
-                self._pool(), execute_scan, task
+            payload = await loop.run_in_executor(
+                self._pool(), execute_scan, apkt_text, job.filename,
+                self.worker_options(),
             )
         except Exception as exc:
             job.status = "failed"
             job.error = f"worker crashed: {exc}"
             self.registry.inc("service.scans.failed")
         else:
-            job.package = result.package
-            job.n_findings = result.n_findings
-            job.n_requests = result.n_requests
-            job.json_dict = result.json_dict
-            job.sarif_kind_values = result.sarif_kind_values
-            job.sarif_results = result.sarif_results
-            job.metrics_snapshot = result.metrics_snapshot
-            job.trace_events = result.trace_events
-            if result.metrics_snapshot:
+            job.payload = payload
+            if payload.metrics_snapshot:
                 self._scan_metrics = merge_snapshots(
-                    [self._scan_metrics, result.metrics_snapshot]
+                    [self._scan_metrics, payload.metrics_snapshot]
                 )
-            if result.ok:
+            if payload.ok:
                 job.status = "done"
                 self.registry.inc("service.scans.completed")
             else:
                 job.status = "failed"
-                job.error = result.error
+                job.error = payload.error
                 self.registry.inc("service.scans.failed")
         job.finished_at = time.time()
         self._update_gauges()
@@ -279,12 +272,13 @@ class ScanService:
         if job.status == "failed":
             view["error"] = job.error
         if job.status == "done":
+            payload = job.payload
             view.update(
-                package=job.package,
-                findings=job.n_findings,
-                requests=job.n_requests,
-                result=job.json_dict,
-                counters=(job.metrics_snapshot or {}).get("counters", {}),
+                package=payload.package,
+                findings=payload.n_findings,
+                requests=payload.n_requests,
+                result=payload.json_dict,
+                counters=(payload.metrics_snapshot or {}).get("counters", {}),
                 links={
                     "findings": f"/v1/scans/{job.id}/findings",
                     "sarif": f"/v1/scans/{job.id}/sarif",
@@ -294,22 +288,13 @@ class ScanService:
         return view
 
     def _result_view(self, job, view: str) -> Response:
+        # The CLI's own renderers: `scan --json` stdout and the
+        # `scan --sarif FILE` contents, byte for byte.
         if view == "findings":
-            # Byte-identical to `nchecker scan --json` on the same app:
-            # the same one-element document, dumps(indent=2), newline.
-            return json_response([job.json_dict])
+            return Response(200, json_document([job.payload]).encode("utf-8"))
         if view == "sarif":
-            from ..eval.sarif import assemble_sarif_log
-
-            sarif_log = assemble_sarif_log(
-                job.sarif_kind_values, job.sarif_results
-            )
-            # No trailing newline: `scan --sarif FILE` write_text()s the
-            # dumps output, and these bytes must match that file.
-            return Response(
-                200, json.dumps(sarif_log, indent=2).encode("utf-8")
-            )
-        return json_response(chrome_trace(job.trace_events))
+            return Response(200, sarif_document([job.payload]).encode("utf-8"))
+        return json_response(chrome_trace(job.payload.trace_events))
 
     # -- introspection -------------------------------------------------------
 

@@ -90,8 +90,7 @@ class Response:
 
 def json_response(payload, status: int = 200, **headers: str) -> Response:
     """A JSON response; the document ends in a newline so curl output
-    composes (and ``GET /v1/scans/{id}/findings`` matches the CLI's
-    ``print`` byte for byte)."""
+    composes."""
     body = json.dumps(payload, indent=2).encode("utf-8") + b"\n"
     return Response(status, body, "application/json", dict(headers))
 

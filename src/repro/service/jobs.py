@@ -16,6 +16,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..pipeline.batch import ScanPayload
+
 #: States a job moves through.  ``queued`` means admitted but not yet
 #: handed to the pool; ``running`` covers pool-queue wait plus the scan
 #: itself (the daemon cannot see inside the executor).
@@ -33,18 +35,8 @@ class Job:
     filename: str
     status: str = "queued"
     error: str = ""
-    package: str = ""
-    n_findings: int = 0
-    n_requests: int = 0
-    #: ``ScanResult.to_dict()`` — the same dict ``scan --json`` prints.
-    json_dict: Optional[dict] = None
-    #: Finding kind values + SARIF result objects, assembled on demand.
-    sarif_kind_values: list = field(default_factory=list)
-    sarif_results: list = field(default_factory=list)
-    #: This scan's metrics snapshot (counters/gauges/histograms/profile).
-    metrics_snapshot: Optional[dict] = None
-    #: This scan's span events (``/v1/scans/{id}/trace``).
-    trace_events: list = field(default_factory=list)
+    #: The worker's rendered result, once it returns.
+    payload: Optional[ScanPayload] = None
     created_at: float = field(default_factory=time.time)
     finished_at: Optional[float] = None
 

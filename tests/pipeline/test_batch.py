@@ -7,7 +7,15 @@ import pytest
 
 from repro.cli import main
 from repro.core import NCheckerOptions
-from repro.pipeline.batch import BatchScanner, scan_corpus
+from repro.app import load_apk
+from repro.core import NChecker
+from repro.eval.sarif import dumps_sarif
+from repro.pipeline.batch import (
+    BatchScanner,
+    json_document,
+    sarif_document,
+    scan_corpus,
+)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +54,22 @@ class TestPayloadParity:
             f["kind"] for p in payloads for f in p.json_dict["findings"]
         }
         assert kinds <= {"missed-connectivity-check"}
+
+
+class TestDocuments:
+    """The shared renderers against a direct, one-pass rendering of the
+    same scans: pre-rendering per app must not change a byte."""
+
+    def test_renderers_match_direct_rendering(self, corpus_dir):
+        paths = [str(p) for p in corpus_dir]
+        payloads = BatchScanner(jobs=2).scan_paths(
+            paths, want_json=True, want_sarif=True
+        )
+        results = [NChecker().scan(load_apk(path)) for path in paths]
+        assert json_document(payloads) == (
+            json.dumps([r.to_dict() for r in results], indent=2) + "\n"
+        )
+        assert sarif_document(payloads) == dumps_sarif(results, paths)
 
 
 class TestCliByteIdentity:

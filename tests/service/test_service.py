@@ -83,7 +83,7 @@ class TestScanLifecycle:
     def test_failed_scan_reports_the_error(self, daemon):
         view = submit_and_wait(daemon.base_url, "this is not an app\n")
         assert view["status"] == "failed"
-        assert view["error"]
+        assert view["error"] == "submitted.apkt: line 1: missing apk header"
         status, _, body = http(
             "GET", daemon.base_url + f"/v1/scans/{view['id']}/findings"
         )

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.checker import NCheckerOptions
 from repro.service import worker
-from repro.service.worker import ServiceScanTask, execute_scan
+from repro.service.worker import execute_scan
 
 from ..conftest import newsreader_texts
 
@@ -20,9 +20,7 @@ def fresh_checkers():
 
 
 def scan(text):
-    return execute_scan(
-        ServiceScanTask(text, "newsreader.apkt", NCheckerOptions())
-    )
+    return execute_scan(text, "newsreader.apkt", NCheckerOptions())
 
 
 class TestResubmission:

@@ -112,6 +112,31 @@ class TestErrorHandling:
         assert main(["serve", "--max-body", size]) == 2
         assert f"--max-body: unparsable size: {size!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--workers", "0"], "--workers: must be at least 1, got 0"),
+            (["--queue-depth", "-3"], "--queue-depth: must be at least 1, got -3"),
+            (["--rate-limit", "1", "--rate-burst", "0"],
+             "--rate-burst: must be at least 1, got 0"),
+            (["--rate-limit", "-1"], "--rate-limit: must be at least 0, got -1.0"),
+        ],
+        ids=["workers", "queue-depth", "rate-burst", "rate-limit"],
+    )
+    def test_serve_rejects_values_that_break_every_request(
+        self, capsys, monkeypatch, argv, message
+    ):
+        def boot(config):
+            raise AssertionError(f"daemon booted with {config}")
+
+        monkeypatch.setattr("repro.service.serve", boot)
+        try:
+            code = main(["serve", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestExperiments:
     def test_unknown_experiment_rejected(self, capsys):
