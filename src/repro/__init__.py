@@ -21,16 +21,20 @@ Packages:
 * :mod:`repro.userstudy`, :mod:`repro.eval` — the paper's evaluation.
 """
 
-from .app import APK, Manifest, dumps_apk, load_apk, loads_apk, save_apk
-from .core import (
-    DefectKind,
-    Finding,
-    NChecker,
-    NCheckerOptions,
-    ScanResult,
-    WarningReport,
-    build_report,
-)
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "app": ("APK", "Manifest", "dumps_apk", "load_apk", "loads_apk", "save_apk"),
+    "core": (
+        "DefectKind",
+        "Finding",
+        "NChecker",
+        "NCheckerOptions",
+        "ScanResult",
+        "WarningReport",
+        "build_report",
+    ),
+})
 
 __version__ = "1.0.0"
 

@@ -1,28 +1,27 @@
 """Call-graph substrate: CHA + Android async pseudo-edges + entry points."""
 
-from .icc import (
-    BroadcastSite,
-    ICCModel,
-    LaunchSite,
-    build_icc_model,
-)
-from .cha import (
-    CallEdge,
-    CallGraph,
-    EDGE_ASYNC_TASK,
-    EDGE_DIRECT,
-    EDGE_LIB_CALLBACK,
-    EDGE_RUNNABLE,
-)
-from .entrypoints import (
-    EntryPoint,
-    MethodKey,
-    discover_entry_points,
-    entry_points_by_key,
-    method_key,
-)
-from .reachability import CallChain, chains_to_method
-from .resolve import MethodAnalysisCache, collect_field_types, origin_classes
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "icc": ("BroadcastSite", "ICCModel", "LaunchSite", "build_icc_model"),
+    "cha": (
+        "CallEdge",
+        "CallGraph",
+        "EDGE_ASYNC_TASK",
+        "EDGE_DIRECT",
+        "EDGE_LIB_CALLBACK",
+        "EDGE_RUNNABLE",
+    ),
+    "entrypoints": (
+        "EntryPoint",
+        "MethodKey",
+        "discover_entry_points",
+        "entry_points_by_key",
+        "method_key",
+    ),
+    "reachability": ("CallChain", "chains_to_method"),
+    "resolve": ("MethodAnalysisCache", "collect_field_types", "origin_classes"),
+})
 
 __all__ = [
     "BroadcastSite",

@@ -1,8 +1,12 @@
 """Control-flow substrate: CFGs, dominators, loops, control dependence."""
 
-from .dominators import DominatorTree, control_dependence
-from .graph import CFG, may_throw
-from .loops import Loop, loops_containing, natural_loops
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "dominators": ("DominatorTree", "control_dependence"),
+    "graph": ("CFG", "may_throw"),
+    "loops": ("Loop", "loops_containing", "natural_loops"),
+})
 
 __all__ = [
     "CFG",

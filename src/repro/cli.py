@@ -28,12 +28,17 @@ from pathlib import Path
 
 from .app.loader import dumps_apk, load_apk
 from .core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NChecker, NCheckerOptions
-from .corpus.generator import CorpusGenerator
-from .corpus.profiles import PAPER_PROFILE
-from .eval.experiments import EXPERIMENTS
 from .obs import get_logger
 
 log = get_logger("cli")
+
+#: The ids ``nchecker experiments`` accepts, in run order.  Spelled out
+#: so the parser's help needs no import of the evaluation stack; a test
+#: pins it to ``tuple(repro.eval.EXPERIMENTS)``.
+EXPERIMENT_IDS = (
+    "fig3", "study", "table4", "table6", "table6x", "table7", "table8",
+    "fig8", "fig9", "table9", "fig10", "table11", "manifest", "table2x",
+)
 
 
 def _enabled_checks(args: argparse.Namespace) -> frozenset[str]:
@@ -194,6 +199,8 @@ def _cmd_checks(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    from .eval.experiments import EXPERIMENTS
+
     ids = args.ids or list(EXPERIMENTS)
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
@@ -202,7 +209,12 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         return 2
     export_dir = Path(args.export) if args.export else None
     if export_dir is not None:
-        export_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            export_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create export directory {export_dir}: "
+                  f"{exc.strerror}", file=sys.stderr)
+            return 2
     for exp_id in ids:
         report = EXPERIMENTS[exp_id]()
         print(report)
@@ -266,6 +278,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     apk = _load_or_die(args.app)
     if args.entry:
         cls_name, _, method_name = args.entry.rpartition(".")
+        cls = apk.get_class(cls_name)
+        if cls is None or all(m.name != method_name for m in cls.methods()):
+            print(f"error: --entry {args.entry}: no such method in {args.app}",
+                  file=sys.stderr)
+            return 2
         entries = [(cls_name, method_name)]
     else:
         from .app.components import UI_CALLBACK_METHODS
@@ -306,6 +323,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
+    from .corpus.generator import CorpusGenerator
+    from .corpus.profiles import PAPER_PROFILE
+
     out_dir = Path(args.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     generator = CorpusGenerator(PAPER_PROFILE.scaled(args.apps))
@@ -505,10 +525,10 @@ def _load_or_die(path: str):
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         raise SystemExit(2)
-    except ParseError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
         raise SystemExit(2)
-    except ValueError as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
@@ -548,16 +568,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts (workers, queue depth, burst): an
-    integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _number_in(convert, low, high=None):
+    """An argparse type: ``convert(text)`` within ``[low, high]``
+    (``high=None`` is unbounded).  NaN is never in range."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not (value >= low and (high is None or value <= high)):
+            bound = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+#: Counts of workers, jobs, queue slots and burst tokens.
+_positive_int = _number_in(int, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -680,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments", help="regenerate the paper's tables and figures",
         parents=[common],
     )
-    experiments.add_argument("ids", nargs="*", help=f"subset of: {', '.join(EXPERIMENTS)}")
+    experiments.add_argument("ids", nargs="*", help=f"subset of: {', '.join(EXPERIMENT_IDS)}")
     experiments.add_argument(
         "--export", metavar="DIR", help="also write CSV/JSON artifacts to DIR"
     )
@@ -717,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--entry", help="fully qualified Class.method (default: all)")
     run.add_argument("--seed", type=int, default=7)
     run.add_argument(
-        "--invalid-response-rate", type=float, default=0.5,
+        "--invalid-response-rate", type=_number_in(float, 0, 1), default=0.5,
         help="probability a completed request carries an HTTP error",
     )
     run.set_defaults(func=_cmd_run)
@@ -727,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     corpus.add_argument("directory")
-    corpus.add_argument("--apps", type=int, default=285)
+    corpus.add_argument("--apps", type=_number_in(int, 0), default=285)
     corpus.add_argument(
         "--no-ledger", action="store_true",
         help="skip writing the groundtruth.json ledger next to the .apkt files",
@@ -754,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="target cache size, e.g. 512M, 1.5G, or a byte count",
     )
     gc.add_argument(
-        "--min-age", type=float, default=60.0, metavar="SECONDS",
+        "--min-age", type=_number_in(float, 0), default=60.0, metavar="SECONDS",
         help="never evict entries written within the last SECONDS "
         "(grace window protecting concurrent scanners; default 60)",
     )

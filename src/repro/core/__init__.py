@@ -8,26 +8,30 @@ Public surface:
 * the NPD taxonomy (:class:`DefectKind`, :class:`Impact`, ...).
 """
 
-from .checker import NChecker, NCheckerOptions, ScanResult
-from .defects import (
-    DefectKind,
-    FIX_SUGGESTIONS,
-    IMPACT_DISTRIBUTION,
-    Impact,
-    KIND_IMPACT,
-    KIND_PATTERN,
-    KIND_ROOT_CAUSE,
-    MisusePattern,
-    ROOT_CAUSE_CASES,
-    RootCause,
-    defect_info,
-)
-from .diff import ScanDiff, diff_scans
-from .findings import Finding, context_of
-from .patcher import AppliedPatch, PatchResult, Patcher
-from .report import WarningReport, build_report
-from .requests import AnalysisContext, NetworkRequest, find_requests
-from .retry_loops import RetryLoop, identify_retry_loops
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "checker": ("NChecker", "NCheckerOptions", "ScanResult"),
+    "defects": (
+        "DefectKind",
+        "FIX_SUGGESTIONS",
+        "IMPACT_DISTRIBUTION",
+        "Impact",
+        "KIND_IMPACT",
+        "KIND_PATTERN",
+        "KIND_ROOT_CAUSE",
+        "MisusePattern",
+        "ROOT_CAUSE_CASES",
+        "RootCause",
+        "defect_info",
+    ),
+    "diff": ("ScanDiff", "diff_scans"),
+    "findings": ("Finding", "context_of"),
+    "patcher": ("AppliedPatch", "PatchResult", "Patcher"),
+    "report": ("WarningReport", "build_report"),
+    "requests": ("AnalysisContext", "NetworkRequest", "find_requests"),
+    "retry_loops": ("RetryLoop", "identify_retry_loops"),
+})
 
 __all__ = [
     "AnalysisContext",

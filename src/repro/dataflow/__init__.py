@@ -2,24 +2,25 @@
 NChecker needs (reaching definitions, def-use, liveness, constants,
 taint, slicing)."""
 
-from .constants import BOTTOM, ConstantPropagation, TOP
-from .framework import DataflowAnalysis, SetAnalysis
-from .liveness import Liveness
-from .reaching import DefUseChains, ReachingDefinitions
-from .slicing import Slicer
-from .taint import ForwardTaint, TaintPolicy, trace_origins
+from .._lazy import lazy_exports
 
-# Imported last: the summary engine sits on top of the call graph, whose
-# modules import the analyses above.
-from .configvalues import ConfigCallValues, config_call_values
-from .summaries import (
-    CONFIG_TOP,
-    ConfigEffect,
-    MethodSummary,
-    RECEIVER,
-    SummaryEngine,
-    SummaryStats,
-)
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "constants": ("BOTTOM", "ConstantPropagation", "TOP"),
+    "framework": ("DataflowAnalysis", "SetAnalysis"),
+    "liveness": ("Liveness",),
+    "reaching": ("DefUseChains", "ReachingDefinitions"),
+    "slicing": ("Slicer",),
+    "taint": ("ForwardTaint", "TaintPolicy", "trace_origins"),
+    "configvalues": ("ConfigCallValues", "config_call_values"),
+    "summaries": (
+        "CONFIG_TOP",
+        "ConfigEffect",
+        "MethodSummary",
+        "RECEIVER",
+        "SummaryEngine",
+        "SummaryStats",
+    ),
+})
 
 __all__ = [
     "BOTTOM",

@@ -12,49 +12,53 @@ exception traps.  It provides:
   format (round-trips).
 """
 
-from .builder import ClassBuilder, ElseMarker, LoopHandle, MethodBuilder, TryRegion
-from .classes import ClassHierarchy, IRClass
-from .method import IRMethod, Trap
-from .metrics import AppMetrics, MethodMetrics, app_metrics, method_metrics
-from .transform import fresh_label, insert_statements
-from .parser import ParseError, parse_class, parse_classes, parse_stmt
-from .printer import format_stmt, print_class, print_method
-from .statements import (
-    AssignStmt,
-    GotoStmt,
-    IfStmt,
-    InvokeStmt,
-    NopStmt,
-    ReturnStmt,
-    Stmt,
-    ThrowStmt,
-)
-from .values import (
-    ArrayRef,
-    BinaryExpr,
-    CastExpr,
-    CaughtExceptionExpr,
-    ConditionExpr,
-    Const,
-    FieldRef,
-    FieldSig,
-    InstanceOfExpr,
-    InvokeExpr,
-    KIND_INTERFACE,
-    KIND_SPECIAL,
-    KIND_STATIC,
-    KIND_VIRTUAL,
-    LengthExpr,
-    Local,
-    MethodSig,
-    NewArrayExpr,
-    NewExpr,
-    NULL,
-    THIS,
-    UnaryExpr,
-    Value,
-    locals_in,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "builder": ("ClassBuilder", "ElseMarker", "LoopHandle", "MethodBuilder", "TryRegion"),
+    "classes": ("ClassHierarchy", "IRClass"),
+    "method": ("IRMethod", "Trap"),
+    "metrics": ("AppMetrics", "MethodMetrics", "app_metrics", "method_metrics"),
+    "transform": ("fresh_label", "insert_statements"),
+    "parser": ("ParseError", "parse_class", "parse_classes", "parse_stmt"),
+    "printer": ("format_stmt", "print_class", "print_method"),
+    "statements": (
+        "AssignStmt",
+        "GotoStmt",
+        "IfStmt",
+        "InvokeStmt",
+        "NopStmt",
+        "ReturnStmt",
+        "Stmt",
+        "ThrowStmt",
+    ),
+    "values": (
+        "ArrayRef",
+        "BinaryExpr",
+        "CastExpr",
+        "CaughtExceptionExpr",
+        "ConditionExpr",
+        "Const",
+        "FieldRef",
+        "FieldSig",
+        "InstanceOfExpr",
+        "InvokeExpr",
+        "KIND_INTERFACE",
+        "KIND_SPECIAL",
+        "KIND_STATIC",
+        "KIND_VIRTUAL",
+        "LengthExpr",
+        "Local",
+        "MethodSig",
+        "NewArrayExpr",
+        "NewExpr",
+        "NULL",
+        "THIS",
+        "UnaryExpr",
+        "Value",
+        "locals_in",
+    ),
+})
 
 __all__ = [
     "AppMetrics", "MethodMetrics", "app_metrics", "method_metrics",

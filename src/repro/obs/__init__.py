@@ -27,23 +27,11 @@ Instrumented code uses the two module-level accessors::
             ...
 """
 
-from .compare import (
-    DEFAULT_TIMING_MIN_MS,
-    DEFAULT_TIMING_THRESHOLD,
-    CompareResult,
-    compare_runs,
-    load_run,
-)
-from .events import (
-    BENCH_SCHEMA_VERSION,
-    LEDGER_SCHEMA_VERSION,
-    RunLedger,
-    app_set_digest,
-    git_head_sha,
-    provenance,
-    resolve_ledger_dir,
-    run_record,
-)
+from .._lazy import lazy_exports
+
+# The logger, metrics and tracer are on every scan's path (and
+# ``metrics`` names both a submodule and its accessor, so it must be
+# bound eagerly); the bench/profile tooling loads on first use.
 from .log import configure_logging, get_logger
 from .metrics import (
     MetricsRegistry,
@@ -53,14 +41,6 @@ from .metrics import (
     set_metrics,
     use_metrics,
 )
-from .profile import (
-    flatten_profile,
-    merge_profiles,
-    profile_from_events,
-    profile_total_ms,
-    render_profile,
-)
-from .render import render_telemetry
 from .trace import (
     NULL_SPAN,
     Tracer,
@@ -70,6 +50,34 @@ from .trace import (
     tracer,
     use_tracer,
 )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "compare": (
+        "DEFAULT_TIMING_MIN_MS",
+        "DEFAULT_TIMING_THRESHOLD",
+        "CompareResult",
+        "compare_runs",
+        "load_run",
+    ),
+    "events": (
+        "BENCH_SCHEMA_VERSION",
+        "LEDGER_SCHEMA_VERSION",
+        "RunLedger",
+        "app_set_digest",
+        "git_head_sha",
+        "provenance",
+        "resolve_ledger_dir",
+        "run_record",
+    ),
+    "profile": (
+        "flatten_profile",
+        "merge_profiles",
+        "profile_from_events",
+        "profile_total_ms",
+        "render_profile",
+    ),
+    "render": ("render_telemetry",),
+})
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",

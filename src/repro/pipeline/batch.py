@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..core.checker import NCheckerOptions
-from ..obs import Tracer, profile_from_events, span, use_metrics, use_tracer
+from ..obs import Tracer, span, use_metrics, use_tracer
 
 if TYPE_CHECKING:
     from ..app.apk import APK
@@ -120,6 +120,8 @@ def with_telemetry(
     if metrics or profile:
         snapshot = registry.snapshot()
         if profile:
+            from ..obs import profile_from_events
+
             snapshot["profile"] = profile_from_events(tracer.export())
         payload.metrics_snapshot = snapshot
     return payload
@@ -204,6 +206,9 @@ def _load_and_render(task: _ScanTask) -> ScanPayload:
     except FileNotFoundError:
         return ScanPayload(task.path, ok=False,
                            error=f"error: no such file: {task.path}")
+    except OSError as exc:
+        return ScanPayload(task.path, ok=False,
+                           error=f"error: {task.path}: {exc.strerror}")
     except (ParseError, ValueError) as exc:
         return ScanPayload(task.path, ok=False,
                            error=f"error: {task.path}: {exc}")

@@ -89,6 +89,66 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["scan", "{dir}"],
+            ["scan", "--jobs", "2", "{dir}", "{dir}"],
+            ["scan", "--json", "{dir}"],
+            ["diff", "{dir}", "{dir}"],
+            ["patch", "{dir}"],
+            ["run", "{dir}"],
+        ],
+        ids=["scan", "scan-jobs", "scan-json", "diff", "patch", "run"],
+    )
+    def test_unreadable_path_is_an_input_error(self, tmp_path, capsys, argv):
+        # Exit 1 means "findings reported", so a crash there would pass
+        # for a normal run; an unreadable input must exit 2 instead.
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {tmp_path}: Is a directory\n"
+        assert captured.out == ""
+
+    def test_missing_file_message_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["scan", "--jobs", "2", "/no/such/file.apkt"])
+        assert capsys.readouterr().err == "error: no such file: /no/such/file.apkt\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["corpus", "{tmp}/out", "--apps", "-1"],
+             "argument --apps: must be at least 0, got -1"),
+            (["cache", "gc", "--cache-dir", "{tmp}/cache", "--max-size", "1M",
+              "--min-age", "-5"],
+             "argument --min-age: must be at least 0, got -5.0"),
+            (["cache", "gc", "--cache-dir", "{tmp}/cache", "--max-size", "1M",
+              "--min-age", "nan"],
+             "argument --min-age: must be at least 0, got nan"),
+            (["run", "app.apkt", "--invalid-response-rate", "2"],
+             "argument --invalid-response-rate: must be between 0 and 1, got 2.0"),
+            (["run", "app.apkt", "--invalid-response-rate", "-0.5"],
+             "argument --invalid-response-rate: must be between 0 and 1, got -0.5"),
+            (["run", "app.apkt", "--invalid-response-rate", "nan"],
+             "argument --invalid-response-rate: must be between 0 and 1, got nan"),
+        ],
+        ids=["apps-negative", "min-age-negative", "min-age-nan",
+             "rate-above-1", "rate-negative", "rate-nan"],
+    )
+    def test_out_of_range_values_rejected_at_parse_time(
+        self, tmp_path, capsys, argv, message
+    ):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["scan", "--jobs", "0", "app.apkt"],
             ["scan", "--jobs", "-5", "app.apkt"],
             ["scan", "-j", "many", "app.apkt"],
@@ -195,6 +255,22 @@ class TestRun:
         assert "on wifi" in out and "ok" in out
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "entry", ["onClick", "com.x.Nope.onClick", "com.test.app.MainActivity.nope"]
+    )
+    def test_unknown_entry_rejected(self, buggy_app_file, capsys, entry):
+        code = main(["run", str(buggy_app_file), "--entry", entry])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: --entry {entry}: no such method in" in captured.err
+        assert captured.out == ""
+
+    def test_invalid_response_rate_of_one_is_valid(self, buggy_app_file, capsys):
+        code = main(["run", str(buggy_app_file), "--network", "wifi",
+                     "--invalid-response-rate", "1"])
+        assert code in (0, 1)
+        assert "onClick on wifi" in capsys.readouterr().out
+
     def test_crash_sets_exit_code(self, buggy_app_file, capsys):
         code = main(
             ["run", str(buggy_app_file), "--network", "poor-3g", "--seed", "7"]
@@ -211,6 +287,17 @@ class TestExperimentExport:
         assert (out_dir / "table4.txt").exists()
         assert (out_dir / "table4.json").exists()
 
+    def test_export_onto_a_regular_file_is_an_input_error(self, tmp_path, capsys):
+        target = tmp_path / "artifacts"
+        target.write_text("not a directory\n")
+        assert main(["experiments", "table4", "--export", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot create export directory {target}: File exists\n"
+        )
+        assert captured.out == ""
+        assert target.read_text() == "not a directory\n"
+
 
 class TestCorpus:
     def test_emits_apkt_files(self, tmp_path, capsys):
@@ -218,6 +305,12 @@ class TestCorpus:
         assert main(["corpus", str(out_dir), "--apps", "3"]) == 0
         files = list(out_dir.glob("*.apkt"))
         assert len(files) == 3
+
+    def test_zero_apps_is_valid(self, tmp_path, capsys):
+        out_dir = tmp_path / "corpus"
+        assert main(["corpus", str(out_dir), "--apps", "0"]) == 0
+        assert "wrote 0 apps" in capsys.readouterr().out
+        assert not list(out_dir.glob("*.apkt"))
 
     def test_emitted_files_scannable(self, tmp_path, capsys):
         out_dir = tmp_path / "corpus"
