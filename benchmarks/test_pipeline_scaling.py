@@ -1,7 +1,7 @@
-"""Pipeline benchmarks: batch-scan scaling, disk-cache warm starts,
-service throughput, and incremental patcher convergence.
+"""Pipeline benchmarks: batch-scan scaling, disk-cache warm starts and
+service throughput.
 
-Four claims from the pipeline work, measured:
+Three claims from the pipeline work, measured:
 
 * ``scan --jobs N`` fans whole apps across worker processes with
   *identical* results — the speedup is bounded by the core count, so the
@@ -13,12 +13,7 @@ Four claims from the pipeline work, measured:
   including the ``threadcontext`` artifact the extended checks add
   (timed and asserted separately, since default scans never build it);
 * the ``nchecker serve`` daemon sustains the corpus over HTTP — warm
-  resubmissions complete with zero app-scoped artifact builds;
-* the incremental patch loop rebuilds only the dirty region after each
-  patch round — asserted via the public metrics snapshot
-  (``artifact.cfg.builds`` / ``artifact.invalidated_methods``), not by
-  reaching into store internals — while producing byte-identical fixed
-  apps.
+  resubmissions complete with zero app-scoped artifact builds.
 
 The tests read the telemetry through :mod:`repro.obs` — the
 snapshot/merge protocol the ``--metrics`` flag exposes — and append
@@ -34,7 +29,6 @@ from pathlib import Path
 from repro.app.loader import dumps_apk, loads_apk
 from repro.core import NChecker
 from repro.core.checker import NCheckerOptions
-from repro.core.patcher import Patcher
 from repro.corpus import CorpusGenerator, PAPER_PROFILE
 from repro.obs import use_metrics
 from repro.pipeline.batch import scan_corpus
@@ -408,90 +402,4 @@ def test_service_throughput(benchmark, tmp_path):
             name: value for name, value in sorted(service_counters.items())
             if name.startswith("service.")
         },
-    })
-
-
-def test_incremental_patcher_convergence(benchmark):
-    pairs = CorpusGenerator(PAPER_PROFILE.scaled(12)).generate()
-    buggy = [apk for apk, _ in pairs]
-    patcher = Patcher()
-
-    def patch_incremental():
-        fixed_blobs = []
-        cfg_first_scan = 0
-        cfg_incremental_rounds = 0
-        full_equivalent_rounds = 0
-        invalidated = 0
-        snapshots = []
-        for apk in buggy:
-            # One registry per app: the store binds the registry active
-            # at session creation, so every artifact counter of this
-            # app's patch loop lands here — the public telemetry the
-            # assertions below read instead of store internals.
-            with use_metrics() as registry:
-                checker = NChecker()
-                working = loads_apk(dumps_apk(apk))
-                session = checker.open_session(working)
-                result = session.scan()
-                first = registry.counter_value("artifact.cfg.builds")
-                cfg_first_scan += first
-                rounds = 0
-                while result.findings and rounds < 3:
-                    outcome = patcher.patch_in_place(working, result)
-                    if not outcome.applied:
-                        break
-                    session.invalidate_methods(outcome.touched)
-                    rounds += 1
-                    result = session.scan()
-                cfg_incremental_rounds += (
-                    registry.counter_value("artifact.cfg.builds") - first
-                )
-                full_equivalent_rounds += first * rounds
-                invalidated += registry.counter_value(
-                    "artifact.invalidated_methods"
-                )
-                snapshots.append(registry.snapshot())
-            fixed_blobs.append(dumps_apk(working))
-        return (fixed_blobs, cfg_first_scan, cfg_incremental_rounds,
-                full_equivalent_rounds, invalidated, snapshots)
-
-    (blobs, first, incremental_cfgs, full_equiv, invalidated,
-     snapshots) = benchmark.pedantic(patch_incremental, rounds=1, iterations=1)
-    incremental_s = benchmark.stats.stats.mean
-
-    start = time.perf_counter()
-    full_blobs = [
-        dumps_apk(Patcher().patch_until_clean(apk, NChecker(), incremental=False)[0])
-        for apk in buggy
-    ]
-    full_s = time.perf_counter() - start
-
-    assert blobs == full_blobs, "incremental patching changed the fixed apps"
-    # The dirty region is a strict subset: rescans after each patch round
-    # rebuild fewer CFGs than scanning every method from scratch would.
-    assert invalidated > 0
-    assert incremental_cfgs < full_equiv, (
-        f"incremental rounds rebuilt {incremental_cfgs} CFGs, "
-        f"full rescans would have rebuilt {full_equiv}"
-    )
-    from repro.obs import merge_snapshots
-
-    merged = merge_snapshots(snapshots)
-    print(
-        f"\nincremental patching of {len(buggy)} apps: "
-        f"{incremental_s*1000:.0f} ms vs full-rescan {full_s*1000:.0f} ms; "
-        f"round rebuilds {incremental_cfgs}/{full_equiv} CFGs "
-        f"({invalidated} methods invalidated)"
-    )
-    _record("incremental_patcher", {
-        "n_apps": len(buggy),
-        "incremental_s": incremental_s,
-        "full_rescan_s": full_s,
-        "first_scan_cfg_builds": first,
-        "incremental_round_cfg_builds": incremental_cfgs,
-        "full_equivalent_cfg_builds": full_equiv,
-        "methods_invalidated": invalidated,
-        "identical_output": True,
-        "counters": merged["counters"],
-        "timings": _timing_fields(merged),
     })

@@ -277,66 +277,9 @@ class CallGraph:
                         break
         return found
 
-    # -- incremental maintenance ---------------------------------------------
-
-    def refresh_methods(self, keys: Iterable[MethodKey]) -> None:
-        """Re-derive the out-edges of the given (mutated) methods.
-
-        The per-method analysis cache entries for these methods must be
-        dropped *before* calling this — edge resolution recovers receiver
-        classes through it (:func:`origin_classes`).  Field-type facts are
-        whole-app; if the mutation changed them, every method's edges may
-        resolve differently and the graph is rebuilt wholesale.
-
-        Keys not yet in the graph are *adopted* from the APK when it now
-        declares them — the patcher's structural fixes (move-to-AsyncTask
-        workers, injected lifecycle exit methods) add whole methods and
-        classes between rounds.  Adoption re-discovers entry points, since
-        an injected ``onPause``/``onDestroy`` is itself one.
-        """
-        keys = list(keys)
-        adopted = False
-        for key in keys:
-            if key in self.methods:
-                continue
-            cls = self.apk.get_class(key[0])
-            method = cls.get_method(key[1], key[2]) if cls is not None else None
-            if method is not None:
-                self.methods[key] = method
-                adopted = True
-        if adopted:
-            self.entry_points = discover_entry_points(self.apk)
-            self._entry_index = None
-        keys = [k for k in keys if k in self.methods]
-        dirty = set(keys)
-        self._origin_memo = {
-            mk: v for mk, v in self._origin_memo.items() if mk[0] not in dirty
-        }
-        new_field_types = collect_field_types(list(self.apk.methods()))
-        if new_field_types != self.field_types:
-            self.field_types = new_field_types
-            self._origin_memo.clear()
-            self.out_edges.clear()
-            self.in_edges.clear()
-            for key, method in self.methods.items():
-                for idx, invoke in method.invoke_sites():
-                    for edge in self._edges_for_site(key, method, idx, invoke):
-                        self._add_edge(edge)
-            return
-        for key in keys:
-            for edge in self.out_edges.pop(key, []):
-                mirror = self.in_edges.get(edge.callee)
-                if mirror is not None:
-                    mirror[:] = [e for e in mirror if e.caller != key]
-            method = self.methods[key]
-            for idx, invoke in method.invoke_sites():
-                for edge in self._edges_for_site(key, method, idx, invoke):
-                    self._add_edge(edge)
-
     def transitive_callers(self, keys: Iterable[MethodKey]) -> set[MethodKey]:
         """All methods from which any of ``keys`` is reachable (callers,
-        callers-of-callers, ...) — the dependency cone a summary
-        invalidation must cover, excluding ``keys`` themselves."""
+        callers-of-callers, ...), excluding ``keys`` themselves."""
         seen: set[MethodKey] = set(keys)
         frontier = deque(seen)
         result: set[MethodKey] = set()
@@ -355,7 +298,7 @@ class CallGraph:
         """The entry points whose method is one of ``keys``, in
         ``entry_points`` order — without a walk over every entry."""
         # Built on first use (graphs loaded from the cache arrive without
-        # it) and dropped whenever ``entry_points`` is re-discovered.
+        # it).
         index = getattr(self, "_entry_index", None)
         if index is None:
             index = {}

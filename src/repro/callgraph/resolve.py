@@ -59,13 +59,6 @@ class MethodAnalysisCache:
             found = self._constants[key] = ConstantPropagation(self.cfg(method))
         return found
 
-    def invalidate(self, method: IRMethod) -> None:
-        """Drop the cached analyses of one (mutated) method."""
-        key = id(method)
-        self._cfgs.pop(key, None)
-        self._defuse.pop(key, None)
-        self._constants.pop(key, None)
-
 
 def origin_classes(
     method: IRMethod,

@@ -240,7 +240,12 @@ def _cmd_patch(args: argparse.Namespace) -> int:
         fixed, applied = patcher.patch_until_clean(apk, checker)
         remaining = checker.scan(fixed).findings
         out_path = Path(args.output or Path(path).with_suffix(".fixed.apkt"))
-        out_path.write_text(dumps_apk(fixed))
+        try:
+            out_path.write_text(dumps_apk(fixed))
+        except OSError as exc:
+            print(f"error: cannot write patched app to {out_path}: "
+                  f"{exc.strerror}", file=sys.stderr)
+            return 2
         print(
             f"{apk.package}: applied {len(applied)} patch(es), "
             f"{len(remaining)} finding(s) remain -> {out_path}"
@@ -588,6 +593,8 @@ def _number_in(convert, low, high=None):
 
 #: Counts of workers, jobs, queue slots and burst tokens.
 _positive_int = _number_in(int, 1)
+#: Gate tolerances: NaN would switch a gate off, a negative one invert it.
+_non_negative_float = _number_in(float, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -852,12 +859,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("current", help="current run, same formats")
     compare.add_argument(
-        "--timing-threshold", type=float, default=0.2, metavar="FRACTION",
+        "--timing-threshold", type=_non_negative_float, default=0.2,
+        metavar="FRACTION",
         help="relative wall-time tolerance before a timing counts as a "
         "regression (default 0.2 = ±20%%)",
     )
     compare.add_argument(
-        "--timing-min-ms", type=float, default=5.0, metavar="MS",
+        "--timing-min-ms", type=_non_negative_float, default=5.0, metavar="MS",
         help="absolute noise floor: timings whose totals stay under MS "
         "never gate (default 5.0)",
     )
@@ -882,11 +890,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="gate this previously recorded run instead of measuring now",
     )
     gate.add_argument(
-        "--timing-threshold", type=float, default=0.2, metavar="FRACTION",
+        "--timing-threshold", type=_non_negative_float, default=0.2,
+        metavar="FRACTION",
         help="relative wall-time tolerance (default 0.2 = ±20%%)",
     )
     gate.add_argument(
-        "--timing-min-ms", type=float, default=5.0, metavar="MS",
+        "--timing-min-ms", type=_non_negative_float, default=5.0, metavar="MS",
         help="absolute noise floor: timings whose totals stay under MS "
         "never gate (default 5.0)",
     )
@@ -919,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
         "a fleet)",
     )
     serve.add_argument(
-        "--port", type=int, default=8321, metavar="PORT",
+        "--port", type=_number_in(int, 0, 65535), default=8321, metavar="PORT",
         help="port to bind (default 8321; 0 picks a free port)",
     )
     serve.add_argument(

@@ -195,9 +195,8 @@ class NChecker:
         return self.sessions.session_for(apk, self.registry, self.options)
 
     def open_session(self, apk: APK) -> "ScanSession":
-        """A fresh, uncached session over ``apk`` — the patcher's entry
-        point for incremental re-scan loops, where the caller owns the
-        app object and mutates it in place between scans."""
+        """A fresh session over ``apk``, outside the session cache — for
+        callers that scan an app once, such as batch workers."""
         from ..pipeline.scan import ScanSession
 
         return ScanSession(apk, self.registry, self.options)

@@ -28,13 +28,11 @@ further and applies the suggested fixes mechanically:
 
 ``Patcher.patch`` never mutates the input app: it works on a clone (via
 the ``.apkt`` round trip) and returns it with a ledger of applied and
-skipped fixes.  ``Patcher.patch_in_place`` is the mutating core — it
-additionally reports the set of methods it touched, which is what lets
-``patch_until_clean`` re-scan incrementally: one clone up front, then
-each round patches in place and invalidates only the dirty region of the
-scan session's artifact store.  ``scan → patch → rescan`` is expected to
-converge to zero findings — the property the tests assert per library
-and defect kind.
+skipped fixes.  ``Patcher.patch_in_place`` is the mutating core that
+``patch_until_clean`` drives: one clone up front, then each round scans
+the clone and patches it in place.  ``scan → patch → rescan`` is
+expected to converge to zero findings — the property the tests assert
+per library and defect kind.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from typing import Optional
 
 from ..app.apk import APK
 from ..app.loader import dumps_apk, loads_apk
-from ..callgraph.entrypoints import MethodKey, method_key
+from ..callgraph.entrypoints import MethodKey
 from ..obs import metrics as obs_metrics
 from ..obs import span
 from ..ir.method import IRMethod
@@ -95,10 +93,6 @@ class PatchResult:
     apk: APK
     applied: list[AppliedPatch] = field(default_factory=list)
     skipped: list[tuple[Finding, str]] = field(default_factory=list)
-    #: Methods whose bodies this patch round mutated — the incremental
-    #: re-scan report: the artifact store invalidates exactly these (and
-    #: their dependents) instead of rebuilding the whole app.
-    touched: set[MethodKey] = field(default_factory=set)
 
 
 class Patcher:
@@ -127,10 +121,6 @@ class Patcher:
         self.default_timeout_ms = default_timeout_ms
         self.user_retries = user_retries
         self._label_hint = "npdfix"
-        #: Methods beyond the finding's target the current handler edited
-        #: (error callbacks, ``onPostExecute``) — folded into
-        #: :attr:`PatchResult.touched` by :meth:`_apply_one`.
-        self._extra_touched: list[MethodKey] = []
 
     # ------------------------------------------------------------------
 
@@ -140,13 +130,7 @@ class Patcher:
         return self.patch_in_place(clone, result)
 
     def patch_in_place(self, apk: APK, result: ScanResult) -> PatchResult:
-        """Apply fixes directly to ``apk``, mutating its methods.
-
-        The returned :attr:`PatchResult.touched` lists every mutated
-        method, so a caller holding a scan session can invalidate just
-        the dirty region (``session.invalidate_methods(outcome.touched)``)
-        instead of re-deriving the whole app.
-        """
+        """Apply fixes directly to ``apk``, mutating its methods."""
         outcome = PatchResult(apk)
 
         with span("patch-round", package=apk.package):
@@ -172,7 +156,6 @@ class Patcher:
         registry = obs_metrics()
         registry.inc("patcher.rounds")
         registry.inc("patcher.patches_applied", len(outcome.applied))
-        registry.observe("patcher.touched_methods", len(outcome.touched))
         return outcome
 
     def patch_until_clean(
@@ -180,43 +163,28 @@ class Patcher:
         apk: APK,
         checker: Optional[NChecker] = None,
         max_rounds: int = 3,
-        incremental: bool = True,
     ) -> tuple[APK, list[AppliedPatch]]:
         """Iterate scan → patch until no findings remain (or give up).
 
-        The default mode clones the input once, then patches it in place
-        and narrows each re-scan to the patched methods' dirty region via
-        the scan session's artifact store.  ``incremental=False`` is the
-        pre-pipeline behaviour — clone and re-derive everything every
-        round — kept as the benchmark baseline.
+        The input is cloned once; each round scans the clone through the
+        checker and patches it in place.  Scan sessions are keyed by the
+        app's content, so every patched round gets a fresh session, and a
+        clean result stays cached for the caller's next ``scan`` of it.
         """
         checker = checker or NChecker()
         applied: list[AppliedPatch] = []
-        if not incremental:
-            current = apk
-            for _round in range(max_rounds):
-                result = checker.scan(current)
-                if not result.findings:
-                    break
-                outcome = self.patch(current, result)
-                applied.extend(outcome.applied)
-                if not outcome.applied:
-                    break  # nothing more we can do
-                current = outcome.apk
-            return current, applied
-
         working = loads_apk(dumps_apk(apk))
-        session = checker.open_session(working)
         for _round in range(max_rounds):
-            result = session.scan()
+            result = checker.scan(working)
             if not result.findings:
                 break
+            # Drop the session before its app changes under it: it is
+            # keyed by the pre-patch content.
+            checker.sessions.evict(working.package)
             outcome = self.patch_in_place(working, result)
             applied.extend(outcome.applied)
             if not outcome.applied:
                 break  # nothing more we can do
-            session.invalidate_methods(outcome.touched)
-            obs_metrics().inc("patcher.incremental_rescans")
         return working, applied
 
     # -- dispatch -------------------------------------------------------
@@ -244,7 +212,6 @@ class Patcher:
                 DefectKind.CALLBACK_LEAK: self._fix_callback_leak,
                 DefectKind.MISSED_OFFLINE_CACHE: self._fix_offline_cache,
             }[kind]
-            self._extra_touched = []
             description = handler(apk, method, finding)
         except _Unfixable as exc:
             outcome.skipped.append((finding, str(exc)))
@@ -252,8 +219,6 @@ class Patcher:
         outcome.applied.append(
             AppliedPatch(kind, self._target_method_key(finding), description)
         )
-        outcome.touched.add(self._target_method_key(finding))
-        outcome.touched.update(self._extra_touched)
 
     def _target_method_key(self, finding: Finding) -> MethodKey:
         # Response-check findings anchor at the use site and aggressive-loop
@@ -489,7 +454,6 @@ class Patcher:
         callback = self._error_callback_method(apk, finding)
         if callback is not None:
             insert_statements(callback, 0, _toast_statements())
-            self._extra_touched.append(method_key(callback))
             return f"added a Toast to {callback.sig.qualified_name}"
         # AsyncTask: onPostExecute.
         cls = apk.get_class(method.class_name)
@@ -498,7 +462,6 @@ class Patcher:
                 if name == "onPostExecute":
                     post = cls.get_method(name, arity)
                     insert_statements(post, 0, _toast_statements())
-                    self._extra_touched.append(method_key(post))
                     return "added a Toast to onPostExecute"
         raise _Unfixable("no error path to attach a notification to")
 
@@ -512,7 +475,6 @@ class Patcher:
             InstanceOfExpr(error_param, "com.android.volley.NoConnectionError"),
         )
         insert_statements(callback, 0, [check])
-        self._extra_touched.append(method_key(callback))
         return "inspect the error type (instanceof NoConnectionError)"
 
     def _fix_response_check(self, apk: APK, method: IRMethod, finding: Finding) -> str:
@@ -633,7 +595,6 @@ class Patcher:
         ]
         method.labels = {}
         method.traps = []
-        self._extra_touched.append(method_key(work))
         return f"moved the blocking body to {worker_name}.doInBackground"
 
     def _fix_callback_leak(self, apk: APK, method: IRMethod, finding: Finding) -> str:
@@ -673,7 +634,6 @@ class Patcher:
             cls.add_method(exit_method)
         insert_statements(exit_method, 0, self._unregister_statements(expected[0]))
         exit_method.validate()
-        self._extra_touched.append(method_key(exit_method))
         return f"unregister the callback in {exit_method.name}()"
 
     @staticmethod

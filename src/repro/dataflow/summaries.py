@@ -183,9 +183,8 @@ class SummaryEngine:
         self.cache = cache
         self.stats = SummaryStats()
         self._edge_direct = EDGE_DIRECT
-        #: SCC condensation of the call graph, computed lazily so an
-        #: incremental invalidation (which refreshes edges) can simply
-        #: drop it and have the next fact pass recompute the order.
+        #: SCC condensation of the call graph, computed lazily by the
+        #: first fact pass that needs it.
         self._scc_order: Optional[tuple[list, dict]] = None
         self._bool_states: dict[str, _BoolFactState] = {}
         self._ptr: dict["MethodKey", frozenset[int]] = {}
@@ -215,29 +214,6 @@ class SummaryEngine:
     @property
     def scc_position(self) -> dict:
         return self._ensure_scc_order()[1]
-
-    # -- incremental invalidation -------------------------------------------
-
-    def invalidate_methods(self, keys: Iterable["MethodKey"]) -> None:
-        """Drop every memoized fact that may depend on the given methods.
-
-        Callers must pass the full dependency cone (the dirty methods plus
-        their transitive callers — a summary folds in its callees'
-        summaries, so dirtying a callee dirties every caller above it).
-        The boolean fact maps and the SCC order are whole-app artifacts
-        over call-graph edges and are dropped wholesale; they recompute in
-        one cheap pass on next use.
-        """
-        keys = set(keys)
-        obs_metrics().observe("dataflow.invalidation_cone", len(keys))
-        self._scc_order = None
-        self._bool_states.clear()
-        self._widened -= keys
-        for key in keys:
-            self._ptr.pop(key, None)
-            self._direct_maps.pop(key, None)
-        for memo_key in [mk for mk in self._config if mk[0] in keys]:
-            del self._config[memo_key]
 
     # -- transitive boolean facts -------------------------------------------
 

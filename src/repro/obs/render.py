@@ -4,7 +4,7 @@ The table answers "where does a scan spend its time" from the snapshot
 alone: one row per pass (wall time distribution, findings, methods
 visited), one row per artifact kind (builds/hits, build-time total), and
 a trailing list of the engine counters (dataflow worklist iterations,
-invalidation cone sizes, patcher rounds, ...).
+widenings, patcher rounds, ...).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Pass-pipeline architecture: artifact store, scheduled passes, batch
-scanning, incremental re-scan.
+scanning.
 
 * :mod:`repro.pipeline.artifacts` — the typed per-APK artifact store
-  with build-on-demand and dependency-aware invalidation;
+  with build-on-demand;
 * :mod:`repro.pipeline.passes` — pass ordering and scan planning from
   the checks' declared artifact reads;
 * :mod:`repro.pipeline.scan` — scan sessions (one store per APK) and

@@ -5,20 +5,16 @@ def-use chains, the interprocedural summary engine, the extracted
 requests, the customized retry loops, the ICC model — lives behind a
 typed :class:`ArtifactKey` in one :class:`ArtifactStore` per APK.  The
 store builds artifacts on demand (building an artifact first builds its
-declared dependencies), counts hits/builds for the cache-effectiveness
-benchmarks, and supports **dependency-aware invalidation**: when the
-patcher mutates a set of methods in place, :meth:`ArtifactStore.
-invalidate_methods` drops exactly the artifacts that may have changed —
-the dirty methods' CFGs/def-use, their call edges, the summary entries
-of the dirty methods and their transitive callers — and leaves the rest
-warm for the next scan.
+declared dependencies) and counts hits/builds for the
+cache-effectiveness benchmarks.  A built artifact lives as long as its
+store: the app under a store is never mutated (the patcher rescans each
+round's patched app through a fresh session).
 
 The store is duck-type compatible with
 :class:`repro.callgraph.resolve.MethodAnalysisCache` (``cfg(method)`` /
 ``defuse(method)``), so the call graph, the summary engine, and every
 check share it as the context cache.  Unlike the legacy cache it keys
-method artifacts by :data:`MethodKey`, not ``id(method)``, which is what
-makes targeted invalidation of in-place-mutated methods possible.
+method artifacts by :data:`MethodKey`, not ``id(method)``.
 """
 
 from __future__ import annotations
@@ -96,11 +92,10 @@ class ArtifactCounters:
     :class:`~repro.obs.metrics.MetricsRegistry`.
 
     The bespoke dict counters this class used to hold now live as
-    ``artifact.<kind>.builds`` / ``artifact.<kind>.hits`` /
-    ``artifact.invalidated_methods`` counters in the telemetry registry
-    (one per store, mirrored into the active global registry so
-    ``--metrics`` snapshots see them); the accessors keep the benchmark
-    and test API of the pre-telemetry counters.
+    ``artifact.<kind>.builds`` / ``artifact.<kind>.hits`` counters in
+    the telemetry registry (one per store, mirrored into the active
+    global registry so ``--metrics`` snapshots see them); the accessors
+    keep the benchmark and test API of the pre-telemetry counters.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -113,10 +108,6 @@ class ArtifactCounters:
     @property
     def hits(self) -> dict[str, int]:
         return self._per_kind("hits")
-
-    @property
-    def invalidated_methods(self) -> int:
-        return self._registry.counter_value("artifact.invalidated_methods")
 
     def builds_of(self, name: str) -> int:
         return self._registry.counter_value(f"artifact.{name}.builds")
@@ -337,45 +328,3 @@ class ArtifactStore:
                       (time.perf_counter() - start) * 1000.0)
         self._constants[key] = built
         return built
-
-    # -- invalidation --------------------------------------------------------
-
-    def invalidate_methods(self, touched: "set[MethodKey] | frozenset[MethodKey]") -> None:
-        """Dependency-aware invalidation after an in-place mutation of
-        ``touched`` methods (the patcher's report).
-
-        Order matters:
-
-        1. drop the dirty methods' CFG/def-use (edge re-resolution reads
-           receiver classes through this store);
-        2. refresh the dirty methods' call-graph edges, collecting the
-           summary dependency cone on both the old and the new edge sets
-           (a caller of the old *or* new callee graph may see different
-           facts);
-        3. invalidate the summary entries of the dirty cone;
-        4. drop the whole-app extraction artifacts (requests, retry
-           loops, ICC model, thread contexts) — they enumerate statement
-           indices or call edges, which insertions shift; they rebuild
-           against the warm method cache.
-        """
-        touched = set(touched)
-        if not touched:
-            return
-        self._count("artifact.invalidated_methods", len(touched))
-        for key in touched:
-            self._cfgs.pop(key, None)
-            self._defuse.pop(key, None)
-            self._constants.pop(key, None)
-        graph = self._app.get(CALLGRAPH.name)
-        dirty = set(touched)
-        if graph is not None:
-            dirty |= graph.transitive_callers(touched)
-            graph.refresh_methods(touched)
-            dirty |= graph.transitive_callers(touched)
-        engine = self._app.get(SUMMARIES.name)
-        if engine is not None:
-            engine.invalidate_methods(dirty)
-        for key in (REQUESTS, RETRY_LOOPS, ICC_MODEL, THREADCONTEXT):
-            self._app.pop(key.name, None)
-        if self._context is not None:
-            self._context.retry_loops = []

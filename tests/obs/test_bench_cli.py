@@ -151,6 +151,29 @@ class TestCompareAndGate:
         assert code == 0  # same code, same apps: counters match exactly
         assert RunLedger(str(tmp_path / "gate-ledger")).last("bench")
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    @pytest.mark.parametrize("flag", ["--timing-threshold", "--timing-min-ms"])
+    @pytest.mark.parametrize("command", [
+        ["compare", "base.json", "current.json"],
+        ["gate", "--baseline", "base.json", "--current", "current.json"],
+    ], ids=["compare", "gate"])
+    def test_gate_settings_that_disable_or_invert_it_exit_two(
+        self, capsys, command, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *command, flag, value])
+        assert exc.value.code == 2
+        assert (f"argument {flag}: must be at least 0, got {float(value)}"
+                in capsys.readouterr().err)
+
+    def test_infinite_tolerances_are_valid(self, tmp_path, capsys):
+        out = self._exports(tmp_path, capsys)
+        code = main(["bench", "gate", "--baseline", str(out),
+                     "--current", str(out), "--timing-threshold", "inf",
+                     "--timing-min-ms", "inf"])
+        capsys.readouterr()
+        assert code == 0
+
     def test_compare_missing_file_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "compare", str(tmp_path / "nope.json"),

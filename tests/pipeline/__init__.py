@@ -1,1 +1,1 @@
-"""Pass-pipeline tests: artifact store, scheduling, batch, incremental."""
+"""Pass-pipeline tests: artifact store, scheduling, batch, re-scan."""

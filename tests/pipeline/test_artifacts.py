@@ -1,9 +1,6 @@
-"""Artifact store: build-on-demand, hit counting, dependency-aware
-invalidation."""
+"""Artifact store: build-on-demand and hit counting."""
 
-from repro.core import NChecker, NCheckerOptions
 from repro.corpus.snippets import RequestSpec
-from repro.callgraph.entrypoints import method_key
 from repro.libmodels import default_registry
 from repro.pipeline import (
     ARTIFACTS,
@@ -63,49 +60,3 @@ class TestBuildOnDemand:
         assert store.counters.builds_of("cfg") == 1
         assert store.counters.hits_of("cfg") == 2
         assert store.counters.builds_of("defuse") == 1
-
-
-class TestInvalidation:
-    def test_touched_method_cfg_dropped_others_kept(self):
-        apk, store = make_store()
-        methods = list(apk.methods())
-        for m in methods:
-            store.cfg(m)
-        built = store.counters.builds_of("cfg")
-        touched = method_key(methods[0])
-        store.invalidate_methods({touched})
-        # Only the touched method's CFG rebuilds on next access.
-        for m in methods:
-            store.cfg(m)
-        assert store.counters.builds_of("cfg") == built + 1
-        assert store.counters.invalidated_methods == 1
-
-    def test_app_artifacts_dropped(self):
-        apk, store = make_store()
-        store.get(RETRY_LOOPS)
-        assert store.peek(REQUESTS) is not None
-        any_method = method_key(next(iter(apk.methods())))
-        store.invalidate_methods({any_method})
-        assert store.peek(REQUESTS) is None
-        assert store.peek(RETRY_LOOPS) is None
-        # The call graph survives (it refreshes in place).
-        assert store.peek(CALLGRAPH) is not None
-
-    def test_empty_invalidation_is_a_noop(self):
-        _, store = make_store()
-        store.get(REQUESTS)
-        store.invalidate_methods(set())
-        assert store.peek(REQUESTS) is not None
-        assert store.counters.invalidated_methods == 0
-
-    def test_rescan_after_invalidation_matches_fresh_scan(self):
-        spec = RequestSpec(library="basichttp")
-        apk, _ = single_request_app(spec)
-        checker = NChecker(options=NCheckerOptions())
-        session = checker.open_session(apk)
-        before = session.scan()
-        session.invalidate_methods({f.method_key for f in before.findings})
-        after = session.scan()
-        fresh = NChecker().scan(apk)
-        key = lambda r: [(f.kind, f.method_key, f.stmt_index) for f in r.findings]
-        assert key(after) == key(before) == key(fresh)

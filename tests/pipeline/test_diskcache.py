@@ -16,7 +16,6 @@ import pytest
 
 from repro.app import save_apk
 from repro.app.loader import dumps_apk, loads_apk
-from repro.callgraph.entrypoints import method_key
 from repro.cli import main
 from repro.core import NChecker
 from repro.core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NCheckerOptions
@@ -253,27 +252,6 @@ class TestCorruption:
 
 
 class TestPatchWarmStart:
-    def test_patch_rebuilds_only_the_dirty_cone(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        apk = fresh_apk()
-        scan_once(cache_dir, apk)  # populate the cache
-
-        _r, session = scan_once(cache_dir, loads_apk(dumps_apk(apk)))
-        assert app_builds(session) == dict.fromkeys(APP_KINDS, 0)
-
-        method = next(iter(session.apk.methods()))
-        method.statements.insert(0, NopStmt())
-        method.validate()
-        session.invalidate_methods({method_key(method)})
-        session.scan()
-        builds = app_builds(session)
-        # Call graph and summary engine stay warm in the store; only the
-        # whole-app extraction artifacts rebuild (statement indices shift).
-        assert builds["callgraph"] == 0
-        assert builds["summaries"] == 0
-        assert builds["requests"] == 1
-        assert builds["retry-loops"] == 1
-
     def test_patch_until_clean_matches_without_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"
         apk = fresh_apk()

@@ -7,15 +7,17 @@ cover the report on stdout, ``--json`` and ``--sarif`` for the sample
 apps in ``examples/apps``, a seeded six-app ``PAPER_PROFILE`` corpus
 and the open-source corpus (whose inter-component and guard shapes make
 every configuration below produce different bytes), under four analysis
-configurations.
+configurations.  ``PATCH_DIGESTS`` pins what ``Patcher.patch_until_clean``
+makes of the same inputs under the same configurations: every fixed
+app's ``.apkt`` bytes plus its applied-patch list.
 
-A digest mismatch means a scan output changed.  If the change is
-intended, rerun this module as a script to print the new table::
+A digest mismatch means a scan or patch output changed.  If the change
+is intended, rerun this module as a script to print the new table::
 
     PYTHONPATH=src:. python -m tests.pipeline.test_golden
 
-and paste it over ``DIGESTS`` in the same commit that changes the
-output, saying why in the commit message.
+and paste it over ``DIGESTS`` and ``PATCH_DIGESTS`` in the same commit
+that changes the output, saying why in the commit message.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from pathlib import Path
 import pytest
 
 from repro import cli
-from repro.app import save_apk
-from repro.core import NCheckerOptions
+from repro.app import dumps_apk, load_apk, save_apk
+from repro.core import NChecker, NCheckerOptions, Patcher
+from repro.core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS
 from repro.corpus import CorpusGenerator, PAPER_PROFILE
 from repro.corpus.opensource import build_opensource_corpus
 
@@ -47,6 +50,16 @@ FLAG_SETS = {
     "extended-checks": (["--extended-checks"], {}),
     "inter-component-guard-aware": (["--guard-aware"], {"inter_component": True}),
     "intraprocedural": (["--intraprocedural"], {}),
+}
+
+#: The same configurations as library options, for the patch loop.
+PATCH_OPTIONS = {
+    "default": {},
+    "extended-checks": {"enabled_checks": DEFAULT_CHECKS | EXTENDED_CHECKS},
+    "inter-component-guard-aware": {
+        "guard_aware_connectivity": True, "inter_component": True,
+    },
+    "intraprocedural": {"interprocedural_connectivity": False},
 }
 
 #: Output formats: extra CLI arguments per format.
@@ -83,6 +96,17 @@ DIGESTS = {
         '1:1796e4e794ec48758a11893d0d6237dc33ba91e5476ce6bba38112383ad1bbb1',
 }
 
+PATCH_DIGESTS = {
+    'default':
+        '031a0d4b745c696c54c96780e3d1ae4297704a924a8a4f9a8af05165dcaed69c',
+    'extended-checks':
+        'dc6135b8935f6459e5ee541b1b3447a9806eb104d52523186b22832eee87a354',
+    'inter-component-guard-aware':
+        '2aba7a54bfe57940e8433ad3cf2013706843ec7ddcf01f42e99fe0f52986b437',
+    'intraprocedural':
+        '08e05d864eac129425b4d0bef802700522c4d40d38aca613c60133eebcfbee17',
+}
+
 
 def write_inputs(root: Path) -> list[str]:
     """Copy the sample apps and generate the corpora into ``root``;
@@ -117,6 +141,20 @@ def scan_digest(names: list[str], flag_set: str, fmt: str) -> str:
     return f"{code}:{hashlib.sha256(data).hexdigest()}"
 
 
+def patch_digest(root: Path, names: list[str], flag_set: str) -> str:
+    """Patch every app until clean under one configuration and digest
+    the fixed apps' bytes and applied-patch lists."""
+    checker = NChecker(options=NCheckerOptions(**PATCH_OPTIONS[flag_set]))
+    patcher = Patcher()
+    digest = hashlib.sha256()
+    for name in names:
+        fixed, applied = patcher.patch_until_clean(load_apk(root / name), checker)
+        digest.update(dumps_apk(fixed).encode())
+        for patch in applied:
+            digest.update(f"{patch}\n".encode())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -131,6 +169,12 @@ def test_output_digest(inputs, monkeypatch, flag_set, fmt):
     assert scan_digest(names, flag_set, fmt) == DIGESTS[flag_set, fmt]
 
 
+@pytest.mark.parametrize("flag_set", sorted(PATCH_OPTIONS))
+def test_patch_digest(inputs, flag_set):
+    root, names = inputs
+    assert patch_digest(root, names, flag_set) == PATCH_DIGESTS[flag_set]
+
+
 def _print_table() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -141,6 +185,11 @@ def _print_table() -> None:
             for fmt in sorted(FORMATS):
                 digest = scan_digest(names, flag_set, fmt)
                 print(f"    ({flag_set!r}, {fmt!r}):\n        {digest!r},")
+        print("}")
+        print("PATCH_DIGESTS = {")
+        for flag_set in sorted(PATCH_OPTIONS):
+            digest = patch_digest(root, names, flag_set)
+            print(f"    {flag_set!r}:\n        {digest!r},")
         print("}")
 
 

@@ -1,5 +1,5 @@
-"""Incremental re-scan: session reuse, dirty-region invalidation, and
-patcher parity with the full-rescan loop."""
+"""Re-scan: session reuse across repeat scans, and the patch loop's use
+of the session cache."""
 
 from repro.app.loader import dumps_apk, loads_apk
 from repro.core import NChecker
@@ -7,6 +7,7 @@ from repro.core.patcher import Patcher
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.profiles import PAPER_PROFILE
 from repro.corpus.snippets import RequestSpec
+from repro.obs import use_metrics
 
 from tests.conftest import newsreader_texts, single_request_app
 
@@ -58,45 +59,37 @@ class TestIncrementalPatching:
     def apps(self, n=8):
         return [apk for apk, _ in CorpusGenerator(PAPER_PROFILE.scaled(n)).iter_apps()]
 
-    def test_incremental_matches_full_rescan(self):
-        patcher = Patcher()
-        for apk in self.apps():
-            fixed_inc, applied_inc = patcher.patch_until_clean(apk, NChecker())
-            fixed_full, applied_full = patcher.patch_until_clean(
-                apk, NChecker(), incremental=False
-            )
-            assert dumps_apk(fixed_inc) == dumps_apk(fixed_full)
-            assert len(applied_inc) == len(applied_full)
-
     def test_incremental_leaves_input_untouched(self):
         apk = self.apps(1)[0]
         before = dumps_apk(apk)
         Patcher().patch_until_clean(apk, NChecker())
         assert dumps_apk(apk) == before
 
-    def test_patch_reports_touched_methods(self):
-        apk, _ = single_request_app(RequestSpec(library="basichttp"))
+    def test_clean_result_is_a_session_hit_for_the_closing_scan(self):
+        """``nchecker patch`` scans the fixed app once more to count what
+        remains; when the loop ended clean, that scan builds nothing."""
         checker = NChecker()
-        result = checker.scan(apk)
-        patcher = Patcher()
-        clone = loads_apk(dumps_apk(apk))
-        outcome = patcher.patch_in_place(clone, checker.scan(clone))
-        assert outcome.applied
-        assert outcome.touched
-        assert {f.method_key for f in result.findings} & outcome.touched
+        fixed, applied = Patcher().patch_until_clean(self.apps(1)[0], checker)
+        assert applied
+        hits = checker.sessions.hits
+        with use_metrics() as registry:
+            result = checker.scan(fixed)
+        assert not result.findings
+        assert checker.sessions.hits == hits + 1
+        builds = {
+            name: value
+            for name, value in registry.snapshot()["counters"].items()
+            if name.startswith("artifact.") and name.endswith(".builds")
+        }
+        assert not any(builds.values()), builds
 
-    def test_dirty_region_rebuild_is_partial(self):
-        apk = self.apps(4)[3]
+    def test_no_cached_session_outlives_a_patch(self):
+        """A loop cut off right after a patch leaves no session keyed by
+        the pre-patch content over the patched app: a later scan of the
+        original still sees the original's findings."""
+        apk = self.apps(1)[0]
         checker = NChecker()
-        session = checker.open_session(apk)
-        result = session.scan()
-        assert result.findings
-        cfgs_after_first = session.store.counters.builds_of("cfg")
-        total_methods = len(list(apk.methods()))
-        outcome = Patcher().patch_in_place(apk, result)
-        session.invalidate_methods(outcome.touched)
-        session.scan()
-        rebuilt = session.store.counters.builds_of("cfg") - cfgs_after_first
-        # Only the dirty region rebuilds, not every method's CFG.
-        assert 0 < rebuilt < total_methods
-        assert session.store.counters.invalidated_methods == len(outcome.touched)
+        Patcher().patch_until_clean(apk, checker, max_rounds=1)
+        rescanned = checker.scan(apk)
+        assert rescanned.apk is apk
+        assert rescanned.to_dict() == NChecker().scan(apk).to_dict()

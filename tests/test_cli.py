@@ -180,8 +180,12 @@ class TestErrorHandling:
             (["--rate-limit", "1", "--rate-burst", "0"],
              "--rate-burst: must be at least 1, got 0"),
             (["--rate-limit", "-1"], "--rate-limit: must be at least 0, got -1.0"),
+            (["--port", "70000"],
+             "--port: must be between 0 and 65535, got 70000"),
+            (["--port", "-5"], "--port: must be between 0 and 65535, got -5"),
         ],
-        ids=["workers", "queue-depth", "rate-burst", "rate-limit"],
+        ids=["workers", "queue-depth", "rate-burst", "rate-limit",
+             "port-above-65535", "port-negative"],
     )
     def test_serve_rejects_values_that_break_every_request(
         self, capsys, monkeypatch, argv, message
@@ -226,6 +230,22 @@ class TestPatch:
         out = tmp_path / "noop.apkt"
         assert main(["patch", str(clean_app_file), "-o", str(out)]) == 0
         assert "applied 0 patch(es)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("", "Is a directory"), ("missing/fixed.apkt", "No such file or directory")],
+        ids=["directory", "missing-parent"],
+    )
+    def test_unwritable_output_is_an_error(
+        self, buggy_app_file, tmp_path, capsys, target, reason
+    ):
+        # Exit 1 means "findings remain"; a failed write must exit 2.
+        out = tmp_path / target
+        assert main(["patch", str(buggy_app_file), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot write patched app to {out}: {reason}\n"
+        )
 
 
 class TestRun:
