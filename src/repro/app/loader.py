@@ -80,7 +80,9 @@ def loads_apk(text: str) -> APK:
         manifest = Manifest(package)
     classes = []
     if class_text_start is not None:
-        classes = parse_classes("\n".join(lines[class_text_start:]))
+        classes = parse_classes(
+            "\n".join(lines[class_text_start:]), first_line=class_text_start + 1
+        )
     apk = APK(manifest, classes)
     apk.validate()
     return apk

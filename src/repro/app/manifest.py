@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from .._record import field, record
 from .components import ComponentKind
 
 
-@dataclass
+@record
 class Manifest:
     """Declared components of an app, as AndroidManifest.xml would list.
 

@@ -17,9 +17,9 @@ into ordinary edges.  This builder does the same over our IR:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from .._record import record
 from ..app.apk import APK
 from ..app.components import (
     ASYNC_TASK_CALLBACKS,
@@ -51,7 +51,7 @@ _RUNNABLE_DISPATCH_METHODS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CallEdge:
     caller: MethodKey
     stmt_index: int

@@ -9,9 +9,9 @@ requests as user-initiated (Activity / UI callback) vs. background
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .._record import record
 from ..app.apk import APK
 from ..app.components import (
     ComponentKind,
@@ -33,7 +33,7 @@ def method_key(method: IRMethod) -> MethodKey:
     return key
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EntryPoint:
     """A framework-invoked method and the context it implies."""
 

@@ -21,9 +21,9 @@ untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .._record import field, record
 from ..app.apk import APK
 from ..ir.method import IRMethod
 from ..ir.statements import AssignStmt
@@ -39,7 +39,7 @@ BROADCAST_METHODS = frozenset({"sendBroadcast", "sendOrderedBroadcast", "sendSti
 INTENT_CLASS = "android.content.Intent"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LaunchSite:
     """One resolved component launch."""
 
@@ -49,13 +49,13 @@ class LaunchSite:
     target: Optional[str]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BroadcastSite:
     caller: MethodKey
     stmt_index: int
 
 
-@dataclass
+@record
 class ICCModel:
     """The app's inter-component flows."""
 

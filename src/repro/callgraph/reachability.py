@@ -8,13 +8,12 @@ answered here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from .cha import CallEdge, CallGraph
 from .entrypoints import EntryPoint, MethodKey
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CallChain:
     """A path of call edges from an entry point to a call site."""
 

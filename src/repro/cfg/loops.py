@@ -7,13 +7,12 @@ finds the loops and their exits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from .dominators import DominatorTree
 from .graph import CFG
 
 
-@dataclass
+@record
 class Loop:
     """A natural loop: header, member nodes, and its exit edges.
 

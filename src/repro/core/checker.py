@@ -13,9 +13,9 @@ into the paper's tables and CDFs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from .._record import field, record
 from ..app.apk import APK
 from ..libmodels import default_registry
 from ..libmodels.annotations import LibraryRegistry
@@ -48,7 +48,7 @@ EXTENDED_CHECKS: frozenset[str] = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NCheckerOptions:
     """Analysis knobs; the defaults reproduce the paper's configuration.
 
@@ -85,7 +85,7 @@ class NCheckerOptions:
     enabled_checks: frozenset[str] = DEFAULT_CHECKS
 
 
-@dataclass
+@record
 class ScanResult:
     """Everything one app scan produced."""
 

@@ -18,9 +18,9 @@ widen to the enclosing class (no heap model, matching the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ..._record import field, record
 from ...callgraph.entrypoints import MethodKey, method_key
 from ...dataflow.configvalues import config_call_values
 from ...dataflow.constants import ConstantPropagation
@@ -36,7 +36,7 @@ from ..requests import AnalysisContext, NetworkRequest, RequestLocation
 from ..retry_loops import RetryLoop
 
 
-@dataclass
+@record
 class RequestConfigInfo:
     """What configuration a request actually receives."""
 

@@ -18,9 +18,9 @@ error object at all (93 % of apps do not).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ..._record import record
 from ...callgraph.cha import EDGE_LIB_CALLBACK
 from ...callgraph.entrypoints import MethodKey, method_key
 from ...ir.method import IRMethod
@@ -35,7 +35,7 @@ from ..findings import Finding, context_of
 from ..requests import AnalysisContext, NetworkRequest, RequestLocation
 
 
-@dataclass
+@record
 class NotificationInfo:
     """How (and whether) one request notifies the user of failures."""
 

@@ -4,8 +4,9 @@ misuse patterns (Table 5), and the concrete defect kinds NChecker reports
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from .._record import record
 
 
 class Impact(Enum):
@@ -204,7 +205,7 @@ FIX_SUGGESTIONS: dict[DefectKind, str] = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DefectInfo:
     """Static metadata for one defect kind."""
 

@@ -8,8 +8,7 @@ shift under edits, method identity does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .._record import field, record
 from .checker import ScanResult
 from .findings import Finding
 
@@ -21,7 +20,7 @@ def finding_key(finding: Finding) -> FindingKey:
     return (finding.method_key[0], finding.method_key[1], finding.kind.value)
 
 
-@dataclass
+@record
 class ScanDiff:
     """Findings fixed / introduced / persisting between two scans."""
 

@@ -3,15 +3,15 @@ generator (paper §4.6) needs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .._record import field, record
 from ..callgraph.entrypoints import MethodKey
 from .defects import DefectKind, defect_info
 from .requests import NetworkRequest
 
 
-@dataclass
+@record
 class Finding:
     """One detected network programming defect."""
 

@@ -37,9 +37,9 @@ per library and defect kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .._record import field, record
 from ..app.apk import APK
 from ..app.loader import dumps_apk, loads_apk
 from ..callgraph.entrypoints import MethodKey
@@ -77,7 +77,7 @@ _TOAST = "android.widget.Toast"
 _LRU_CACHE = "android.util.LruCache"
 
 
-@dataclass
+@record
 class AppliedPatch:
     kind: DefectKind
     method: MethodKey
@@ -88,7 +88,7 @@ class AppliedPatch:
         return f"[{self.kind.value}] {cls}.{name}: {self.description}"
 
 
-@dataclass
+@record
 class PatchResult:
     apk: APK
     applied: list[AppliedPatch] = field(default_factory=list)

@@ -8,13 +8,12 @@ point, and a concrete fix suggestion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from .defects import FIX_SUGGESTIONS, KIND_IMPACT
 from .findings import Finding
 
 
-@dataclass
+@record
 class WarningReport:
     """A rendered NChecker warning (Fig 7 structure)."""
 

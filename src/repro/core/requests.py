@@ -14,9 +14,9 @@ request NChecker needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from .._record import field, record
 from ..app.apk import APK
 from ..callgraph.cha import CallGraph
 from ..callgraph.entrypoints import EntryPoint, MethodKey, method_key
@@ -54,7 +54,7 @@ _APACHE_REQUEST_CLASSES: dict[str, HttpMethod] = {
 }
 
 
-@dataclass
+@record
 class AnalysisContext:
     """Shared state for one app scan: the APK, annotations, call graph,
     and the per-method analysis cache."""
@@ -81,7 +81,7 @@ class AnalysisContext:
         return cls(apk, registry, graph, cache)
 
 
-@dataclass
+@record
 class NetworkRequest:
     """One network-request call site with its inferred context."""
 

@@ -20,9 +20,9 @@ reconnects every 500 ms and pins the CPU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .._record import record
 from ..cfg.dominators import DominatorTree
 from ..cfg.graph import CFG
 from ..cfg.loops import Loop, natural_loops
@@ -40,7 +40,7 @@ _SLEEP_METHODS = frozenset({"sleep", "wait", "postDelayed", "awaitTermination"})
 _AGGRESSIVE_FIXED_DELAY_MS = 2000
 
 
-@dataclass
+@record
 class RetryLoop:
     """An identified customized retry loop."""
 

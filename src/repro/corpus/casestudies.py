@@ -12,9 +12,9 @@ fix removes both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .._record import record
 from ..app.apk import APK
 from ..core.defects import DefectKind, Impact
 from ..ir.values import Local
@@ -32,7 +32,7 @@ HANDOVER = LinkSchedule(((0.0, WIFI), (5_000.0, THREE_G)))
 VERY_POOR = LinkProfile("very-poor", bandwidth_kbps=780, rtt_ms=100, loss_rate=0.995)
 
 
-@dataclass
+@record
 class CaseStudy:
     """One executable row of Table 2."""
 

@@ -14,9 +14,9 @@ benchmarks print identical tables run-to-run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
+from .._record import record
 from ..app.apk import APK
 from ..ir.builder import MethodBuilder
 from ..obs import metrics as obs_metrics
@@ -59,7 +59,7 @@ _UI_PARAMS: dict[str, list[tuple[str, str]]] = {
 _BLOCKING_LIBS = frozenset({"httpurlconnection", "apache", "basichttp", "okhttp"})
 
 
-@dataclass
+@record
 class AppStyle:
     """Per-app behavioural draw (the source of per-app CDF structure)."""
 
@@ -299,7 +299,7 @@ _LIB_HAS_RETRY = {
 }
 
 
-@dataclass
+@record
 class _ForcingState:
     """Tracks per-app forcing obligations across request draws."""
 

@@ -10,8 +10,7 @@ path-insensitive connectivity shapes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .._record import field, record
 from ..core.checker import ScanResult
 from ..core.defects import DefectKind
 from .snippets import InjectedRequest
@@ -36,7 +35,7 @@ TABLE9_ROWS: tuple[tuple[str, frozenset[DefectKind]], ...] = (
 )
 
 
-@dataclass
+@record
 class AppGroundTruth:
     """Injected requests (and their expected defects) for one app."""
 
@@ -51,7 +50,7 @@ class AppGroundTruth:
         return counts
 
 
-@dataclass
+@record
 class Confusion:
     """Per-kind-group confusion counts."""
 

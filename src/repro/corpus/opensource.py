@@ -27,8 +27,7 @@ activity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from ..app.apk import APK
 from .appbuilder import AppBuilder
 from .groundtruth import AppGroundTruth
@@ -81,7 +80,7 @@ _APP_NAMES = (
 )
 
 
-@dataclass
+@record
 class _Placement:
     spec: RequestSpec
     in_service: bool = False

@@ -10,10 +10,11 @@ Figures 8–9.  Every rate below cites the paper sentence it encodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .._record import record
 
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class LibraryMix:
     """Table 7: evaluated apps per library (apps may use several)."""
 
@@ -34,7 +35,7 @@ class LibraryMix:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DefectRates:
     """Per-app style probabilities, each tied to a §5.2 measurement."""
 
@@ -87,7 +88,7 @@ class DefectRates:
     requests_max: int = 8
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CorpusProfile:
     """Everything the generator needs to synthesise one corpus."""
 

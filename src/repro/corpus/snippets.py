@@ -19,9 +19,9 @@ arise naturally instead of being hard-coded.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .._record import field, record
 from ..core.defects import DefectKind
 from ..ir.builder import MethodBuilder
 from ..ir.values import BinaryExpr, Const, InstanceOfExpr, Local
@@ -83,7 +83,7 @@ class Backoff(enum.Enum):
     EXPONENTIAL = "exponential"
 
 
-@dataclass
+@record
 class RequestSpec:
     """Everything that varies about one injected request."""
 
@@ -194,7 +194,7 @@ def expected_defects(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class InjectedRequest:
     """Record of one emitted request, for the ground-truth ledger."""
 

@@ -7,12 +7,11 @@ and the §2.3 sub-cause breakdowns, as queryable data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from ..core.defects import Impact, RootCause
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StudiedApp:
     """One row of Table 1."""
 
@@ -47,7 +46,7 @@ STUDIED_APPS: tuple[StudiedApp, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RepresentativeNPD:
     """One row of Table 2."""
 

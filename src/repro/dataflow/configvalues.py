@@ -11,9 +11,9 @@ and Apache use (``setRetryPolicy(new DefaultRetryPolicy(t, r, b))``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .._record import record
 from ..cfg.graph import CFG
 from ..ir.method import IRMethod
 from ..ir.statements import AssignStmt
@@ -24,7 +24,7 @@ from .reaching import DefUseChains
 from .taint import trace_origins
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConfigCallValues:
     """Constants a single config call pins down (None = not resolvable)."""
 

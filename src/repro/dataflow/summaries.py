@@ -42,9 +42,9 @@ sweeps stop re-deriving the same facts per request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
+from .._record import field, record
 from ..callgraph.scc import condensation_order
 from ..ir.method import IRMethod
 from ..obs import metrics as obs_metrics
@@ -80,7 +80,7 @@ class _Top:
 CONFIG_TOP = _Top()
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class ConfigEffect:
     """One config-API call observed on a tracked object, with the values
     it pins down resolved in the frame that makes the call."""
@@ -93,7 +93,7 @@ class ConfigEffect:
     timeout_ms: Optional[int] = None
 
 
-@dataclass
+@record
 class MethodSummary:
     """The assembled summary of one method (convenience view; the checks
     use the engine's targeted accessors, which compute lazily)."""
@@ -109,7 +109,7 @@ class MethodSummary:
     widened: bool = False
 
 
-@dataclass
+@record
 class SummaryStats:
     """Cheap observability for the cache-effectiveness benchmarks."""
 
@@ -140,7 +140,7 @@ BOOL_FACT_SPECS: dict[str, tuple[Callable[[InvokeExpr], bool], bool]] = {
 }
 
 
-@dataclass
+@record
 class _BoolFactState:
     """Memoized state of one transitive boolean fact.
 

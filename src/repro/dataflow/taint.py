@@ -15,9 +15,9 @@ call sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .._record import field, record
 from ..cfg.graph import CFG
 from ..ir.statements import AssignStmt
 from ..ir.values import (
@@ -33,7 +33,7 @@ from .framework import SetAnalysis
 from .reaching import DefUseChains
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TaintPolicy:
     """Tunes how taint flows through non-copy expressions.
 

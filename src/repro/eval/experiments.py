@@ -9,9 +9,9 @@ but not free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .._record import field, record
 from ..core.checker import NChecker, ScanResult
 from ..corpus.groundtruth import overall_accuracy, table9_confusions
 from ..corpus.opensource import build_opensource_corpus
@@ -44,7 +44,7 @@ from .metrics import (
 from .tables import percent, render_cdf, render_table
 
 
-@dataclass
+@record
 class ExperimentReport:
     exp_id: str
     title: str

@@ -8,8 +8,7 @@ guideline text, so the printed Table 11 is *recomputed*, not quoted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from ..core.checker import ScanResult
 from .metrics import (
     app_flags,
@@ -18,7 +17,7 @@ from .metrics import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Guideline:
     observation: str
     guideline: str

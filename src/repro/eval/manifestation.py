@@ -11,9 +11,9 @@ that scan clean for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .._record import field, record
 from ..app.apk import APK
 from ..app.components import UI_CALLBACK_METHODS
 from ..core.checker import NChecker, ScanResult
@@ -26,7 +26,7 @@ from ..netsim.runtime import Runtime
 POOR_3G = LinkProfile("poor-3G", bandwidth_kbps=780, rtt_ms=100, loss_rate=0.6)
 
 
-@dataclass
+@record
 class AppObservation:
     """Symptoms one app exhibited across its entry points and links."""
 
@@ -51,7 +51,7 @@ class AppObservation:
         return False
 
 
-@dataclass
+@record
 class ManifestationRow:
     kind: DefectKind
     symptom: str

@@ -7,9 +7,9 @@ paper's evaluation section reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .._record import field, record
 from ..core.checker import ScanResult
 from ..core.defects import DefectKind
 from ..core.requests import RequestLocation
@@ -22,7 +22,7 @@ _OVER_RETRY = (
 )
 
 
-@dataclass
+@record
 class AppRequestFlags:
     """Per-app request-level outcome flags (the CDF raw material)."""
 
@@ -134,7 +134,7 @@ def app_flags(result: ScanResult) -> AppRequestFlags:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Table6Row:
     cause: str
     eval_condition: str
@@ -219,7 +219,7 @@ def table7(results: list[ScanResult]) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Table8Row:
     cause: str
     apps_percent: int
@@ -322,7 +322,7 @@ def fraction_above(values: list[float], threshold: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class NotificationSplit:
     explicit_requests: int = 0
     explicit_notified: int = 0

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from .._record import field, record
 from .method import IRMethod
 from .values import FieldSig, OBJECT
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class IRClass:
     """A class (or interface) definition.
 

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .._record import record
 from .statements import GotoStmt, IfStmt, ReturnStmt, Stmt, ThrowStmt
 from .values import InvokeExpr, Local, MethodSig, THROWABLE
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Trap:
     """A protected region: statements in ``[begin, end)`` (by label) whose
     exceptions of ``exc_type`` are routed to the handler at ``handler``.

@@ -7,13 +7,12 @@ nodes + 2·components over the statement-level CFG).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from ..cfg.graph import CFG
 from .method import IRMethod
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MethodMetrics:
     name: str
     statements: int
@@ -22,7 +21,7 @@ class MethodMetrics:
     cyclomatic: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AppMetrics:
     classes: int
     methods: int

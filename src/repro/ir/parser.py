@@ -205,7 +205,9 @@ def _parse_invoke(text: str, line_no: int) -> InvokeExpr:
         rest, ret = rest.rsplit("->", 1)
         return_type = ret.strip()
         rest = rest.strip()
-    open_paren = rest.index("(")
+    open_paren = rest.find("(")
+    if open_paren < 0:
+        raise ParseError("invoke missing opening parenthesis", line_no, text)
     if not rest.endswith(")"):
         raise ParseError("invoke missing closing parenthesis", line_no, text)
     callee_text = rest[:open_paren]
@@ -227,12 +229,29 @@ def _parse_invoke(text: str, line_no: int) -> InvokeExpr:
         raise ParseError(str(exc), line_no, text) from None
 
 
+def _operands(text: str, line_no: int, line: str) -> tuple[str, str]:
+    """The two operands of an ``op a b`` form (``b`` takes the rest)."""
+    parts = text.split(None, 2)
+    if len(parts) != 3:
+        raise ParseError(f"{parts[0]} needs two operands", line_no, line)
+    return parts[1], parts[2]
+
+
+def _store(line: str, line_no: int) -> tuple[str, str]:
+    """The target and value texts of a ``putfield``/``putstatic``/
+    ``astore`` line."""
+    head, sep, rhs = line.partition(" = ")
+    if not sep:
+        raise ParseError(f"{line.split(None, 1)[0]} missing ' = value'", line_no, line)
+    return head, rhs
+
+
 def _rhs_new(text: str, line_no: int) -> Value:
     return NewExpr(text[4:].strip())
 
 
 def _rhs_newarray(text: str, line_no: int) -> Value:
-    _, elem, size = text.split(None, 2)
+    elem, size = _operands(text, line_no, text)
     return NewArrayExpr(elem, parse_atom(size, line_no))
 
 
@@ -243,18 +262,18 @@ def _rhs_getstatic(text: str, line_no: int) -> Value:
 
 
 def _rhs_getfield(text: str, line_no: int) -> Value:
-    _, base, qualified = text.split(None, 2)
+    base, qualified = _operands(text, line_no, text)
     cls, _, name = qualified.rpartition(".")
     return FieldRef(Local(base), FieldSig(cls, name))
 
 
 def _rhs_aload(text: str, line_no: int) -> Value:
-    _, base, index = text.split(None, 2)
+    base, index = _operands(text, line_no, text)
     return ArrayRef(Local(base), parse_atom(index, line_no))
 
 
 def _rhs_cast(text: str, line_no: int) -> Value:
-    _, type_name, value = text.split(None, 2)
+    type_name, value = _operands(text, line_no, text)
     return CastExpr(type_name, parse_atom(value, line_no))
 
 
@@ -341,8 +360,8 @@ def _stmt_invoke(line: str, line_no: int) -> Stmt:
 
 
 def _stmt_putfield(line: str, line_no: int) -> Stmt:
-    head, rhs = line.split(" = ", 1)
-    _, base, qualified = head.split(None, 2)
+    head, rhs = _store(line, line_no)
+    base, qualified = _operands(head, line_no, line)
     cls, _, name = qualified.rpartition(".")
     return AssignStmt(
         FieldRef(Local(base), FieldSig(cls, name)), parse_atom(rhs, line_no)
@@ -350,15 +369,15 @@ def _stmt_putfield(line: str, line_no: int) -> Stmt:
 
 
 def _stmt_putstatic(line: str, line_no: int) -> Stmt:
-    head, rhs = line.split(" = ", 1)
+    head, rhs = _store(line, line_no)
     qualified = head[len("putstatic "):].strip()
     cls, _, name = qualified.rpartition(".")
     return AssignStmt(FieldRef(None, FieldSig(cls, name)), parse_atom(rhs, line_no))
 
 
 def _stmt_astore(line: str, line_no: int) -> Stmt:
-    head, rhs = line.split(" = ", 1)
-    _, base, index = head.split(None, 2)
+    head, rhs = _store(line, line_no)
+    base, index = _operands(head, line_no, line)
     return AssignStmt(
         ArrayRef(Local(base), parse_atom(index, line_no)),
         parse_atom(rhs, line_no),
@@ -379,7 +398,7 @@ _STMT_DISPATCH = {
 }
 
 
-#: Interned statements: every :class:`Stmt` subclass is a frozen dataclass
+#: Interned statements: every :class:`Stmt` subclass is a frozen record
 #: over frozen values, and parsing is a pure function of the (stripped)
 #: line text, so recurring lines — bare ``return``, common invokes, field
 #: loads — share one statement object across methods and apps.  Bounded
@@ -424,9 +443,10 @@ def _parse_stmt_uncached(line: str, line_no: int) -> Stmt:
 
 
 class _Cursor:
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, first_line: int = 1) -> None:
         self.lines = text.splitlines()
         self.pos = 0
+        self.line_base = first_line - 1
 
     def next_meaningful(self) -> Optional[tuple[int, str]]:
         while self.pos < len(self.lines):
@@ -434,7 +454,7 @@ class _Cursor:
             self.pos += 1
             line = _strip_comment(raw)
             if line:
-                return self.pos, line
+                return self.line_base + self.pos, line
         return None
 
     def peek(self) -> Optional[tuple[int, str]]:
@@ -545,9 +565,10 @@ def parse_class(text: str) -> IRClass:
     return classes[0]
 
 
-def parse_classes(text: str) -> list[IRClass]:
-    """Parse a sequence of class definitions."""
-    cursor = _Cursor(text)
+def parse_classes(text: str, first_line: int = 1) -> list[IRClass]:
+    """Parse a sequence of class definitions; ``first_line`` is the line
+    number of ``text``'s first line in its document, for error messages."""
+    cursor = _Cursor(text, first_line)
     classes: list[IRClass] = []
     while True:
         item = cursor.next_meaningful()

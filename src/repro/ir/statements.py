@@ -8,9 +8,9 @@ structured Java control flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
+from .._record import record
 from .values import (
     ArrayRef,
     ConditionExpr,
@@ -49,7 +49,7 @@ class Stmt:
         return False
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class AssignStmt(Stmt):
     """``target = value`` where value may be a composite expression."""
 
@@ -73,7 +73,7 @@ class AssignStmt(Stmt):
         return f"{self.target} = {self.value}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class InvokeStmt(Stmt):
     """A call whose return value (if any) is discarded."""
 
@@ -89,7 +89,7 @@ class InvokeStmt(Stmt):
         return f"invoke {self.expr}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class IfStmt(Stmt):
     """``if cond goto target`` — falls through when the condition is false."""
 
@@ -103,7 +103,7 @@ class IfStmt(Stmt):
         return f"if {self.condition} goto {self.target}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class GotoStmt(Stmt):
     target: str
 
@@ -115,7 +115,7 @@ class GotoStmt(Stmt):
         return f"goto {self.target}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ReturnStmt(Stmt):
     value: Optional[Value] = None
 
@@ -130,7 +130,7 @@ class ReturnStmt(Stmt):
         return "return" if self.value is None else f"return {self.value}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ThrowStmt(Stmt):
     value: Value
 
@@ -145,7 +145,7 @@ class ThrowStmt(Stmt):
         return f"throw {self.value}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class NopStmt(Stmt):
     """No-op; also used as a label anchor for empty join points."""
 

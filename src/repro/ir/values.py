@@ -15,8 +15,9 @@ representation keeps the substrate honest without gratuitous machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
+
+from .._record import field, record
 
 #: Java-style primitive and common reference type names used throughout.
 VOID = "void"
@@ -29,7 +30,7 @@ THROWABLE = "java.lang.Throwable"
 IO_EXCEPTION = "java.io.IOException"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class MethodSig:
     """A fully qualified method signature.
 
@@ -55,7 +56,7 @@ class MethodSig:
         return f"{self.return_type} {self.class_name}.{self.name}({params})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class FieldSig:
     """A fully qualified field signature."""
 
@@ -74,7 +75,7 @@ class Value:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Local(Value):
     """A method-local variable (parameters and ``this`` are locals too)."""
 
@@ -97,7 +98,7 @@ class Local(Value):
 THIS = Local("this")
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Const(Value):
     """A literal constant: int, float, bool, str, or None (Java null)."""
 
@@ -126,7 +127,7 @@ class Expr(Value):
         return ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class NewExpr(Expr):
     """Object allocation: ``new C``. Constructor call is a separate invoke."""
 
@@ -136,7 +137,7 @@ class NewExpr(Expr):
         return f"new {self.class_name}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class NewArrayExpr(Expr):
     """Array allocation: ``new T[size]``."""
 
@@ -159,7 +160,7 @@ KIND_INTERFACE = "interface"
 INVOKE_KINDS = frozenset({KIND_VIRTUAL, KIND_STATIC, KIND_SPECIAL, KIND_INTERFACE})
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class InvokeExpr(Expr):
     """A method invocation.
 
@@ -197,7 +198,7 @@ class InvokeExpr(Expr):
         return f"{self.base}.{self.sig.name}({args})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class FieldRef(Expr):
     """Instance (``base != None``) or static (``base == None``) field access.
 
@@ -215,7 +216,7 @@ class FieldRef(Expr):
         return f"{owner}.{self.sig.name}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ArrayRef(Expr):
     """Array element access ``base[index]`` (rvalue or assignment target)."""
 
@@ -233,7 +234,7 @@ class ArrayRef(Expr):
 BINARY_OPS = frozenset({"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", "cmp"})
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class BinaryExpr(Expr):
     op: str
     left: Value
@@ -250,7 +251,7 @@ class BinaryExpr(Expr):
         return f"{self.left} {self.op} {self.right}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class UnaryExpr(Expr):
     op: str  # "neg" or "not"
     operand: Value
@@ -262,7 +263,7 @@ class UnaryExpr(Expr):
         return f"{self.op} {self.operand}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class CastExpr(Expr):
     type_name: str
     value: Value
@@ -274,7 +275,7 @@ class CastExpr(Expr):
         return f"({self.type_name}) {self.value}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class InstanceOfExpr(Expr):
     value: Value
     type_name: str
@@ -286,7 +287,7 @@ class InstanceOfExpr(Expr):
         return f"{self.value} instanceof {self.type_name}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LengthExpr(Expr):
     """Array length ``lengthof v``."""
 
@@ -299,7 +300,7 @@ class LengthExpr(Expr):
         return f"lengthof {self.value}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class CaughtExceptionExpr(Expr):
     """The ``@caughtexception`` pseudo-value bound at a handler entry."""
 
@@ -315,7 +316,7 @@ COND_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 _COND_NEGATION = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ConditionExpr(Expr):
     """A branch condition ``left op right`` (operands are atomic)."""
 

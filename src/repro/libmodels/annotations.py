@@ -14,10 +14,10 @@ notification check needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
+from .._record import field, record
 from ..ir.values import InvokeExpr
 
 
@@ -36,7 +36,7 @@ class HttpMethod(Enum):
     ANY = "ANY"  # determined by a parameter or unknown
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TargetAPI:
     """An API that submits a network request."""
 
@@ -61,7 +61,7 @@ class TargetAPI:
         return f"{self.class_name}.{self.method}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConfigAPI:
     """An API that configures a client/request object."""
 
@@ -84,7 +84,7 @@ class ConfigAPI:
         return f"{self.class_name}.{self.method}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ResponseCheckAPI:
     """An API that checks response validity before the body is used."""
 
@@ -102,7 +102,7 @@ class CallbackRole(Enum):
     COMBINED = "combined"  # one callback carries both outcomes
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CallbackSpec:
     """A library callback interface method (e.g. Volley's
     ``Response.ErrorListener.onErrorResponse``)."""
@@ -118,7 +118,7 @@ class CallbackSpec:
     response_param_index: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LibraryDefaults:
     """Behaviour when the app never calls the config APIs."""
 
@@ -137,7 +137,7 @@ class LibraryDefaults:
     backoff_multiplier: float = 1.0
 
 
-@dataclass
+@record
 class LibraryModel:
     """Everything NChecker knows about one network library."""
 

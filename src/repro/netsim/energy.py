@@ -16,12 +16,11 @@ magnitude more than the exponential-backoff fix over the same horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from .runtime import RunReport
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RadioProfile:
     """Power draw (milliwatts) of the three radio states."""
 
@@ -40,7 +39,7 @@ CELLULAR_3G = RadioProfile("3G", active_mw=800.0, tail_mw=460.0, tail_ms=12_500.
 WIFI_RADIO = RadioProfile("WiFi", active_mw=400.0, tail_mw=120.0, tail_ms=240.0, idle_mw=8.0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EnergyEstimate:
     """Breakdown of the radio energy for one run (millijoules)."""
 

@@ -10,15 +10,15 @@ packet loss Figure 3 of the paper measures.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
+from .._record import record
 from ..libmodels.annotations import LibraryDefaults
 from .link import LinkProfile
 from . import tcp
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RequestPolicy:
     """Effective request policy (after app configuration or defaults)."""
 
@@ -40,7 +40,7 @@ class RequestPolicy:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RequestResult:
     """Outcome of one simulated HTTP request (all attempts included)."""
 

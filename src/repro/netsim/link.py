@@ -7,10 +7,12 @@ presets the experiment swept (3G with/without added packet loss).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+
+from .._record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinkProfile:
     """Characteristics of one (simulated) network path."""
 
@@ -51,7 +53,7 @@ PROFILES: dict[str, LinkProfile] = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinkSchedule:
     """A mobility timeline: which link the device is on at each instant.
 

@@ -24,9 +24,9 @@ Library semantics implemented:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .._record import field, record
 from ..app.apk import APK
 from ..ir.method import IRMethod
 from ..ir.statements import (
@@ -85,7 +85,7 @@ class BudgetExceeded(Exception):
     """The statement budget ran out (spinning loop)."""
 
 
-@dataclass
+@record
 class SimObject:
     """A heap object."""
 
@@ -95,7 +95,7 @@ class SimObject:
     policy: Optional[RequestPolicy] = None
 
 
-@dataclass
+@record
 class RunReport:
     """What the user experienced during one entry-point execution."""
 

@@ -16,8 +16,8 @@ which is what a conditioner-throttled 3G path presents anyway.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from .._record import record
 from .link import LinkProfile
 
 #: Maximum segment size (bytes).
@@ -37,7 +37,7 @@ MAX_SYN_ATTEMPTS = 6
 BURST_FACTOR = 3.0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TransferOutcome:
     """Result of simulating one TCP transfer."""
 

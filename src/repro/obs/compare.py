@@ -35,10 +35,10 @@ An options-fingerprint mismatch is itself a regression: comparing a
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .._record import field, record
 from .profile import flatten_profile
 
 #: Relative wall-time threshold: 0.20 means a timing may grow 20% before
@@ -103,7 +103,7 @@ def _is_deterministic(counter: str) -> bool:
     return not counter.startswith(NONDETERMINISTIC_COUNTER_PREFIXES)
 
 
-@dataclass
+@record
 class CompareResult:
     """The outcome of one baseline/current diff."""
 

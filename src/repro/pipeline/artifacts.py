@@ -20,9 +20,9 @@ method artifacts by :data:`MethodKey`, not ``id(method)``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from .._record import record
 from ..callgraph.entrypoints import MethodKey, method_key
 from ..obs import span
 from ..obs.metrics import MetricsRegistry
@@ -39,7 +39,7 @@ if TYPE_CHECKING:
     from ..libmodels.annotations import LibraryRegistry
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ArtifactKey:
     """Typed handle for one class of derived artifact.
 

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import json
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
+from .._record import field, record
 from ..core.checker import NCheckerOptions
 from ..obs import Tracer, span, use_metrics, use_tracer
 
@@ -40,7 +40,7 @@ if TYPE_CHECKING:
     from ..corpus.profiles import CorpusProfile
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _ScanTask:
     """Picklable work order for one app file."""
 
@@ -61,7 +61,7 @@ class _ScanTask:
     want_profile: bool = False
 
 
-@dataclass
+@record
 class ScanPayload:
     """Rendered scan output for one app (or the error that prevented it).
 
@@ -229,7 +229,7 @@ def _load_and_render(task: _ScanTask) -> ScanPayload:
     )
 
 
-@dataclass
+@record
 class BatchScanner:
     """Fan app scans across processes with input-order-stable output.
 

@@ -8,7 +8,7 @@ these for a stable *persistent id* (``("method", key)``,
 ids against the live session, so a cached summary engine comes back
 wired to the freshly loaded APK's method objects and to whatever call
 graph the store holds.  Everything else in an artifact is plain frozen
-dataclasses and containers, pickled by value.
+records and containers, pickled by value.
 
 Every encoded blob carries a ``NCKC``-magic header with the cache
 format version and a blake2b checksum of the payload.  Decoding is

@@ -40,10 +40,10 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from ..._record import record
 from ...obs import get_logger
 from . import fingerprints
 
@@ -55,7 +55,7 @@ log = get_logger("cachestore.local")
 GC_GRACE_SECONDS = 60.0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EntryKey:
     """Address of one cache entry.
 
@@ -74,7 +74,7 @@ class EntryKey:
         return f"{self.kind}-{self.digest}.bin"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EntryInfo:
     """One stored entry, as enumerated by ``list_entries``."""
 
@@ -127,7 +127,7 @@ def format_size(n: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class CacheStats:
     """What ``nchecker cache stats`` prints: aggregate entry counts and
     bytes, broken down per artifact kind (so cache growth is

@@ -17,9 +17,9 @@ options.  The scheduler
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from .._record import record
 from .artifacts import (
     ARTIFACTS,
     CALLGRAPH,
@@ -45,7 +45,7 @@ _APP_ARTIFACT_ORDER: tuple[ArtifactKey, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScheduledPass:
     """One enabled check with its resolved artifact reads."""
 
@@ -57,7 +57,7 @@ class ScheduledPass:
         return self.check.name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScanPlan:
     """What one scan will run and build — inspectable before execution."""
 

@@ -26,9 +26,9 @@ come from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from .._record import field, record
 from ..obs import metrics, span
 from .artifacts import (
     ICC_MODEL,
@@ -281,7 +281,7 @@ class ScanSession:
         )
 
 
-@dataclass
+@record
 class SessionCache:
     """One scan session per APK package, keyed by content fingerprint.
 

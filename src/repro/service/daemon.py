@@ -21,9 +21,9 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .._record import record
 from ..core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NCheckerOptions
 from ..obs import chrome_trace, empty_snapshot, get_logger, merge_snapshots
 from ..pipeline.batch import json_document, sarif_document
@@ -43,7 +43,7 @@ from .worker import execute_scan
 log = get_logger("service")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ServiceConfig:
     """Everything ``nchecker serve`` configures."""
 

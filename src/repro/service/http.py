@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Optional
 from urllib.parse import parse_qsl, unquote, urlsplit
 
+from .._record import field, record
 from ..obs import get_logger
 
 log = get_logger("service.http")
@@ -49,7 +49,7 @@ class ProtocolError(Exception):
         self.status = status
 
 
-@dataclass
+@record
 class Request:
     """One parsed HTTP request."""
 
@@ -78,7 +78,7 @@ class Request:
         return decoded
 
 
-@dataclass
+@record
 class Response:
     """One HTTP response; the server adds Content-Length and closes."""
 

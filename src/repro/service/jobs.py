@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .._record import field, record
 from ..pipeline.batch import ScanPayload
 
 #: States a job moves through.  ``queued`` means admitted but not yet
@@ -26,7 +26,7 @@ JOB_STATES = ("queued", "running", "done", "failed")
 ACTIVE_STATES = frozenset({"queued", "running"})
 
 
-@dataclass
+@record
 class Job:
     """One scan submission and, once finished, its rendered results."""
 

@@ -24,7 +24,7 @@ from ..pipeline.batch import ScanPayload, render_payload, with_telemetry
 
 #: One warm checker per options profile, living as long as the worker
 #: process — the daemon's "persistent pool" promise.  Keyed by the
-#: frozen options dataclass itself.
+#: frozen options record itself.
 _CHECKERS: dict = {}
 
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
+from .._record import record
 from ..core.defects import DefectKind
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StudyTask:
     """One row of Table 10."""
 
@@ -105,7 +105,7 @@ STUDY_TASKS: tuple[StudyTask, ...] = (
 N_PARTICIPANTS = 20
 
 
-@dataclass
+@record
 class TaskResult:
     """Aggregated outcome for one task across participants."""
 
@@ -125,7 +125,7 @@ class TaskResult:
         return 1.96 * math.sqrt(variance / n)
 
 
-@dataclass
+@record
 class StudyResult:
     tasks: list[TaskResult]
 

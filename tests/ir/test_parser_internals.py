@@ -97,3 +97,45 @@ class TestStatementEdgeCases:
         bare ValueError from the value layer."""
         with pytest.raises(ParseError):
             parse_stmt(line)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "invoke virtual q:com.R#add request",  # invoke without "("
+            "x = invoke virtual q:com.R#add request",
+            "putfield this com.A.conn",  # store without " = value"
+            "putfield this = conn",  # putfield without a field
+            "putstatic com.A.count",
+            "astore arr 0",
+            "astore arr = v",  # astore without an index
+            "x = newarray int",  # newarray without a size
+            "x = getfield this",  # getfield without a field
+            "x = aload arr",  # aload without an index
+            "x = cast int",  # cast without a value
+        ],
+    )
+    def test_malformed_statement_names_its_line(self, line):
+        """Every malformed statement form raises ParseError carrying the
+        line number and the offending text, never a bare Python error
+        such as "substring not found" or "not enough values to unpack"."""
+        with pytest.raises(ParseError) as excinfo:
+            parse_stmt(line, line_no=26)
+        message = str(excinfo.value)
+        assert message.startswith("line 26: ")
+        assert excinfo.value.line_no == 26
+        assert line.split(" = ", 1)[-1] in message or line in message
+
+
+def test_document_errors_give_the_document_line():
+    """A statement error deep in an ``.apkt`` names its line in the file,
+    not in the class section after the manifest."""
+    from pathlib import Path
+
+    from repro.app.loader import loads_apk
+
+    path = Path(__file__).resolve().parents[2] / "examples" / "apps" / "newsreader.apkt"
+    lines = path.read_text().splitlines()
+    assert "#add(request)" in lines[25]
+    lines[25] = lines[25].replace("#add(request)", "#add request")
+    with pytest.raises(ParseError, match="^line 26: invoke missing opening parenthesis"):
+        loads_apk("\n".join(lines))

@@ -1,6 +1,7 @@
 """Import layering: what ``nchecker scan`` loads, and the lazy package
 exports that keep it small (docs/ARCHITECTURE.md, "Import layering")."""
 
+import ast
 import importlib
 import json
 import os
@@ -95,6 +96,52 @@ class TestImportBudget:
         _assert_off_scan_path_absent(modules)
         assert "repro.pipeline.batch" in modules
         assert len(modules) <= 80, modules
+
+
+class TestRecords:
+    """Records are built by ``repro._record.record``, never by
+    ``dataclasses.dataclass`` (docs/ARCHITECTURE.md, "Records")."""
+
+    SCAN = (
+        "import contextlib, io, repro.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = repro.cli.main(['scan', '--json', {str(NEWSREADER)!r}])\n"
+        "assert code == 1, code\n"
+    )
+
+    def test_default_scan_builds_no_dataclass(self):
+        result = _python(
+            "import dataclasses\n"
+            "built = []\n"
+            "stdlib = dataclasses.dataclass\n"
+            "def counting(cls=None, /, **options):\n"
+            "    def wrap(cls):\n"
+            "        built.append(cls.__qualname__)\n"
+            "        return stdlib(**options)(cls)\n"
+            "    return wrap if cls is None else wrap(cls)\n"
+            "dataclasses.dataclass = counting\n"
+            + self.SCAN
+            + "print(len(built), built)\n"
+        )
+        assert result.stdout.startswith("0 "), result.stdout
+
+    def test_default_scan_does_not_import_dataclasses(self):
+        result = _python(
+            self.SCAN + "import sys\nprint('dataclasses' in sys.modules)\n"
+        )
+        assert result.stdout.strip() == "False", result.stdout
+
+    def test_no_module_declares_a_dataclass(self):
+        offenders = []
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                    if any(alias.name == "dataclass" for alias in node.names):
+                        offenders.append(f"{path.name}:{node.lineno}")
+                elif isinstance(node, ast.Attribute) and node.attr == "dataclass":
+                    if isinstance(node.value, ast.Name) and node.value.id == "dataclasses":
+                        offenders.append(f"{path.name}:{node.lineno}")
+        assert not offenders, offenders
 
 
 class TestLazyExports:
