@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .app.loader import dumps_apk, load_apk
 from .core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NChecker, NCheckerOptions
-from .obs import get_logger
+from .obs import NULL_SPAN, Tracer, get_logger, span, use_tracer
 
 log = get_logger("cli")
 
@@ -54,7 +54,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         enabled_checks=_enabled_checks(args),
     )
-    from .pipeline.batch import BatchScanner, json_document, sarif_document
+    from .pipeline.batch import BatchScanner
 
     # --trace / --metrics / --stats / --profile / --ledger all ride on
     # the worker telemetry round-trip; none of them touch stdout, which
@@ -88,32 +88,59 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         want_profile=want_metrics,
         progress=progress,
     )
+    # The parent's own spans (rendering and writing the output) join the
+    # workers' in the trace and the profile tree.
+    render_tracer = Tracer(enabled=want_trace or want_metrics)
+    with use_tracer(render_tracer):
+        exit_code = _write_scan_output(args, payloads)
+    if exit_code != 2 and (want_trace or want_metrics):
+        code = _write_scan_telemetry(
+            args, payloads, options, render_tracer.export()
+        )
+        if code:
+            return code
+    return exit_code
+
+
+def _write_scan_output(args: argparse.Namespace, payloads) -> int:
+    """Print the reports (or the ``--json`` document) and write the
+    ``--sarif`` log.  Returns 1 when any app has findings, else 0, and 2
+    when the log cannot be written; exits 2 at the first app that failed
+    to load, after the reports of the apps before it."""
+    text_mode = not (args.json or args.sarif)
     exit_code = 0
-    for payload in payloads:
-        if not payload.ok:
-            print(payload.error, file=sys.stderr)
-            raise SystemExit(2)
-        if payload.n_findings:
-            exit_code = 1
-        if args.json or args.sarif:
-            continue
-        print(f"== {payload.package}: {payload.n_findings} NPD(s), "
-              f"{payload.n_requests} request(s) ==")
-        if args.stats:
-            for label, value in payload.stats_rows:
-                print(f"  {label}: {value}")
-        if args.summary:
-            for kind, count in payload.summary_counts:
-                print(f"  {kind}: {count}")
-        else:
-            for text in payload.report_texts:
-                print(text)
-                print()
+    with span("render.text") if text_mode else NULL_SPAN:
+        for payload in payloads:
+            if not payload.ok:
+                print(payload.error, file=sys.stderr)
+                raise SystemExit(2)
+            if payload.n_findings:
+                exit_code = 1
+            if not text_mode:
+                continue
+            print(f"== {payload.package}: {payload.n_findings} NPD(s), "
+                  f"{payload.n_requests} request(s) ==")
+            if args.stats:
+                for label, value in payload.stats_rows:
+                    print(f"  {label}: {value}")
+            if args.summary:
+                for kind, count in payload.summary_counts:
+                    print(f"  {kind}: {count}")
+            else:
+                for text in payload.report_texts:
+                    print(text)
+                    print()
+    from .pipeline.batch import json_chunks, sarif_chunks
+
+    # Both documents go out piece by piece as they are encoded, so the
+    # parent never holds one whole.
     if args.json:
-        sys.stdout.write(json_document(payloads))
+        with span("render.json"):
+            sys.stdout.writelines(json_chunks(payloads))
     if args.sarif:
         try:
-            Path(args.sarif).write_text(sarif_document(payloads))
+            with span("render.sarif"), open(args.sarif, "w") as out:
+                out.writelines(sarif_chunks(payloads))
         except OSError as exc:
             print(f"error: cannot write SARIF log to {args.sarif}: {exc}",
                   file=sys.stderr)
@@ -121,23 +148,28 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         # Diagnostics go through the logger (stderr), so machine-readable
         # stdout (--json / --sarif) is never polluted.
         log.info("wrote SARIF log for %d app(s) to %s", len(payloads), args.sarif)
-    if want_trace or want_metrics:
-        code = _write_scan_telemetry(args, payloads, options)
-        if code:
-            return code
     return exit_code
 
 
-def _write_scan_telemetry(args: argparse.Namespace, payloads, options) -> int:
-    """Merge worker telemetry and surface it (--trace/--metrics/--stats/
-    --profile), then append the run to the ledger when asked
-    (--ledger, or $NCHECKER_LEDGER_DIR in the environment)."""
+def _write_scan_telemetry(
+    args: argparse.Namespace, payloads, options, render_events: list
+) -> int:
+    """Merge worker telemetry with the parent's ``render_events`` and
+    surface it (--trace/--metrics/--stats/--profile), then append the run
+    to the ledger when asked (--ledger, or $NCHECKER_LEDGER_DIR in the
+    environment)."""
     import json
 
-    from .obs import chrome_trace, merge_snapshots, render_telemetry
+    from .obs import (
+        chrome_trace,
+        merge_snapshots,
+        profile_from_events,
+        render_telemetry,
+    )
 
     if args.trace:
         events = [event for p in payloads for event in p.trace_events]
+        events += render_events
         try:
             Path(args.trace).write_text(json.dumps(chrome_trace(events)))
         except OSError as exc:
@@ -145,12 +177,15 @@ def _write_scan_telemetry(args: argparse.Namespace, payloads, options) -> int:
                   file=sys.stderr)
             return 2
         log.info("wrote Chrome trace (%d events) to %s", len(events), args.trace)
-    merged = merge_snapshots(
-        [p.metrics_snapshot for p in payloads if p.metrics_snapshot]
-    )
+    merged = merge_snapshots([
+        *(p.metrics_snapshot for p in payloads if p.metrics_snapshot),
+        {"profile": profile_from_events(render_events)},
+    ])
     if args.metrics_out:
+        from ._jsonwriter import dumps
+
         try:
-            Path(args.metrics_out).write_text(json.dumps(merged, indent=2))
+            Path(args.metrics_out).write_text(dumps(merged))
         except OSError as exc:
             print(f"error: cannot write metrics to {args.metrics_out}: {exc}",
                   file=sys.stderr)
@@ -437,8 +472,7 @@ def _bench_export(record: dict) -> dict:
 
 
 def _cmd_bench_record(args: argparse.Namespace) -> int:
-    import json
-
+    from ._jsonwriter import dumps
     from .obs import RunLedger, resolve_ledger_dir
 
     apps = _bench_apps(args)
@@ -468,7 +502,7 @@ def _cmd_bench_record(args: argparse.Namespace) -> int:
         if path.parent and not path.parent.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            path.write_text(json.dumps(export, indent=2) + "\n")
+            path.write_text(dumps(export) + "\n")
         except OSError as exc:
             print(f"error: cannot write {out}: {exc}", file=sys.stderr)
             return 2

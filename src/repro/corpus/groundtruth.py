@@ -174,6 +174,6 @@ def ledger_entry(truth: AppGroundTruth) -> dict:
 
 def dumps_ledger(truths: list[AppGroundTruth]) -> str:
     """The ``groundtruth.json`` ledger for a generated corpus."""
-    import json
+    from .._jsonwriter import dumps
 
-    return json.dumps([ledger_entry(truth) for truth in truths], indent=2) + "\n"
+    return dumps([ledger_entry(truth) for truth in truths]) + "\n"

@@ -4,10 +4,10 @@ JSON for everything), so figures can be re-plotted outside this repo."""
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Any
 
+from .._jsonwriter import dumps
 from .experiments import ExperimentReport
 
 
@@ -20,13 +20,12 @@ def export_report(report: ExperimentReport, directory: Path) -> list[Path]:
 
     json_path = directory / f"{report.exp_id}.json"
     json_path.write_text(
-        json.dumps(
+        dumps(
             {
                 "id": report.exp_id,
                 "title": report.title,
                 "data": _jsonable(report.data),
             },
-            indent=2,
             sort_keys=True,
         )
         + "\n"

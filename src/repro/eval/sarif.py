@@ -10,9 +10,9 @@ index within the ``.apkt`` artifact.
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
+from .._jsonwriter import dumps
 from ..core.checker import ScanResult
 from ..core.defects import DefectKind, Impact, defect_info
 from ..core.findings import Finding
@@ -133,4 +133,4 @@ def sarif_log(
 def dumps_sarif(
     results: list[ScanResult], artifact_uris: Optional[list[Optional[str]]] = None
 ) -> str:
-    return json.dumps(sarif_log(results, artifact_uris), indent=2)
+    return dumps(sarif_log(results, artifact_uris))

@@ -10,45 +10,117 @@ knob instead of hunting down prints.
 
 Verbosity mapping (:func:`configure_logging`): ``-1`` or lower → errors
 only, ``0`` (default) → info, ``1`` or higher → debug.
+
+The stdlib ``logging`` package (with the ``traceback``, ``linecache``,
+``tokenize`` and ``string`` it pulls in, about 10 ms) loads only when a
+record at or above the configured level is emitted, so a scan that logs
+nothing never imports it.  :func:`get_logger` hands out a stand-in that
+drops records below that level itself while ``logging`` is not loaded,
+and forwards everything to the real logger once it is;
+:func:`configure_logging` records the level and sets up the real logger
+when ``logging`` loads.
 """
 
 from __future__ import annotations
 
-import logging
 import sys
+from typing import Optional
 
 ROOT_LOGGER = "nchecker"
 
+DEBUG, INFO, WARNING, ERROR = 10, 20, 30, 40
 
-class _DynamicStderrHandler(logging.Handler):
-    """Writes to the *current* ``sys.stderr`` (looked up per record, not
-    captured at handler creation — test harnesses swap the stream)."""
-
-    def emit(self, record: logging.LogRecord) -> None:
-        try:
-            sys.stderr.write(self.format(record) + "\n")
-        except Exception:  # pragma: no cover - never raise out of logging
-            self.handleError(record)
-
-
-def get_logger(name: str = "") -> logging.Logger:
-    """The ``nchecker`` logger, or a child (``get_logger("cli")``)."""
-    return logging.getLogger(f"{ROOT_LOGGER}.{name}" if name else ROOT_LOGGER)
+#: Records below this level cannot be emitted while ``logging`` is not
+#: loaded: the configured level, or before configuration the root
+#: logger's default, ``WARNING``.
+_threshold = WARNING
+#: The configured level, applied to the real logger when ``logging``
+#: loads (``None``: nothing to apply).
+_pending_level: Optional[int] = None
 
 
-def configure_logging(verbosity: int = 0) -> logging.Logger:
-    """Attach the stderr handler (idempotent) and set the level from the
-    CLI's ``--quiet``/``--verbose`` count."""
-    logger = get_logger()
-    if not any(isinstance(h, _DynamicStderrHandler) for h in logger.handlers):
+class _LazyLogger:
+    """A ``logging.Logger`` stand-in with the calls the package makes."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def _log(self, level: int, method: str, msg, args, kwargs) -> None:
+        if level < _threshold and "logging" not in sys.modules:
+            return
+        getattr(_real_logger(self.name), method)(msg, *args, **kwargs)
+
+    def debug(self, msg, *args, **kwargs) -> None:
+        self._log(DEBUG, "debug", msg, args, kwargs)
+
+    def info(self, msg, *args, **kwargs) -> None:
+        self._log(INFO, "info", msg, args, kwargs)
+
+    def warning(self, msg, *args, **kwargs) -> None:
+        self._log(WARNING, "warning", msg, args, kwargs)
+
+    def error(self, msg, *args, **kwargs) -> None:
+        self._log(ERROR, "error", msg, args, kwargs)
+
+    def exception(self, msg, *args, **kwargs) -> None:
+        self._log(ERROR, "exception", msg, args, kwargs)
+
+
+def _real_logger(name: str):
+    """The ``logging`` logger ``name``, with any pending configuration
+    applied first."""
+    import logging
+
+    if _pending_level is not None:
+        _apply_configuration()
+    return logging.getLogger(name)
+
+
+def _apply_configuration() -> None:
+    """Attach the stderr handler (once) and set the pending level."""
+    global _pending_level
+    import logging
+
+    class _DynamicStderrHandler(logging.Handler):
+        """Writes to the *current* ``sys.stderr`` (looked up per record,
+        not captured at handler creation — test harnesses swap the
+        stream)."""
+
+        def emit(self, record) -> None:
+            try:
+                sys.stderr.write(self.format(record) + "\n")
+            except Exception:  # pragma: no cover - never raise out of logging
+                self.handleError(record)
+
+    logger = logging.getLogger(ROOT_LOGGER)
+    if not any(getattr(h, "nchecker_stderr", False) for h in logger.handlers):
         handler = _DynamicStderrHandler()
+        handler.nchecker_stderr = True
         handler.setFormatter(logging.Formatter("%(message)s"))
         logger.addHandler(handler)
     logger.propagate = False
+    logger.setLevel(_pending_level)
+    _pending_level = None
+
+
+def get_logger(name: str = "") -> _LazyLogger:
+    """The ``nchecker`` logger, or a child (``get_logger("cli")``)."""
+    return _LazyLogger(f"{ROOT_LOGGER}.{name}" if name else ROOT_LOGGER)
+
+
+def configure_logging(verbosity: int = 0) -> _LazyLogger:
+    """Attach the stderr handler (idempotent) and set the level from the
+    CLI's ``--quiet``/``--verbose`` count."""
+    global _threshold, _pending_level
     if verbosity < 0:
-        logger.setLevel(logging.ERROR)
+        _threshold = ERROR
     elif verbosity == 0:
-        logger.setLevel(logging.INFO)
+        _threshold = INFO
     else:
-        logger.setLevel(logging.DEBUG)
-    return logger
+        _threshold = DEBUG
+    _pending_level = _threshold
+    if "logging" in sys.modules:
+        _real_logger(ROOT_LOGGER)
+    return get_logger()

@@ -15,8 +15,10 @@ byte-identical across job counts, by construction.
 The ``nchecker serve`` daemon reuses all of it but the loading: its
 workers scan submitted text into the same payload
 (:func:`render_payload`, under :func:`with_telemetry`), and both front
-ends print :func:`json_document` / :func:`sarif_document` — one
-renderer, so the daemon's bytes are the CLI's.
+ends print :func:`json_chunks` / :func:`sarif_chunks` — one renderer, so
+the daemon's bytes are the CLI's.  The CLI writes those pieces as they
+are produced; the daemon joins them into a body
+(:func:`json_document` / :func:`sarif_document`).
 
 :func:`scan_corpus` applies the same fan-out to the synthetic evaluation
 corpus (generation is deterministic per app index, so workers regenerate
@@ -25,11 +27,11 @@ their slice instead of shipping APKs over the pipe).
 
 from __future__ import annotations
 
-import json
 from contextlib import nullcontext
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
+from .._jsonwriter import iter_chunks
 from .._record import field, record
 from ..core.checker import NCheckerOptions
 from ..obs import Tracer, span, use_metrics, use_tracer
@@ -65,9 +67,11 @@ class _ScanTask:
 class ScanPayload:
     """Rendered scan output for one app (or the error that prevented it).
 
-    Everything the CLI and the daemon print is pre-rendered here, in the
-    worker, so the parent process only concatenates strings — the key to
-    byte-identical output across ``--jobs`` values and front ends.
+    Everything the CLI and the daemon print is computed here, in the
+    worker, so the parent process only encodes and writes it — the key
+    to byte-identical output across ``--jobs`` values and front ends.
+    The JSON and SARIF parts stay dicts (the daemon's job view embeds
+    ``json_dict``); the parent encodes them piece by piece.
     """
 
     path: str
@@ -167,22 +171,37 @@ def render_payload(
     return payload
 
 
-def json_document(payloads: Sequence[ScanPayload]) -> str:
-    """The ``scan --json`` document, trailing newline included (also the
-    daemon's ``/findings`` body)."""
-    return json.dumps([p.json_dict for p in payloads], indent=2) + "\n"
+def json_chunks(payloads: Sequence[ScanPayload]) -> Iterator[str]:
+    """The ``scan --json`` document in pieces, trailing newline included
+    (the daemon's ``/findings`` body joins them): one piece per request,
+    finding and top-level field of each app, so a writer never holds the
+    whole document."""
+    yield from iter_chunks([p.json_dict for p in payloads], depth=3)
+    yield "\n"
 
 
-def sarif_document(payloads: Sequence[ScanPayload]) -> str:
-    """The log ``scan --sarif FILE`` writes, with no trailing newline
-    (also the daemon's ``/sarif`` body)."""
+def sarif_chunks(payloads: Sequence[ScanPayload]) -> Iterator[str]:
+    """The log ``scan --sarif FILE`` writes, in pieces (one per SARIF
+    result), with no trailing newline (the daemon's ``/sarif`` body
+    joins them)."""
     from ..eval.sarif import assemble_sarif_log
 
     sarif_log = assemble_sarif_log(
         [kind for p in payloads for kind in p.sarif_kind_values],
         [result for p in payloads for result in p.sarif_results],
     )
-    return json.dumps(sarif_log, indent=2)
+    # log -> runs -> run -> results -> one piece per result
+    yield from iter_chunks(sarif_log, depth=4)
+
+
+def json_document(payloads: Sequence[ScanPayload]) -> str:
+    """:func:`json_chunks` joined."""
+    return "".join(json_chunks(payloads))
+
+
+def sarif_document(payloads: Sequence[ScanPayload]) -> str:
+    """:func:`sarif_chunks` joined."""
+    return "".join(sarif_chunks(payloads))
 
 
 def _scan_payload(task: _ScanTask) -> ScanPayload:
@@ -275,9 +294,13 @@ class BatchScanner:
             return payloads
         from concurrent.futures import ProcessPoolExecutor
 
+        # About four chunks per worker: one pipe round trip per chunk
+        # instead of per app, still small enough to balance the load
+        # (285-app corpus, --jobs 2, 2-vCPU VM: less CPU in 6 of 8 runs).
+        chunksize = max(1, len(tasks) // (4 * self.jobs))
         with ProcessPoolExecutor(max_workers=min(self.jobs, len(tasks))) as pool:
             payloads = []
-            for payload in pool.map(fn, tasks):
+            for payload in pool.map(fn, tasks, chunksize=chunksize):
                 payloads.append(payload)
                 if progress is not None:
                     progress(len(payloads), len(tasks), payload)

@@ -116,10 +116,14 @@ class ScanService:
                     self.config.workers
                 )
             else:
+                import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
 
+                # Not `fork`: the daemon runs an event loop and threads,
+                # and forking a threaded process can deadlock the child.
                 self._executor = ProcessPoolExecutor(
-                    max_workers=self.config.workers
+                    max_workers=self.config.workers,
+                    mp_context=multiprocessing.get_context("spawn"),
                 )
         return self._executor
 

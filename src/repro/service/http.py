@@ -19,6 +19,7 @@ import json
 from typing import Awaitable, Callable, Optional
 from urllib.parse import parse_qsl, unquote, urlsplit
 
+from .._jsonwriter import dumps
 from .._record import field, record
 from ..obs import get_logger
 
@@ -91,7 +92,7 @@ class Response:
 def json_response(payload, status: int = 200, **headers: str) -> Response:
     """A JSON response; the document ends in a newline so curl output
     composes."""
-    body = json.dumps(payload, indent=2).encode("utf-8") + b"\n"
+    body = dumps(payload).encode("utf-8") + b"\n"
     return Response(status, body, "application/json", dict(headers))
 
 

@@ -207,3 +207,48 @@ class TestCli:
         main(["scan", "--profile", *APPS])
         profiled = capsys.readouterr().out
         assert plain == profiled
+
+
+class TestRenderSpans:
+    """The parent's rendering and writing show up as `render.*` spans
+    beside the workers' spans."""
+
+    @staticmethod
+    def _profile_rows(stderr, name):
+        return [
+            line.split() for line in stderr.splitlines()
+            if line.split()[:1] == [name]
+        ]
+
+    def test_sarif_scan_profiles_one_render_sarif_node(self, tmp_path, capsys):
+        plain_log, profiled_log = tmp_path / "plain.sarif", tmp_path / "p.sarif"
+        main(["scan", "--jobs", "2", "--sarif", str(plain_log), *APPS])
+        plain = capsys.readouterr()
+        main(["scan", "--jobs", "2", "--sarif", str(profiled_log), "--profile",
+              *APPS])
+        profiled = capsys.readouterr()
+        rows = self._profile_rows(profiled.err, "render.sarif")
+        assert len(rows) == 1, profiled.err
+        assert rows[0][1] == "1"  # the count column
+        assert profiled_log.read_bytes() == plain_log.read_bytes()
+        assert profiled.out == plain.out
+
+    def test_each_output_mode_has_its_span(self, tmp_path, capsys):
+        for argv, name in (([], "render.text"), (["--json"], "render.json")):
+            out = tmp_path / "m.json"
+            main(["scan", *argv, "--metrics", str(out), *APPS])
+            capsys.readouterr()
+            profile = json.loads(out.read_text())["profile"]
+            assert profile[name]["count"] == 1
+            others = {"render.text", "render.json", "render.sarif"} - {name}
+            assert not others & set(profile)
+
+    def test_render_spans_join_the_trace(self, tmp_path, capsys):
+        trace = tmp_path / "t.json"
+        main(["scan", "--jobs", "2", "--json", "--trace", str(trace), *APPS])
+        capsys.readouterr()
+        events = json.loads(trace.read_text())["traceEvents"]
+        render = [e for e in events if e["name"] == "render.json"]
+        assert [e["ph"] for e in render] == ["B", "E"]
+        workers = {e["pid"] for e in events if e["name"] == "scan"}
+        assert render[0]["pid"] not in workers

@@ -39,6 +39,22 @@ class TestPayloadParity:
         payloads = BatchScanner(jobs=4).scan_paths(paths)
         assert [p.path for p in payloads] == paths
 
+    def test_chunked_dispatch_keeps_order_and_progress(self, corpus_dir):
+        # 16 apps over 2 workers go out in chunks of 2.
+        paths = [str(p) for p in corpus_dir] * 4
+        heartbeats = {1: [], 2: []}
+        payloads = {
+            jobs: BatchScanner(jobs=jobs).scan_paths(
+                paths, want_json=True,
+                progress=lambda done, total, payload, jobs=jobs:
+                    heartbeats[jobs].append((done, total, payload.path)),
+            )
+            for jobs in (1, 2)
+        }
+        assert payloads[1] == payloads[2]
+        expected = [(i + 1, len(paths), path) for i, path in enumerate(paths)]
+        assert heartbeats[1] == heartbeats[2] == expected
+
     def test_error_payload_matches_serial_message(self, tmp_path):
         missing = str(tmp_path / "gone.apkt")
         (payload,) = BatchScanner(jobs=1).scan_paths([missing])

@@ -291,6 +291,18 @@ class TestMetricsMerge:
             handle.stop()
 
 
+class TestWorkerPool:
+    def test_pool_workers_are_not_forked_from_the_threaded_daemon(self):
+        # Forking a process that runs threads can deadlock the child
+        # (Python 3.12+ warns about it); the pool spawns its workers.
+        service = ScanService(ServiceConfig(port=0, workers=1))
+        pool = service._pool()
+        try:
+            assert pool._mp_context.get_start_method() == "spawn"
+        finally:
+            pool.shutdown()
+
+
 class TestCacheDefaults:
     def test_workers_run_without_a_cache_unless_one_is_named(
         self, monkeypatch

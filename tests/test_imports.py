@@ -97,6 +97,18 @@ class TestImportBudget:
         assert "repro.pipeline.batch" in modules
         assert len(modules) <= 80, modules
 
+    def test_default_json_scan_does_not_load_logging(self):
+        # A scan that logs nothing never imports `logging` (with its
+        # traceback/linecache/tokenize/string, about 10 ms).
+        result = _python(
+            "import contextlib, io, sys, repro.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = repro.cli.main(['scan', '--json', {str(NEWSREADER)!r}])\n"
+            "assert code == 1, code\n"
+            "print('logging' in sys.modules)\n"
+        )
+        assert result.stdout.strip() == "False", result.stdout
+
 
 class TestRecords:
     """Records are built by ``repro._record.record``, never by
