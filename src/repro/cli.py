@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from .app.loader import dumps_apk, load_apk
@@ -76,37 +77,83 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 done, total, label, payload.n_findings, payload.n_requests,
             )
 
-    scanner = BatchScanner(options=options, jobs=args.jobs)
-    payloads = scanner.scan_paths(
-        args.apps,
-        want_json=args.json,
-        want_sarif=bool(args.sarif),
-        want_stats=args.stats,
-        want_summary=args.summary,
-        want_trace=want_trace,
-        want_metrics=want_metrics,
-        want_profile=want_metrics,
-        progress=progress,
-    )
-    # The parent's own spans (rendering and writing the output) join the
-    # workers' in the trace and the profile tree.
-    render_tracer = Tracer(enabled=want_trace or want_metrics)
-    with use_tracer(render_tracer):
-        exit_code = _write_scan_output(args, payloads)
-    if exit_code != 2 and (want_trace or want_metrics):
-        code = _write_scan_telemetry(
-            args, payloads, options, render_tracer.export()
+    with ExitStack() as stack:
+        files = _open_scan_outputs(args, stack)
+        if files is None:
+            return 2
+        scanner = BatchScanner(options=options, jobs=args.jobs)
+        payloads = scanner.scan_paths(
+            args.apps,
+            want_json=args.json,
+            want_sarif=bool(args.sarif),
+            want_stats=args.stats,
+            want_summary=args.summary,
+            want_trace=want_trace,
+            want_metrics=want_metrics,
+            want_profile=want_metrics,
+            progress=progress,
         )
-        if code:
-            return code
+        # The parent's own spans (rendering and writing the output) join
+        # the workers' in the trace and the profile tree.
+        render_tracer = Tracer(enabled=want_trace or want_metrics)
+        with use_tracer(render_tracer):
+            exit_code = _write_scan_output(args, payloads, files)
+        if exit_code != 2 and (want_trace or want_metrics):
+            code = _write_scan_telemetry(
+                args, payloads, options, render_tracer.export(), files
+            )
+            if code:
+                return code
     return exit_code
 
 
-def _write_scan_output(args: argparse.Namespace, payloads) -> int:
+#: The files ``scan`` writes besides stdout: option dest → what its
+#: error message calls it.
+_SCAN_OUTPUT_FILES = {
+    "sarif": "SARIF log", "trace": "trace", "metrics_out": "metrics",
+}
+
+
+def _output_error(args: argparse.Namespace, dest: str, exc: OSError) -> None:
+    print(f"error: cannot write {_SCAN_OUTPUT_FILES[dest]} to "
+          f"{getattr(args, dest)}: {exc}", file=sys.stderr)
+
+
+def _open_scan_outputs(args: argparse.Namespace, stack: ExitStack):
+    """Open (truncate) the ``--sarif``/``--trace``/``--metrics`` files
+    before any app is scanned, so a path that cannot be written fails at
+    once.  Returns option dest → open file, or ``None`` after printing
+    the error."""
+    files = {}
+    for dest in _SCAN_OUTPUT_FILES:
+        if not getattr(args, dest):
+            continue
+        try:
+            files[dest] = stack.enter_context(open(getattr(args, dest), "w"))
+        except OSError as exc:
+            _output_error(args, dest, exc)
+            return None
+    return files
+
+
+def _write_and_close(args: argparse.Namespace, files, dest: str, pieces) -> bool:
+    """Write ``pieces`` into the open output file of ``dest`` and close
+    it; ``False`` after printing the error."""
+    try:
+        with files[dest] as out:
+            out.writelines(pieces)
+    except OSError as exc:
+        _output_error(args, dest, exc)
+        return False
+    return True
+
+
+def _write_scan_output(args: argparse.Namespace, payloads, files) -> int:
     """Print the reports (or the ``--json`` document) and write the
-    ``--sarif`` log.  Returns 1 when any app has findings, else 0, and 2
-    when the log cannot be written; exits 2 at the first app that failed
-    to load, after the reports of the apps before it."""
+    ``--sarif`` log into its open file.  Returns 1 when any app has
+    findings, else 0, and 2 when the log cannot be written; exits 2 at
+    the first app that failed to load, after the reports of the apps
+    before it."""
     text_mode = not (args.json or args.sarif)
     exit_code = 0
     with span("render.text") if text_mode else NULL_SPAN:
@@ -138,13 +185,9 @@ def _write_scan_output(args: argparse.Namespace, payloads) -> int:
         with span("render.json"):
             sys.stdout.writelines(json_chunks(payloads))
     if args.sarif:
-        try:
-            with span("render.sarif"), open(args.sarif, "w") as out:
-                out.writelines(sarif_chunks(payloads))
-        except OSError as exc:
-            print(f"error: cannot write SARIF log to {args.sarif}: {exc}",
-                  file=sys.stderr)
-            return 2
+        with span("render.sarif"):
+            if not _write_and_close(args, files, "sarif", sarif_chunks(payloads)):
+                return 2
         # Diagnostics go through the logger (stderr), so machine-readable
         # stdout (--json / --sarif) is never polluted.
         log.info("wrote SARIF log for %d app(s) to %s", len(payloads), args.sarif)
@@ -152,12 +195,12 @@ def _write_scan_output(args: argparse.Namespace, payloads) -> int:
 
 
 def _write_scan_telemetry(
-    args: argparse.Namespace, payloads, options, render_events: list
+    args: argparse.Namespace, payloads, options, render_events: list, files
 ) -> int:
     """Merge worker telemetry with the parent's ``render_events`` and
-    surface it (--trace/--metrics/--stats/--profile), then append the run
-    to the ledger when asked (--ledger, or $NCHECKER_LEDGER_DIR in the
-    environment)."""
+    surface it (--trace/--metrics into their open files, --stats,
+    --profile), then append the run to the ledger when asked (--ledger,
+    or $NCHECKER_LEDGER_DIR in the environment)."""
     import json
 
     from .obs import (
@@ -170,11 +213,9 @@ def _write_scan_telemetry(
     if args.trace:
         events = [event for p in payloads for event in p.trace_events]
         events += render_events
-        try:
-            Path(args.trace).write_text(json.dumps(chrome_trace(events)))
-        except OSError as exc:
-            print(f"error: cannot write trace to {args.trace}: {exc}",
-                  file=sys.stderr)
+        if not _write_and_close(
+            args, files, "trace", [json.dumps(chrome_trace(events))]
+        ):
             return 2
         log.info("wrote Chrome trace (%d events) to %s", len(events), args.trace)
     merged = merge_snapshots([
@@ -184,11 +225,7 @@ def _write_scan_telemetry(
     if args.metrics_out:
         from ._jsonwriter import dumps
 
-        try:
-            Path(args.metrics_out).write_text(dumps(merged))
-        except OSError as exc:
-            print(f"error: cannot write metrics to {args.metrics_out}: {exc}",
-                  file=sys.stderr)
+        if not _write_and_close(args, files, "metrics_out", [dumps(merged)]):
             return 2
         log.info("wrote metrics snapshot to %s", args.metrics_out)
     if args.stats:
@@ -221,15 +258,13 @@ def _write_scan_telemetry(
 
 
 def _cmd_checks(args: argparse.Namespace) -> int:
-    """List every registered check: pipeline name, whether the current
-    flags enable it, and the store artifacts it reads."""
+    """List every registered check in run order, and whether the current
+    flags enable it."""
     from .core.checks import check_catalog
 
     options = NCheckerOptions(enabled_checks=_enabled_checks(args))
-    for check in check_catalog(options):
-        state = "enabled" if check.name in options.enabled_checks else "disabled"
-        reads = ", ".join(check.reads(options))
-        print(f"{check.name:22s} {state:9s} reads: {reads}")
+    for check, enabled in check_catalog(options):
+        print(f"{check.name:22s} {'enabled' if enabled else 'disabled'}")
     return 0
 
 

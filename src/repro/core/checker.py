@@ -2,13 +2,13 @@
 
 ``NChecker.scan(apk)`` runs the full pipeline — build the call graph,
 extract network requests with their contexts, identify customized retry
-loops, and run the four analyses of §4.4 — as a **pass pipeline** over a
-per-APK artifact store (see :mod:`repro.pipeline`): each enabled check
-declares the artifacts it reads, the scheduler orders the passes and
-builds only the artifacts some enabled pass needs, and repeat scans of an
-unchanged app reuse the whole store.  The result object carries the
-findings plus the per-request facts the evaluation harness aggregates
-into the paper's tables and CDFs.
+loops, and run the four analyses of §4.4 — over a per-APK artifact store
+(see :mod:`repro.pipeline`): the enabled checks run in one fixed order,
+the artifacts they read are built once (summary facts only when a check
+first queries them), and repeat scans of an unchanged app reuse the
+whole store.  The result object
+carries the findings plus the per-request facts the evaluation harness
+aggregates into the paper's tables and CDFs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .requests import NetworkRequest, RequestLocation
 from .retry_loops import RetryLoop
 
 if TYPE_CHECKING:
-    from ..pipeline.passes import ScanPlan
     from ..pipeline.scan import ScanSession
 
 
@@ -200,8 +199,3 @@ class NChecker:
         from ..pipeline.scan import ScanSession
 
         return ScanSession(apk, self.registry, self.options)
-
-    def plan_for(self, apk: APK) -> "ScanPlan":
-        """The scan plan (ordered passes, needed/skipped artifacts) the
-        current options produce for ``apk``."""
-        return self.session_for(apk).plan()

@@ -14,28 +14,43 @@ from .retry_params import RetryParameterCheck
 from .ui_thread_network import UiThreadNetworkCheck
 
 
-def check_catalog(options) -> list[Check]:
-    """One fresh instance of every registered check, in pipeline order —
-    the source of truth for ``nchecker checks`` and mirrored by the scan
-    session's pass construction.  ``options`` feeds the knobs a check's
-    constructor or :meth:`~Check.reads` consults (guard awareness,
-    inter-component analysis); whether a check actually *runs* is decided by
-    ``options.enabled_checks``, which the caller compares names against.
+def check_catalog(options, icc_model=None) -> list[tuple[Check, bool]]:
+    """One fresh instance of every registered check, in run order, each
+    paired with whether it runs under ``options`` — the only place checks
+    are built, read by the scan session and ``nchecker checks``.
+
+    A check runs when its name is in ``options.enabled_checks``; the
+    experimental network-switch check is catalogued, and runs, only with
+    ``options.check_network_switch``.  ``icc_model`` (the inter-component
+    extension) goes to the connectivity and failure-notification checks.
+    The retry-parameter check reads the config check's per-request info,
+    so it comes after it.
     """
     config_check = ConfigAPICheck()
-    return [
+    checks = [
         config_check,
         ConnectivityCheck(
             guard_aware=options.guard_aware_connectivity,
             interprocedural=options.interprocedural_connectivity,
+            icc_model=icc_model,
         ),
         RetryParameterCheck(config_check),
-        NotificationCheck(options.notification_callee_depth),
+        NotificationCheck(
+            options.notification_callee_depth, icc_model=icc_model
+        ),
         ResponseCheck(),
+        # The extended (taxonomy-driven) checks: absent from the default
+        # `enabled_checks`, so default output stays the paper's.
         UiThreadNetworkCheck(),
         CallbackLeakCheck(),
         OfflineCacheCheck(),
     ]
+    catalog = [(check, check.name in options.enabled_checks) for check in checks]
+    if options.check_network_switch:
+        from .network_switch import NetworkSwitchCheck
+
+        catalog.append((NetworkSwitchCheck(), True))
+    return catalog
 
 
 __all__ = [

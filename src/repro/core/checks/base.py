@@ -12,22 +12,11 @@ from ..requests import AnalysisContext, NetworkRequest
 
 
 class Check(Protocol):
-    """One NChecker analysis pass in the pipeline.
-
-    Each check declares the store artifacts it reads (by name, resolved
-    to typed keys by :mod:`repro.pipeline.passes`) so the scheduler can
-    skip building artifacts no enabled check needs, and the passes whose
-    in-scan products it consumes (``after``), so the pipeline orders
-    them correctly.
-    """
+    """One NChecker analysis, run once per scan over the shared
+    :class:`AnalysisContext` (see :func:`repro.core.checks.check_catalog`
+    for the order)."""
 
     name: str
-    #: Pass names that must run earlier in the same scan.
-    after: tuple[str, ...]
-
-    def reads(self, options) -> tuple[str, ...]:
-        """Artifact names this pass reads under ``options``."""
-        ...
 
     def run(
         self, ctx: AnalysisContext, requests: list[NetworkRequest]

@@ -63,13 +63,6 @@ class RequestConfigInfo:
 
 class ConfigAPICheck:
     name = "config-apis"
-    after: tuple[str, ...] = ()
-
-    def reads(self, options) -> tuple[str, ...]:
-        names = ["requests", "callgraph", "summaries"]
-        if options.detect_retry_loops:
-            names.append("retry-loops")
-        return tuple(names)
 
     def __init__(self, widen_to_class: bool = True) -> None:
         self.widen_to_class = widen_to_class

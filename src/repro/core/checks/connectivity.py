@@ -38,15 +38,6 @@ CheckerIndex = dict[tuple[str, int], set[str]]
 
 class ConnectivityCheck:
     name = "connectivity"
-    after: tuple[str, ...] = ()
-
-    def reads(self, options) -> tuple[str, ...]:
-        names = ["requests"]
-        if self.interprocedural:
-            names += ["callgraph", "summaries"]
-        if options.inter_component:
-            names.append("icc-model")
-        return tuple(names)
 
     def __init__(
         self,

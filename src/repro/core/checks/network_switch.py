@@ -31,10 +31,6 @@ from ..requests import AnalysisContext, NetworkRequest
 
 class NetworkSwitchCheck:
     name = "network-switch"
-    after: tuple[str, ...] = ()
-
-    def reads(self, options) -> tuple[str, ...]:
-        return ("requests",)
 
     def run(
         self, ctx: AnalysisContext, requests: list[NetworkRequest]

@@ -53,13 +53,6 @@ class NotificationInfo:
 
 class NotificationCheck:
     name = "failure-notification"
-    after: tuple[str, ...] = ()
-
-    def reads(self, options) -> tuple[str, ...]:
-        names = ["requests", "callgraph", "summaries"]
-        if options.inter_component:
-            names.append("icc-model")
-        return tuple(names)
 
     def __init__(self, callee_depth: Optional[int] = None, icc_model=None) -> None:
         #: ``None`` uses the engine's transitive facts; an int caps the

@@ -35,10 +35,6 @@ from ..requests import AnalysisContext, NetworkRequest
 
 class ResponseCheck:
     name = "invalid-response"
-    after: tuple[str, ...] = ()
-
-    def reads(self, options) -> tuple[str, ...]:
-        return ("requests", "callgraph", "summaries")
 
     def run(
         self, ctx: AnalysisContext, requests: list[NetworkRequest]

@@ -29,17 +29,10 @@ from .config_apis import ConfigAPICheck, RequestConfigInfo
 
 class RetryParameterCheck:
     name = "retry-parameters"
-    #: Consumes the config check's per-request info, so it must run later
-    #: in the same pipeline (when both are enabled).
-    after: tuple[str, ...] = ("config-apis",)
-
-    def reads(self, options) -> tuple[str, ...]:
-        names = ["requests"]
-        if options.detect_retry_loops:
-            names.append("retry-loops")
-        return tuple(names)
 
     def __init__(self, config_check: ConfigAPICheck) -> None:
+        #: Runs earlier in the same scan (catalog order); its per-request
+        #: info is empty when the config check is disabled.
         self._config_check = config_check
 
     def run(

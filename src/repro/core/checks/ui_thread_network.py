@@ -22,10 +22,6 @@ from ..requests import AnalysisContext, NetworkRequest
 
 class UiThreadNetworkCheck:
     name = "ui-thread-network"
-    after: tuple[str, ...] = ()
-
-    def reads(self, options) -> tuple[str, ...]:
-        return ("requests", "callgraph", "threadcontext")
 
     def run(
         self, ctx: AnalysisContext, requests: list[NetworkRequest]
@@ -33,8 +29,6 @@ class UiThreadNetworkCheck:
         registry = metrics()
         findings: list[Finding] = []
         contexts = ctx.threadcontext
-        if contexts is None:
-            return findings
         for request in requests:
             registry.inc("check.ui_thread_network.sites_checked")
             if request.target.is_async:

@@ -67,11 +67,10 @@ class AnalysisContext:
     #: config-API check can credit hand-rolled retry logic.
     retry_loops: list["RetryLoop"] = field(default_factory=list)
     #: The interprocedural summary engine, injected by the scan session
-    #: only when an enabled pass reads the ``summaries`` artifact.
+    #: (it computes nothing until a check queries it).
     summaries: Optional["SummaryEngine"] = None
     #: Per-method thread contexts (`repro.dataflow.threadcontext`),
-    #: injected by the scan session only when an enabled pass reads the
-    #: ``threadcontext`` artifact.
+    #: injected by the scan session only when the UI-thread check runs.
     threadcontext: Optional["ThreadContextAnalysis"] = None
 
     @classmethod

@@ -329,65 +329,37 @@ class SummaryEngine:
         self._resolve_sccs(state, predicate, range(len(sccs)))
         state.complete = True
 
-    def _bool_fact(
-        self,
-        name: str,
-        predicate: Callable[[InvokeExpr], bool],
-        all_edge_kinds: bool,
-        key: "MethodKey",
-    ) -> bool:
+    def _bool_fact(self, name: str, key: "MethodKey") -> bool:
+        predicate, all_edge_kinds = BOOL_FACT_SPECS[name]
         state = self._bool_state(name, all_edge_kinds)
         cached = state.resolved.get(key)
         if cached is not None:
             return cached
         if state.complete or key not in self.graph.methods:
             return False
-        # Demand-driven: evaluate only this key's callee cone (cones are
-        # small; prewarming covers the rest).
+        # Demand-driven: evaluate only this key's callee cone.
         self._resolve_sccs(state, predicate, self._cone_indices(state, (key,)))
         return state.resolved.get(key, False)
 
-    def prewarm_bool_facts(
-        self,
-        demands: Iterable[tuple[str, Optional[Iterable["MethodKey"]]]],
-    ) -> None:
-        """Evaluate the fact cones the planned passes will query.
-
-        ``demands`` pairs a fact name from :data:`BOOL_FACT_SPECS` with
-        the methods whose facts will be demanded (``None`` = whole app,
-        for facts served as whole-app views).  Queries the prewarm did
-        not cover simply fall back to lazy evaluation.
-        """
-        for name, roots in demands:
-            predicate, all_edge_kinds = BOOL_FACT_SPECS[name]
-            state = self._bool_state(name, all_edge_kinds)
-            if state.complete:
-                continue
-            if roots is None:
-                self._resolve_full(state, predicate)
-            else:
-                self._resolve_sccs(
-                    state, predicate, self._cone_indices(state, roots)
-                )
-
     def performs_connectivity_check(self, key: "MethodKey") -> bool:
-        return self._bool_fact("connectivity", is_connectivity_check, True, key)
+        return self._bool_fact("connectivity", key)
 
     def connectivity_methods(self) -> set["MethodKey"]:
         """All methods that transitively perform a connectivity check.
         A whole-app view, so it always resolves every SCC."""
-        state = self._bool_state("connectivity", True)
-        self._resolve_full(state, is_connectivity_check)
+        predicate, all_edge_kinds = BOOL_FACT_SPECS["connectivity"]
+        state = self._bool_state("connectivity", all_edge_kinds)
+        self._resolve_full(state, predicate)
         return {k for k, v in state.resolved.items() if v}
 
     def notifies_ui(self, key: "MethodKey") -> bool:
-        return self._bool_fact("ui", is_ui_notification, False, key)
+        return self._bool_fact("ui", key)
 
     def notifies_via_handler(self, key: "MethodKey") -> bool:
-        return self._bool_fact("handler", is_handler_notification, False, key)
+        return self._bool_fact("handler", key)
 
     def sends_broadcast(self, key: "MethodKey") -> bool:
-        return self._bool_fact("broadcast", _is_broadcast_invoke, False, key)
+        return self._bool_fact("broadcast", key)
 
     # -- parameter → return transfer ----------------------------------------
 

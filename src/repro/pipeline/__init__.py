@@ -1,12 +1,10 @@
-"""Pass-pipeline architecture: artifact store, scheduled passes, batch
-scanning.
+"""Scan pipeline: artifact store, scan sessions, batch scanning.
 
 * :mod:`repro.pipeline.artifacts` — the typed per-APK artifact store
   with build-on-demand;
-* :mod:`repro.pipeline.passes` — pass ordering and scan planning from
-  the checks' declared artifact reads;
-* :mod:`repro.pipeline.scan` — scan sessions (one store per APK) and
-  the session cache behind ``NChecker``;
+* :mod:`repro.pipeline.scan` — scan sessions (one store per APK, the
+  enabled checks run in catalog order) and the session cache behind
+  ``NChecker``;
 * :mod:`repro.pipeline.batch` — the parallel batch scanner
   (``nchecker scan --jobs N``) with deterministic, input-order-stable
   output;
@@ -18,8 +16,6 @@ scanning.
 from .artifacts import (
     ARTIFACTS,
     CALLGRAPH,
-    CFG,
-    DEFUSE,
     ICC_MODEL,
     REQUESTS,
     RETRY_LOOPS,
@@ -29,7 +25,6 @@ from .artifacts import (
     ArtifactStore,
 )
 from .cachestore import CacheStore, LocalDirBackend
-from .passes import ScanPlan, ScheduledPass, build_plan, order_passes, resolve_reads
 from .scan import ScanSession, SessionCache
 
 __all__ = [
@@ -40,17 +35,10 @@ __all__ = [
     "ArtifactKey",
     "ArtifactStore",
     "CALLGRAPH",
-    "CFG",
-    "DEFUSE",
     "ICC_MODEL",
     "REQUESTS",
     "RETRY_LOOPS",
     "SUMMARIES",
-    "ScanPlan",
     "ScanSession",
-    "ScheduledPass",
     "SessionCache",
-    "build_plan",
-    "order_passes",
-    "resolve_reads",
 ]

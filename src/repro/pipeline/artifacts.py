@@ -1,14 +1,14 @@
 """Typed per-APK artifact store (the pipeline's "scene").
 
-Every derived analysis product — the call graph, per-method CFGs and
-def-use chains, the interprocedural summary engine, the extracted
-requests, the customized retry loops, the ICC model — lives behind a
-typed :class:`ArtifactKey` in one :class:`ArtifactStore` per APK.  The
-store builds artifacts on demand (building an artifact first builds its
-declared dependencies) and counts hits/builds for the
-cache-effectiveness benchmarks.  A built artifact lives as long as its
-store: the app under a store is never mutated (the patcher rescans each
-round's patched app through a fresh session).
+Every derived analysis product — the call graph, the interprocedural
+summary engine, the extracted requests, the customized retry loops, the
+ICC model, the thread contexts (each behind a typed :class:`ArtifactKey`),
+and per-method CFGs, def-use chains and constants — lives in one
+:class:`ArtifactStore` per APK.  The store builds artifacts on demand
+(building an artifact first builds its declared dependencies) and counts
+hits/builds for the cache-effectiveness benchmarks.  A built artifact
+lives as long as its store: the app under a store is never mutated (the
+patcher rescans each round's patched app through a fresh session).
 
 The store is duck-type compatible with
 :class:`repro.callgraph.resolve.MethodAnalysisCache` (``cfg(method)`` /
@@ -41,24 +41,21 @@ if TYPE_CHECKING:
 
 @record(frozen=True)
 class ArtifactKey:
-    """Typed handle for one class of derived artifact.
+    """Typed handle for one app-scoped artifact (one value per APK).
 
-    ``scope`` is ``"app"`` (one value per APK) or ``"method"`` (one value
-    per method, accessed through the cache protocol).  ``deps`` names the
-    app-scoped artifacts that must exist before this one can build; the
-    store resolves them recursively, which is what lets a scan plan state
-    "this check needs summaries" and get the call graph for free.
+    ``deps`` names the artifacts that must exist before this one can
+    build; the store resolves them recursively.  Per-method artifacts
+    (CFGs, def-use chains, constants) have no key: they are built through
+    the cache protocol (``store.cfg(method)`` and friends).
     """
 
     name: str
-    scope: str = "app"
     deps: tuple[str, ...] = ()
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.name
 
 
-#: App-scoped artifacts.
 CALLGRAPH = ArtifactKey("callgraph")
 SUMMARIES = ArtifactKey("summaries", deps=("callgraph",))
 REQUESTS = ArtifactKey("requests", deps=("callgraph",))
@@ -66,25 +63,18 @@ RETRY_LOOPS = ArtifactKey("retry-loops", deps=("requests",))
 ICC_MODEL = ArtifactKey("icc-model")
 THREADCONTEXT = ArtifactKey("threadcontext", deps=("callgraph",))
 
-#: Method-scoped artifacts (per-method, built through the cache protocol).
-CFG = ArtifactKey("cfg", scope="method")
-DEFUSE = ArtifactKey("defuse", scope="method", deps=("cfg",))
+#: Canonical build order for app-scoped artifacts (dependencies first).
+_APP_ARTIFACT_ORDER: tuple[ArtifactKey, ...] = (
+    CALLGRAPH,
+    REQUESTS,
+    SUMMARIES,
+    RETRY_LOOPS,
+    ICC_MODEL,
+    THREADCONTEXT,
+)
 
-#: Name → key, for resolving the string dependencies above and the
-#: artifact names checks declare.
-ARTIFACTS: dict[str, ArtifactKey] = {
-    key.name: key
-    for key in (
-        CALLGRAPH,
-        SUMMARIES,
-        REQUESTS,
-        RETRY_LOOPS,
-        ICC_MODEL,
-        THREADCONTEXT,
-        CFG,
-        DEFUSE,
-    )
-}
+#: Name → key, for resolving the string dependencies above.
+ARTIFACTS: dict[str, ArtifactKey] = {key.name: key for key in _APP_ARTIFACT_ORDER}
 
 
 class ArtifactCounters:
@@ -186,11 +176,6 @@ class ArtifactStore:
     def get(self, key: ArtifactKey):
         """The artifact for ``key``, building it (and its dependencies)
         if missing."""
-        if key.scope != "app":
-            raise ValueError(
-                f"method-scoped artifact {key.name!r} is accessed per method "
-                f"(store.cfg/defuse), not via get()"
-            )
         if key.name in self._app:
             self._count(f"artifact.{key.name}.hits")
             return self._app[key.name]
@@ -218,16 +203,14 @@ class ArtifactStore:
         ``cache.disk.*`` accounting — so ``artifact.<kind>.builds`` stays
         an exact count of in-process construction work.
         """
-        if key.scope != "app":
-            raise ValueError(f"cannot adopt method-scoped artifact {key.name!r}")
         self._app[key.name] = value
 
     @property
     def context(self) -> "AnalysisContext":
         """The shared :class:`AnalysisContext` over this store.  Building
-        it forces the call graph (its one mandatory field); ``summaries``
-        and ``retry_loops`` are injected by the scan session according to
-        the plan."""
+        it forces the call graph (its one mandatory field); ``summaries``,
+        ``retry_loops`` and ``threadcontext`` are injected by the scan
+        session."""
         if self._context is None:
             from ..core.requests import AnalysisContext
 

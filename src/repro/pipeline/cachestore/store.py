@@ -23,8 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ...callgraph.entrypoints import method_key
 from ...obs import get_logger
-from ..artifacts import ArtifactStore
-from ..passes import _APP_ARTIFACT_ORDER
+from ..artifacts import _APP_ARTIFACT_ORDER, ArtifactStore
 from .codec import CacheMiss, decode_artifact, encode_artifact
 from .fingerprints import entry_digest
 from .local import EntryKey, LocalDirBackend

@@ -1,12 +1,10 @@
-"""Scan sessions: the pass pipeline executed over one artifact store.
+"""Scan sessions: the enabled checks run over one artifact store.
 
 A :class:`ScanSession` owns the :class:`~repro.pipeline.artifacts.
-ArtifactStore` of one APK and runs the enabled checks as scheduled
-passes: the plan (from :mod:`repro.pipeline.passes`) says which passes
-run in which order and which app artifacts they need; the session builds
-exactly those, injects them into the shared ``AnalysisContext``, runs
-the passes, and assembles the :class:`~repro.core.checker.ScanResult`
-exactly as the hand-sequenced orchestrator did.
+ArtifactStore` of one APK.  A scan builds the artifacts the enabled
+checks read into the shared ``AnalysisContext``, runs the checks in
+catalog order (:func:`repro.core.checks.check_catalog`), and assembles
+the :class:`~repro.core.checker.ScanResult`.
 
 A session's app never changes under it: every artifact it builds stays
 valid for the session's lifetime.  :class:`SessionCache` gives
@@ -16,7 +14,7 @@ edited or patched app always gets a fresh session.
 
 Sessions are also where the opt-in **persistent cross-run cache**
 (:mod:`repro.pipeline.cachestore`, ``NCheckerOptions.cache_dir``) plugs
-in: before the first pass runs, every valid cached artifact for the
+in: before the first check runs, every valid cached artifact for the
 app's content fingerprint is adopted into the store (zero builds on a
 warm run), and after each scan the artifacts the run had to build are
 written back to the cache directory.  Output is byte-identical with the
@@ -38,7 +36,6 @@ from .artifacts import (
     THREADCONTEXT,
     ArtifactStore,
 )
-from .passes import ScanPlan, ScheduledPass, build_plan, order_passes, resolve_reads
 
 if TYPE_CHECKING:
     from ..app.apk import APK
@@ -47,7 +44,7 @@ if TYPE_CHECKING:
 
 
 class ScanSession:
-    """One APK's pass pipeline over its artifact store."""
+    """One APK's checks over its artifact store."""
 
     def __init__(
         self,
@@ -73,115 +70,62 @@ class ScanSession:
         #: the caller already has it).
         self._app_fp = app_fp
 
-    # -- pass construction ---------------------------------------------------
-
-    def _build_passes(self):
-        """Fresh check instances for one scan (their per-request info maps
-        are part of the scan's result), as (pass, enabled, instance)
-        bookkeeping the result assembly needs."""
-        from ..core.checks.callback_leak import CallbackLeakCheck
-        from ..core.checks.config_apis import ConfigAPICheck
-        from ..core.checks.connectivity import ConnectivityCheck
-        from ..core.checks.notification import NotificationCheck
-        from ..core.checks.offline_cache import OfflineCacheCheck
-        from ..core.checks.response import ResponseCheck
-        from ..core.checks.retry_params import RetryParameterCheck
-        from ..core.checks.ui_thread_network import UiThreadNetworkCheck
-
-        opts = self.options
-        enabled = opts.enabled_checks
-        icc_model = None
-        if opts.inter_component and (
-            "connectivity" in enabled or "failure-notification" in enabled
-        ):
-            icc_model = self.store.get(ICC_MODEL)
-
-        config_check = ConfigAPICheck()
-        notification_check = NotificationCheck(
-            opts.notification_callee_depth, icc_model=icc_model
-        )
-        checks = [
-            config_check,
-            ConnectivityCheck(
-                guard_aware=opts.guard_aware_connectivity,
-                interprocedural=opts.interprocedural_connectivity,
-                icc_model=icc_model,
-            ),
-            RetryParameterCheck(config_check),
-            notification_check,
-            ResponseCheck(),
-            # The extended (taxonomy-driven) checks: registered here so
-            # `enabled_checks` can switch them on, absent from the default
-            # set so default-option output stays byte-identical.
-            UiThreadNetworkCheck(),
-            CallbackLeakCheck(),
-            OfflineCacheCheck(),
-        ]
-        scheduled = [
-            ScheduledPass(check, resolve_reads(check.reads(opts)))
-            for check in checks
-            if check.name in enabled
-        ]
-        if opts.check_network_switch:
-            from ..core.checks.network_switch import NetworkSwitchCheck
-
-            switch = NetworkSwitchCheck()
-            scheduled.append(ScheduledPass(switch, resolve_reads(switch.reads(opts))))
-        return scheduled, config_check, notification_check
-
-    def plan(self) -> ScanPlan:
-        """The scan plan under the current options (no artifacts built,
-        except the ICC model when inter-component passes are enabled)."""
-        scheduled, _config, _notification = self._build_passes()
-        return build_plan(scheduled)
-
     # -- execution -----------------------------------------------------------
 
     def scan(self) -> "ScanResult":
-        """Run the pipeline: build planned artifacts, run passes in
-        dependency order, assemble the result.
+        """Build the artifacts the enabled checks read, run the checks in
+        catalog order, assemble the result.
 
-        Each pass runs inside a ``pass:<name>`` span and records its wall
-        time, findings emitted, and methods visited (the call-graph
-        universe it analyses) into the active metrics registry.
+        The summary engine is always handed out: it computes nothing until
+        a check queries it.  Retry loops, the ICC model and the thread
+        contexts are built only for the checks that read them.  Each check
+        runs inside a ``pass:<name>`` span and records its wall time,
+        findings emitted, and methods visited (the call-graph universe it
+        analyses) into the active metrics registry.
         """
         import time
 
         from ..core.checker import ScanResult
+        from ..core.checks import check_catalog
         from ..core.findings import Finding
 
-        # Adopt persisted artifacts before pass construction: the ICC
-        # model is materialized inside _build_passes, so the preload must
-        # already have happened for a warm run to stay build-free.
+        # Adopt persisted artifacts before anything is built, so a warm
+        # run stays build-free.
         self._preload_from_disk()
-        scheduled, config_check, notification_check = self._build_passes()
-        plan = build_plan(scheduled)
+        opts = self.options
+        enabled = opts.enabled_checks
         store = self.store
         registry = metrics()
+
+        icc_model = None
+        if opts.inter_component and (
+            "connectivity" in enabled or "failure-notification" in enabled
+        ):
+            icc_model = store.get(ICC_MODEL)
+        catalog = check_catalog(opts, icc_model)
 
         with span("scan", package=self.apk.package):
             scan_start = time.perf_counter()
             ctx = store.context
-            ctx.summaries = store.get(SUMMARIES) if plan.builds(SUMMARIES) else None
-            ctx.threadcontext = (
-                store.get(THREADCONTEXT) if plan.builds(THREADCONTEXT) else None
-            )
+            ctx.summaries = store.get(SUMMARIES)
+            if "ui-thread-network" in enabled:
+                ctx.threadcontext = store.get(THREADCONTEXT)
             requests = store.get(REQUESTS)
-            retry_loops = (
-                store.get(RETRY_LOOPS) if plan.builds(RETRY_LOOPS) else []
-            )
+            retry_loops = []
+            if opts.detect_retry_loops and (
+                "config-apis" in enabled or "retry-parameters" in enabled
+            ):
+                retry_loops = store.get(RETRY_LOOPS)
             ctx.retry_loops = retry_loops
-            if ctx.summaries is not None:
-                self._prewarm_summaries(
-                    ctx, scheduled, requests, notification_check
-                )
 
             findings: list[Finding] = []
-            for scheduled_pass in order_passes(scheduled):
-                name = scheduled_pass.name
+            for check, runs in catalog:
+                if not runs:
+                    continue
+                name = check.name
                 with span(f"pass:{name}", package=self.apk.package):
                     start = time.perf_counter()
-                    emitted = scheduled_pass.check.run(ctx, requests)
+                    emitted = check.run(ctx, requests)
                     registry.observe(
                         f"pass.{name}.wall_ms",
                         (time.perf_counter() - start) * 1000.0,
@@ -199,60 +143,17 @@ class ScanSession:
 
         self._persist_to_disk()
         findings.sort(key=lambda f: (f.method_key, f.stmt_index, f.kind.value))
+        checks = {check.name: check for check, _runs in catalog}
         return ScanResult(
             self.apk,
             requests,
             findings,
             retry_loops,
-            config_info=dict(config_check.info_by_request),
-            notification_info=dict(notification_check.info_by_request),
+            config_info=dict(checks["config-apis"].info_by_request),
+            notification_info=dict(
+                checks["failure-notification"].info_by_request
+            ),
         )
-
-    def _prewarm_summaries(
-        self, ctx, scheduled, requests, notification_check
-    ) -> None:
-        """Evaluate the summary-fact cones the planned passes will query,
-        before the pass loop runs them.
-
-        The demands mirror the passes' actual queries: the connectivity
-        and offline-cache passes read the whole-app connectivity view,
-        and the failure-notification pass queries UI/handler (and, with
-        displayed broadcasts in the ICC model, broadcast) facts on the
-        error callbacks registered at request sites (unless the
-        notification-depth ablation replaces those facts with its capped
-        walk).  Queries the prewarm did not anticipate fall back to lazy
-        point evaluation inside the engine.
-        """
-        from ..callgraph.cha import EDGE_LIB_CALLBACK
-
-        engine = ctx.summaries
-        planned = {scheduled_pass.name for scheduled_pass in scheduled}
-        demands: list = []
-        if planned & {"connectivity", "offline-cache"}:
-            demands.append(("connectivity", None))
-        if (
-            "failure-notification" in planned
-            and notification_check.callee_depth is None
-        ):
-            roots = sorted(
-                {
-                    edge.callee
-                    for request in requests
-                    for edge in ctx.callgraph.callees(request.key)
-                    if edge.stmt_index == request.stmt_index
-                    and edge.kind == EDGE_LIB_CALLBACK
-                }
-            )
-            if roots:
-                demands.append(("ui", roots))
-                demands.append(("handler", roots))
-                icc = notification_check.icc_model
-                if icc is not None and icc.broadcasts_displayed:
-                    demands.append(("broadcast", roots))
-        registry = metrics()
-        with span("summary-prewarm", package=self.apk.package):
-            with registry.timer("summaries.prewarm_ms"):
-                engine.prewarm_bool_facts(demands)
 
     # -- persistent cache ----------------------------------------------------
 

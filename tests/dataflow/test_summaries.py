@@ -242,25 +242,25 @@ class TestBooleanFacts:
 
 
 class TestSerialPrewarm:
-    """The prewarm evaluates SCCs one at a time, callee-first: whatever
-    order the SCC indices arrive in, every callee's fact is final before
-    a caller reads it."""
-
-    DEMANDS = [("connectivity", None), ("ui", None), ("handler", None)]
+    """Whole-app views and point queries evaluate SCCs one at a time,
+    callee-first: whatever order the SCC indices arrive in, every
+    callee's fact is final before a caller reads it."""
 
     def test_prewarm_matches_lazy_point_queries(self):
+        """The whole-app connectivity view agrees with a point query of
+        every method, and both evaluate each SCC exactly once."""
         apk = TestBooleanFacts()._app()
-        warm = build_engine(apk)
-        warm.prewarm_bool_facts(self.DEMANDS)
+        whole = build_engine(apk)
+        view = whole.connectivity_methods()
         lazy = build_engine(apk)
-        for key in lazy.graph.methods:
-            assert warm.performs_connectivity_check(
-                key
-            ) == lazy.performs_connectivity_check(key)
-            assert warm.notifies_ui(key) == lazy.notifies_ui(key)
-            assert warm.notifies_via_handler(key) == lazy.notifies_via_handler(key)
-        # Each SCC is evaluated once per fact, either way.
-        assert warm.stats.bool_fact_sccs == lazy.stats.bool_fact_sccs
+        point = {
+            key for key in lazy.graph.methods
+            if lazy.performs_connectivity_check(key)
+        }
+        assert view == point
+        assert ("com.conn.MainActivity", "refresh", 0) in view
+        assert whole.stats.bool_fact_sccs == len(whole.sccs)
+        assert lazy.stats.bool_fact_sccs == whole.stats.bool_fact_sccs
 
     def test_caller_first_index_order_still_resolves_callees_first(self):
         from repro.dataflow.summaries import BOOL_FACT_SPECS

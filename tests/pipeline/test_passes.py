@@ -1,113 +1,104 @@
-"""Pass scheduling: declared reads, topological order, artifact skipping."""
+"""Check runs: catalog order, and which artifacts each option set builds."""
 
 import pytest
 
 from repro.core import NChecker, NCheckerOptions
+from repro.core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS
+from repro.core.checks import check_catalog
 from repro.corpus.snippets import RequestSpec
-from repro.pipeline import build_plan, order_passes, resolve_reads
-from repro.pipeline.passes import ScheduledPass
+from repro.dataflow.summaries import SummaryStats
+from repro.obs import Tracer, use_metrics, use_tracer
 
 from tests.conftest import single_request_app
 
 
-class FakeCheck:
-    def __init__(self, name, after=()):
-        self.name = name
-        self.after = tuple(after)
+def traced_scan(**kwargs):
+    """Scan one app under ``kwargs`` options; returns the session's
+    artifact counters, its metrics snapshot and the names of the spans
+    it opened, in order."""
+    apk, _ = single_request_app(RequestSpec(library="basichttp"))
+    checker = NChecker(options=NCheckerOptions(**kwargs))
+    tracer = Tracer(enabled=True)
+    with use_metrics() as registry, use_tracer(tracer):
+        session = checker.session_for(apk)
+        session.scan()
+        snapshot = registry.snapshot()
+    spans = [event["name"] for event in tracer.export() if event["ph"] == "B"]
+    return session.store.counters, snapshot, spans
 
-    def reads(self, options):
-        return ("requests",)
 
-    def run(self, ctx, requests):
-        return []
+class TestCatalogOrder:
+    @pytest.mark.parametrize(
+        "checks",
+        [DEFAULT_CHECKS, DEFAULT_CHECKS | EXTENDED_CHECKS],
+        ids=["default", "extended"],
+    )
+    def test_pass_spans_run_in_catalog_order(self, checks):
+        options = NCheckerOptions(enabled_checks=checks)
+        expected = [
+            f"pass:{check.name}"
+            for check, enabled in check_catalog(options)
+            if enabled
+        ]
+        _counters, _snapshot, spans = traced_scan(enabled_checks=checks)
+        assert [name for name in spans if name.startswith("pass:")] == expected
+        assert len(expected) == len(checks)
 
-
-def sched(name, after=()):
-    return ScheduledPass(FakeCheck(name, after), reads=())
-
-
-class TestOrdering:
-    def test_after_constraint_respected(self):
-        passes = [sched("b", after=("a",)), sched("a")]
-        assert [p.name for p in order_passes(passes)] == ["a", "b"]
-
-    def test_stable_without_constraints(self):
-        passes = [sched("c"), sched("a"), sched("b")]
-        assert [p.name for p in order_passes(passes)] == ["c", "a", "b"]
-
-    def test_absent_dependency_ignored(self):
-        passes = [sched("b", after=("not-registered",)), sched("a")]
-        assert [p.name for p in order_passes(passes)] == ["b", "a"]
-
-    def test_cycle_raises(self):
-        passes = [sched("a", after=("b",)), sched("b", after=("a",))]
-        with pytest.raises(ValueError):
-            order_passes(passes)
-
-    def test_unknown_artifact_name_raises(self):
-        with pytest.raises(KeyError):
-            resolve_reads(("no-such-artifact",))
+    def test_network_switch_runs_last_when_switched_on(self):
+        _counters, _snapshot, spans = traced_scan(check_network_switch=True)
+        passes = [name for name in spans if name.startswith("pass:")]
+        assert passes[0] == "pass:config-apis"
+        assert passes[-1] == "pass:network-switch"
 
 
 class TestPlanning:
-    def plan(self, **kwargs):
-        apk, _ = single_request_app(RequestSpec())
-        checker = NChecker(options=NCheckerOptions(**kwargs))
-        return checker.plan_for(apk)
-
-    def test_default_plan_skips_icc_model_only(self):
-        plan = self.plan()
-        assert plan.passes == (
-            "config-apis",
-            "connectivity",
-            "retry-parameters",
-            "failure-notification",
-            "invalid-response",
-        )
-        assert plan.skipped == ("icc-model", "threadcontext")
-
-    def test_retry_parameters_scheduled_after_config_apis(self):
-        plan = self.plan()
-        assert plan.passes.index("retry-parameters") > plan.passes.index(
-            "config-apis"
-        )
-
-    def test_connectivity_only_plan_skips_retry_loops(self):
-        plan = self.plan(enabled_checks=frozenset({"connectivity"}))
-        assert plan.passes == ("connectivity",)
-        assert "retry-loops" in plan.skipped
-        assert "icc-model" in plan.skipped
-
-    def test_no_retry_loop_detection_skips_the_artifact(self):
-        plan = self.plan(detect_retry_loops=False)
-        assert "retry-loops" in plan.skipped
-
-    def test_inter_component_needs_icc_model(self):
-        plan = self.plan(inter_component=True)
-        assert "icc-model" in plan.artifacts
-
     def test_no_summaries_skips_the_engine(self):
-        """With no enabled pass reading summaries (connectivity alone,
-        restricted to the request's method), the engine is skipped."""
-        plan = self.plan(
-            enabled_checks=frozenset({"connectivity"}),
-            interprocedural_connectivity=False,
+        """With no enabled check reading summaries (connectivity alone,
+        restricted to the request's method), the engine handed to the
+        checks computes no fact of any kind."""
+        apk, _ = single_request_app(RequestSpec(library="basichttp"))
+        checker = NChecker(
+            options=NCheckerOptions(
+                enabled_checks=frozenset({"connectivity"}),
+                interprocedural_connectivity=False,
+            )
         )
-        assert "summaries" in plan.skipped
+        session = checker.session_for(apk)
+        session.scan()
+        engine = session.store.context.summaries
+        assert engine is not None
+        assert engine.stats == SummaryStats()
 
 
 class TestSkippedArtifactsNotBuilt:
     def scan_counters(self, **kwargs):
-        apk, _ = single_request_app(RequestSpec(library="basichttp"))
-        checker = NChecker(options=NCheckerOptions(**kwargs))
-        session = checker.session_for(apk)
-        session.scan()
-        return session.store.counters
+        counters, _snapshot, _spans = traced_scan(**kwargs)
+        return counters
 
     def test_default_scan_builds_retry_loops(self):
         counters = self.scan_counters()
         assert counters.builds_of("retry-loops") == 1
         assert counters.builds_of("icc-model") == 0
+
+    def test_default_options_build_neither_icc_model_nor_threadcontext(self):
+        counters = self.scan_counters()
+        assert counters.builds_of("icc-model") == 0
+        assert counters.builds_of("threadcontext") == 0
+
+    def test_extended_checks_build_threadcontext(self):
+        counters = self.scan_counters(
+            enabled_checks=DEFAULT_CHECKS | EXTENDED_CHECKS
+        )
+        assert counters.builds_of("threadcontext") == 1
+
+    def test_no_retry_loop_detection_builds_no_retry_loops(self):
+        counters = self.scan_counters(detect_retry_loops=False)
+        assert counters.builds_of("retry-loops") == 0
+        assert counters.builds_of("requests") == 1
+
+    def test_inter_component_builds_the_icc_model(self):
+        counters = self.scan_counters(inter_component=True)
+        assert counters.builds_of("icc-model") == 1
 
     def test_disabling_checks_skips_artifacts_only_they_need(self):
         counters = self.scan_counters(enabled_checks=frozenset({"connectivity"}))
@@ -118,13 +109,16 @@ class TestSkippedArtifactsNotBuilt:
         assert counters.builds_of("callgraph") == 1
 
     def test_summary_ablation_never_builds_the_engine(self):
-        """The intraprocedural connectivity ablation, run alone, reads no
-        summaries, so the engine is never built."""
-        counters = self.scan_counters(
+        """The intraprocedural connectivity ablation, run alone, queries
+        no summary fact: the engine it is handed builds no fact — it
+        evaluates no SCC and never condenses the call graph."""
+        _counters, snapshot, spans = traced_scan(
             enabled_checks=frozenset({"connectivity"}),
             interprocedural_connectivity=False,
         )
-        assert counters.builds_of("summaries") == 0
+        assert snapshot["counters"].get("dataflow.bool_fact_sccs", 0) == 0
+        assert "scc-condensation" not in spans
+        assert "pass:connectivity" in spans
 
     def test_scan_results_unchanged_by_pipeline_for_enabled_kinds(self):
         apk, _ = single_request_app(RequestSpec(library="basichttp"))

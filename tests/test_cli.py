@@ -109,6 +109,28 @@ class TestErrorHandling:
         assert captured.err == f"error: {tmp_path}: Is a directory\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flag, what",
+        [("--sarif", "SARIF log"), ("--trace", "trace"), ("--metrics", "metrics")],
+        ids=["sarif", "trace", "metrics"],
+    )
+    def test_unwritable_output_file_fails_before_scanning(
+        self, buggy_app_file, tmp_path, capsys, monkeypatch, flag, what
+    ):
+        from repro.pipeline.batch import BatchScanner
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned although an output cannot be written")
+
+        monkeypatch.setattr(BatchScanner, "scan_paths", no_scan)
+        target = tmp_path / "no-such-dir" / "out.json"
+        code = main(["scan", flag, str(target), str(buggy_app_file)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {what} to {target}: ")
+        assert captured.err.count("\n") == 1
+
     def test_missing_file_message_is_unchanged(self, capsys):
         with pytest.raises(SystemExit):
             main(["scan", "--jobs", "2", "/no/such/file.apkt"])
@@ -200,6 +222,29 @@ class TestErrorHandling:
             code = exc.code
         assert code == 2
         assert message in capsys.readouterr().err
+
+
+class TestChecks:
+    ORDER = [
+        "config-apis", "connectivity", "retry-parameters",
+        "failure-notification", "invalid-response",
+        "ui-thread-network", "callback-leak", "offline-cache",
+    ]
+
+    def listing(self, capsys, *flags):
+        assert main(["checks", *flags]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [name for name, _state in rows] == self.ORDER
+        return dict(rows)
+
+    def test_default_enables_the_paper_checks_only(self, capsys):
+        states = self.listing(capsys)
+        assert [n for n in self.ORDER if states[n] == "enabled"] == self.ORDER[:5]
+        assert [n for n in self.ORDER if states[n] == "disabled"] == self.ORDER[5:]
+
+    def test_extended_checks_enables_every_check(self, capsys):
+        states = self.listing(capsys, "--extended-checks")
+        assert set(states.values()) == {"enabled"}
 
 
 class TestExperiments:
