@@ -39,6 +39,8 @@ def loads_apk(text: str) -> APK:
     package: str | None = None
     manifest: Manifest | None = None
     class_text_start: int | None = None
+    # component class -> (line, entry) of its first manifest declaration
+    declared: dict[str, tuple[int, str]] = {}
     i = 0
     while i < len(lines):
         line = _strip_comment(lines[i])
@@ -70,6 +72,7 @@ def loads_apk(text: str) -> APK:
                     manifest.permissions.append(name)
                 else:
                     manifest.declare(ComponentKind(kind), name)
+                    declared.setdefault(name, (i, entry))
             continue
         # First class header: the rest of the document is class definitions.
         class_text_start = i - 1
@@ -84,6 +87,9 @@ def loads_apk(text: str) -> APK:
             "\n".join(lines[class_text_start:]), first_line=class_text_start + 1
         )
     apk = APK(manifest, classes)
+    for name, (line_no, entry) in declared.items():
+        if name not in apk.hierarchy:
+            raise ParseError("manifest declares missing class", line_no, entry)
     apk.validate()
     return apk
 

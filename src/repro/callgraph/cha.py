@@ -31,7 +31,7 @@ from ..app.components import (
     THREAD_START_METHODS,
 )
 from ..ir.method import IRMethod
-from ..ir.values import InvokeExpr, KIND_STATIC, Local
+from ..ir.values import InvokeExpr, Local
 from ..libmodels.annotations import LibraryRegistry
 from .entrypoints import EntryPoint, MethodKey, discover_entry_points, method_key
 from .resolve import MethodAnalysisCache, collect_field_types, origin_classes

@@ -20,8 +20,6 @@ injects that pattern, and this check exhibits the same FP behaviour.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...callgraph.entrypoints import MethodKey
 from ...dataflow.slicing import Slicer
 from ...ir.values import InvokeExpr

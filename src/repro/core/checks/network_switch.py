@@ -78,8 +78,6 @@ class NetworkSwitchCheck:
 
     @staticmethod
     def _reconnection_enabled(ctx: AnalysisContext) -> bool:
-        from ...dataflow.constants import ConstantPropagation
-
         for method in ctx.apk.methods():
             constants = None
             for idx, invoke in method.invoke_sites():

@@ -51,7 +51,6 @@ from ..ir.statements import (
     GotoStmt,
     IfStmt,
     InvokeStmt,
-    NopStmt,
     ReturnStmt,
     Stmt,
 )

@@ -22,7 +22,6 @@ from ..callgraph.cha import CallGraph
 from ..callgraph.entrypoints import EntryPoint, MethodKey, method_key
 from ..callgraph.reachability import CallChain, chains_to_method
 from ..callgraph.resolve import MethodAnalysisCache, origin_classes
-from ..dataflow.constants import ConstantPropagation
 from ..dataflow.taint import trace_origins
 from ..ir.method import IRMethod
 from ..ir.statements import AssignStmt

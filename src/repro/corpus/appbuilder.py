@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 from ..app.apk import APK
 from ..app.components import ComponentKind
 from ..app.manifest import Manifest
-from ..ir.builder import ClassBuilder, MethodBuilder
+from ..ir.builder import ClassBuilder
 
 
 class AppBuilder:

@@ -12,7 +12,7 @@ fix removes both.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .._record import record
 from ..app.apk import APK

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .._record import field, record
+from .._record import record
 from ..cfg.graph import CFG
 from ..ir.statements import AssignStmt
 from ..ir.values import (

@@ -17,7 +17,6 @@ from ..corpus.groundtruth import overall_accuracy, table9_confusions
 from ..corpus.opensource import build_opensource_corpus
 from ..corpus.profiles import PAPER_PROFILE
 from ..corpus.study import (
-    IMPACT_CASES,
     REPRESENTATIVE_NPDS,
     ROOT_CAUSE_CASES,
     STUDIED_APPS,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .._record import field, record
+from .._record import record
 
 #: Java-style primitive and common reference type names used throughout.
 VOID = "void"

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional
 
 from .._record import field, record
 from .profile import flatten_profile

@@ -200,7 +200,7 @@ class ArtifactStore:
         """Install an externally produced artifact (a disk-cache load).
 
         Counts neither a build nor a hit — the disk cache keeps its own
-        ``cache.disk.*`` accounting — so ``artifact.<kind>.builds`` stays
+        ``cache.local.*`` accounting — so ``artifact.<kind>.builds`` stays
         an exact count of in-process construction work.
         """
         self._app[key.name] = value

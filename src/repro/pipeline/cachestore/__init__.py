@@ -5,19 +5,20 @@ The cross-run artifact cache, split along its three concerns:
 
 * :mod:`~repro.pipeline.cachestore.fingerprints` — content addressing:
   the app content fingerprint and the per-entry digest;
-* :mod:`~repro.pipeline.cachestore.codec` — serialization: the
-  persistent-id pickler rewiring live session objects, plus the
-  magic/version/checksum header enforcing corruption-is-a-miss;
+* :mod:`~repro.pipeline.cachestore.codec` — serialization: one pickle
+  of an app's artifacts with live session objects written as
+  references, plus the magic/version/checksum header enforcing
+  corruption-is-a-miss;
 * :mod:`~repro.pipeline.cachestore.local` — storage:
-  :class:`LocalDirBackend`, the entry files under one directory, and
-  their ``gc/clear/stats`` management.
+  :class:`LocalDirBackend`, one entry file per app under one directory,
+  and their ``gc/clear/stats`` management.
 
 :class:`CacheStore` (:mod:`~repro.pipeline.cachestore.store`) ties the
 three together for the scan session.  The user-facing guide is
 ``docs/CACHING.md``.
 """
 
-from .codec import CacheMiss, decode_artifact, encode_artifact
+from .codec import CacheMiss, decode_entry, encode_entry
 from .fingerprints import (
     CACHE_FORMAT_VERSION,
     app_content_fingerprint,
@@ -46,8 +47,8 @@ __all__ = [
     "EntryKey",
     "LocalDirBackend",
     "app_content_fingerprint",
-    "decode_artifact",
-    "encode_artifact",
+    "decode_entry",
+    "encode_entry",
     "entry_digest",
     "format_size",
     "method_content_hash",

@@ -37,7 +37,13 @@ if TYPE_CHECKING:
 #: are garbage-collected by ``nchecker cache gc``) instead of crashing.
 #: Folded into both the entry header (:mod:`.codec`) and the local
 #: directory's ``v<N>`` path segment.
-CACHE_FORMAT_VERSION = 2  # v2: __slots__ IR values/statements change pickle shapes
+CACHE_FORMAT_VERSION = 3  # v3: one entry per app, live objects by reference
+
+#: The format tag :func:`scan_options_fingerprint` hashes first.  Fixed,
+#: not :data:`CACHE_FORMAT_VERSION`: the entry layout shapes no option,
+#: and recorded runs (``benchmarks/bench_baseline.json``) must keep their
+#: fingerprints across cache format changes.
+_OPTIONS_FINGERPRINT_FORMAT = 2
 
 
 def method_content_hash(method: IRMethod) -> bytes:
@@ -86,7 +92,7 @@ def scan_options_fingerprint(options: "NCheckerOptions") -> str:
     import dataclasses
 
     h = hashlib.blake2b(digest_size=12)
-    h.update(f"fmt{CACHE_FORMAT_VERSION};lib{LIBMODELS_VERSION}".encode())
+    h.update(f"fmt{_OPTIONS_FINGERPRINT_FORMAT};lib{LIBMODELS_VERSION}".encode())
     for field in dataclasses.fields(options):
         if field.name == "cache_dir":
             continue

@@ -2,13 +2,15 @@
 
 Layout:
 
-    <root>/v<FORMAT>/<app_fp[:2]>/<app_fp>/<kind>-<digest>.bin
+    <root>/v<FORMAT>/<app_fp[:2]>/<app_fp>-<digest>.bin
 
-one directory per app fingerprint (the per-APK cache files that
-``--jobs`` workers share), one entry file per artifact kind.  This
-module alone decides that layout: :attr:`EntryKey.filename` formats an
-entry's file name and :meth:`LocalDirBackend.list_entries` parses it
-back.
+one entry file per app content fingerprint, holding every cached
+artifact of the app (the per-APK cache files that ``--jobs`` workers
+share).  This module alone decides that layout: :attr:`EntryKey.
+filename` formats an entry's file name and :meth:`LocalDirBackend.
+list_entries` parses it back.  Trees of older format versions (v2 kept
+one file per artifact kind under ``<app_fp>/``) are never read; ``gc``,
+``clear`` and ``stats`` still cover them, so they can be collected.
 
 :class:`LocalDirBackend` is a content-addressed blob store.  It never
 interprets entry payloads — serialization lives in :mod:`.codec`,
@@ -26,8 +28,8 @@ under an :class:`EntryKey`.  Its contract (enforced by
   Parallel ``--jobs`` workers sharing one directory race benignly.
 * **Corruption is a miss.**  Blobs come back verbatim; the codec's
   magic/version/checksum header is what detects a damaged entry.  The
-  cache store then ``delete``\\ s the key, so the rebuilt artifact's
-  ``put`` replaces it.
+  cache store then ``delete``\\ s the key, so the rebuilt app's ``put``
+  replaces it.
 * **Eviction grace.**  ``gc`` never removes an entry younger than
   ``grace_seconds`` (default :data:`GC_GRACE_SECONDS`): a concurrent
   scanner that just published an entry must not lose it to a garbage
@@ -57,21 +59,20 @@ GC_GRACE_SECONDS = 60.0
 
 @record(frozen=True)
 class EntryKey:
-    """Address of one cache entry.
+    """Address of one cache entry: one app under one library registry.
 
-    ``app_fp`` is the app content fingerprint, ``kind`` the artifact
-    kind, ``digest`` the :func:`~repro.pipeline.cachestore.fingerprints.
-    entry_digest` folding the library-model state.
+    ``app_fp`` is the app content fingerprint, ``digest`` the
+    :func:`~repro.pipeline.cachestore.fingerprints.entry_digest` folding
+    the library-model state.
     """
 
     app_fp: str
-    kind: str
     digest: str
 
     @property
     def filename(self) -> str:
-        """File name of the entry in its app directory."""
-        return f"{self.kind}-{self.digest}.bin"
+        """File name of the entry in its fingerprint-prefix directory."""
+        return f"{self.app_fp}-{self.digest}.bin"
 
 
 @record(frozen=True)
@@ -129,28 +130,21 @@ def format_size(n: int) -> str:
 
 @record
 class CacheStats:
-    """What ``nchecker cache stats`` prints: aggregate entry counts and
-    bytes, broken down per artifact kind (so cache growth is
-    attributable)."""
+    """What ``nchecker cache stats`` prints: entry count, apps and
+    bytes."""
 
     label: str
     apps: int
     entries: int
     total_bytes: int
-    #: kind -> (entry count, bytes)
-    by_kind: dict[str, tuple[int, int]]
 
     def render(self) -> str:
-        lines = [f"cache {self.label}"]
-        lines.append(
+        return (
+            f"cache {self.label}\n"
             f"  {self.entries} "
             f"entr{'y' if self.entries == 1 else 'ies'} "
             f"for {self.apps} app(s), {format_size(self.total_bytes)}"
         )
-        for kind in sorted(self.by_kind):
-            count, size = self.by_kind[kind]
-            lines.append(f"  {kind:<13} {count:>5}  {format_size(size)}")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +170,8 @@ class LocalDirBackend:
         # not a crash.
         return self.root / f"v{fingerprints.CACHE_FORMAT_VERSION}"
 
-    def app_dir(self, app_fp: str) -> Path:
-        return self._version_root / app_fp[:2] / app_fp
-
     def entry_path(self, key: EntryKey) -> Path:
-        return self.app_dir(key.app_fp) / key.filename
+        return self._version_root / key.app_fp[:2] / key.filename
 
     # -- blob store ----------------------------------------------------------
 
@@ -237,38 +228,40 @@ class LocalDirBackend:
 
     def _entry_files(self) -> list[Path]:
         """Every entry file under every format-version directory (stats,
-        gc, and clear cover stale ``v<N>`` trees too)."""
+        gc, and clear cover stale ``v<N>`` trees too, including v2's
+        per-kind files one directory deeper)."""
         if not self.root.is_dir():
             return []
         return sorted(
-            p for p in self.root.glob("v*/??/*/*.bin") if p.is_file()
+            p
+            for pattern in ("v*/??/*.bin", "v*/??/*/*.bin")
+            for p in self.root.glob(pattern)
+            if p.is_file()
         )
 
     def list_entries(self) -> list[EntryInfo]:
         entries = []
         for path in self._entry_files():
-            kind, _, digest = path.stem.rpartition("-")
+            app_fp, _, digest = path.stem.rpartition("-")
+            if len(path.relative_to(self.root).parts) == 4:
+                # A v2 per-kind file: v2/??/<app_fp>/<kind>-<digest>.bin.
+                app_fp = path.parent.name
             try:
                 st = path.stat()
             except OSError:
                 continue
             entries.append(EntryInfo(
-                EntryKey(path.parent.name, kind, digest),
-                st.st_size, st.st_mtime,
+                EntryKey(app_fp, digest), st.st_size, st.st_mtime
             ))
         return entries
 
     def stats(self) -> CacheStats:
-        by_kind: dict[str, tuple[int, int]] = {}
-        apps: set[str] = set()
         entries = self.list_entries()
-        for info in entries:
-            count, kind_bytes = by_kind.get(info.key.kind, (0, 0))
-            by_kind[info.key.kind] = (count + 1, kind_bytes + info.size)
-            apps.add(info.key.app_fp)
-        total = sum(info.size for info in entries)
         return CacheStats(
-            f"local {self.root}", len(apps), len(entries), total, by_kind
+            f"local {self.root}",
+            len({info.key.app_fp for info in entries}),
+            len(entries),
+            sum(info.size for info in entries),
         )
 
     def gc(

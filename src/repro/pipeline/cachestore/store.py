@@ -6,13 +6,19 @@ holds: it owns the addressing (:mod:`.fingerprints`), the serialization
 :class:`~repro.pipeline.cachestore.local.LocalDirBackend` over the
 ``cache_dir`` the options name.
 
-Telemetry: ``cache.local.<kind>.hits`` / ``.misses`` counters and
-``cache.local.<kind>.load_ms`` / ``.store_ms`` timers land in the
-store's registry (and the active global one), riding the same
-snapshot/merge protocol as every other counter — ``--metrics`` of a
-``--jobs N`` run sums them across workers.  A write-back counts one
-miss (the cache could not supply the artifact, so the scan built it),
-which is what makes ``hits/(hits+misses)`` a true hit rate.
+An app has one entry holding every app-scoped artifact its store had
+built (:mod:`.codec`), so a load reads one file and a write rewrites
+it whole.
+
+Telemetry: ``cache.local.<kind>.hits`` / ``.misses`` counters per
+artifact kind, a ``cache.local.errors`` counter for unusable entries,
+and ``cache.local.load_ms`` / ``.store_ms`` timers (one observation per
+entry read or written) land in the store's registry (and the active
+global one), riding the same snapshot/merge protocol as every other
+counter — ``--metrics`` of a ``--jobs N`` run sums them across workers.
+A kind new to a written entry counts one miss (the cache could not
+supply the artifact, so the scan built it), which is what makes
+``hits/(hits+misses)`` a true hit rate.
 """
 
 from __future__ import annotations
@@ -21,10 +27,9 @@ import pickle
 import time
 from typing import TYPE_CHECKING, Optional
 
-from ...callgraph.entrypoints import method_key
 from ...obs import get_logger
-from ..artifacts import _APP_ARTIFACT_ORDER, ArtifactStore
-from .codec import CacheMiss, decode_artifact, encode_artifact
+from ..artifacts import _APP_ARTIFACT_ORDER, ARTIFACTS, ArtifactStore
+from .codec import CacheMiss, decode_entry, encode_entry
 from .fingerprints import entry_digest
 from .local import EntryKey, LocalDirBackend
 
@@ -47,64 +52,58 @@ class CacheStore:
         cache_dir = options.cache_dir
         return cls(LocalDirBackend(cache_dir)) if cache_dir else None
 
-    def entry_key(self, app_fp: str, kind: str, registry) -> EntryKey:
-        return EntryKey(app_fp, kind, entry_digest(app_fp, registry))
+    def entry_key(self, app_fp: str, registry) -> EntryKey:
+        return EntryKey(app_fp, entry_digest(app_fp, registry))
 
     # -- session API ---------------------------------------------------------
 
     def load_into(
         self, store: ArtifactStore, app_fp: str, options: "NCheckerOptions"
     ) -> set[str]:
-        """Adopt every valid cached artifact for ``store``'s app, in
-        dependency order; returns the kinds loaded.
+        """Adopt every artifact of the app's cached entry into ``store``;
+        returns the kinds loaded.
 
-        Kinds already present in the store are left alone.  Invalid
-        entries (truncated, corrupt, wrong version, dangling references)
-        are deleted and treated as misses — the caller rebuilds on demand
-        and :meth:`store_from` overwrites them.  ``options`` never reaches
-        an entry's address: options decide which artifacts a scan builds,
-        never what one contains, so entries are shared across flag
-        combinations.
+        An entry is one consistent snapshot, so it is read only into a
+        store that holds no app-scoped artifact yet; any other store gets
+        nothing.  An invalid entry (truncated, corrupt, wrong version,
+        dangling references) is deleted and treated as a miss — the
+        caller rebuilds on demand and :meth:`store_from` rewrites it.
+        ``options`` never reaches an entry's address: options decide
+        which artifacts a scan builds, never what one contains, so
+        entries are shared across flag combinations.
         """
-        loaded: set[str] = set()
-        methods: Optional[dict] = None
-        for key in _APP_ARTIFACT_ORDER:
-            if store.peek(key) is not None:
-                continue
-            entry = self.entry_key(app_fp, key.name, store.registry)
-            blob = self.backend.get(entry)
-            if blob is None:
-                continue
-            if methods is None:
-                methods = {method_key(m): m for m in store.apk.methods()}
-            start = time.perf_counter()
-            try:
-                value = decode_artifact(blob, store, methods)
-            except CacheMiss as exc:
-                log.info(
-                    "cache entry %s/%s unusable (%s): rebuilding",
-                    app_fp[:12], key.name, exc,
-                )
-                store._count(f"cache.local.{key.name}.misses")
-                store._count("cache.local.errors")
-                self.backend.delete(entry)
-                continue
-            store.adopt(key, value)
-            store._count(f"cache.local.{key.name}.hits")
-            store._observe(
-                f"cache.local.{key.name}.load_ms",
-                (time.perf_counter() - start) * 1000.0,
+        if any(store.peek(key) is not None for key in _APP_ARTIFACT_ORDER):
+            return set()
+        start = time.perf_counter()
+        entry = self.entry_key(app_fp, store.registry)
+        blob = self.backend.get(entry)
+        if blob is None:
+            return set()
+        try:
+            artifacts = decode_entry(blob, store)
+        except CacheMiss as exc:
+            log.info(
+                "cache entry %s unusable (%s): rebuilding", app_fp[:12], exc
             )
-            if key.name == "callgraph":
-                # Parity with _build_callgraph's gauges, so --stats reads
-                # the same whether the graph was built or loaded.
-                store._global.set_gauge("callgraph.methods", len(value.methods))
-                store._global.set_gauge(
-                    "callgraph.edges",
-                    sum(len(edges) for edges in value.out_edges.values()),
-                )
-            loaded.add(key.name)
-        return loaded
+            store._count("cache.local.errors")
+            self.backend.delete(entry)
+            return set()
+        for kind, value in artifacts.items():
+            store.adopt(ARTIFACTS[kind], value)
+            store._count(f"cache.local.{kind}.hits")
+        graph = artifacts.get("callgraph")
+        if graph is not None:
+            # Parity with _build_callgraph's gauges, so --stats reads the
+            # same whether the graph was built or loaded.
+            store._global.set_gauge("callgraph.methods", len(graph.methods))
+            store._global.set_gauge(
+                "callgraph.edges",
+                sum(len(edges) for edges in graph.out_edges.values()),
+            )
+        store._observe(
+            "cache.local.load_ms", (time.perf_counter() - start) * 1000.0
+        )
+        return set(artifacts)
 
     def store_from(
         self,
@@ -113,39 +112,34 @@ class CacheStore:
         options: "NCheckerOptions",
         exclude: set[str] = frozenset(),
     ) -> set[str]:
-        """Persist the store's built app-scoped artifacts (everything
-        present and not in ``exclude`` — the kinds already synced with
-        this fingerprint); returns the kinds written.
+        """Write every app-scoped artifact the store holds as the app's
+        one entry, if it holds a kind not in ``exclude`` (the kinds
+        already synced with this fingerprint); returns the kinds the
+        written entry holds, or the empty set when nothing was written.
 
-        Every entry written counts one ``cache.local.<kind>.misses`` —
-        the cache could not supply the artifact, so the scan built it.
+        Each kind not in ``exclude`` counts one
+        ``cache.local.<kind>.misses`` — the cache could not supply the
+        artifact, so the scan built it.
         """
-        present = {
-            key.name: store.peek(key)
+        artifacts = {
+            key.name: value
             for key in _APP_ARTIFACT_ORDER
-            if store.peek(key) is not None
+            if (value := store.peek(key)) is not None
         }
-        artifact_ids = {id(value): name for name, value in present.items()}
-        written: set[str] = set()
-        for key in _APP_ARTIFACT_ORDER:
-            value = present.get(key.name)
-            if value is None or key.name in exclude:
-                continue
-            entry = self.entry_key(app_fp, key.name, store.registry)
-            ids = dict(artifact_ids)
-            del ids[id(value)]  # the dumped artifact itself is no reference
-            start = time.perf_counter()
-            try:
-                blob = encode_artifact(store, value, ids)
-            except pickle.PicklingError as exc:
-                log.warning("cannot encode cache entry %s: %s", key.name, exc)
-                continue
-            if not self.backend.put(entry, blob):
-                continue  # write failed; retried next run
-            store._count(f"cache.local.{key.name}.misses")
-            store._observe(
-                f"cache.local.{key.name}.store_ms",
-                (time.perf_counter() - start) * 1000.0,
-            )
-            written.add(key.name)
-        return written
+        built = artifacts.keys() - exclude
+        if not built:
+            return set()
+        start = time.perf_counter()
+        try:
+            blob = encode_entry(store, artifacts)
+        except pickle.PicklingError as exc:
+            log.warning("cannot encode cache entry %s: %s", app_fp[:12], exc)
+            return set()
+        if not self.backend.put(self.entry_key(app_fp, store.registry), blob):
+            return set()  # write failed; retried next run
+        for kind in built:
+            store._count(f"cache.local.{kind}.misses")
+        store._observe(
+            "cache.local.store_ms", (time.perf_counter() - start) * 1000.0
+        )
+        return set(artifacts)

@@ -14,12 +14,12 @@ edited or patched app always gets a fresh session.
 
 Sessions are also where the opt-in **persistent cross-run cache**
 (:mod:`repro.pipeline.cachestore`, ``NCheckerOptions.cache_dir``) plugs
-in: before the first check runs, every valid cached artifact for the
-app's content fingerprint is adopted into the store (zero builds on a
-warm run), and after each scan the artifacts the run had to build are
-written back to the cache directory.  Output is byte-identical with the
-cache hot, cold, or disabled — the cache only changes where artifacts
-come from.
+in: before the first check runs, the app's cached entry for its content
+fingerprint is adopted into the store (zero builds on a warm run), and
+after a scan that built an artifact the entry lacks, the app's entry is
+rewritten (``cache:load`` and ``cache:store`` spans).  Output is
+byte-identical with the cache hot, cold, or disabled — the cache only
+changes where artifacts come from.
 """
 
 from __future__ import annotations
@@ -168,18 +168,19 @@ class ScanSession:
     def _preload_from_disk(self) -> None:
         if self.artifact_cache is None:
             return
-        fp = self._content_fingerprint()
-        self._cache_synced |= self.artifact_cache.load_into(
-            self.store, fp, self.options
-        )
+        with span("cache:load", package=self.apk.package):
+            self._cache_synced |= self.artifact_cache.load_into(
+                self.store, self._content_fingerprint(), self.options
+            )
 
     def _persist_to_disk(self) -> None:
         if self.artifact_cache is None:
             return
-        self._cache_synced |= self.artifact_cache.store_from(
-            self.store, self._content_fingerprint(), self.options,
-            exclude=self._cache_synced,
-        )
+        with span("cache:store", package=self.apk.package):
+            self._cache_synced |= self.artifact_cache.store_from(
+                self.store, self._content_fingerprint(), self.options,
+                exclude=self._cache_synced,
+            )
 
 
 @record

@@ -45,6 +45,17 @@ class TestLoads:
         with pytest.raises(ParseError, match="malformed manifest"):
             loads_apk("apk com.x\nmanifest {\n  widget com.x.W\n}")
 
+    def test_manifest_class_missing_is_an_error_at_its_line(self):
+        text = MINIMAL.replace("activity com.example.mini.Main",
+                               "activity com.example.mini.Gone")
+        with pytest.raises(ParseError) as excinfo:
+            loads_apk(text)
+        assert excinfo.value.line_no == 5
+        assert str(excinfo.value) == (
+            "line 5: manifest declares missing class: "
+            "'activity com.example.mini.Gone'"
+        )
+
     def test_round_trip(self):
         apk = loads_apk(MINIMAL)
         again = loads_apk(dumps_apk(apk))

@@ -252,3 +252,28 @@ class TestRenderSpans:
         assert [e["ph"] for e in render] == ["B", "E"]
         workers = {e["pid"] for e in events if e["name"] == "scan"}
         assert render[0]["pid"] not in workers
+
+
+class TestCacheSpans:
+    """The artifact cache's read and write show up as `cache:load` and
+    `cache:store` root spans beside `load` and `scan`, one per app."""
+
+    def test_cache_spans_count_one_per_app(self, tmp_path, capsys):
+        main(["scan", "--cache-dir", str(tmp_path / "cache"), "--profile",
+              *APPS[:2]])
+        err = capsys.readouterr().err
+        for name in ("cache:load", "cache:store"):
+            rows = TestRenderSpans._profile_rows(err, name)
+            assert len(rows) == 1, err
+            assert rows[0][1] == "2"  # the count column
+        # Root spans: printed without indentation, like `load`.
+        roots = {line.split()[0] for line in err.splitlines()
+                 if line and not line.startswith(" ")}
+        assert {"cache:load", "cache:store", "load", "scan"} <= roots
+
+    def test_no_cache_spans_without_a_cache_dir(self, capsys):
+        main(["scan", "--profile", *APPS[:2]])
+        err = capsys.readouterr().err
+        assert "== profile ==" in err
+        for name in ("cache:load", "cache:store"):
+            assert not TestRenderSpans._profile_rows(err, name), err

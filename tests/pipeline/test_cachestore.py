@@ -7,30 +7,46 @@ enforced, not aspirational.  On top of that battery:
 
 * scan-level tests proving a warm re-scan does **zero** app-scoped
   builds, with hits counted under ``cache.local.*``;
+* the write shape: one entry file per app, written in one pass and
+  rewritten only when the scan built a kind the entry lacks;
 * format compatibility: ``LocalDirBackend`` reads a cache laid out by
-  the entry-path formula earlier releases wrote, and the entry header
-  is pinned byte-for-byte.
+  the pinned entry-path formula, and the entry header is pinned
+  byte-for-byte.
 """
 
 import hashlib
+import pickle
 import struct
+from pathlib import Path
 
 import pytest
 
 from repro.app.loader import dumps_apk, loads_apk
+from repro.callgraph.entrypoints import method_key
+from repro.cli import main
 from repro.core import NChecker
-from repro.core.checker import NCheckerOptions
+from repro.core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NCheckerOptions
 from repro.corpus.snippets import RequestSpec
+from repro.libmodels import default_registry
+from repro.pipeline.artifacts import CALLGRAPH, SUMMARIES, ArtifactStore
 from repro.pipeline.cachestore import (
     CACHE_FORMAT_VERSION,
     CacheStore,
     EntryKey,
     LocalDirBackend,
     app_content_fingerprint,
+    encode_entry,
     entry_digest,
     registry_fingerprint,
 )
 from tests.conftest import single_request_app
+
+EXAMPLE_APPS = sorted(
+    str(p)
+    for p in (Path(__file__).resolve().parents[2] / "examples" / "apps").glob(
+        "*.apkt"
+    )
+)
 
 APP_KINDS = ("callgraph", "summaries", "requests", "retry-loops", "icc-model")
 PERSISTED_KINDS = ("callgraph", "summaries", "requests", "retry-loops")
@@ -41,8 +57,8 @@ def backend(tmp_path) -> LocalDirBackend:
     return LocalDirBackend(tmp_path / "cache")
 
 
-def key(kind="summaries", app_fp="a" * 40, digest="0123456789abcdef") -> EntryKey:
-    return EntryKey(app_fp, kind, digest)
+def key(app_fp="a" * 40, digest="0123456789abcdef") -> EntryKey:
+    return EntryKey(app_fp, digest)
 
 
 def unique_keys(backend) -> set[EntryKey]:
@@ -108,8 +124,8 @@ class TestBackendConformance:
         assert backend.delete(k) is False  # idempotent, best-effort
 
     def test_distinct_digests_coexist(self, backend):
-        """Two entries differing only in digest (same app, same kind —
-        e.g. two options profiles) must never collide."""
+        """Two entries differing only in digest (same app under two
+        library registries) must never collide."""
         k1 = key(digest="1111111111111111")
         k2 = key(digest="2222222222222222")
         backend.put(k1, b"one")
@@ -119,9 +135,9 @@ class TestBackendConformance:
 
     def test_list_entries_and_stats_agree(self, backend):
         keys = [
-            key(kind="summaries", digest="d1" * 8),
-            key(kind="callgraph", digest="d2" * 8),
-            key(kind="callgraph", app_fp="b" * 40, digest="d3" * 8),
+            key(digest="d1" * 8),
+            key(digest="d2" * 8),
+            key(app_fp="b" * 40, digest="d3" * 8),
         ]
         for k in keys:
             backend.put(k, b"abcdef")
@@ -131,9 +147,7 @@ class TestBackendConformance:
         assert stats.entries == len(entries)
         assert stats.total_bytes == sum(info.size for info in entries)
         assert stats.apps == 2
-        assert set(stats.by_kind) == {"summaries", "callgraph"}
-        rendered = stats.render()
-        assert "summaries" in rendered and "callgraph" in rendered
+        assert "3 entries for 2 app(s)" in stats.render()
 
     def test_gc_spares_entries_inside_the_grace_window(self, backend):
         backend.put(key(), b"fresh")
@@ -194,6 +208,22 @@ class TestLocalBackendEdgeCases:
         backend.entry_path(k).mkdir(parents=True)
         assert backend.get(k) is None
 
+    def test_stale_v2_tree_is_counted_and_collected(self, tmp_path):
+        """Format 2's per-kind files are never read, but stats, gc and
+        clear still see them, so an old tree can be collected."""
+        backend = LocalDirBackend(tmp_path / "cache")
+        backend.put(key(), b"current")
+        stale = (tmp_path / "cache" / "v2" / "bb" / ("b" * 40)
+                 / "callgraph-0123456789abcdef.bin")
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(b"old")
+        assert {info.key for info in backend.list_entries()} == {
+            key(), key(app_fp="b" * 40)
+        }
+        assert backend.stats().apps == 2
+        assert backend.clear() == 2
+        assert not (tmp_path / "cache" / "v2").exists()
+
     def test_stats_on_missing_root(self, tmp_path):
         backend = LocalDirBackend(tmp_path / "never-created")
         assert backend.stats().entries == 0
@@ -235,20 +265,25 @@ class TestWarmScanEveryBackend:
 
 
 class TestCorruptionEveryBackend:
-    def summaries_key(self, backend) -> EntryKey:
-        [k] = {i.key for i in backend.list_entries() if i.key.kind == "summaries"}
+    """An app's one entry is all or nothing: a damaged entry rebuilds
+    the whole app and is rewritten."""
+
+    def app_key(self, backend) -> EntryKey:
+        [k] = unique_keys(backend)
         return k
 
     def test_garbage_blob_is_a_miss_and_gets_repaired(self, backend):
         apk = fresh_apk()
         cold_result, _ = scan_with(backend, apk)
-        k = self.summaries_key(backend)
+        k = self.app_key(backend)
         backend.put(k, b"complete garbage, not even a header")
 
         result, session = scan_with(backend, loads_apk(dumps_apk(apk)))
         assert finding_sigs(result) == finding_sigs(cold_result)
         assert session.store.counters.builds_of("summaries") == 1
-        assert counter(session, "cache.local.summaries.misses") >= 1
+        assert session.store.counters.builds_of("callgraph") == 1
+        assert counter(session, "cache.local.summaries.misses") == 1
+        assert counter(session, "cache.local.summaries.hits") == 0
         assert counter(session, "cache.local.errors") == 1
         # The bad entry was dropped and the rebuilt artifact re-published
         # — the next reader gets a valid blob.
@@ -258,7 +293,7 @@ class TestCorruptionEveryBackend:
     def test_header_version_mismatch_is_a_miss(self, backend):
         apk = fresh_apk()
         cold_result, _ = scan_with(backend, apk)
-        k = self.summaries_key(backend)
+        k = self.app_key(backend)
         stale = bytearray(backend.get(k))
         struct.pack_into(">I", stale, 4, CACHE_FORMAT_VERSION + 1)
         backend.put(k, bytes(stale))
@@ -270,7 +305,7 @@ class TestCorruptionEveryBackend:
     def test_flipped_payload_byte_is_a_miss(self, backend):
         apk = fresh_apk()
         cold_result, _ = scan_with(backend, apk)
-        k = self.summaries_key(backend)
+        k = self.app_key(backend)
         flipped = bytearray(backend.get(k))
         flipped[-1] ^= 0xFF
         backend.put(k, bytes(flipped))
@@ -281,6 +316,162 @@ class TestCorruptionEveryBackend:
 
 
 # ---------------------------------------------------------------------------
+# The write shape: one entry per app, written in one pass, rewritten only
+# when the scan built a kind the entry lacks.
+# ---------------------------------------------------------------------------
+
+
+def extended_options() -> NCheckerOptions:
+    return NCheckerOptions(enabled_checks=DEFAULT_CHECKS | EXTENDED_CHECKS)
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record each ``LocalDirBackend.<name>`` call's key."""
+    calls = []
+    original = getattr(LocalDirBackend, name)
+
+    def counted(self, entry, *args):
+        calls.append(entry)
+        return original(self, entry, *args)
+
+    monkeypatch.setattr(LocalDirBackend, name, counted)
+    return calls
+
+
+def entry_blob(payload: bytes) -> bytes:
+    """``payload`` behind a valid header and checksum."""
+    digest = hashlib.blake2b(payload, digest_size=16).digest()
+    return b"NCKC" + struct.pack(">I", CACHE_FORMAT_VERSION) + digest + payload
+
+
+class TestOneEntryPerApp:
+    def test_cold_scan_of_n_apps_writes_n_entry_files(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        main(["scan", "--cache-dir", str(cache_dir), *EXAMPLE_APPS])
+        capsys.readouterr()
+        files = [p for p in cache_dir.rglob("*") if p.is_file()]
+        assert len(files) == len(EXAMPLE_APPS) == 4
+        assert all(p.suffix == ".bin" for p in files)
+
+    def test_warm_scan_reads_one_entry_per_app_and_builds_nothing(
+        self, backend, monkeypatch
+    ):
+        apks = [
+            fresh_apk(),
+            single_request_app(RequestSpec(), package="com.test.other")[0],
+        ]
+        for apk in apks:
+            scan_with(backend, apk)
+        gets = count_calls(monkeypatch, "get")
+        for apk in apks:
+            _result, session = scan_with(backend, loads_apk(dumps_apk(apk)))
+            assert app_builds(session) == dict.fromkeys(APP_KINDS, 0)
+        assert len(gets) == len(set(gets)) == len(apks)
+
+    def test_extended_rescan_adds_threadcontext_then_writes_nothing(
+        self, backend, monkeypatch
+    ):
+        apk = fresh_apk()
+        scan_with(backend, apk)
+        puts = count_calls(monkeypatch, "put")
+
+        def scan_extended():
+            session = NChecker(options=extended_options()).open_session(
+                loads_apk(dumps_apk(apk))
+            )
+            session.artifact_cache = CacheStore(backend)
+            session.scan()
+            return session
+
+        second = scan_extended()
+        assert second.store.counters.builds_of("threadcontext") == 1
+        assert second.store.counters.builds_of("callgraph") == 0
+        assert counter(second, "cache.local.threadcontext.misses") == 1
+        assert counter(second, "cache.local.callgraph.misses") == 0
+        assert len(puts) == 1  # the entry, rewritten whole
+        assert unique_keys(backend) == {puts[0]}
+        loaded = CacheStore(backend).load_into(
+            ArtifactStore(second.apk, second.registry),
+            app_content_fingerprint(apk), second.options,
+        )
+        assert loaded == {*PERSISTED_KINDS, "threadcontext"}
+
+        third = scan_extended()
+        assert app_builds(third) == dict.fromkeys(APP_KINDS, 0)
+        assert third.store.counters.builds_of("threadcontext") == 0
+        assert counter(third, "cache.local.threadcontext.hits") == 1
+        assert len(puts) == 1  # nothing new to write
+
+    def test_loaded_callgraph_holds_the_live_apps_methods(self, backend):
+        apk = fresh_apk()
+        scan_with(backend, apk)
+        clone = loads_apk(dumps_apk(apk))
+        _result, session = scan_with(backend, clone)
+        graph = session.store.peek(CALLGRAPH)
+        assert counter(session, "cache.local.callgraph.hits") == 1
+        live = {method_key(m): m for m in clone.methods()}
+        assert graph.methods
+        for key_, method in graph.methods.items():
+            assert method is live[key_]
+        # One pickle: the summary engine shares the loaded graph and is
+        # wired to the loading session's store.
+        engine = session.store.peek(SUMMARIES)
+        assert engine.graph is graph
+        assert engine.cache is session.store
+        assert engine.registry is session.registry
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[1, 2], "text", {}, {"nonsense": 1}, {"callgraph": None}, {3: "x"}],
+        ids=["list", "str", "empty", "unknown-kind", "none-artifact",
+             "int-kind"],
+    )
+    def test_payload_that_is_not_a_kind_dict_is_a_miss(self, backend, payload):
+        apk = fresh_apk()
+        cold_result, _ = scan_with(backend, apk)
+        [k] = unique_keys(backend)
+        backend.put(k, entry_blob(pickle.dumps(payload)))
+
+        result, session = scan_with(backend, loads_apk(dumps_apk(apk)))
+        assert finding_sigs(result) == finding_sigs(cold_result)
+        assert counter(session, "cache.local.errors") == 1
+        assert session.store.counters.builds_of("callgraph") == 1
+        assert backend.get(k)[24:] != pickle.dumps(payload)  # rewritten
+
+    def test_another_apps_entry_is_a_miss(self, backend):
+        """Transplanted onto another app's address, an entry names
+        methods that app does not have."""
+        apk = fresh_apk()
+        other = single_request_app(RequestSpec(), package="com.test.other")[0]
+        scan_with(backend, apk)
+        scan_with(backend, other)
+        own, foreign = (
+            CacheStore(backend).entry_key(app_content_fingerprint(a), registry)
+            for a, registry in ((apk, default_registry()),
+                                (other, default_registry()))
+        )
+        backend.put(foreign, backend.get(own))
+        _result, session = scan_with(backend, loads_apk(dumps_apk(other)))
+        assert counter(session, "cache.local.errors") == 1
+        assert session.store.counters.builds_of("callgraph") == 1
+
+    def test_another_sessions_objects_refuse_to_encode(self, backend):
+        """An artifact that reaches another session's APK is not
+        written."""
+        apk = fresh_apk()
+        _result, session = scan_with(None, apk)
+        foreign = ArtifactStore(loads_apk(dumps_apk(apk)), session.registry)
+        foreign.adopt(CALLGRAPH, session.store.peek(CALLGRAPH))
+        with pytest.raises(pickle.PicklingError):
+            encode_entry(foreign, {"callgraph": session.store.peek(CALLGRAPH)})
+        written = CacheStore(backend).store_from(
+            foreign, app_content_fingerprint(apk), session.options
+        )
+        assert written == set()
+        assert backend.list_entries() == []
+
+
+# ---------------------------------------------------------------------------
 # Format compatibility: the local backend keeps the on-disk dialect
 # earlier releases wrote.
 # ---------------------------------------------------------------------------
@@ -288,9 +479,10 @@ class TestCorruptionEveryBackend:
 
 class TestPreSplitFormatCompat:
     def test_entry_layout_is_pinned_to_the_pre_split_formula(self, tmp_path):
-        """Entries land at <root>/v<FMT>/<fp[:2]>/<fp>/<kind>-<digest>.bin —
-        the path every earlier release computed — so existing caches keep
-        working."""
+        """The app's one entry lands at
+        <root>/v3/<fp[:2]>/<fp>-<digest>.bin, with the app fingerprint
+        and entry digest earlier releases computed — and it is the only
+        file the scan writes."""
         cache_dir = tmp_path / "cache"
         apk = fresh_apk()
         options = NCheckerOptions(cache_dir=str(cache_dir))
@@ -298,16 +490,12 @@ class TestPreSplitFormatCompat:
         session.scan()
 
         fp = app_content_fingerprint(apk)
-        for kind in PERSISTED_KINDS:
-            digest = entry_digest(fp, session.registry)
-            expected = (
-                cache_dir
-                / f"v{CACHE_FORMAT_VERSION}"
-                / fp[:2]
-                / fp
-                / f"{kind}-{digest}.bin"
-            )
-            assert expected.is_file(), f"{kind} entry not at the legacy path"
+        digest = entry_digest(fp, session.registry)
+        expected = cache_dir / "v3" / fp[:2] / f"{fp}-{digest}.bin"
+        assert CACHE_FORMAT_VERSION == 3
+        assert expected.is_file(), "entry not at the pinned path"
+        files = [p for p in cache_dir.rglob("*") if p.is_file()]
+        assert files == [expected]
 
     def test_entry_digest_is_pinned_to_the_earlier_formula(self):
         """blake2b-128 over the app fingerprint, a NUL, the registry
@@ -336,9 +524,10 @@ class TestPreSplitFormatCompat:
         assert blob[8:24] == hashlib.blake2b(blob[24:], digest_size=16).digest()
 
     def test_local_backend_reads_a_transplanted_legacy_cache(self, tmp_path):
-        """Simulate inheriting a cache directory an earlier release wrote:
-        entry files placed by hand at the legacy path formula (bypassing
-        ``LocalDirBackend.put``) must give a build-free warm scan."""
+        """Simulate inheriting a cache directory another process wrote:
+        the entry file placed by hand at the pinned path formula
+        (bypassing ``LocalDirBackend.put``) must give a build-free warm
+        scan."""
         apk = fresh_apk()
         options = NCheckerOptions(cache_dir=str(tmp_path / "writer"))
         writer = NChecker(options=options).open_session(apk)
@@ -346,14 +535,10 @@ class TestPreSplitFormatCompat:
 
         fp = app_content_fingerprint(apk)
         legacy_root = tmp_path / "legacy"
-        for kind in PERSISTED_KINDS:
-            name = f"{kind}-{entry_digest(fp, writer.registry)}.bin"
-            src = (
-                tmp_path / "writer" / f"v{CACHE_FORMAT_VERSION}" / fp[:2] / fp / name
-            )
-            dst = legacy_root / f"v{CACHE_FORMAT_VERSION}" / fp[:2] / fp / name
-            dst.parent.mkdir(parents=True, exist_ok=True)
-            dst.write_bytes(src.read_bytes())
+        relative = Path("v3", fp[:2], f"{fp}-{entry_digest(fp, writer.registry)}.bin")
+        dst = legacy_root / relative
+        dst.parent.mkdir(parents=True)
+        dst.write_bytes((tmp_path / "writer" / relative).read_bytes())
 
         result, session = scan_with(
             LocalDirBackend(legacy_root), loads_apk(dumps_apk(apk))

@@ -11,6 +11,7 @@ addressing) is covered in ``test_cachestore.py``.
 
 import json
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NCheckerOptions
 from repro.core.patcher import Patcher
 from repro.corpus.snippets import Connectivity, Notification, RequestSpec
 from repro.ir.statements import NopStmt
+from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.cachestore import (
     CACHE_FORMAT_VERSION,
     CacheStore,
@@ -91,6 +93,23 @@ class TestFingerprints:
         before = registry_fingerprint(registry)
         monkeypatch.setattr(fingerprints, "LIBMODELS_VERSION", 9999)
         assert registry_fingerprint(registry) != before
+
+    def test_options_fingerprint_ignores_the_cache_format(self, monkeypatch):
+        """Recorded bench runs keep matching across cache format
+        changes: the default options' fingerprint is the checked-in
+        baseline's, whatever ``CACHE_FORMAT_VERSION`` says."""
+        baseline = json.loads(
+            (Path(__file__).resolve().parents[2] / "benchmarks"
+             / "bench_baseline.json").read_text()
+        )
+        options = NCheckerOptions()
+        assert (fingerprints.scan_options_fingerprint(options)
+                == baseline["provenance"]["options_fingerprint"])
+        monkeypatch.setattr(
+            fingerprints, "CACHE_FORMAT_VERSION", CACHE_FORMAT_VERSION + 1
+        )
+        assert (fingerprints.scan_options_fingerprint(options)
+                == baseline["provenance"]["options_fingerprint"])
 
 
 class TestSizes:
@@ -187,14 +206,13 @@ class TestWarmScan:
 
 
 class TestCorruption:
-    def entry(self, cache_dir, kind) -> "list":
-        return [p for p in LocalDirBackend(cache_dir)._entry_files()
-                if p.name.startswith(f"{kind}-")]
+    """The app's one entry is all or nothing: damage anywhere in it
+    rebuilds the whole app, and the rebuilt entry replaces it."""
 
-    def corrupt_and_rescan(self, tmp_path, mutate, kind="summaries"):
+    def corrupt_and_rescan(self, tmp_path, mutate):
         cache_dir = tmp_path / "cache"
         r1, _ = scan_once(cache_dir)
-        (path,) = self.entry(cache_dir, kind)
+        (path,) = LocalDirBackend(cache_dir)._entry_files()
         mutate(path)
         r2, session = scan_once(cache_dir)
         assert finding_sigs(r2) == finding_sigs(r1)
@@ -206,13 +224,14 @@ class TestCorruption:
 
         session, path = self.corrupt_and_rescan(tmp_path, truncate)
         m = session.store.metrics
-        # One miss for the unreadable entry, one for the write-back of
-        # the rebuilt artifact (every write counts as a miss).
-        assert m.counter_value("cache.local.summaries.misses") == 2
+        # The unreadable entry counts an error; the write-back of the
+        # rebuilt app counts one miss per kind it holds.
         assert m.counter_value("cache.local.errors") == 1
-        assert app_builds(session)["summaries"] == 1
-        assert app_builds(session)["callgraph"] == 0  # others still warm
-        # The rebuilt artifact overwrote the bad entry: next scan is clean.
+        for kind in ("callgraph", "summaries", "requests", "retry-loops"):
+            assert m.counter_value(f"cache.local.{kind}.misses") == 1
+            assert m.counter_value(f"cache.local.{kind}.hits") == 0
+            assert app_builds(session)[kind] == 1
+        # The rebuilt entry overwrote the bad one: next scan is clean.
         _r3, s3 = scan_once(tmp_path / "cache")
         assert app_builds(s3) == dict.fromkeys(APP_KINDS, 0)
         assert s3.store.metrics.counter_value("cache.local.errors") == 0
@@ -271,20 +290,24 @@ class TestPatchWarmStart:
 
 class TestManagement:
     def populated(self, tmp_path):
+        """A cache holding two apps' entries."""
         cache_dir = tmp_path / "cache"
         scan_once(cache_dir)
+        scan_once(
+            cache_dir,
+            single_request_app(RequestSpec(), package="com.test.other")[0],
+        )
         return LocalDirBackend(cache_dir)
 
     def test_stats(self, tmp_path):
         cache = self.populated(tmp_path)
         stats = cache.stats()
-        assert stats.apps == 1
-        assert stats.entries == len(cache._entry_files()) > 0
+        assert stats.apps == 2
+        assert stats.entries == len(cache._entry_files()) == 2
         assert stats.total_bytes == sum(
             p.stat().st_size for p in cache._entry_files()
         )
-        assert set(stats.by_kind) <= set(APP_KINDS)
-        assert str(stats.entries) in stats.render()
+        assert "2 entries for 2 app(s)" in stats.render()
 
     def test_gc_drops_oldest_until_under_budget(self, tmp_path):
         cache = self.populated(tmp_path)
@@ -467,10 +490,13 @@ class TestExtendedChecksCache:
 
     def test_default_scan_never_persists_threadcontext(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        scan_once(cache_dir)
-        entries = LocalDirBackend(cache_dir)._entry_files()
-        assert entries
-        assert not [p for p in entries if p.name.startswith("threadcontext-")]
+        _r, session = scan_once(cache_dir)
+        assert LocalDirBackend(cache_dir)._entry_files()
+        loaded = CacheStore(LocalDirBackend(cache_dir)).load_into(
+            ArtifactStore(session.apk, session.registry),
+            app_content_fingerprint(session.apk), session.options,
+        )
+        assert loaded == {"callgraph", "summaries", "requests", "retry-loops"}
 
     @pytest.fixture()
     def lifecycle_files(self, tmp_path):
@@ -540,40 +566,26 @@ class TestCacheSubcommand:
     def test_stats_and_clear(self, tmp_path, capsys):
         cache = self.populate(tmp_path, capsys)
         code, out, _ = self.run(["cache", "stats", *cache], capsys)
-        assert code == 0 and "entries for 1 app(s)" in out
-        # Per-kind breakdown: every persisted kind gets its own row with
-        # an entry count and a size, so cache growth is attributable.
-        for kind in ("callgraph", "summaries", "requests", "retry-loops"):
-            assert any(
-                line.split()[0] == kind and len(line.split()) == 3
-                for line in out.splitlines()
-            ), f"no per-kind row for {kind}:\n{out}"
+        assert code == 0 and "1 entry for 1 app(s)" in out
+        # One entry per app holds every kind: no per-kind rows.
+        assert len(out.splitlines()) == 2
         code, out, _ = self.run(["cache", "clear", *cache], capsys)
         assert code == 0 and out.startswith("removed ")
         code, out, _ = self.run(["cache", "stats", *cache], capsys)
         assert "0 entries" in out
 
     def test_stats_output_is_pinned(self, tmp_path, capsys):
-        """``cache stats`` prints ``cache local <DIR>``, a totals line and
-        one row per kind, in this exact layout, computed here from the
-        entry files themselves."""
+        """``cache stats`` prints ``cache local <DIR>`` and a totals line,
+        in this exact layout, computed here from the entry files
+        themselves."""
         cache = self.populate(tmp_path, capsys)
         files = sorted((tmp_path / "cache").rglob("*.bin"))
-        by_kind: dict[str, list[int]] = {}
-        for path in files:
-            kind = path.stem.rpartition("-")[0]
-            by_kind.setdefault(kind, []).append(path.stat().st_size)
-        total = sum(sum(sizes) for sizes in by_kind.values())
+        assert len(files) == 1
+        total = sum(path.stat().st_size for path in files)
         expected = [
             f"cache local {tmp_path / 'cache'}",
-            f"  {len(files)} entries for 1 app(s), {format_size(total)}",
-            *(
-                f"  {kind:<13} {len(sizes):>5}  {format_size(sum(sizes))}"
-                for kind, sizes in sorted(by_kind.items())
-            ),
+            f"  1 entry for 1 app(s), {format_size(total)}",
         ]
-        assert sorted(by_kind) == ["callgraph", "requests", "retry-loops",
-                                   "summaries"]
         code, out, _ = self.run(["cache", "stats", *cache], capsys)
         assert code == 0
         assert out == "\n".join(expected) + "\n"

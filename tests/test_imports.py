@@ -208,3 +208,104 @@ def test_cli_experiment_ids_match_the_registry():
     from repro.eval import EXPERIMENTS
 
     assert EXPERIMENT_IDS == tuple(EXPERIMENTS)
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _annotation_names(node: ast.expr) -> set[str]:
+    """Names an annotation uses, including inside string annotations
+    (``"IRMethod"``, ``list["APK"]``)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                parsed = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= _annotation_names(parsed.body)
+    return names
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of every name ``source`` imports and never uses.
+
+    Imports under ``if TYPE_CHECKING:`` and ``from __future__`` are not
+    checked.  A use anywhere in the module counts, as do names listed in
+    ``__all__`` and names used in string annotations."""
+    tree = ast.parse(source)
+    skipped = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and _is_type_checking(node.test)
+        for stmt in node.body
+        for sub in ast.walk(stmt)
+    }
+    imported: list[tuple[int, str]] = []
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if id(node) in skipped or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                bound = alias.asname or alias.name.partition(".")[0]
+                imported.append((node.lineno, bound))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                elt.value for elt in ast.walk(node.value)
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            }
+    return [(line, name) for line, name in imported if name not in used]
+
+
+class TestUnusedImports:
+    """Offline stand-in for the CI lint step's unused-import rule
+    (``ruff check src/repro``, F401): a module's imports are all used.
+    Package ``__init__`` modules re-export, so they are not checked."""
+
+    def test_no_module_imports_a_name_it_never_uses(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{line} {name}"
+            for path in sorted((SRC / "repro").rglob("*.py"))
+            if path.name != "__init__.py"
+            for line, name in unused_imports(path.read_text())
+        ]
+        assert not offenders, offenders
+
+    def test_the_check_finds_what_it_should(self):
+        source = (
+            "from __future__ import annotations\n"
+            "import os, os.path as osp\n"
+            "from typing import TYPE_CHECKING, Optional\n"
+            "import json\n"
+            "from a import b as c, d, e, f\n"
+            "if TYPE_CHECKING:\n"
+            "    from g import Never\n"
+            "__all__ = ['f']\n"
+            "def run(x: 'list[d]') -> Optional[int]:\n"
+            "    import sys\n"
+            "    return json.dumps(x) and c\n"
+        )
+        assert unused_imports(source) == [
+            (2, "os"), (2, "osp"), (5, "e"), (10, "sys"),
+        ]
