@@ -31,7 +31,8 @@ from ..app.components import (
     THREAD_START_METHODS,
 )
 from ..ir.method import IRMethod
-from ..ir.values import InvokeExpr, Local
+from ..ir.statements import AssignStmt
+from ..ir.values import FieldRef, InvokeExpr, Local, NewExpr
 from ..libmodels.annotations import LibraryRegistry
 from .entrypoints import EntryPoint, MethodKey, discover_entry_points, method_key
 from .resolve import MethodAnalysisCache, collect_field_types, origin_classes
@@ -49,6 +50,9 @@ _RUNNABLE_DISPATCH_METHODS = frozenset(
     | set(HANDLER_POST_METHODS)
     | set(EXECUTOR_SUBMIT_METHODS)
 )
+
+#: What ``_origins_of`` answers without tracing (never mutated).
+_NO_ORIGINS: frozenset[str] = frozenset()
 
 
 @record(frozen=True)
@@ -83,11 +87,6 @@ class CallGraph:
         self._callback_interfaces: frozenset[str] = frozenset(
             registry.callback_interfaces() if registry is not None else ()
         )
-        #: Memoized ``origin_classes`` queries, keyed by (method, site,
-        #: local).  Edge derivation asks for the same origins repeatedly
-        #: (async-task, runnable, and library-callback probes per site);
-        #: entries for a method are dropped when its edges are refreshed.
-        self._origin_memo: dict[tuple[MethodKey, int, str], set[str]] = {}
         self._build()
 
     def __getstate__(self) -> dict:
@@ -100,12 +99,22 @@ class CallGraph:
     # -- construction -------------------------------------------------------
 
     def _build(self) -> None:
+        #: Memoized ``origin_classes`` queries, keyed by (method, site,
+        #: local).  Edge derivation asks for the same origins repeatedly
+        #: (async-task, runnable, and library-callback probes per site).
+        self._origin_memo: dict[tuple[MethodKey, int, str], set[str]] = {}
+        #: Per method: (can an origin trace there yield an app class, does
+        #: a constructor call there pass ``this``) — see ``_scope_of``.
+        self._scope_memo: dict[MethodKey, tuple[bool, bool]] = {}
         for method in self.apk.methods():
             self.methods[method_key(method)] = method
         for key, method in self.methods.items():
             for idx, invoke in method.invoke_sites():
                 for edge in self._edges_for_site(key, method, idx, invoke):
                     self._add_edge(edge)
+        # Both memos serve construction only: dropping them keeps them
+        # out of memory and out of cached graphs.
+        del self._origin_memo, self._scope_memo
 
     def _add_edge(self, edge: CallEdge) -> None:
         if edge.callee not in self.methods:
@@ -143,10 +152,60 @@ class CallGraph:
             return None
         return method_key(target)
 
+    def _scope_of(self, key: MethodKey, method: IRMethod) -> tuple[bool, bool]:
+        """``(names_app_class, ctor_gets_this)`` for ``method``.
+
+        An origin trace of a local other than ``this`` can only yield a
+        class the method names: a parameter's type hint, a ``new C``, the
+        stored type of a field it loads, or an invoke's return type.  When
+        none of them is an application class, every such origin is a
+        library class, and every edge rule drops those — so the trace can
+        be skipped.  ``ctor_gets_this`` says whether a constructor call
+        passes ``this``, the one local whose origin is always the
+        method's own (application) class.
+        """
+        scope = self._scope_memo.get(key)
+        if scope is not None:
+            return scope
+        hierarchy = self.apk.hierarchy
+        field_types = self.field_types
+        names_app = any(
+            param.type_hint in hierarchy for param in method.params
+        )
+        ctor_gets_this = False
+        for stmt in method.statements:
+            if isinstance(stmt, AssignStmt) and not names_app:
+                value = stmt.value
+                if isinstance(value, NewExpr):
+                    names_app = value.class_name in hierarchy
+                elif isinstance(value, FieldRef):
+                    names_app = field_types.get(
+                        (value.sig.class_name, value.sig.name)
+                    ) in hierarchy
+                elif isinstance(value, InvokeExpr):
+                    names_app = value.sig.return_type in hierarchy
+            if not ctor_gets_this:
+                invoke = stmt.invoke()
+                ctor_gets_this = (
+                    invoke is not None
+                    and invoke.is_constructor
+                    and any(
+                        isinstance(a, Local) and a.name == "this"
+                        for a in invoke.args
+                    )
+                )
+            if names_app and ctor_gets_this:
+                break
+        scope = self._scope_memo[key] = (names_app, ctor_gets_this)
+        return scope
+
     def _origins_of(
         self, method: IRMethod, idx: int, local: Local
-    ) -> set[str]:
-        memo_key = (method_key(method), idx, local.name)
+    ) -> set[str] | frozenset[str]:
+        key = method_key(method)
+        if local.name != "this" and not self._scope_of(key, method)[0]:
+            return _NO_ORIGINS
+        memo_key = (key, idx, local.name)
         cached = self._origin_memo.get(memo_key)
         if cached is None:
             cached = origin_classes(method, idx, local, self.cache, self.field_types)
@@ -242,8 +301,6 @@ class CallGraph:
         """Locals passed to the constructors of the objects in
         ``arg_locals`` (one indirection level)."""
         from ..dataflow.taint import trace_origins
-        from ..ir.statements import AssignStmt
-        from ..ir.values import NewExpr
 
         if not arg_locals or not any(
             isinstance(s, AssignStmt) and isinstance(s.value, NewExpr)
@@ -251,6 +308,10 @@ class CallGraph:
         ):
             # No allocation sites means no constructor to look through —
             # skip the (comparatively expensive) origin traces entirely.
+            return []
+        names_app, ctor_gets_this = self._scope_of(method_key(method), method)
+        if not (names_app or ctor_gets_this):
+            # Every local found here would trace to library classes only.
             return []
         cfg = self.cache.cfg(method)
         defuse = self.cache.defuse(method)

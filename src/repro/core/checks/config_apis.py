@@ -23,7 +23,6 @@ from typing import Optional
 from ..._record import field, record
 from ...callgraph.entrypoints import MethodKey, method_key
 from ...dataflow.configvalues import config_call_values
-from ...dataflow.constants import ConstantPropagation
 from ...dataflow.summaries import CONFIG_TOP, RECEIVER
 from ...dataflow.taint import ForwardTaint, trace_origins
 from ...ir.method import IRMethod
@@ -73,10 +72,10 @@ class ConfigAPICheck:
         self, ctx: AnalysisContext, requests: list[NetworkRequest]
     ) -> list[Finding]:
         findings: list[Finding] = []
-        retry_loops = ctx.retry_loops
+        loops = _LoopIndex(ctx.retry_loops)
         for request in requests:
             info = self._collect(ctx, request)
-            info.custom_retry_loop = _loop_covering(retry_loops, request)
+            info.custom_retry_loop = loops.covering(request)
             self.info_by_request[request.loc] = info
             findings.extend(self._findings_for(ctx, request, info))
         return findings
@@ -131,8 +130,7 @@ class ConfigAPICheck:
         # Forward step: config calls on any tainted alias between the
         # definitions and the request are collected.
         taint = ForwardTaint(cfg, seeds)
-        constants = ctx.cache.constants(method)
-        self._scan_method(ctx, request, method, taint, constants, info)
+        self._scan_method(ctx, request, method, taint, info)
 
         if param_names:
             self._scan_callers_transitive(ctx, request, param_names, info)
@@ -201,8 +199,7 @@ class ConfigAPICheck:
                             escalate.add(arg.name)
                 if seeds:
                     taint = ForwardTaint(caller_cfg, seeds)
-                    constants = ctx.cache.constants(caller)
-                    self._scan_method(ctx, request, caller, taint, constants, info)
+                    self._scan_method(ctx, request, caller, taint, info)
                 fresh = {
                     name for name in escalate if (edge.caller, name) not in visited
                 }
@@ -216,7 +213,6 @@ class ConfigAPICheck:
         request: NetworkRequest,
         method: IRMethod,
         taint: Optional[ForwardTaint],
-        constants: ConstantPropagation,
         info: RequestConfigInfo,
     ) -> None:
         for idx, invoke in method.invoke_sites():
@@ -234,7 +230,7 @@ class ConfigAPICheck:
                 continue
             info.config_sites.append((idx, config))
             info.satisfied.update(config.satisfies)
-            self._record_values(ctx, method, idx, invoke, config, constants, info)
+            self._record_values(ctx, method, idx, invoke, config, info)
 
     def _merge_callee_effects(
         self,
@@ -314,8 +310,7 @@ class ConfigAPICheck:
             if id(method) in scanned:
                 continue
             scanned.add(id(method))
-            constants = ctx.cache.constants(method)
-            self._scan_method(ctx, request, method, None, constants, info)
+            self._scan_method(ctx, request, method, None, info)
 
     def _record_values(
         self,
@@ -324,15 +319,15 @@ class ConfigAPICheck:
         idx: int,
         invoke: InvokeExpr,
         config: ConfigAPI,
-        constants: ConstantPropagation,
         info: RequestConfigInfo,
     ) -> None:
         """Resolve retry counts / timeout values from config call arguments
         (constant propagation — paper §4.4.2; shared with the summary
-        engine via `repro.dataflow.configvalues`)."""
+        engine via `repro.dataflow.configvalues`).  The method's constants
+        are solved here, at the first config call that reads them."""
         values = config_call_values(
-            method, idx, invoke, config,
-            ctx.cache.cfg(method), ctx.cache.defuse(method), constants,
+            method, idx, invoke, config, ctx.cache.cfg(method),
+            ctx.cache.defuse(method), ctx.cache.constants(method),
         )
         if values.retries is not None:
             info.retries = values.retries
@@ -392,11 +387,30 @@ class ConfigAPICheck:
         return findings
 
 
-def _loop_covering(loops: list[RetryLoop], request: NetworkRequest) -> Optional[RetryLoop]:
-    for loop in loops:
-        if loop.method is request.method and request.stmt_index in loop.loop.body:
-            return loop
-        # The request's whole method may be the callee a caller loop retries.
-        if request.key in loop.retried_callees:
-            return loop
-    return None
+class _LoopIndex:
+    """The retry loops of one run, indexed by enclosing method and by
+    retried callee, so a request finds its covering loop without a scan
+    over every loop."""
+
+    def __init__(self, loops: list[RetryLoop]) -> None:
+        #: id(method) -> (position, loop) for the loops in that method.
+        self._by_method: dict[int, list[tuple[int, RetryLoop]]] = {}
+        #: Retried callee -> the first (position, loop) retrying it.
+        self._by_callee: dict[MethodKey, tuple[int, RetryLoop]] = {}
+        for position, loop in enumerate(loops):
+            self._by_method.setdefault(id(loop.method), []).append(
+                (position, loop)
+            )
+            for callee in loop.retried_callees:
+                self._by_callee.setdefault(callee, (position, loop))
+
+    def covering(self, request: NetworkRequest) -> Optional[RetryLoop]:
+        """The first loop, in ``loops`` order, whose body holds the request
+        or which retries the request's method."""
+        first = self._by_callee.get(request.key)
+        for position, loop in self._by_method.get(id(request.method), ()):
+            if first is not None and position > first[0]:
+                break
+            if request.stmt_index in loop.loop.body:
+                return loop
+        return first[1] if first is not None else None

@@ -163,39 +163,40 @@ def find_requests(ctx: AnalysisContext) -> list[NetworkRequest]:
 def _infer_http_method(ctx: AnalysisContext, request: NetworkRequest) -> HttpMethod:
     if request.target.http_method is not HttpMethod.ANY:
         return request.target.http_method
-    method = request.method
-    cfg = ctx.cache.cfg(method)
-    defuse = ctx.cache.defuse(method)
     lib_key = request.library.key
-
     if lib_key == "volley":
-        return _volley_method(ctx, request, cfg, defuse)
+        return _volley_method(ctx, request)
     if lib_key == "apache":
         return _apache_method(ctx, request)
     if lib_key == "httpurlconnection":
-        return _urlconnection_method(ctx, request, cfg)
+        return _urlconnection_method(ctx, request)
     return HttpMethod.ANY
 
 
-def _volley_method(ctx, request, cfg, defuse) -> HttpMethod:
+def _volley_method(ctx, request) -> HttpMethod:
     """Volley: the request object's constructor's first argument is the
     method code (Request.Method.GET=0, POST=1, ...)."""
     config = request.config_local()
     if config is None:
         return HttpMethod.ANY
-    origins = trace_origins(cfg, request.stmt_index, config.name, defuse)
-    constants = ctx.cache.constants(request.method)
+    method = request.method
+    origins = trace_origins(
+        ctx.cache.cfg(method), request.stmt_index, config.name,
+        ctx.cache.defuse(method),
+    )
     for origin in origins:
         if origin < 0:
             continue
-        stmt = request.method.statements[origin]
+        stmt = method.statements[origin]
         if not (isinstance(stmt, AssignStmt) and isinstance(stmt.value, NewExpr)):
             continue
-        ctor = _constructor_after(request.method, origin, stmt.target)
+        ctor = _constructor_after(method, origin, stmt.target)
         if ctor is None or not ctor[1].args:
             continue
         ctor_idx, ctor_invoke = ctor
-        code = constants.constant_argument(ctor_idx, ctor_invoke.args[0])
+        code = ctx.cache.constants(method).constant_argument(
+            ctor_idx, ctor_invoke.args[0]
+        )
         if isinstance(code, int) and code in VOLLEY_METHOD_CODES:
             return VOLLEY_METHOD_CODES[code]
     return HttpMethod.ANY
@@ -218,20 +219,22 @@ def _apache_method(ctx, request) -> HttpMethod:
     return HttpMethod.ANY
 
 
-def _urlconnection_method(ctx, request, cfg) -> HttpMethod:
+def _urlconnection_method(ctx, request) -> HttpMethod:
     """HttpURLConnection: look for setRequestMethod('POST') on the same
     connection object before the request."""
     receiver = request.invoke.base
     if receiver is None:
         return HttpMethod.ANY
-    constants = ctx.cache.constants(request.method)
-    for idx, invoke in request.method.invoke_sites():
+    method = request.method
+    for idx, invoke in method.invoke_sites():
         if invoke.sig.name != "setRequestMethod" or invoke.base != receiver:
             continue
-        if not cfg.reaches(idx, request.stmt_index):
+        if not ctx.cache.cfg(method).reaches(idx, request.stmt_index):
             continue
         if invoke.args:
-            value = constants.constant_argument(idx, invoke.args[0])
+            value = ctx.cache.constants(method).constant_argument(
+                idx, invoke.args[0]
+            )
             if isinstance(value, str):
                 try:
                     return HttpMethod(value.upper())

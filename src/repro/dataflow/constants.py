@@ -22,21 +22,9 @@ TOP = object()
 #: defined before a loop survive the loop-header join.
 BOTTOM = None
 ConstValue = Union[int, float, bool, str, None, object]
-Env = Optional[tuple[tuple[str, ConstValue], ...]]  # sorted environment or BOTTOM
-
-
-def _env_get(env: Env, name: str) -> Optional[ConstValue]:
-    for key, value in env:
-        if key == name:
-            return value
-    return None
-
-
-def _env_set(env: Env, name: str, value: ConstValue) -> Env:
-    items = [(k, v) for k, v in env if k != name]
-    items.append((name, value))
-    items.sort(key=lambda kv: kv[0])
-    return tuple(items)
+#: A local -> value environment, or BOTTOM.  Environments are shared
+#: between program points and never mutated once a transfer returns one.
+Env = Optional[dict[str, ConstValue]]
 
 
 class ConstantPropagation(DataflowAnalysis[Env]):
@@ -52,27 +40,28 @@ class ConstantPropagation(DataflowAnalysis[Env]):
         return BOTTOM
 
     def boundary(self) -> Env:
-        return ()
+        return {}
 
     def join(self, states: list[Env]) -> Env:
         reached = [s for s in states if s is not BOTTOM]
         if not reached:
             return BOTTOM
+        if len(reached) == 1:
+            return reached[0]
         merged: dict[str, ConstValue] = dict(reached[0])
-        for state in reached[1:]:
-            other = dict(state)
+        for other in reached[1:]:
             for name in list(merged):
                 if name not in other:
                     del merged[name]
                 elif merged[name] is not TOP and merged[name] != other[name]:
                     merged[name] = TOP
-        return tuple(sorted(merged.items()))
+        return merged
 
     def _eval(self, value: Value, env: Env) -> ConstValue:
         if isinstance(value, Const):
             return value.value
         if isinstance(value, Local):
-            found = _env_get(env, value.name)
+            found = env.get(value.name)
             return TOP if found is None else found
         if isinstance(value, CastExpr):
             return self._eval(value.value, env)
@@ -101,8 +90,9 @@ class ConstantPropagation(DataflowAnalysis[Env]):
             return BOTTOM
         stmt = self.cfg.stmt(node)
         if isinstance(stmt, AssignStmt) and isinstance(stmt.target, Local):
-            result = self._eval(stmt.value, state)
-            return _env_set(state, stmt.target.name, result)
+            env = dict(state)
+            env[stmt.target.name] = self._eval(stmt.value, state)
+            return env
         return state
 
     def value_before(self, node: int, local_name: str) -> Optional[ConstValue]:
@@ -111,7 +101,7 @@ class ConstantPropagation(DataflowAnalysis[Env]):
         state = self.state_before(node)
         if state is BOTTOM:
             return None
-        return _env_get(state, local_name)
+        return state.get(local_name)
 
     def constant_argument(self, node: int, value: Value) -> Optional[ConstValue]:
         """Resolve an invoke argument to a constant if possible."""

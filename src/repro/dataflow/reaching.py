@@ -150,31 +150,40 @@ def _bits(mask: int):
 
 
 class DefUseChains:
-    """Def→use and use→def maps derived from reaching definitions."""
+    """Use→def and def→use queries over reaching definitions.
+
+    Both directions are answered on demand: ``definition_sites`` reads
+    the reaching-definition bitset at the use and memoizes the answer,
+    and the def→use map is derived on the first ``use_sites`` call.
+    Most methods are asked about a handful of (site, local) pairs, so
+    no per-statement map is built up front.
+    """
 
     def __init__(self, cfg: CFG, reaching: ReachingDefinitions | None = None) -> None:
         self.cfg = cfg
         self.reaching = reaching or ReachingDefinitions(cfg)
-        #: def site -> set of use sites
-        self.uses_of_def: dict[int, set[int]] = defaultdict(set)
-        #: (use site, local) -> set of def sites
-        self.defs_of_use: dict[tuple[int, str], set[int]] = defaultdict(set)
-        rd = self.reaching
-        for idx, stmt in enumerate(cfg.method.statements):
-            for name in {local.name for local in stmt.uses()}:
-                def_sites = set(rd.reaching(idx, name))
-                self.defs_of_use[(idx, name)] = def_sites
-                for site in def_sites:
-                    self.uses_of_def[site].add(idx)
+        self._defs_of_use: dict[tuple[int, str], frozenset[int]] = {}
+        self._uses_of_def: dict[int, set[int]] | None = None
 
-    def definition_sites(self, use_index: int, local_name: str) -> set[int]:
-        """Definitions of ``local_name`` reaching ``use_index``.  Falls back
-        to the reaching-definitions state for locals not syntactically used
-        at the site (callers may ask about any live local)."""
-        found = self.defs_of_use.get((use_index, local_name))
-        if found is not None:
-            return found
-        return set(self.reaching.reaching(use_index, local_name))
+    def definition_sites(self, use_index: int, local_name: str) -> frozenset[int]:
+        """Definitions of ``local_name`` reaching ``use_index`` (``-1`` is
+        the parameter definition).  Any live local may be asked about, not
+        only the ones the statement uses."""
+        key = (use_index, local_name)
+        found = self._defs_of_use.get(key)
+        if found is None:
+            found = self._defs_of_use[key] = self.reaching.reaching(
+                use_index, local_name
+            )
+        return found
 
     def use_sites(self, def_index: int) -> set[int]:
-        return self.uses_of_def.get(def_index, set())
+        """Statements that use a local defined at ``def_index``."""
+        uses_of_def = self._uses_of_def
+        if uses_of_def is None:
+            uses_of_def = self._uses_of_def = defaultdict(set)
+            for idx, stmt in enumerate(self.cfg.method.statements):
+                for name in {local.name for local in stmt.uses()}:
+                    for site in self.reaching.reaching(idx, name):
+                        uses_of_def[site].add(idx)
+        return uses_of_def.get(def_index, set())

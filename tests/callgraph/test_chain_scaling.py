@@ -11,12 +11,13 @@ from repro.libmodels import default_registry
 SIZES = (8, 32, 128)
 
 
-def merged_app(apps: int, seed: int = 7) -> APK:
-    """The first ``apps`` paper-profile corpus apps under one manifest."""
+def merged_app(apps: int, seed: int = 7, stride: int = 1) -> APK:
+    """``apps`` paper-profile corpus apps under one manifest: the first
+    ``apps``, or every ``stride``-th of the first ``apps * stride``."""
     gen = CorpusGenerator(CorpusProfile(seed=seed))
     manifest = Manifest(f"com.corpus.merged{seed}")
     classes = []
-    for index in range(apps):
+    for index in range(0, apps * stride, stride):
         apk, _truth = gen.generate_app(index)
         for attr in ("activities", "services", "receivers", "providers"):
             getattr(manifest, attr).extend(getattr(apk.manifest, attr))

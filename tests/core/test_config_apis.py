@@ -1,8 +1,12 @@
 """Config-API (timeout/retry) analysis tests (paper §4.4.1 taint part)."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import DefectKind, NChecker
+from repro.core.checks.config_apis import _LoopIndex
 from repro.corpus.snippets import RequestSpec, SUPPORTED_LIBRARIES
 
 from tests.conftest import single_request_app
@@ -157,3 +161,50 @@ class TestAliasTracking:
         activity.add(body)
         result = NChecker().scan(app.build())
         assert result.count_of(DefectKind.MISSED_TIMEOUT) == 1
+
+
+def _first_covering_loop(loops, request):
+    """The linear scan the loop index replaces (the reference)."""
+    for loop in loops:
+        if loop.method is request.method and request.stmt_index in loop.loop.body:
+            return loop
+        if request.key in loop.retried_callees:
+            return loop
+    return None
+
+
+class TestLoopIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        loop_specs=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.frozensets(st.integers(0, 5), max_size=4),
+                st.frozensets(st.integers(0, 2), max_size=2),
+            ),
+            max_size=6,
+        ),
+        request_method=st.integers(0, 2),
+        stmt_index=st.integers(0, 5),
+    )
+    def test_returns_the_first_covering_loop(
+        self, loop_specs, request_method, stmt_index
+    ):
+        methods = [SimpleNamespace(name=f"m{i}") for i in range(3)]
+        keys = [("com.x.C", f"m{i}", 0) for i in range(3)]
+        loops = [
+            SimpleNamespace(
+                method=methods[m],
+                loop=SimpleNamespace(body=body),
+                retried_callees=tuple(keys[c] for c in sorted(callees)),
+            )
+            for m, body, callees in loop_specs
+        ]
+        request = SimpleNamespace(
+            method=methods[request_method],
+            key=keys[request_method],
+            stmt_index=stmt_index,
+        )
+        assert _LoopIndex(loops).covering(request) is _first_covering_loop(
+            loops, request
+        )

@@ -420,6 +420,15 @@ class TestOneEntryPerApp:
         assert engine.cache is session.store
         assert engine.registry is session.registry
 
+    def test_callgraph_entry_carries_no_build_memo(self, backend):
+        apk = fresh_apk()
+        _result, cold = scan_with(backend, apk)
+        _result, warm = scan_with(backend, loads_apk(dumps_apk(apk)))
+        assert counter(warm, "cache.local.callgraph.hits") == 1
+        for session in (cold, warm):
+            state = vars(session.store.peek(CALLGRAPH))
+            assert not {"_origin_memo", "_scope_memo"} & set(state)
+
     @pytest.mark.parametrize(
         "payload",
         [[1, 2], "text", {}, {"nonsense": 1}, {"callgraph": None}, {3: "x"}],
