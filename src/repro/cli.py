@@ -17,11 +17,16 @@ Subcommands:
 Every subcommand and flag is documented in ``docs/CLI.md``
 (``tests/test_docs.py`` asserts the doc covers this parser, so it
 cannot rot).
+
+:func:`run` is the process entry point (``python -m repro.cli`` and the
+installed ``nchecker`` script); :func:`main` parses and runs one command
+in the calling process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import ExitStack
@@ -29,7 +34,7 @@ from pathlib import Path
 
 from .app.loader import dumps_apk, load_apk
 from .core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NChecker, NCheckerOptions
-from .obs import NULL_SPAN, Tracer, get_logger, span, use_tracer
+from .obs import NULL_SPAN, Tracer, gc_spans, get_logger, span, use_tracer
 
 log = get_logger("cli")
 
@@ -96,7 +101,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         # The parent's own spans (rendering and writing the output) join
         # the workers' in the trace and the profile tree.
         render_tracer = Tracer(enabled=want_trace or want_metrics)
-        with use_tracer(render_tracer):
+        with use_tracer(render_tracer), gc_spans(render_tracer):
             exit_code = _write_scan_output(args, payloads, files)
         if exit_code != 2 and (want_trace or want_metrics):
             code = _write_scan_telemetry(
@@ -1042,5 +1047,55 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+#: The young-generation collection threshold of the ``nchecker`` process
+#: (CPython's default is 700 allocations).  Scanning allocates IR, CFGs
+#: and facts that live until the process exits, so almost every young
+#: collection scans survivors and frees nothing.  10,000 was measured on
+#: the 10k-statement app (``perfbench/inputs.merged_app(1, 10000)``,
+#: ``scan --json``, 2-vCPU VM): 139 collections and 42.6 ms of collector
+#: pauses became 18 and 12.0 ms, with peak RSS unchanged.  The older
+#: generations' thresholds are left alone.
+GEN0_THRESHOLD = 10_000
+
+
+def run() -> None:
+    """The ``nchecker`` process entry point: :func:`main` in a process
+    that exits as soon as its output is out.
+
+    It freezes the objects the CLI import created, so collections never
+    rescan them (forked ``--jobs`` workers inherit the freeze), raises
+    the young-generation threshold to :data:`GEN0_THRESHOLD`, runs
+    :func:`main`, flushes stdout and stderr and leaves through
+    ``os._exit``, skipping interpreter teardown.  That is safe because
+    ``main`` returns only after every output file is closed and every
+    worker pool is shut down, and ``repro`` registers no ``atexit``
+    hook.  ``main`` itself leaves the collector alone, so library and
+    test callers see no change.
+
+    A reader that closes stdout early (``nchecker scan --json app | head``)
+    gets exit code 2 and one ``error:`` line on stderr.
+    """
+    gc.freeze()
+    gc.set_threshold(GEN0_THRESHOLD, *gc.get_threshold()[1:])
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:
+            if exc.code is not None and not isinstance(exc.code, int):
+                raise  # a message: let the interpreter print it
+            code = exc.code or 0
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        # Nothing more can reach the reader: whatever stdout still
+        # buffers now goes to /dev/null instead of raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        print("error: stdout was closed before all output was written "
+              "(broken pipe)", file=sys.stderr, flush=True)
+        code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -62,10 +62,6 @@ class Confusion:
     def reported(self) -> int:
         return self.correct + self.false_positives
 
-    @property
-    def accuracy_denominator(self) -> int:
-        return self.correct + self.false_positives
-
     def __add__(self, other: "Confusion") -> "Confusion":
         return Confusion(
             self.correct + other.correct,

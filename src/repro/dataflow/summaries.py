@@ -383,12 +383,6 @@ class SummaryEngine:
         self._ptr[key] = result
         return result
 
-    def _all_positions(self, method: IRMethod) -> frozenset[int]:
-        positions = set(range(len(method.params)))
-        if not method.is_static:
-            positions.add(RECEIVER)
-        return frozenset(positions)
-
     def _compute_ptr(self, key: "MethodKey", method: IRMethod) -> frozenset[int]:
         defuse = self.cache.defuse(method)
         param_pos = {p.name: i for i, p in enumerate(method.params)}

@@ -110,9 +110,6 @@ class ForwardTaint(SetAnalysis):
     def tainted_before(self, node: int) -> frozenset[str]:
         return self.state_before(node)
 
-    def tainted_after(self, node: int) -> frozenset[str]:
-        return self.state_after(node)
-
     def invoke_sites_on_tainted(self) -> list[tuple[int, InvokeExpr]]:
         """Call sites whose receiver is a tainted alias at that point."""
         sites: list[tuple[int, InvokeExpr]] = []

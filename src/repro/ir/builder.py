@@ -70,18 +70,14 @@ class TryRegion:
 
 
 class LoopHandle:
-    """Handle exposed by :meth:`MethodBuilder.loop` for break/continue."""
+    """Handle exposed by :meth:`MethodBuilder.loop` for ``break``."""
 
-    def __init__(self, builder: "MethodBuilder", head: str, exit_: str) -> None:
+    def __init__(self, builder: "MethodBuilder", exit_: str) -> None:
         self._builder = builder
-        self.head_label = head
         self.exit_label = exit_
 
     def break_(self) -> None:
         self._builder.goto(self.exit_label)
-
-    def continue_(self) -> None:
-        self._builder.goto(self.head_label)
 
 
 class MethodBuilder:
@@ -257,7 +253,7 @@ class MethodBuilder:
         exit_ = self.fresh_label("endloop")
         self.label(head)
         self.nop()
-        handle = LoopHandle(self, head, exit_)
+        handle = LoopHandle(self, exit_)
         yield handle
         self.goto(head)
         self.label(exit_)
@@ -271,7 +267,7 @@ class MethodBuilder:
         self.label(head)
         cond = ConditionExpr(op, as_value(left), as_value(right)).negate()
         self.emit(IfStmt(cond, exit_))
-        handle = LoopHandle(self, head, exit_)
+        handle = LoopHandle(self, exit_)
         yield handle
         self.goto(head)
         self.label(exit_)

@@ -47,10 +47,6 @@ class IRClass:
     def method_keys(self) -> set[tuple[str, int]]:
         return set(self._methods)
 
-    @property
-    def simple_name(self) -> str:
-        return self.name.rsplit(".", 1)[-1]
-
     def __repr__(self) -> str:
         return f"<IRClass {self.name} ({len(self._methods)} methods)>"
 

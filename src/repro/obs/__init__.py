@@ -45,6 +45,7 @@ from .trace import (
     NULL_SPAN,
     Tracer,
     chrome_trace,
+    gc_spans,
     set_tracer,
     span,
     tracer,
@@ -95,6 +96,7 @@ __all__ = [
     "configure_logging",
     "empty_snapshot",
     "flatten_profile",
+    "gc_spans",
     "get_logger",
     "git_head_sha",
     "load_run",

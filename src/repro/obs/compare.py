@@ -22,10 +22,12 @@ files, derived exports, or raw ``--metrics`` snapshots — see
   0.04 ms total measures scheduler jitter, not the code.
 * **Profile trees** compare node-for-node on the deterministic axis:
   a span path whose *count* changed is a regression (the tree's shape is
-  a function of the code, like a counter); per-node times ride the same
-  relative threshold but only *inform* — the pass/artifact timing
-  histograms already gate wall time, and double-charging the same clock
-  noise would double the flake rate.
+  a function of the code, like a counter).  The exception is the ``gc``
+  span (:data:`~repro.obs.trace.GC_SPAN`): how often the collector runs
+  depends on the allocator's history, so its nodes never gate on count.
+  Per-node times ride the same relative threshold but only *inform* —
+  the pass/artifact timing histograms already gate wall time, and
+  double-charging the same clock noise would double the flake rate.
 
 An options-fingerprint mismatch is itself a regression: comparing a
 ``--extended-checks`` run against a default baseline would otherwise
@@ -39,6 +41,7 @@ from pathlib import Path
 
 from .._record import field, record
 from .profile import flatten_profile
+from .trace import GC_SPAN
 
 #: Relative wall-time threshold: 0.20 means a timing may grow 20% before
 #: it gates.
@@ -250,7 +253,7 @@ def compare_runs(
         for path in sorted(set(base_profile) | set(cur_profile)):
             b = base_profile.get(path, {"count": 0, "cum_ms": 0.0})
             c = cur_profile.get(path, {"count": 0, "cum_ms": 0.0})
-            if b["count"] != c["count"]:
+            if b["count"] != c["count"] and path.rpartition("/")[2] != GC_SPAN:
                 result.profile_rows.append(
                     [path, b["count"], c["count"],
                      b["cum_ms"], c["cum_ms"], "MISMATCH"]

@@ -18,6 +18,11 @@ Design constraints, in order:
   /end events under a lock, so concurrent threads interleave without
   corrupting the buffer; nesting is reconstructed per ``tid``, which is
   exactly the Chrome trace-event contract for ``B``/``E`` pairs.
+* **Garbage collection shows up where it lands.**  While a tracer is
+  enabled, :func:`gc_spans` records each cyclic collection as a
+  :data:`GC_SPAN` span (``generation`` in its args) under whatever span
+  is open on the collecting thread, so the collector's share is not
+  charged to the self time of the span that happened to allocate.
 * **Process-safe by export/merge.**  A tracer never crosses a process
   boundary: each :mod:`repro.pipeline.batch` worker installs its own
   enabled tracer, exports the event list (plain dicts, picklable), and
@@ -31,6 +36,7 @@ the standard object envelope (``{"traceEvents": [...]}``), loadable in
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import time
@@ -48,6 +54,11 @@ class _NullSpan:
     def __exit__(self, *exc) -> bool:
         return False
 
+
+#: The name of the span :func:`gc_spans` records per collection.  How
+#: many there are depends on the allocator's history, not on the code,
+#: so profile comparisons never gate on their count.
+GC_SPAN = "gc"
 
 #: Shared no-op span — identity-comparable, never allocated per call.
 NULL_SPAN = _NullSpan()
@@ -91,21 +102,40 @@ class Tracer:
             return NULL_SPAN
         return _Span(self, name, args)
 
-    def _emit(self, ph: str, name: str, args) -> None:
+    def _event(self, ph: str, name: str, args) -> dict:
         event = {
             "name": name,
             "cat": "nchecker",
             "ph": ph,
-            "ts": time.time_ns() // 1_000,  # microseconds, wall clock
+            "ts": 0,
             "pid": self._pid,
             "tid": threading.get_ident(),
         }
         if args:
             event["args"] = dict(args)
+        # Read the clock after the allocations: a collection one of them
+        # starts has then recorded its `gc` span before this event, at
+        # earlier timestamps, so stream order and time order agree.
+        event["ts"] = time.time_ns() // 1_000  # microseconds, wall clock
+        return event
+
+    def _emit(self, ph: str, name: str, args) -> None:
+        event = self._event(ph, name, args)
         with self._lock:
             if ph == "B":
                 self.spans_opened += 1
             self._events.append(event)
+
+    def _gc_event(self, phase: str, info: dict) -> None:
+        """A ``gc.callbacks`` hook: one ``B`` event when a collection
+        starts, one ``E`` when it stops.  A collection can start inside
+        any allocation, including one made while :meth:`_emit` holds
+        ``_lock``, so this takes no lock: ``list.append`` is atomic."""
+        if phase == "start":
+            event = self._event("B", GC_SPAN, {"generation": info["generation"]})
+        else:
+            event = self._event("E", GC_SPAN, None)
+        self._events.append(event)
 
     def export(self) -> list[dict]:
         """The collected events (copies the list; events are plain dicts
@@ -144,6 +174,22 @@ def use_tracer(new: Tracer):
         yield new
     finally:
         set_tracer(old)
+
+
+@contextmanager
+def gc_spans(active: Tracer):
+    """Record each cyclic garbage collection as a :data:`GC_SPAN` span on
+    ``active`` until the block exits; a disabled tracer installs
+    nothing."""
+    if not active.enabled:
+        yield
+        return
+    hook = active._gc_event
+    gc.callbacks.append(hook)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(hook)
 
 
 def span(name: str, **args):

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 from .._jsonwriter import iter_chunks
 from .._record import field, record
 from ..core.checker import NCheckerOptions
-from ..obs import Tracer, span, use_metrics, use_tracer
+from ..obs import Tracer, gc_spans, span, use_metrics, use_tracer
 
 if TYPE_CHECKING:
     from ..app.apk import APK
@@ -117,7 +117,7 @@ def with_telemetry(
     # Profiling needs the span stream, so it enables the tracer even
     # when no trace was asked for.
     tracer = Tracer(enabled=trace or profile)
-    with use_tracer(tracer), use_metrics() as registry:
+    with use_tracer(tracer), gc_spans(tracer), use_metrics() as registry:
         payload = render()
     if trace:
         payload.trace_events = tracer.export()

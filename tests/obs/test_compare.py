@@ -154,6 +154,17 @@ class TestProfile:
         assert code == 1
         assert any("scan/pass:connectivity" in r for r in result.regressions)
 
+    def test_gc_node_count_never_gates(self, baseline):
+        # How often the collector runs is not a function of the code.
+        gc_node = {"count": 3, "cum_ms": 1.0, "self_ms": 1.0, "children": {}}
+        base_gc = copy.deepcopy(baseline)
+        base_gc["profile"]["scan"]["children"]["gc"] = gc_node
+        current = copy.deepcopy(base_gc)
+        current["profile"]["scan"]["children"]["gc"]["count"] = 7
+        assert compare_runs(base_gc, current).ok
+        assert compare_runs(baseline, current).ok
+        assert compare_runs(base_gc, baseline).ok
+
     def test_time_shift_informs_without_gating(self, baseline):
         current = copy.deepcopy(baseline)
         current["profile"]["scan"]["cum_ms"] = 200.0

@@ -12,6 +12,7 @@ from repro.obs import (
     profile_total_ms,
     render_profile,
 )
+from repro.obs.trace import GC_SPAN
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "apps"
 APPS = sorted(str(p) for p in EXAMPLES.glob("*.apkt"))
@@ -23,10 +24,13 @@ def _ev(name, ph, ts, pid=1, tid=1):
 
 
 def _shape(profile):
-    """The deterministic axis of a forest: names and counts only."""
+    """The deterministic axis of a forest: names and counts only.  `gc`
+    spans are left out: when the collector runs depends on each
+    process's allocation history, not on the code."""
     return {
         name: (node["count"], _shape(node["children"]))
         for name, node in profile.items()
+        if name != GC_SPAN
     }
 
 

@@ -1,10 +1,22 @@
 """Tracer correctness: event schema, B/E nesting, thread safety."""
 
+import gc
 import json
 import threading
 
-from repro.obs import NULL_SPAN, Tracer, chrome_trace, span, tracer, use_tracer
-from repro.obs.trace import _Span
+import pytest
+
+from repro.obs import (
+    NULL_SPAN,
+    Tracer,
+    chrome_trace,
+    gc_spans,
+    profile_from_events,
+    span,
+    tracer,
+    use_tracer,
+)
+from repro.obs.trace import GC_SPAN, _Span
 
 REQUIRED_KEYS = {"name", "cat", "ph", "ts", "pid", "tid"}
 
@@ -119,3 +131,52 @@ class TestTracer:
         assert isinstance(t.span("s"), _Span)
         t.enabled = False
         assert t.span("s") is NULL_SPAN
+
+
+class TestGcSpans:
+    def test_collection_inside_a_span_is_its_gc_child(self):
+        t = Tracer(enabled=True)
+        with use_tracer(t), gc_spans(t):
+            with span("outer"):
+                gc.collect()
+        events = t.export()
+        check_balanced_be(events)
+        begins = [e for e in events if e["name"] == GC_SPAN and e["ph"] == "B"]
+        assert {"generation": 2} in [e["args"] for e in begins]
+        outer = profile_from_events(events)["outer"]
+        assert outer["children"][GC_SPAN]["count"] >= 1
+
+    def test_disabled_tracer_installs_nothing(self):
+        before = list(gc.callbacks)
+        t = Tracer(enabled=False)
+        with gc_spans(t):
+            assert gc.callbacks == before
+            gc.collect()
+        assert t.export() == []
+
+    def test_hook_is_removed_afterwards_even_on_error(self):
+        before = list(gc.callbacks)
+        t = Tracer(enabled=True)
+        with pytest.raises(RuntimeError):
+            with gc_spans(t):
+                assert len(gc.callbacks) == len(before) + 1
+                raise RuntimeError("boom")
+        assert gc.callbacks == before
+        gc.collect()
+        assert not any(e["name"] == GC_SPAN for e in t.export())
+
+    def test_hook_takes_no_tracer_lock(self):
+        # A collection can start while `_emit` holds the lock; the hook
+        # must not wait for it.
+        t = Tracer(enabled=True)
+        done = threading.Event()
+
+        def collect_under_lock():
+            with gc_spans(t), t._lock:
+                gc.collect()
+            done.set()
+
+        worker = threading.Thread(target=collect_under_lock, daemon=True)
+        worker.start()
+        assert done.wait(timeout=10), "gc hook blocked on the tracer lock"
+        assert [e["ph"] for e in t.export()] == ["B", "E"]
