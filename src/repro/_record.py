@@ -2,7 +2,7 @@
 
 ``@dataclass`` compiles five or six methods per class, one ``exec`` each,
 every time the defining module is imported: about 1 ms a class, and a
-default ``nchecker scan`` defines 62 of them.  Importing ``dataclasses``
+default ``nchecker scan`` defines about 60 of them.  Importing ``dataclasses``
 costs another 10 ms (2-vCPU VM), most of it ``inspect``.  :func:`record` builds the
 same class for the subset of features this package uses::
 
@@ -17,10 +17,15 @@ same class for the subset of features this package uses::
         details: dict = field(default_factory=dict)
 
 Only the methods that run on every instance -- ``__init__``, ``__eq__``
-and ``__hash__`` -- are generated, and they are compiled together in one
-``exec`` per class.  ``__repr__``, the frozen ``__setattr__`` and
-``__delattr__`` and the slots pickle state are shared functions that read
-the class's tuple of field names (``__record_fields__``).
+and ``__hash__`` -- are generated, each from its own source text, and
+none of them is compiled when the class is decorated: a placeholder
+stands in its place and compiles it on its first call, then puts the
+compiled function on the class (:class:`_Deferred`).  A scan constructs
+instances of only some of the records it loads and never compares or
+hashes one, so it compiles only the ``__init__`` of the classes it
+builds.  ``__repr__``, the frozen ``__setattr__`` and ``__delattr__`` and
+the slots pickle state are shared functions that read the class's tuple
+of field names (``__record_fields__``).
 
 The class behaves as the ``@dataclass`` one does: the same ``__init__``
 signature, ``==`` on the field tuple (``NotImplemented`` for another
@@ -220,30 +225,78 @@ def _collect_specs(cls, frozen: bool) -> dict[str, _Spec]:
     return specs
 
 
-def _generate(cls, specs: dict[str, _Spec], frozen: bool, eq: bool, add_hash: bool) -> dict:
-    """Compile ``__init__`` and, as needed, ``__eq__`` and ``__hash__`` in
-    one ``exec``; return them by name."""
-    namespace = {
-        "__name__": cls.__module__,
-        "__rec_setattr": object.__setattr__,
-        "__rec_factory": _FACTORY,
-    }
+class _Deferred:
+    """A generated method that has not been called yet.
+
+    It stands on the class in the method's place.  The first call, be it
+    ``instance.method(...)``, an operator or ``cls(...)`` that looks the
+    method up, or ``cls.method(instance, ...)``, compiles the function and
+    puts it on the class instead, so every later call runs the compiled
+    function itself.  ``inspect.signature`` reads :attr:`__signature__`,
+    which compiles it too.  Two threads may both compile it on their first
+    call: either function is correct."""
+
+    __slots__ = ("cls", "name", "specs", "frozen")
+
+    def __init__(self, name: str, specs: dict[str, _Spec], frozen: bool) -> None:
+        self.cls = None  # the final class, set when it is built
+        self.name = name
+        self.specs = specs
+        self.frozen = frozen
+
+    def compile(self):
+        method = _GENERATORS[self.name](self.cls, self.specs, self.frozen)
+        if self.cls.__dict__.get(self.name) is self:
+            setattr(self.cls, self.name, method)
+        return method
+
+    def __get__(self, instance, owner):
+        if instance is None:
+            return self
+        return self.compile().__get__(instance, owner)
+
+    def __call__(self, /, *args, **kwargs):
+        return self.compile()(*args, **kwargs)
+
+    @property
+    def __signature__(self):
+        import inspect
+
+        return inspect.signature(self.compile())
+
+
+def _check_order(specs: dict[str, _Spec]) -> None:
+    seen_default = False
+    for name, spec in specs.items():
+        if spec.default is not _MISSING or spec.default_factory is not _MISSING:
+            seen_default = True
+        elif seen_default:
+            raise TypeError(f"non-default argument {name!r} follows default argument")
+
+
+def _compile(cls, name: str, lines: list[str], namespace: dict):
+    """``exec`` the source of method ``name`` of ``cls``; return the
+    function."""
+    namespace["__name__"] = cls.__module__
+    exec("\n".join(lines), namespace)
+    method = namespace[name]
+    method.__qualname__ = f"{cls.__qualname__}.{name}"
+    return method
+
+
+def _make_init(cls, specs: dict[str, _Spec], frozen: bool):
+    namespace = {"__rec_setattr": object.__setattr__, "__rec_factory": _FACTORY}
     params = ["self"]
     body = []
-    seen_default = False
     for name, spec in specs.items():
         value = name
         if spec.default_factory is not _MISSING:
             namespace[f"__rec_make_{name}"] = spec.default_factory
             params.append(f"{name}=__rec_factory")
             value = f"__rec_make_{name}() if {name} is __rec_factory else {name}"
-            seen_default = True
         elif spec.default is not _MISSING:
             namespace[f"__rec_dflt_{name}"] = spec.default
             params.append(f"{name}=__rec_dflt_{name}")
-            seen_default = True
-        elif seen_default:
-            raise TypeError(f"non-default argument {name!r} follows default argument")
         else:
             params.append(name)
         if frozen:
@@ -252,29 +305,33 @@ def _generate(cls, specs: dict[str, _Spec], frozen: bool, eq: bool, add_hash: bo
             body.append(f"    self.{name} = {value}")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
-    lines = [f"def __init__({', '.join(params)}):", *(body or ["    pass"])]
-    names = ["__init__"]
-    own = "".join(f"self.{name}," for name in specs)
-    if eq:
-        other = "".join(f"other.{name}," for name in specs)
-        lines += [
-            "def __eq__(self, other):",
-            "    if other.__class__ is self.__class__:",
-            f"        return ({own}) == ({other})",
-            "    return NotImplemented",
-        ]
-        names.append("__eq__")
-    if add_hash:
-        lines += ["def __hash__(self):", f"    return hash(({own}))"]
-        names.append("__hash__")
-    exec("\n".join(lines), namespace)
-    methods = {name: namespace[name] for name in names}
-    for name, method in methods.items():
-        method.__qualname__ = f"{cls.__qualname__}.{name}"
-    methods["__init__"].__annotations__ = {
+    init = _compile(
+        cls, "__init__", [f"def __init__({', '.join(params)}):", *(body or ["    pass"])],
+        namespace,
+    )
+    init.__annotations__ = {
         **{name: spec.type for name, spec in specs.items()}, "return": None,
     }
-    return methods
+    return init
+
+
+def _make_eq(cls, specs: dict[str, _Spec], frozen: bool):
+    own = "".join(f"self.{name}," for name in specs)
+    other = "".join(f"other.{name}," for name in specs)
+    return _compile(cls, "__eq__", [
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({own}) == ({other})",
+        "    return NotImplemented",
+    ], {})
+
+
+def _make_hash(cls, specs: dict[str, _Spec], frozen: bool):
+    own = "".join(f"self.{name}," for name in specs)
+    return _compile(cls, "__hash__", ["def __hash__(self):", f"    return hash(({own}))"], {})
+
+
+_GENERATORS = {"__init__": _make_init, "__eq__": _make_eq, "__hash__": _make_hash}
 
 
 def _build(cls, frozen: bool, slots: bool, eq: bool):
@@ -287,11 +344,17 @@ def _build(cls, frozen: bool, slots: bool, eq: bool):
     class_hash = body.get("__hash__", _MISSING)
     explicit_hash = not (class_hash is _MISSING or (class_hash is None and "__eq__" in body))
     add_hash = eq and frozen and not explicit_hash
-    methods = _generate(cls, specs, frozen, eq and "__eq__" not in body, add_hash)
+    _check_order(specs)
+    deferred = [
+        _Deferred(name, specs, frozen)
+        for name, wanted in (("__init__", True), ("__eq__", eq), ("__hash__", add_hash))
+        if wanted and name not in body
+    ]
 
     cls.__dataclass_fields__ = _DataclassFields(specs)
     cls.__record_fields__ = names
-    added = {"__repr__": _record_repr, "__match_args__": names, **methods}
+    added = {"__repr__": _record_repr, "__match_args__": names}
+    added.update((method.name, method) for method in deferred)
     if frozen:
         for name in ("__setattr__", "__delattr__"):
             if name in body:
@@ -303,7 +366,11 @@ def _build(cls, frozen: bool, slots: bool, eq: bool):
     for name, value in added.items():
         if name not in body:
             setattr(cls, name, value)
-    return _with_slots(cls, names, frozen) if slots else cls
+    if slots:
+        cls = _with_slots(cls, names, frozen)
+    for method in deferred:
+        method.cls = cls
+    return cls
 
 
 def _with_slots(cls, names: tuple[str, ...], frozen: bool):

@@ -25,16 +25,44 @@ in the calling process.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import os
-import sys
-from contextlib import ExitStack
-from pathlib import Path
+import time
 
-from .app.loader import dumps_apk, load_apk
-from .core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NChecker, NCheckerOptions
-from .obs import NULL_SPAN, Tracer, gc_spans, get_logger, span, use_tracer
+#: ``time.perf_counter()`` and ``time.process_time()`` at this module's
+#: first statement.  ``scan`` reports the time from here to the end of
+#: the imports below as its ``cli.import`` span, and the CPU the process
+#: had used before it got here (interpreter start-up and what ran before
+#: this module, such as ``runpy`` and the ``repro`` package) as the
+#: ``cli.interp_cpu_ms`` gauge.
+_IMPORT_START = time.perf_counter()
+_INTERP_CPU_S = time.process_time()
+
+#: The young-generation collection threshold of the ``nchecker`` process
+#: (CPython's default is 700 allocations).  Scanning allocates IR, CFGs
+#: and facts that live until the process exits, so almost every young
+#: collection scans survivors and frees nothing.  10,000 was measured on
+#: the 10k-statement app (``perfbench/inputs.merged_app(1, 10000)``,
+#: ``scan --json``, 2-vCPU VM): 139 collections and 42.6 ms of collector
+#: pauses became 18 and 12.0 ms, with peak RSS unchanged.  The older
+#: generations' thresholds are left alone.
+GEN0_THRESHOLD = 10_000
+
+if __name__ == "__main__":
+    # Run as a program: raise the threshold before the imports below,
+    # which would otherwise collect several times under the default.
+    gc.set_threshold(GEN0_THRESHOLD, *gc.get_threshold()[1:])
+
+import argparse  # noqa: E402
+import os  # noqa: E402
+import sys  # noqa: E402
+from contextlib import ExitStack  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from .app.loader import dumps_apk, load_apk  # noqa: E402
+from .core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NChecker, NCheckerOptions  # noqa: E402
+from .obs import NULL_SPAN, Tracer, gc_spans, get_logger, span, use_tracer  # noqa: E402
+
+_IMPORT_END = time.perf_counter()
 
 log = get_logger("cli")
 
@@ -101,6 +129,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         # The parent's own spans (rendering and writing the output) join
         # the workers' in the trace and the profile tree.
         render_tracer = Tracer(enabled=want_trace or want_metrics)
+        render_tracer.add_span("cli.import", _IMPORT_START, _IMPORT_END)
         with use_tracer(render_tracer), gc_spans(render_tracer):
             exit_code = _write_scan_output(args, payloads, files)
         if exit_code != 2 and (want_trace or want_metrics):
@@ -225,7 +254,8 @@ def _write_scan_telemetry(
         log.info("wrote Chrome trace (%d events) to %s", len(events), args.trace)
     merged = merge_snapshots([
         *(p.metrics_snapshot for p in payloads if p.metrics_snapshot),
-        {"profile": profile_from_events(render_events)},
+        {"gauges": {"cli.interp_cpu_ms": _INTERP_CPU_S * 1000},
+         "profile": profile_from_events(render_events)},
     ])
     if args.metrics_out:
         from ._jsonwriter import dumps
@@ -471,8 +501,6 @@ def _bench_measure(apps, jobs: int, options, label):
     dir) so every counter is a pure function of (apps, options)
     — the determinism `bench compare`'s exact-match rule relies on.
     """
-    import time
-
     from .obs import app_set_digest, merge_snapshots, run_record
     from .pipeline.batch import BatchScanner
 
@@ -1047,24 +1075,14 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
-#: The young-generation collection threshold of the ``nchecker`` process
-#: (CPython's default is 700 allocations).  Scanning allocates IR, CFGs
-#: and facts that live until the process exits, so almost every young
-#: collection scans survivors and frees nothing.  10,000 was measured on
-#: the 10k-statement app (``perfbench/inputs.merged_app(1, 10000)``,
-#: ``scan --json``, 2-vCPU VM): 139 collections and 42.6 ms of collector
-#: pauses became 18 and 12.0 ms, with peak RSS unchanged.  The older
-#: generations' thresholds are left alone.
-GEN0_THRESHOLD = 10_000
-
-
 def run() -> None:
     """The ``nchecker`` process entry point: :func:`main` in a process
     that exits as soon as its output is out.
 
     It freezes the objects the CLI import created, so collections never
     rescan them (forked ``--jobs`` workers inherit the freeze), raises
-    the young-generation threshold to :data:`GEN0_THRESHOLD`, runs
+    the young-generation threshold to :data:`GEN0_THRESHOLD` (``python -m
+    repro.cli`` has done so before its imports already), runs
     :func:`main`, flushes stdout and stderr and leaves through
     ``os._exit``, skipping interpreter teardown.  That is safe because
     ``main`` returns only after every output file is closed and every

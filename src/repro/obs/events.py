@@ -37,12 +37,16 @@ a torn tail.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import subprocess
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional
+
+try:
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without it: hashlib has one
+    from hashlib import blake2b
 
 if TYPE_CHECKING:
     from ..core.checker import NCheckerOptions
@@ -93,14 +97,14 @@ def app_set_digest(paths: Iterable) -> dict:
     from any directory layout (an unreadable file degrades to its name)."""
     entries = []
     for path in sorted(str(p) for p in paths):
-        h = hashlib.blake2b(digest_size=12)
+        h = blake2b(digest_size=12)
         try:
             h.update(Path(path).read_bytes())
             digest = h.hexdigest()
         except OSError:
             digest = "unreadable"
         entries.append((os.path.basename(path), digest))
-    h = hashlib.blake2b(digest_size=16)
+    h = blake2b(digest_size=16)
     for name, digest in sorted(entries):
         h.update(f"\0{name}={digest}".encode())
     return {"count": len(entries), "digest": h.hexdigest()}
@@ -134,7 +138,7 @@ def run_identity(record: dict) -> str:
         "counters": record.get("counters"),
     }
     blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(blob.encode(), digest_size=12).hexdigest()
+    return blake2b(blob.encode(), digest_size=12).hexdigest()
 
 
 _AUTO = object()

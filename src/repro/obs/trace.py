@@ -126,6 +126,22 @@ class Tracer:
                 self.spans_opened += 1
             self._events.append(event)
 
+    def add_span(self, name: str, start: float, end: float) -> None:
+        """Record a span that has already ended, from two
+        ``time.perf_counter()`` readings taken in this process."""
+        if not self.enabled:
+            return
+        # Event times are wall-clock microseconds: shift the readings by
+        # the offset between the two clocks now.
+        offset_us = time.time_ns() / 1_000 - time.perf_counter() * 1e6
+        begin = self._event("B", name, None)
+        end_event = self._event("E", name, None)
+        begin["ts"] = int(offset_us + start * 1e6)
+        end_event["ts"] = int(offset_us + end * 1e6)
+        with self._lock:
+            self.spans_opened += 1
+            self._events += (begin, end_event)
+
     def _gc_event(self, phase: str, info: dict) -> None:
         """A ``gc.callbacks`` hook: one ``B`` event when a collection
         starts, one ``E`` when it stops.  A collection can start inside

@@ -30,10 +30,14 @@ rebuild, never a crash) wherever the bytes came from.
 from __future__ import annotations
 
 import copyreg
-import hashlib
 import io
 import pickle
 import struct
+
+try:
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without it: hashlib has one
+    from hashlib import blake2b
 
 from ...app.apk import APK
 from ...callgraph.entrypoints import method_key
@@ -106,7 +110,7 @@ def encode_entry(store: ArtifactStore, artifacts: dict[str, object]) -> bytes:
     header = HEADER.pack(
         MAGIC,
         fingerprints.CACHE_FORMAT_VERSION,
-        hashlib.blake2b(payload, digest_size=16).digest(),
+        blake2b(payload, digest_size=16).digest(),
     )
     return header + payload
 
@@ -163,7 +167,7 @@ def decode_entry(data: bytes, store: ArtifactStore) -> dict[str, object]:
             f"format version {version} != {fingerprints.CACHE_FORMAT_VERSION}"
         )
     payload = memoryview(data)[HEADER.size:]
-    if hashlib.blake2b(payload, digest_size=16).digest() != digest:
+    if blake2b(payload, digest_size=16).digest() != digest:
         raise CacheMiss("payload checksum mismatch")
     try:
         artifacts = _EntryUnpickler(io.BytesIO(payload), _resolver(store)).load()

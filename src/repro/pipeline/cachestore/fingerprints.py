@@ -20,8 +20,12 @@ address.
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING
+
+try:
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without it: hashlib has one
+    from hashlib import blake2b
 
 from ...callgraph.entrypoints import method_key
 from ...ir.method import IRMethod
@@ -49,7 +53,7 @@ _OPTIONS_FINGERPRINT_FORMAT = 2
 def method_content_hash(method: IRMethod) -> bytes:
     """Digest of one method's printed IR — the per-method unit of the app
     fingerprint (a patched method changes exactly its own hash)."""
-    return hashlib.blake2b(
+    return blake2b(
         print_method(method).encode(), digest_size=16
     ).digest()
 
@@ -57,7 +61,7 @@ def method_content_hash(method: IRMethod) -> bytes:
 def app_content_fingerprint(apk: "APK") -> str:
     """Content address of one app: package, manifest surface, and every
     method's IR hash, order-independent over class file layout."""
-    h = hashlib.blake2b(digest_size=20)
+    h = blake2b(digest_size=20)
     h.update(apk.package.encode())
     for permission in apk.manifest.permissions:
         h.update(b"\0perm\0" + permission.encode())
@@ -91,7 +95,7 @@ def scan_options_fingerprint(options: "NCheckerOptions") -> str:
     """
     import dataclasses
 
-    h = hashlib.blake2b(digest_size=12)
+    h = blake2b(digest_size=12)
     h.update(f"fmt{_OPTIONS_FINGERPRINT_FORMAT};lib{LIBMODELS_VERSION}".encode())
     for field in dataclasses.fields(options):
         if field.name == "cache_dir":
@@ -109,7 +113,7 @@ def entry_digest(app_fp: str, registry) -> str:
 
     The trailing ``\\0`` (an empty options field in earlier layouts)
     keeps addresses byte-identical to caches those layouts wrote."""
-    h = hashlib.blake2b(digest_size=16)
+    h = blake2b(digest_size=16)
     h.update(app_fp.encode())
     h.update(b"\0" + registry_fingerprint(registry).encode())
     h.update(b"\0")

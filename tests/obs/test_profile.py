@@ -4,6 +4,8 @@ the `--profile` CLI surface (including `--jobs N` node-for-node parity)."""
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 from repro.obs import (
     flatten_profile,
@@ -281,3 +283,30 @@ class TestCacheSpans:
         assert "== profile ==" in err
         for name in ("cache:load", "cache:store"):
             assert not TestRenderSpans._profile_rows(err, name), err
+
+
+class TestImportSpan:
+    """The parent's `cli.import` span and `cli.interp_cpu_ms` gauge:
+    once per scan, however many workers it runs."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_import_span_and_gauge_from_the_parent(self, jobs, tmp_path,
+                                                       capsys):
+        metrics, trace = tmp_path / "m.json", tmp_path / "t.json"
+        main(["scan", "--jobs", str(jobs), "--metrics", str(metrics),
+              "--trace", str(trace), "--profile", *APPS])
+        err = capsys.readouterr().err
+        snapshot = json.loads(metrics.read_text())
+        node = snapshot["profile"]["cli.import"]
+        assert node["count"] == 1 and not node["children"]
+        assert snapshot["gauges"]["cli.interp_cpu_ms"] > 0
+        assert len(TestRenderSpans._profile_rows(err, "cli.import")) == 1
+        events = json.loads(trace.read_text())["traceEvents"]
+        spans = [e for e in events if e["name"] == "cli.import"]
+        assert [e["ph"] for e in spans] == ["B", "E"]
+        # It ended before anything else in the scan began.
+        assert spans[1]["ts"] <= min(
+            e["ts"] for e in events if e["name"] != "cli.import")
+        if jobs > 1:
+            workers = {e["pid"] for e in events if e["name"] == "scan"}
+            assert spans[0]["pid"] not in workers

@@ -3,6 +3,7 @@
 import gc
 import json
 import threading
+import time
 
 import pytest
 
@@ -131,6 +132,31 @@ class TestTracer:
         assert isinstance(t.span("s"), _Span)
         t.enabled = False
         assert t.span("s") is NULL_SPAN
+
+
+class TestAddSpan:
+    def test_records_an_ended_span_in_wall_clock_microseconds(self):
+        t = Tracer(enabled=True)
+        start = time.perf_counter()
+        wall_us = time.time_ns() // 1_000
+        t.add_span("done", start, start + 0.25)
+        with t.span("later"):
+            pass
+        events = t.export()
+        check_balanced_be(events)
+        begin, end = events[:2]
+        assert (begin["name"], begin["ph"], end["ph"]) == ("done", "B", "E")
+        assert REQUIRED_KEYS <= set(begin)
+        assert abs(begin["ts"] - wall_us) < 50_000
+        assert abs(end["ts"] - begin["ts"] - 250_000) <= 1
+        assert t.spans_opened == 2
+        done = profile_from_events(events)["done"]
+        assert done["count"] == 1 and abs(done["cum_ms"] - 250.0) < 0.01
+
+    def test_disabled_tracer_records_nothing(self):
+        t = Tracer(enabled=False)
+        t.add_span("done", 0.0, 1.0)
+        assert t.export() == [] and t.spans_opened == 0
 
 
 class TestGcSpans:

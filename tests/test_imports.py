@@ -110,6 +110,57 @@ class TestImportBudget:
         assert result.stdout.strip() == "False", result.stdout
 
 
+class TestStartupWork:
+    """What a default scan compiles and loads before and besides its
+    analysis (docs/ARCHITECTURE.md, "Records" and "Import layering")."""
+
+    SCAN = (
+        "import contextlib, io, sys, repro.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = repro.cli.main(['scan', '--json', *ARGS, {app!r}])\n"
+        "assert code == 1, code\n"
+    ).format(app=str(NEWSREADER))
+
+    def test_default_scan_compiles_only_record_initialisers(self):
+        # Each generated record method is one `compile` of a `<string>`
+        # source.  A default scan constructs instances of 41 of the
+        # records it loads and never compares or hashes one.
+        result = _python(
+            "import sys\n"
+            "sources = []\n"
+            "def hook(event, args):\n"
+            "    if event == 'compile' and args[1] == '<string>':\n"
+            "        source = args[0]\n"
+            "        if isinstance(source, bytes):\n"
+            "            source = source.decode()\n"
+            "        sources.append(source)\n"
+            "sys.addaudithook(hook)\n"
+            "ARGS = []\n"
+            + self.SCAN
+            + "import json\n"
+            "print(json.dumps(sources))\n"
+        )
+        sources = json.loads(result.stdout)
+        records = [s for s in sources if s.startswith("def __")]
+        assert len(records) <= 41, len(records)
+        assert all(s.startswith("def __init__(") for s in records), records
+        assert not any("def __eq__" in s or "def __hash__" in s for s in sources)
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["default", "cache-dir"])
+    def test_scan_does_not_load_openssl(self, cache, tmp_path):
+        # Every digest the scan path takes is BLAKE2, from `_blake2`:
+        # `hashlib` would load OpenSSL (`_hashlib`) for it.
+        args = ["--cache-dir", str(tmp_path / "cache")] if cache else []
+        result = _python(
+            f"ARGS = {args!r}\n"
+            + self.SCAN
+            + "print('_hashlib' in sys.modules, 'hashlib' in sys.modules)\n"
+        )
+        assert result.stdout.split() == ["False", "False"], result.stdout
+        if cache:
+            assert any((tmp_path / "cache").rglob("*")), "the scan wrote no entry"
+
+
 class TestRecords:
     """Records are built by ``repro._record.record``, never by
     ``dataclasses.dataclass`` (docs/ARCHITECTURE.md, "Records")."""

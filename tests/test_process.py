@@ -290,3 +290,46 @@ class TestCollectorState:
         capsys.readouterr()
         assert (gc.get_threshold(), gc.get_freeze_count(),
                 list(gc.callbacks)) == before
+
+
+class TestImportCollections:
+    """``python -m repro.cli`` raises the young threshold before its own
+    imports, so loading the CLI starts no collection; a plain ``import
+    repro.cli`` changes nothing."""
+
+    PROBE = (
+        "import gc, runpy, sys\n"
+        "def hook(event, args):\n"
+        "    if event == 'import' and args[0] == 'repro.app.loader':\n"
+        "        print('threshold', gc.get_threshold()[0], file=sys.stderr)\n"
+        "sys.addaudithook(hook)\n"
+    )
+
+    def test_module_run_raises_the_threshold_before_importing(self):
+        probe = (
+            self.PROBE
+            + "sys.argv = ['nchecker', 'checks']\n"
+            "runpy.run_module('repro.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, env=_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == [b"threshold", str(GEN0_THRESHOLD).encode()]
+
+    def test_plain_import_leaves_the_collector_alone(self):
+        probe = (
+            self.PROBE
+            + "before = gc.get_threshold(), gc.get_freeze_count()\n"
+            "import repro.cli\n"
+            "assert (gc.get_threshold(), gc.get_freeze_count()) == before\n"
+            "print(before[0][0], file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, env=_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        threshold, default = proc.stderr.split()[1:]
+        assert threshold == default != str(GEN0_THRESHOLD).encode()
