@@ -105,9 +105,7 @@ ASYNC_TASK_CALLBACKS = (
 )
 
 #: Runnable/Thread dispatch.
-RUNNABLE_INTERFACE = "java.lang.Runnable"
 THREAD_CLASS = "java.lang.Thread"
-HANDLER_CLASS = "android.os.Handler"
 HANDLER_POST_METHODS = ("post", "postDelayed", "postAtTime")
 THREAD_START_METHODS = ("start",)
 EXECUTOR_SUBMIT_METHODS = ("execute", "submit", "scheduleTask", "schedule")

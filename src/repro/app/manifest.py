@@ -54,7 +54,3 @@ class Manifest:
         }[kind]
         if class_name not in bucket:
             bucket.append(class_name)
-
-    @property
-    def has_internet_permission(self) -> bool:
-        return "android.permission.INTERNET" in self.permissions

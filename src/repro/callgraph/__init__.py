@@ -20,7 +20,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "method_key",
     ),
     "reachability": ("CallChain", "chains_to_method"),
-    "resolve": ("MethodAnalysisCache", "collect_field_types", "origin_classes"),
+    "resolve": ("collect_field_types", "origin_classes"),
 })
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "ICCModel",
     "LaunchSite",
     "build_icc_model",
-    "MethodAnalysisCache",
     "MethodKey",
     "chains_to_method",
     "collect_field_types",

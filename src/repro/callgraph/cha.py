@@ -17,7 +17,7 @@ into ordinary edges.  This builder does the same over our IR:
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .._record import record
 from ..app.apk import APK
@@ -35,7 +35,10 @@ from ..ir.statements import AssignStmt
 from ..ir.values import FieldRef, InvokeExpr, Local, NewExpr
 from ..libmodels.annotations import LibraryRegistry
 from .entrypoints import EntryPoint, MethodKey, discover_entry_points, method_key
-from .resolve import MethodAnalysisCache, collect_field_types, origin_classes
+from .resolve import collect_field_types, origin_classes
+
+if TYPE_CHECKING:
+    from ..pipeline.artifacts import ArtifactStore
 
 #: Edge kinds, for diagnostics and ablation.
 EDGE_DIRECT = "direct"
@@ -69,12 +72,12 @@ class CallGraph:
     def __init__(
         self,
         apk: APK,
-        registry: Optional[LibraryRegistry] = None,
-        cache: Optional[MethodAnalysisCache] = None,
+        registry: Optional[LibraryRegistry],
+        cache: "ArtifactStore",
     ) -> None:
         self.apk = apk
         self.registry = registry
-        self.cache = cache or MethodAnalysisCache()
+        self.cache = cache
         self.methods: dict[MethodKey, IRMethod] = {}
         self.out_edges: dict[MethodKey, list[CallEdge]] = {}
         self.in_edges: dict[MethodKey, list[CallEdge]] = {}
@@ -386,13 +389,6 @@ class CallGraph:
                 if edge.callee not in seen:
                     seen.add(edge.callee)
                     frontier.append(edge.callee)
-        return seen
-
-    def reachable_from_entries(self) -> set[MethodKey]:
-        seen: set[MethodKey] = set()
-        for entry in self.entry_points:
-            if entry.key in self.methods and entry.key not in seen:
-                seen |= self.reachable_from(entry.key)
         return seen
 
     def __repr__(self) -> str:

@@ -21,7 +21,7 @@ untouched.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .._record import field, record
 from ..app.apk import APK
@@ -30,8 +30,10 @@ from ..ir.statements import AssignStmt
 from ..ir.values import Const, InvokeExpr, Local, NewExpr
 from ..libmodels.android import is_ui_notification
 from .entrypoints import MethodKey, method_key
-from .resolve import MethodAnalysisCache
 from ..dataflow.taint import trace_origins
+
+if TYPE_CHECKING:
+    from ..pipeline.artifacts import ArtifactStore
 
 #: Methods that transfer control to another component.
 LAUNCH_METHODS = frozenset({"startActivity", "startActivityForResult", "startService"})
@@ -82,9 +84,8 @@ class ICCModel:
         return bool(self.broadcasts) and bool(self.ui_broadcast_receivers)
 
 
-def build_icc_model(apk: APK, cache: Optional[MethodAnalysisCache] = None) -> ICCModel:
+def build_icc_model(apk: APK, cache: "ArtifactStore") -> ICCModel:
     """Scan the app for ICC sites and broadcast-display components."""
-    cache = cache or MethodAnalysisCache()
     model = ICCModel()
     for cls in apk.classes():
         for method in cls.methods():
@@ -94,7 +95,7 @@ def build_icc_model(apk: APK, cache: Optional[MethodAnalysisCache] = None) -> IC
     return model
 
 
-def _scan_method(method: IRMethod, cache: MethodAnalysisCache, model: ICCModel) -> None:
+def _scan_method(method: IRMethod, cache: "ArtifactStore", model: ICCModel) -> None:
     for idx, invoke in method.invoke_sites():
         name = invoke.sig.name
         if name in LAUNCH_METHODS:
@@ -105,7 +106,7 @@ def _scan_method(method: IRMethod, cache: MethodAnalysisCache, model: ICCModel) 
 
 
 def _resolve_intent_target(
-    method: IRMethod, idx: int, invoke: InvokeExpr, cache: MethodAnalysisCache
+    method: IRMethod, idx: int, invoke: InvokeExpr, cache: "ArtifactStore"
 ) -> Optional[str]:
     """Explicit-Intent resolution: find the Intent's allocation and read a
     class-name string from its constructor arguments."""

@@ -20,10 +20,6 @@ class CallChain:
     entry: EntryPoint
     edges: tuple[CallEdge, ...]
 
-    @property
-    def target_method(self) -> MethodKey:
-        return self.edges[-1].callee if self.edges else self.entry.key
-
     def frames(self) -> list[tuple[MethodKey, int]]:
         """(method, call-site statement index) frames, outermost first."""
         return [(edge.caller, edge.stmt_index) for edge in self.edges]

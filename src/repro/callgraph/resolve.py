@@ -10,61 +10,22 @@ listeners.  This is intraprocedural allocation-site analysis on top of
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..cfg.graph import CFG
-from ..dataflow.reaching import DefUseChains
 from ..dataflow.taint import trace_origins
 from ..ir.method import IRMethod
 from ..ir.statements import AssignStmt
 from ..ir.values import FieldRef, InvokeExpr, Local, NewExpr
 
-
-class MethodAnalysisCache:
-    """Caches per-method CFGs, def-use chains, and constant-propagation
-    results across the whole scan.
-
-    Building a CFG and its dataflow fixpoints is the dominant cost of
-    a scan; every check shares this cache through the checker context.
-    """
-
-    def __init__(self) -> None:
-        self._cfgs: dict[int, CFG] = {}
-        self._defuse: dict[int, DefUseChains] = {}
-        self._constants: dict[int, object] = {}
-
-    def cfg(self, method: IRMethod) -> CFG:
-        key = id(method)
-        found = self._cfgs.get(key)
-        if found is None:
-            found = self._cfgs[key] = CFG(method)
-        return found
-
-    def defuse(self, method: IRMethod) -> DefUseChains:
-        key = id(method)
-        found = self._defuse.get(key)
-        if found is None:
-            found = self._defuse[key] = DefUseChains(self.cfg(method))
-        return found
-
-    def constants(self, method: IRMethod):
-        """The solved :class:`~repro.dataflow.constants.
-        ConstantPropagation` for ``method`` — a pure per-method fixpoint
-        several checks re-derive for the same hot methods."""
-        from ..dataflow.constants import ConstantPropagation
-
-        key = id(method)
-        found = self._constants.get(key)
-        if found is None:
-            found = self._constants[key] = ConstantPropagation(self.cfg(method))
-        return found
+if TYPE_CHECKING:
+    from ..pipeline.artifacts import ArtifactStore
 
 
 def origin_classes(
     method: IRMethod,
     node: int,
     local: Local,
-    cache: Optional[MethodAnalysisCache] = None,
+    cache: "ArtifactStore",
     field_types: Optional[dict[tuple[str, str], str]] = None,
 ) -> set[str]:
     """Classes the object in ``local`` at statement ``node`` may be an
@@ -76,7 +37,6 @@ def origin_classes(
     origins yield nothing (the paper's analysis is similarly best-effort
     and reports inter-component flows as a limitation).
     """
-    cache = cache or MethodAnalysisCache()
     cfg = cache.cfg(method)
     defuse = cache.defuse(method)
     classes: set[str] = set()

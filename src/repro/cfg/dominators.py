@@ -88,16 +88,6 @@ class DominatorTree:
                 return node == a
             node = parent
 
-    def dominators_of(self, node: int) -> set[int]:
-        result = {node}
-        current = node
-        while True:
-            parent = self.idom.get(current)
-            if parent is None or parent == current:
-                return result
-            result.add(parent)
-            current = parent
-
 
 def control_dependence(cfg: CFG) -> dict[int, set[int]]:
     """Map each node to the set of branch nodes it is control-dependent on.

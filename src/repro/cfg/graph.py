@@ -11,8 +11,6 @@ its ``ExceptionalUnitGraph`` for the analyses NChecker runs).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from ..ir.method import IRMethod
 from ..ir.statements import (
     GotoStmt,
@@ -148,31 +146,6 @@ class CFG:
         if node == self.exit:
             return None
         return self.method.statements[node]
-
-    def reverse_postorder(self) -> list[int]:
-        """RPO over nodes reachable from the entry."""
-        seen: set[int] = set()
-        order: list[int] = []
-
-        def visit(start: int) -> None:
-            stack: list[tuple[int, Iterator[int]]] = [(start, iter(self.succs[start]))]
-            seen.add(start)
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for succ in it:
-                    if succ not in seen:
-                        seen.add(succ)
-                        stack.append((succ, iter(self.succs[succ])))
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(node)
-                    stack.pop()
-
-        visit(self.entry)
-        order.reverse()
-        return order
 
     def reachable_from(self, start: int) -> set[int]:
         seen = {start}

@@ -8,7 +8,7 @@ Subcommands:
 * ``corpus <dir> [--apps N]`` — emit the synthetic evaluation corpus as
   ``.apkt`` files (inspectable, re-scannable);
 * ``cache stats|gc|clear`` — manage the persistent artifact cache;
-* ``bench record|compare|gate`` — record performance runs into the
+* ``bench record|gate`` — record performance runs into the
   append-only run ledger and gate regressions against a baseline
   (``docs/BENCHMARKS.md``);
 * ``serve`` — run the scan-as-a-service HTTP daemon
@@ -499,7 +499,7 @@ def _bench_measure(apps, jobs: int, options, label):
 
     The persistent cache is left disabled (the options carry no cache
     dir) so every counter is a pure function of (apps, options)
-    — the determinism `bench compare`'s exact-match rule relies on.
+    — the determinism `bench gate`'s exact-match rule relies on.
     """
     from .obs import app_set_digest, merge_snapshots, run_record
     from .pipeline.batch import BatchScanner
@@ -589,17 +589,6 @@ def _load_run_or_die(path: str) -> dict:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from .obs import compare_runs
-
-    base = _load_run_or_die(args.baseline)
-    current = _load_run_or_die(args.current)
-    result = compare_runs(base, current, args.timing_threshold,
-                          args.timing_min_ms)
-    print(result.render())
-    return 0
 
 
 def _cmd_bench_gate(args: argparse.Namespace) -> int:
@@ -950,29 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record.set_defaults(func=_cmd_bench_record)
 
-    compare = bench_action.add_parser(
-        "compare",
-        help="diff two recorded runs and render the delta table",
-        parents=[common],
-    )
-    compare.add_argument(
-        "baseline", help="baseline run: ledger .jsonl (last record), "
-        "ledger-entry/baseline JSON, or a scan --metrics snapshot",
-    )
-    compare.add_argument("current", help="current run, same formats")
-    compare.add_argument(
-        "--timing-threshold", type=_non_negative_float, default=0.2,
-        metavar="FRACTION",
-        help="relative wall-time tolerance before a timing counts as a "
-        "regression (default 0.2 = ±20%%)",
-    )
-    compare.add_argument(
-        "--timing-min-ms", type=_non_negative_float, default=5.0, metavar="MS",
-        help="absolute noise floor: timings whose totals stay under MS "
-        "never gate (default 5.0)",
-    )
-    compare.set_defaults(func=_cmd_bench_compare)
-
     gate = bench_action.add_parser(
         "gate",
         help="compare against a baseline and exit nonzero on regressions",
@@ -985,11 +951,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gate.add_argument(
         "--baseline", required=True, metavar="FILE",
-        help="the recorded baseline to gate against",
+        help="the recorded baseline to gate against: ledger .jsonl (last "
+        "record), ledger-entry/baseline JSON, or a scan --metrics snapshot",
     )
     gate.add_argument(
         "--current", metavar="FILE",
-        help="gate this previously recorded run instead of measuring now",
+        help="gate this previously recorded run (same formats) instead of "
+        "measuring now",
     )
     gate.add_argument(
         "--timing-threshold", type=_non_negative_float, default=0.2,

@@ -63,8 +63,7 @@ class RequestConfigInfo:
 class ConfigAPICheck:
     name = "config-apis"
 
-    def __init__(self, widen_to_class: bool = True) -> None:
-        self.widen_to_class = widen_to_class
+    def __init__(self) -> None:
         #: Populated by run(); the retry-parameter check reads it.
         self.info_by_request: dict[RequestLocation, RequestConfigInfo] = {}
 
@@ -134,7 +133,7 @@ class ConfigAPICheck:
 
         if param_names:
             self._scan_callers_transitive(ctx, request, param_names, info)
-        if field_widened and self.widen_to_class:
+        if field_widened:
             self._scan_widened(ctx, request, info)
         self._apply_defaults(info)
         return info

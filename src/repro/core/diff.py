@@ -28,14 +28,6 @@ class ScanDiff:
     introduced: list[Finding] = field(default_factory=list)
     persisting: list[Finding] = field(default_factory=list)
 
-    @property
-    def is_improvement(self) -> bool:
-        return bool(self.fixed) and not self.introduced
-
-    @property
-    def is_clean(self) -> bool:
-        return not self.introduced and not self.persisting
-
     def summary(self) -> str:
         return (
             f"{len(self.fixed)} fixed, {len(self.introduced)} introduced, "

@@ -123,11 +123,6 @@ class Patcher:
 
     # ------------------------------------------------------------------
 
-    def patch(self, apk: APK, result: ScanResult) -> PatchResult:
-        """Apply fixes for ``result``'s findings to a clone of ``apk``."""
-        clone = loads_apk(dumps_apk(apk))
-        return self.patch_in_place(clone, result)
-
     def patch_in_place(self, apk: APK, result: ScanResult) -> PatchResult:
         """Apply fixes directly to ``apk``, mutating its methods."""
         outcome = PatchResult(apk)

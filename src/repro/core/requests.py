@@ -21,7 +21,7 @@ from ..app.apk import APK
 from ..callgraph.cha import CallGraph
 from ..callgraph.entrypoints import EntryPoint, MethodKey, method_key
 from ..callgraph.reachability import CallChain, chains_to_method
-from ..callgraph.resolve import MethodAnalysisCache, origin_classes
+from ..callgraph.resolve import origin_classes
 from ..dataflow.taint import trace_origins
 from ..ir.method import IRMethod
 from ..ir.statements import AssignStmt
@@ -37,6 +37,7 @@ from ..libmodels.volley import VOLLEY_METHOD_CODES
 if TYPE_CHECKING:
     from ..dataflow.summaries import SummaryEngine
     from ..dataflow.threadcontext import ThreadContextAnalysis
+    from ..pipeline.artifacts import ArtifactStore
     from .retry_loops import RetryLoop
 
 #: A stable request identity: the enclosing method plus the statement
@@ -56,12 +57,12 @@ _APACHE_REQUEST_CLASSES: dict[str, HttpMethod] = {
 @record
 class AnalysisContext:
     """Shared state for one app scan: the APK, annotations, call graph,
-    and the per-method analysis cache."""
+    and the artifact store that caches per-method analyses."""
 
     apk: APK
     registry: LibraryRegistry
     callgraph: CallGraph
-    cache: MethodAnalysisCache
+    cache: "ArtifactStore"
     #: Customized retry loops (§4.5), populated by the orchestrator so the
     #: config-API check can credit hand-rolled retry logic.
     retry_loops: list["RetryLoop"] = field(default_factory=list)
@@ -71,12 +72,6 @@ class AnalysisContext:
     #: Per-method thread contexts (`repro.dataflow.threadcontext`),
     #: injected by the scan session only when the UI-thread check runs.
     threadcontext: Optional["ThreadContextAnalysis"] = None
-
-    @classmethod
-    def build(cls, apk: APK, registry: LibraryRegistry) -> "AnalysisContext":
-        cache = MethodAnalysisCache()
-        graph = CallGraph(apk, registry, cache)
-        return cls(apk, registry, graph, cache)
 
 
 @record
@@ -119,10 +114,6 @@ class NetworkRequest:
     def background(self) -> bool:
         """Reachable from a Service entry point."""
         return any(e.background for e in self.entries)
-
-    @property
-    def reachable(self) -> bool:
-        return bool(self.chains)
 
     @property
     def is_post(self) -> bool:

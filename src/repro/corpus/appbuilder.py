@@ -60,9 +60,6 @@ class AppBuilder:
     def async_task(self, name: str) -> ClassBuilder:
         return self.new_class(name, "android.os.AsyncTask")
 
-    def listener(self, name: str, interface: str) -> ClassBuilder:
-        return self.new_class(name, interfaces=[interface])
-
     def get_class_builder(self, name: str) -> ClassBuilder:
         return self._class_builders[name]
 

@@ -42,13 +42,6 @@ class AppGroundTruth:
     package: str
     requests: list[InjectedRequest] = field(default_factory=list)
 
-    def expected_counts(self) -> dict[DefectKind, int]:
-        counts: dict[DefectKind, int] = {}
-        for request in self.requests:
-            for kind in request.expected:
-                counts[kind] = counts.get(kind, 0) + 1
-        return counts
-
 
 @record
 class Confusion:

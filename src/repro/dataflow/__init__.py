@@ -1,13 +1,12 @@
 """Dataflow framework: worklist solver plus the concrete analyses
-NChecker needs (reaching definitions, def-use, liveness, constants,
-taint, slicing)."""
+NChecker needs (reaching definitions, def-use, constants, taint,
+slicing)."""
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "constants": ("BOTTOM", "ConstantPropagation", "TOP"),
     "framework": ("DataflowAnalysis", "SetAnalysis"),
-    "liveness": ("Liveness",),
     "reaching": ("DefUseChains", "ReachingDefinitions"),
     "slicing": ("Slicer",),
     "taint": ("ForwardTaint", "TaintPolicy", "trace_origins"),
@@ -31,7 +30,6 @@ __all__ = [
     "DataflowAnalysis",
     "DefUseChains",
     "ForwardTaint",
-    "Liveness",
     "MethodSummary",
     "RECEIVER",
     "ReachingDefinitions",

@@ -31,10 +31,6 @@ class ConfigCallValues:
     retries: Optional[int] = None
     timeout_ms: Optional[int] = None
 
-    @property
-    def empty(self) -> bool:
-        return self.retries is None and self.timeout_ms is None
-
 
 def config_call_values(
     method: IRMethod,

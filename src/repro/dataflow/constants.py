@@ -30,8 +30,6 @@ Env = Optional[dict[str, ConstValue]]
 class ConstantPropagation(DataflowAnalysis[Env]):
     """Forward must-analysis mapping locals to known constant values."""
 
-    direction = "forward"
-
     def __init__(self, cfg: CFG) -> None:
         super().__init__(cfg)
         self.solve()

@@ -1,9 +1,11 @@
 """A generic iterative (worklist) dataflow solver.
 
-All the concrete analyses in this package — reaching definitions,
-liveness, constant propagation, taint — instantiate this solver with a
-direction, a join, and a transfer function.  States are treated as opaque
-values compared with ``==``; concrete analyses use frozensets or dicts.
+The concrete analyses built on it — constant propagation and forward
+taint — are forward problems: each supplies an initial state, an entry
+boundary, a join and a transfer function.  (Reaching definitions
+runs its own bitset solver; see :mod:`repro.dataflow.reaching`.)
+States are treated as opaque values compared with ``==``; concrete
+analyses use frozensets or dicts.
 """
 
 from __future__ import annotations
@@ -17,24 +19,18 @@ State = TypeVar("State")
 
 
 class DataflowAnalysis(Generic[State]):
-    """Solve a monotone dataflow problem to a fixed point.
+    """Solve a forward monotone dataflow problem to a fixed point.
 
-    Subclasses (or callers via the functional constructor
-    :func:`solve_dataflow`) provide:
+    Subclasses provide:
 
-    * ``direction`` — ``"forward"`` or ``"backward"``;
     * ``initial(node)`` — the state at node boundaries before iteration;
-    * ``boundary()`` — the state at the entry (exit for backward);
+    * ``boundary()`` — the state at the entry;
     * ``join(states)`` — the confluence operator;
     * ``transfer(node, state)`` — the node transfer function.
 
     After :meth:`solve`, ``in_states[n]`` / ``out_states[n]`` hold the
-    fixed point (for backward problems, "in" is still the state *before*
-    the node in program order, i.e. what the analysis computes leaving the
-    node against the flow).
+    fixed point: the state before and after node ``n``.
     """
-
-    direction = "forward"
 
     def __init__(self, cfg: CFG) -> None:
         self.cfg = cfg
@@ -59,29 +55,20 @@ class DataflowAnalysis(Generic[State]):
 
     def solve(self) -> "DataflowAnalysis[State]":
         cfg = self.cfg
-        forward = self.direction == "forward"
-        if forward:
-            start, inputs, outputs = cfg.entry, cfg.preds, cfg.succs
-        else:
-            start, inputs, outputs = cfg.exit, cfg.succs, cfg.preds
+        start, preds, succs = cfg.entry, cfg.preds, cfg.succs
 
         # Acyclic CFGs (the common case — most methods are loop-free) reach
         # the fixed point in a single pass over the nodes in topological
         # order: every edge advances the statement index, so ascending
-        # order (descending for backward problems) visits each node after
-        # all of its inputs.  No worklist, no re-visits.
+        # order visits each node after all of its predecessors.  No
+        # worklist, no re-visits.
         if cfg.acyclic:
-            # Ill-configured analyses (a must-analysis without a universe)
-            # must still fail at solve() even if no node ends up needing an
-            # initial state on this pass.
-            self.initial(start)
             in_states, out_states = self.in_states, self.out_states
-            order = cfg.nodes()
-            for node in (order if forward else reversed(order)):
+            for node in cfg.nodes():
                 if node == start:
                     state = self.boundary()
                 else:
-                    ins = inputs[node]
+                    ins = preds[node]
                     if not ins:
                         state = self.initial(node)
                     elif len(ins) == 1:
@@ -98,11 +85,9 @@ class DataflowAnalysis(Generic[State]):
             self.in_states[node] = self.initial(node)
             self.out_states[node] = self.initial(node)
 
-        # Seed in flow order (reverse for backward problems) so most nodes
-        # see their inputs' final states on the first visit.
-        worklist: deque[int] = deque(
-            cfg.nodes() if forward else reversed(cfg.nodes())
-        )
+        # Seed in flow order so most nodes see their predecessors' final
+        # states on the first visit.
+        worklist: deque[int] = deque(cfg.nodes())
         queued = set(worklist)
         self.in_states[start] = self.boundary()
         self.out_states[start] = self.transfer(start, self.in_states[start])
@@ -111,14 +96,14 @@ class DataflowAnalysis(Generic[State]):
             node = worklist.popleft()
             queued.discard(node)
             if node != start:
-                incoming = [self.out_states[p] for p in inputs[node]]
+                incoming = [self.out_states[p] for p in preds[node]]
                 self.in_states[node] = (
                     self.join(incoming) if incoming else self.initial(node)
                 )
             new_out = self.transfer(node, self.in_states[node])
             if new_out != self.out_states[node] or node == start:
                 self.out_states[node] = new_out
-                for nxt in outputs[node]:
+                for nxt in succs[node]:
                     if nxt not in queued:
                         queued.add(nxt)
                         worklist.append(nxt)
@@ -127,45 +112,22 @@ class DataflowAnalysis(Generic[State]):
     # -- conveniences ---------------------------------------------------------
 
     def state_before(self, node: int) -> State:
-        """The fixed-point state entering ``node`` along the flow direction."""
+        """The fixed-point state entering ``node``."""
         return self.in_states[node]
-
-    def state_after(self, node: int) -> State:
-        return self.out_states[node]
 
 
 class SetAnalysis(DataflowAnalysis[frozenset]):
-    """Convenience base for gen/kill-style set analyses.
-
-    ``may`` (union join) is the default; set ``must = True`` for
-    intersection join with a configurable universe.
-    """
-
-    must = False
-
-    def universe(self) -> frozenset:
-        """The full set, used as ⊤ for must-analyses."""
-        raise NotImplementedError("must-analyses need a universe")
+    """Base for may-analyses over sets: the initial and entry states are
+    empty, the join is union; subclasses supply ``transfer``."""
 
     def initial(self, node: int) -> frozenset:
-        return self.universe() if self.must else frozenset()
+        return frozenset()
 
     def boundary(self) -> frozenset:
         return frozenset()
 
     def join(self, states: list[frozenset]) -> frozenset:
-        if not states:
-            return self.initial(-1)
         result = states[0]
         for state in states[1:]:
-            result = (result & state) if self.must else (result | state)
+            result = result | state
         return result
-
-    def gen(self, node: int) -> frozenset:
-        return frozenset()
-
-    def kill(self, node: int, state: frozenset) -> frozenset:
-        return frozenset()
-
-    def transfer(self, node: int, state: frozenset) -> frozenset:
-        return (state - self.kill(node, state)) | self.gen(node)

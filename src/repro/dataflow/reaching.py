@@ -23,9 +23,6 @@ class ReachingDefinitions:
     one ascending pass, cyclic ones with a worklist.
     """
 
-    direction = "forward"
-    must = False
-
     def __init__(self, cfg: CFG) -> None:
         self.cfg = cfg
         method = cfg.method

@@ -70,9 +70,3 @@ class Slicer:
             for def_site in self.defuse.definition_sites(node, name):
                 enqueue_node(def_site)
         return in_slice
-
-    def depends_on(
-        self, criterion: int, candidates: set[int], locals_of_interest: Optional[set[str]] = None
-    ) -> bool:
-        """Whether the criterion's slice intersects ``candidates``."""
-        return bool(self.backward_slice(criterion, locals_of_interest) & candidates)

@@ -64,7 +64,7 @@ from .taint import ForwardTaint
 if TYPE_CHECKING:
     from ..callgraph.cha import CallGraph
     from ..callgraph.entrypoints import MethodKey
-    from ..callgraph.resolve import MethodAnalysisCache
+    from ..pipeline.artifacts import ArtifactStore
 
 #: Parameter position denoting the receiver (``this``).
 RECEIVER: int = -1
@@ -173,7 +173,7 @@ class SummaryEngine:
         self,
         graph: "CallGraph",
         registry: LibraryRegistry,
-        cache: "MethodAnalysisCache",
+        cache: "ArtifactStore",
     ) -> None:
         # Deferred: dataflow <-> callgraph would otherwise cycle at import.
         from ..callgraph.cha import EDGE_DIRECT
@@ -210,10 +210,6 @@ class SummaryEngine:
     @property
     def sccs(self) -> list:
         return self._ensure_scc_order()[0]
-
-    @property
-    def scc_position(self) -> dict:
-        return self._ensure_scc_order()[1]
 
     # -- transitive boolean facts -------------------------------------------
 

@@ -56,9 +56,6 @@ class ForwardTaint(SetAnalysis):
     of interest, or ``(-1, name)`` to taint a parameter at entry).
     """
 
-    direction = "forward"
-    must = False
-
     def __init__(
         self,
         cfg: CFG,
@@ -109,14 +106,6 @@ class ForwardTaint(SetAnalysis):
 
     def tainted_before(self, node: int) -> frozenset[str]:
         return self.state_before(node)
-
-    def invoke_sites_on_tainted(self) -> list[tuple[int, InvokeExpr]]:
-        """Call sites whose receiver is a tainted alias at that point."""
-        sites: list[tuple[int, InvokeExpr]] = []
-        for idx, expr in self.cfg.method.invoke_sites():
-            if expr.base is not None and expr.base.name in self.tainted_before(idx):
-                sites.append((idx, expr))
-        return sites
 
 
 def trace_origins(

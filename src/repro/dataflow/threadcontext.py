@@ -139,9 +139,6 @@ class ThreadContextAnalysis:
     def may_run_on_main(self, key: MethodKey) -> bool:
         return "main" in self.context_of(key)
 
-    def may_run_in_background(self, key: MethodKey) -> bool:
-        return "background" in self.context_of(key)
-
     def describe(self, key: MethodKey) -> str:
         """Stable human-readable rendering ("main", "background",
         "either", or "unknown") for reports and finding details."""

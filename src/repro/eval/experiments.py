@@ -63,29 +63,17 @@ _TELEMETRY_CACHE: dict[tuple[int, int], dict] = {}
 def corpus_scan(
     n_apps: int = 285,
     seed: Optional[int] = None,
-    jobs: Optional[int] = None,
 ) -> list[ScanResult]:
-    """Scan the synthetic evaluation corpus (cached).
-
-    ``jobs`` fans the scan across worker processes (results are
-    index-ordered and identical to a serial scan); it defaults to the
-    ``NCHECKER_JOBS`` environment variable, else serial.
-    """
+    """Scan the synthetic evaluation corpus (cached)."""
     profile = PAPER_PROFILE if seed is None else PAPER_PROFILE.__class__(
         mix=PAPER_PROFILE.mix, rates=PAPER_PROFILE.rates, seed=seed
     )
     key = (profile.seed, n_apps)
     if key not in _SCAN_CACHE:
-        if jobs is None:
-            import os
-
-            jobs = int(os.environ.get("NCHECKER_JOBS", "1"))
         from ..pipeline.batch import scan_corpus
 
         telemetry: dict = {}
-        _SCAN_CACHE[key] = scan_corpus(
-            profile, n_apps, jobs=jobs, telemetry=telemetry
-        )
+        _SCAN_CACHE[key] = scan_corpus(profile, n_apps, telemetry=telemetry)
         _TELEMETRY_CACHE[key] = telemetry
     return _SCAN_CACHE[key]
 

@@ -122,12 +122,6 @@ class ClassHierarchy:
     def is_subtype(self, name: str, supertype: str) -> bool:
         return name == supertype or supertype in self.supertypes(name)
 
-    def subclasses(self, name: str) -> set[str]:
-        """Application classes that are (transitive) subtypes of ``name``."""
-        return {
-            cls.name for cls in self._classes.values() if self.is_subtype(cls.name, name)
-        }
-
     def resolve_method(
         self, class_name: str, method_name: str, arity: int
     ) -> Optional[IRMethod]:

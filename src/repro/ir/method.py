@@ -91,9 +91,6 @@ class IRMethod:
                 f"undefined label {label!r} in {self.sig.qualified_name}"
             ) from None
 
-    def labels_at(self, index: int) -> list[str]:
-        return [name for name, idx in self.labels.items() if idx == index]
-
     def invoke_sites(self) -> Iterator[tuple[int, InvokeExpr]]:
         """Yield ``(statement_index, invoke_expr)`` for every call site."""
         for idx, stmt in enumerate(self.statements):

@@ -21,13 +21,8 @@ from .._record import record
 
 #: Java-style primitive and common reference type names used throughout.
 VOID = "void"
-INT = "int"
-LONG = "long"
-BOOLEAN = "boolean"
-STRING = "java.lang.String"
 OBJECT = "java.lang.Object"
 THROWABLE = "java.lang.Throwable"
-IO_EXCEPTION = "java.io.IOException"
 
 
 @record(frozen=True, slots=True)

@@ -67,9 +67,6 @@ ALL_LIBRARIES = (
     BASIC_HTTP,
 )
 
-#: The two Android-native stacks (Table 7 groups them as "Native").
-NATIVE_LIBRARY_KEYS = frozenset({"httpurlconnection", "apache"})
-
 #: Version of the library annotation models.  Bump whenever any model's
 #: annotations change (target/config/response APIs, callbacks, defaults):
 #: the persistent artifact cache (`repro.pipeline.cachestore`) folds this
@@ -119,7 +116,6 @@ __all__ = [
     "LibraryDefaults",
     "LibraryModel",
     "LibraryRegistry",
-    "NATIVE_LIBRARY_KEYS",
     "NPD_CAUSE_ROWS",
     "OKHTTP",
     "ResponseCheckAPI",

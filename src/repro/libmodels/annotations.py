@@ -173,12 +173,6 @@ class LibraryModel:
     def has_response_check_api(self) -> bool:
         return bool(self.response_check_apis)
 
-    @property
-    def error_callbacks(self) -> tuple[CallbackSpec, ...]:
-        return tuple(
-            c for c in self.callbacks if c.role in (CallbackRole.ERROR, CallbackRole.COMBINED)
-        )
-
     def config_apis_of_kind(self, kind: ConfigKind) -> tuple[ConfigAPI, ...]:
         return tuple(c for c in self.config_apis if c.kind is kind)
 

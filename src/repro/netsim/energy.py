@@ -51,12 +51,6 @@ class EnergyEstimate:
     def total_mj(self) -> float:
         return self.active_mj + self.tail_mj + self.idle_mj
 
-    @property
-    def total_mah_at_3v7(self) -> float:
-        """The same energy as battery charge at a nominal 3.7 V."""
-        joules = self.total_mj / 1000.0
-        return joules / 3.7 / 3.6  # C = J/V; mAh = C/3.6
-
 
 def estimate_energy(
     report: RunReport, radio: RadioProfile = CELLULAR_3G

@@ -20,7 +20,6 @@ class EventLoop:
         self.now: float = 0.0
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
-        self._stopped = False
 
     def schedule(self, delay_ms: float, action: Callable[[], None]) -> None:
         """Run ``action`` ``delay_ms`` simulated milliseconds from now."""
@@ -36,9 +35,6 @@ class EventLoop:
             raise ValueError(f"negative delay: {delay_ms}")
         self.now += delay_ms
 
-    def stop(self) -> None:
-        self._stopped = True
-
     def run(self, until_ms: Optional[float] = None, max_events: int = 1_000_000) -> int:
         """Dispatch events in time order; returns the number dispatched.
 
@@ -46,8 +42,7 @@ class EventLoop:
         ``max_events`` fires (a runaway-timer backstop — exactly the bug
         class the Telegram example exhibits)."""
         dispatched = 0
-        self._stopped = False
-        while self._queue and not self._stopped and dispatched < max_events:
+        while self._queue and dispatched < max_events:
             when, _seq, action = self._queue[0]
             if until_ms is not None and when > until_ms:
                 break
@@ -56,7 +51,3 @@ class EventLoop:
             action()
             dispatched += 1
         return dispatched
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)

@@ -13,7 +13,7 @@ The telemetry subsystem behind ``nchecker scan --trace/--metrics/--stats
 * :mod:`repro.obs.events` — the append-only JSONL run ledger
   (``nchecker bench record``);
 * :mod:`repro.obs.compare` — baseline/current regression comparison
-  (``nchecker bench compare|gate``);
+  (``nchecker bench gate``);
 * :mod:`repro.obs.log` — the ``nchecker`` diagnostic logger tree
   (stderr-only, so machine-readable stdout stays clean);
 * :mod:`repro.obs.render` — the ``--stats`` telemetry table.

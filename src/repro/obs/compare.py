@@ -1,9 +1,8 @@
 """Regression comparison between two recorded runs.
 
-``nchecker bench compare A B`` and ``nchecker bench gate`` both reduce
-to :func:`compare_runs` over two run records (ledger entries, ledger
-files, derived exports, or raw ``--metrics`` snapshots — see
-:func:`load_run`):
+``nchecker bench gate`` reduces to :func:`compare_runs` over two run
+records (ledger entries, ledger files, derived exports, or raw
+``--metrics`` snapshots — see :func:`load_run`):
 
 * **Counters** exact-match where deterministic.  The analysis pipeline
   is deterministic over (apps, options) — the scan-scaling benchmark
@@ -129,7 +128,7 @@ class CompareResult:
 
     def render(self) -> str:
         pct = self.threshold * 100.0
-        lines = ["== bench compare =="]
+        lines = ["== bench gate =="]
         for role, rec in (("baseline", self.baseline), ("current", self.current)):
             bits = [str(rec.get("run_id", "?"))]
             if rec.get("label"):
@@ -273,14 +272,3 @@ def compare_runs(
                 )
     return result
 
-
-def gate(
-    baseline: dict,
-    current: dict,
-    threshold: float = DEFAULT_TIMING_THRESHOLD,
-    min_total_ms: float = DEFAULT_TIMING_MIN_MS,
-) -> tuple[int, CompareResult]:
-    """The ``bench gate`` core: ``(exit_code, result)`` — nonzero on any
-    regression."""
-    result = compare_runs(baseline, current, threshold, min_total_ms)
-    return (0 if result.ok else 1), result

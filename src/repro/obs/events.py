@@ -2,7 +2,7 @@
 
 ``BENCH_pipeline.json`` is a single overwritten snapshot; the ledger is
 its history.  One line per recorded run, each a self-contained JSON
-record carrying everything a later ``nchecker bench compare`` needs:
+record carrying everything a later ``nchecker bench gate`` needs:
 
 * ``schema_version`` — :data:`LEDGER_SCHEMA_VERSION`, so readers can
   evolve;
@@ -225,10 +225,3 @@ class RunLedger:
             if isinstance(record, dict):
                 out.append(record)
         return out
-
-    def last(self, kind: Optional[str] = None) -> Optional[dict]:
-        """The most recent record (of ``kind``, when given)."""
-        for record in reversed(self.entries()):
-            if kind is None or record.get("kind") == kind:
-                return record
-        return None

@@ -156,10 +156,6 @@ class MetricsRegistry:
         found = self._counters.get(name)
         return found.value if found is not None else 0
 
-    def gauge_value(self, name: str) -> float:
-        found = self._gauges.get(name)
-        return found.value if found is not None else 0.0
-
     # -- snapshot / merge protocol ------------------------------------------
 
     def snapshot(self) -> dict:

@@ -95,13 +95,6 @@ class Tracer:
         self._lock = threading.Lock()
         self._pid = os.getpid()
 
-    def span(self, name: str, **args):
-        """A context manager tracing ``name``; :data:`NULL_SPAN` (no
-        allocation) while the tracer is disabled."""
-        if not self.enabled:
-            return NULL_SPAN
-        return _Span(self, name, args)
-
     def _event(self, ph: str, name: str, args) -> dict:
         event = {
             "name": name,

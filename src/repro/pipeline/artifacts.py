@@ -10,11 +10,10 @@ hits/builds for the cache-effectiveness benchmarks.  A built artifact
 lives as long as its store: the app under a store is never mutated (the
 patcher rescans each round's patched app through a fresh session).
 
-The store is duck-type compatible with
-:class:`repro.callgraph.resolve.MethodAnalysisCache` (``cfg(method)`` /
-``defuse(method)``), so the call graph, the summary engine, and every
-check share it as the context cache.  Unlike the legacy cache it keys
-method artifacts by :data:`MethodKey`, not ``id(method)``.
+The store is also the per-method analysis cache (``cfg(method)`` /
+``defuse(method)`` / ``constants(method)``, keyed by :data:`MethodKey`)
+that the call graph, the ICC model, the summary engine and every check
+share as the context's ``cache``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ class ArtifactKey:
     ``deps`` names the artifacts that must exist before this one can
     build; the store resolves them recursively.  Per-method artifacts
     (CFGs, def-use chains, constants) have no key: they are built through
-    the cache protocol (``store.cfg(method)`` and friends).
+    the per-method accessors (``store.cfg(method)`` and friends).
     """
 
     name: str
@@ -92,18 +91,11 @@ class ArtifactCounters:
         self._registry = registry
 
     @property
-    def builds(self) -> dict[str, int]:
-        return self._per_kind("builds")
-
-    @property
     def hits(self) -> dict[str, int]:
         return self._per_kind("hits")
 
     def builds_of(self, name: str) -> int:
         return self._registry.counter_value(f"artifact.{name}.builds")
-
-    def hits_of(self, name: str) -> int:
-        return self._registry.counter_value(f"artifact.{name}.hits")
 
     def _per_kind(self, event: str) -> dict[str, int]:
         suffix = f".{event}"
@@ -257,7 +249,7 @@ class ArtifactStore:
 
         return ThreadContextAnalysis(self.get(CALLGRAPH), self.registry)
 
-    # -- method-scoped artifacts (MethodAnalysisCache protocol) --------------
+    # -- method-scoped artifacts ---------------------------------------------
 
     def cfg(self, method) -> "CFGGraph":
         key = method_key(method)

@@ -87,7 +87,7 @@ def scan_options_fingerprint(options: "NCheckerOptions") -> str:
     """One digest over every analysis-shaping option field.
 
     The run ledger (:mod:`repro.obs.events`) stamps this on every record
-    so ``nchecker bench compare`` never silently diffs runs produced
+    so ``nchecker bench gate`` never silently diffs runs produced
     under different flags.  The storage-only ``cache_dir`` is excluded:
     it can never change scan output.  Unordered collections are sorted
     before hashing so the digest is stable across interpreter hash

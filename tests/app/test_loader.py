@@ -30,7 +30,7 @@ class TestLoads:
     def test_minimal_document(self):
         apk = loads_apk(MINIMAL)
         assert apk.package == "com.example.mini"
-        assert apk.manifest.has_internet_permission
+        assert "android.permission.INTERNET" in apk.manifest.permissions
         assert apk.get_class("com.example.mini.Main") is not None
 
     def test_missing_apk_header_rejected(self):

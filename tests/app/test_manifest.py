@@ -32,5 +32,5 @@ class TestManifest:
 
     def test_internet_permission(self):
         m = Manifest("com.x", permissions=["android.permission.INTERNET"])
-        assert m.has_internet_permission
-        assert not Manifest("com.y").has_internet_permission
+        assert "android.permission.INTERNET" in m.permissions
+        assert "android.permission.INTERNET" not in Manifest("com.y").permissions

@@ -2,19 +2,19 @@
 
 from repro.app import APK, Manifest
 from repro.callgraph import (
-    CallGraph,
     EDGE_ASYNC_TASK,
     EDGE_LIB_CALLBACK,
     EDGE_RUNNABLE,
 )
 from repro.ir import ClassBuilder, Local
 from repro.libmodels import default_registry
+from repro.pipeline import CALLGRAPH, ArtifactStore
 
 
 def _graph(classes, activities=("com.x.Main",)):
     manifest = Manifest("com.x", activities=list(activities))
     apk = APK(manifest, classes)
-    return CallGraph(apk, default_registry())
+    return ArtifactStore(apk, default_registry()).get(CALLGRAPH)
 
 
 class TestDirectEdges:
@@ -200,6 +200,8 @@ class TestReachability:
         b.ret()
         cb.add(b)
         graph = _graph([cb.build()])
-        reachable = graph.reachable_from_entries()
+        reachable = set().union(*(
+            graph.reachable_from(entry.key) for entry in graph.entry_points
+        ))
         assert ("com.x.Main", "helper", 0) in reachable
         assert ("com.x.Main", "dead", 0) not in reachable

@@ -14,6 +14,7 @@ from repro.app import APK, Manifest
 from repro.callgraph import CallChain, CallGraph, chains_to_method
 from repro.ir import ClassBuilder, Local
 from repro.libmodels import default_registry
+from repro.pipeline import CALLGRAPH, ArtifactStore
 
 CLASS = "com.x.Main"
 #: Activity lifecycle and UI-callback names (all arity 0): entry points.
@@ -70,7 +71,7 @@ def call_graphs(draw):
         calls = draw(st.lists(st.sampled_from(names), max_size=4))
         _method(main, name, calls)
     apk = APK(Manifest("com.x", activities=[CLASS]), [main.build()])
-    return CallGraph(apk, default_registry()), names
+    return ArtifactStore(apk, default_registry()).get(CALLGRAPH), names
 
 
 def _assert_equivalent(graph: CallGraph) -> None:
@@ -101,6 +102,6 @@ class TestChainOracle:
         builder = ClassBuilder(CLASS, "android.app.Activity")
         cls.add_method(_method(builder, "mNew", helper_calls))
         cls.add_method(_method(builder, "onStart", ["mNew"] + start_calls))
-        graph = CallGraph(graph.apk, default_registry())
+        graph = ArtifactStore(graph.apk, default_registry()).get(CALLGRAPH)
         assert (CLASS, "onStart", 0) in {e.key for e in graph.entry_points}
         _assert_equivalent(graph)

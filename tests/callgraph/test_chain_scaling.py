@@ -7,6 +7,7 @@ from repro.callgraph import CallGraph, chains_to_method
 from repro.callgraph.entrypoints import method_key
 from repro.corpus import CorpusGenerator, CorpusProfile
 from repro.libmodels import default_registry
+from repro.pipeline import CALLGRAPH, ArtifactStore
 
 SIZES = (8, 32, 128)
 
@@ -32,7 +33,7 @@ def callees_per_request(apps: int, monkeypatch) -> float:
     """Mean ``CallGraph.callees`` calls one request's chain search makes."""
     apk = merged_app(apps)
     registry = default_registry()
-    graph = CallGraph(apk, registry)
+    graph = ArtifactStore(apk, registry).get(CALLGRAPH)
     requests = [
         method_key(method)
         for method in apk.methods()

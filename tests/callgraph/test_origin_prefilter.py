@@ -24,6 +24,7 @@ from repro.corpus.lifecycle import build_lifecycle_corpus
 from repro.corpus.opensource import build_opensource_corpus
 from repro.ir import ClassBuilder, Local
 from repro.libmodels import default_registry
+from repro.pipeline import CALLGRAPH, ArtifactStore
 from tests.callgraph.test_chain_scaling import merged_app
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "apps"
@@ -31,7 +32,7 @@ THIS = Local("this")
 
 
 def edges(apk: APK) -> list[tuple]:
-    graph = CallGraph(apk, default_registry())
+    graph = ArtifactStore(apk, default_registry()).get(CALLGRAPH)
     return [
         (edge.caller, edge.stmt_index, edge.callee, edge.kind)
         for caller_edges in graph.out_edges.values()

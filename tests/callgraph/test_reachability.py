@@ -1,11 +1,11 @@
 """Call-chain extraction tests."""
 
-import pickle
-
 from repro.app import APK, Manifest
-from repro.callgraph import CallGraph, chains_to_method
+from repro.callgraph import chains_to_method
 from repro.ir import ClassBuilder, Local
 from repro.libmodels import default_registry
+from repro.pipeline import CALLGRAPH, ArtifactStore
+from repro.pipeline.cachestore.codec import decode_entry, encode_entry
 
 
 def _layered_app():
@@ -39,7 +39,7 @@ def _layered_app():
 
     manifest = Manifest("com.x", activities=["com.x.Main"], services=["com.x.Sync"])
     apk = APK(manifest, [main.build(), api.build(), svc.build()])
-    return CallGraph(apk, default_registry())
+    return ArtifactStore(apk, default_registry()).get(CALLGRAPH)
 
 
 class TestChains:
@@ -56,7 +56,7 @@ class TestChains:
         chain = next(c for c in chains if c.entry.key[1] == "onClick")
         frames = chain.frames()
         assert frames[0][0] == ("com.x.Main", "onClick", 1)
-        assert chain.target_method == ("com.x.Api", "level2", 0)
+        assert chain.edges[-1].callee == ("com.x.Api", "level2", 0)
 
     def test_entry_equal_to_target(self):
         graph = _layered_app()
@@ -79,14 +79,17 @@ class TestChains:
         b.ret()
         main.add(b)
         apk = APK(Manifest("com.x", activities=["com.x.Main"]), [main.build()])
-        graph = CallGraph(apk, default_registry())
+        graph = ArtifactStore(apk, default_registry()).get(CALLGRAPH)
         assert chains_to_method(graph, ("com.x.Main", "orphan", 0)) == []
 
     def test_unpickled_graph_rebuilds_entry_index(self):
         graph = _layered_app()
         target = ("com.x.Api", "level2", 0)
         chains = chains_to_method(graph, target)
-        loaded = pickle.loads(pickle.dumps(graph))
+        # Round-trip through the disk-cache codec, which pickles the
+        # graph's store (its ``cache``) as a live reference.
+        blob = encode_entry(graph.cache, {CALLGRAPH.name: graph})
+        loaded = decode_entry(blob, graph.cache)[CALLGRAPH.name]
         assert "_entry_index" not in loaded.__dict__
         assert chains_to_method(loaded, target) == chains
 
@@ -108,7 +111,7 @@ def _self_loop_app(loop_in: str):
         b.ret()
         main.add(b)
     apk = APK(Manifest("com.x", activities=["com.x.Main"]), [main.build()])
-    return CallGraph(apk, default_registry())
+    return ArtifactStore(apk, default_registry()).get(CALLGRAPH)
 
 
 class TestCycleGuard:

@@ -1,7 +1,15 @@
 """Origin-class resolution and field-type collection tests."""
 
-from repro.callgraph import MethodAnalysisCache, collect_field_types, origin_classes
+from repro.app import APK, Manifest
+from repro.callgraph import collect_field_types, origin_classes
 from repro.ir import ClassBuilder, Local, MethodBuilder
+from repro.libmodels import default_registry
+from repro.pipeline import ArtifactStore
+
+
+def _store():
+    """A store over an empty app: its per-method analyses take any method."""
+    return ArtifactStore(APK(Manifest("com.x"), []), default_registry())
 
 
 class TestOriginClasses:
@@ -12,7 +20,7 @@ class TestOriginClasses:
         b.ret()
         method = b.build()
         idx = [i for i, _ in method.invoke_sites()][-1]
-        assert origin_classes(method, idx, Local("t")) == {"com.x.Task"}
+        assert origin_classes(method, idx, Local("t"), _store()) == {"com.x.Task"}
 
     def test_through_copy(self):
         b = MethodBuilder("com.x.C", "m")
@@ -22,7 +30,7 @@ class TestOriginClasses:
         b.ret()
         method = b.build()
         idx = [i for i, _ in method.invoke_sites()][-1]
-        assert origin_classes(method, idx, Local("alias")) == {"com.x.Task"}
+        assert origin_classes(method, idx, Local("alias"), _store()) == {"com.x.Task"}
 
     def test_parameter_uses_type_hint(self):
         b = MethodBuilder(
@@ -31,7 +39,7 @@ class TestOriginClasses:
         b.call(Local("t"), "execute", cls="?")
         b.ret()
         method = b.build()
-        assert origin_classes(method, 0, Local("t")) == {"com.x.Task"}
+        assert origin_classes(method, 0, Local("t"), _store()) == {"com.x.Task"}
 
     def test_typed_call_result(self):
         b = MethodBuilder("com.x.C", "m")
@@ -41,7 +49,7 @@ class TestOriginClasses:
         b.ret()
         method = b.build()
         idx = [i for i, _ in method.invoke_sites()][-1]
-        assert origin_classes(method, idx, Local("call")) == {"com.lib.Call"}
+        assert origin_classes(method, idx, Local("call"), _store()) == {"com.lib.Call"}
 
     def test_field_load_with_field_types(self):
         store_b = MethodBuilder("com.x.C", "setup")
@@ -59,8 +67,7 @@ class TestOriginClasses:
         field_types = collect_field_types([setup, go])
         assert field_types[("com.x.C", "task")] == "com.x.Task"
         idx = [i for i, _ in go.invoke_sites()][-1]
-        cache = MethodAnalysisCache()
-        assert origin_classes(go, idx, Local("t"), cache, field_types) == {
+        assert origin_classes(go, idx, Local("t"), _store(), field_types) == {
             "com.x.Task"
         }
 
@@ -82,6 +89,6 @@ class TestCache:
         b = MethodBuilder("com.x.C", "m")
         b.ret()
         method = b.build()
-        cache = MethodAnalysisCache()
+        cache = _store()
         assert cache.cfg(method) is cache.cfg(method)
         assert cache.defuse(method) is cache.defuse(method)

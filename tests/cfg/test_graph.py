@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cfg import CFG, may_throw
+from repro.cfg import CFG, DominatorTree, may_throw
 from repro.ir import Local, MethodBuilder
 
 
@@ -113,9 +113,10 @@ class TestQueries:
         assert cfg.exit in reachable
 
     def test_reverse_postorder_starts_at_entry(self):
+        # The dominator computation's node order.
         method = build(lambda b: (b.assign("x", 1), b.ret()))
         cfg = CFG(method)
-        order = cfg.reverse_postorder()
+        order = DominatorTree(cfg)._order()
         assert order[0] == cfg.entry
         assert set(order) == cfg.reachable_from(cfg.entry)
 

@@ -52,7 +52,7 @@ class TestConstructorRequests:
         result = NChecker().scan(app.build())
         assert len(result.requests) == 1
         request = result.requests[0]
-        assert request.reachable
+        assert request.chains
         assert request.user_initiated
 
 

@@ -21,7 +21,6 @@ class TestDiffScans:
         diff = diff_scans(result, checker.scan(apk))
         assert diff.fixed == [] and diff.introduced == []
         assert len(diff.persisting) == len(result.findings)
-        assert not diff.is_improvement
 
     def test_patch_shows_as_all_fixed(self, checker):
         apk, _ = single_request_app(RequestSpec(library="volley"))
@@ -29,7 +28,7 @@ class TestDiffScans:
         fixed_apk, _ = Patcher().patch_until_clean(apk, checker)
         diff = diff_scans(before, checker.scan(fixed_apk))
         assert len(diff.fixed) == len(before.findings)
-        assert diff.is_improvement and diff.is_clean
+        assert diff.introduced == [] and diff.persisting == []
 
     def test_regression_detected(self, checker):
         good, _ = single_request_app(
@@ -45,7 +44,6 @@ class TestDiffScans:
         bad, _ = single_request_app(RequestSpec())
         diff = diff_scans(checker.scan(good), checker.scan(bad))
         assert diff.introduced and not diff.fixed
-        assert not diff.is_improvement
 
     def test_multiplicity_matching(self, checker):
         """Two same-kind findings in one method match one-for-one."""

@@ -90,7 +90,7 @@ class TestConvergence:
     def test_patch_ledger_describes_fixes(self, checker, patcher):
         apk, _ = single_request_app(RequestSpec(library="basichttp"))
         result = checker.scan(apk)
-        outcome = patcher.patch(apk, result)
+        outcome = patcher.patch_in_place(apk, result)
         assert len(outcome.applied) == len(result.findings)
         for patch in outcome.applied:
             assert patch.description

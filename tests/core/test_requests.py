@@ -2,16 +2,17 @@
 
 import pytest
 
-from repro.core.requests import AnalysisContext, find_requests
+from repro.core.requests import find_requests
 from repro.corpus.appbuilder import AppBuilder
 from repro.corpus.snippets import RequestSpec, inject_request
 from repro.libmodels import HttpMethod, default_registry
+from repro.pipeline import ArtifactStore
 
 from tests.conftest import single_request_app
 
 
 def _requests(apk):
-    ctx = AnalysisContext.build(apk, default_registry())
+    ctx = ArtifactStore(apk, default_registry()).context
     return find_requests(ctx)
 
 

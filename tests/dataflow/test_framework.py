@@ -1,6 +1,4 @@
-"""Generic dataflow-solver tests (including the must-analysis mode)."""
-
-import pytest
+"""Generic dataflow-solver tests."""
 
 from repro.cfg import CFG
 from repro.dataflow.framework import SetAnalysis
@@ -19,68 +17,26 @@ def _diamond_cfg():
     return CFG(b.build())
 
 
-class DefinedLocals(SetAnalysis):
-    """Must-analysis: locals defined on *every* path."""
-
-    direction = "forward"
-    must = True
-
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        self._universe = frozenset(
-            d.name for s in cfg.method.statements for d in s.defs()
-        )
-        self.solve()
-
-    def universe(self):
-        return self._universe
-
-    def gen(self, node):
-        stmt = self.cfg.stmt(node)
-        if stmt is None:
-            return frozenset()
-        return frozenset(d.name for d in stmt.defs())
-
-
 class MaybeDefined(SetAnalysis):
     """May-analysis: locals defined on *some* path."""
 
-    direction = "forward"
-    must = False
-
     def __init__(self, cfg):
         super().__init__(cfg)
         self.solve()
 
-    def gen(self, node):
+    def transfer(self, node, state):
         stmt = self.cfg.stmt(node)
         if stmt is None:
-            return frozenset()
-        return frozenset(d.name for d in stmt.defs())
+            return state
+        return state | {d.name for d in stmt.defs()}
 
 
 class TestMustVsMay:
-    def test_must_intersects_branches(self):
-        cfg = _diamond_cfg()
-        analysis = DefinedLocals(cfg)
-        at_exit = analysis.state_after(cfg.exit)
-        # p and join are defined on every path; a and b only on one each.
-        assert "p" in at_exit and "join" in at_exit
-        assert "a" not in at_exit and "b" not in at_exit
-
     def test_may_unions_branches(self):
         cfg = _diamond_cfg()
         analysis = MaybeDefined(cfg)
-        at_exit = analysis.state_after(cfg.exit)
+        at_exit = analysis.out_states[cfg.exit]
         assert {"p", "a", "b", "join"} <= at_exit
-
-    def test_must_analysis_requires_universe(self):
-        class Broken(SetAnalysis):
-            must = True
-
-        cfg = _diamond_cfg()
-        with pytest.raises(NotImplementedError):
-            Broken(cfg).solve()
 
     def test_solver_reaches_fixed_point(self):
         """Solving twice changes nothing."""

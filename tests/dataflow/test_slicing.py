@@ -103,8 +103,8 @@ class TestBackwardSlice:
             b.ret()
 
         slicer = Slicer(_cfg(fn))
-        assert slicer.depends_on(1, {0})
-        assert not slicer.depends_on(1, {5})
+        assert slicer.backward_slice(1) & {0}
+        assert not slicer.backward_slice(1) & {5}
 
     def test_loop_carried_dependence(self):
         def fn(b):

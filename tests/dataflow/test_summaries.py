@@ -2,7 +2,6 @@
 
 from repro.core import NChecker
 from repro.core.defects import DefectKind
-from repro.core.requests import AnalysisContext
 from repro.corpus.appbuilder import AppBuilder
 from repro.dataflow.summaries import (
     CONFIG_TOP,
@@ -11,14 +10,20 @@ from repro.dataflow.summaries import (
 )
 from repro.ir import Local
 from repro.libmodels import default_registry
+from repro.pipeline import ArtifactStore
 
 CLIENT = "com.turbomanage.httpclient.BasicHttpClient"
 
 
 def build_engine(apk):
     registry = default_registry()
-    ctx = AnalysisContext.build(apk, registry)
+    ctx = ArtifactStore(apk, registry).context
     return SummaryEngine(ctx.callgraph, registry, ctx.cache)
+
+
+def scc_position(engine):
+    """Method key -> index of its SCC in the engine's callee-first order."""
+    return {key: idx for idx, scc in enumerate(engine.sccs) for key in scc}
 
 
 def _deep_chain_app(configure_at_top: bool = True):
@@ -52,7 +57,7 @@ class TestSCCOrdering:
     def test_engine_sccs_are_callee_first(self):
         apk = _deep_chain_app()
         engine = build_engine(apk)
-        pos = engine.scc_position
+        pos = scc_position(engine)
         entry = ("com.deep.chain.MainActivity", "onClick", 1)
         l1 = ("com.deep.chain.MainActivity", "level1", 1)
         l2 = ("com.deep.chain.MainActivity", "level2", 1)
@@ -72,7 +77,8 @@ class TestSCCOrdering:
         engine = build_engine(app.build())
         key_a = ("com.rec.MainActivity", "pingA", 1)
         key_b = ("com.rec.MainActivity", "pingB", 1)
-        assert engine.scc_position[key_a] == engine.scc_position[key_b]
+        pos = scc_position(engine)
+        assert pos[key_a] == pos[key_b]
 
 
 class TestParamsToReturn:

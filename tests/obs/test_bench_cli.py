@@ -94,10 +94,11 @@ class TestCompareAndGate:
 
     def test_compare_self_is_clean_and_exits_zero(self, tmp_path, capsys):
         out = self._exports(tmp_path, capsys)
-        code = main(["bench", "compare", str(out), str(out)])
+        code = main(["bench", "gate", "--baseline", str(out),
+                     "--current", str(out)])
         stdout = capsys.readouterr().out
         assert code == 0
-        assert "== bench compare ==" in stdout
+        assert "== bench gate ==" in stdout
         assert "-- verdict: OK --" in stdout
 
     def test_gate_passes_against_own_baseline(self, tmp_path, capsys):
@@ -149,13 +150,15 @@ class TestCompareAndGate:
                      "--ledger-dir", str(tmp_path / "gate-ledger"), *APPS])
         capsys.readouterr()
         assert code == 0  # same code, same apps: counters match exactly
-        assert RunLedger(str(tmp_path / "gate-ledger")).last("bench")
+        [record] = RunLedger(str(tmp_path / "gate-ledger")).entries()
+        assert record["kind"] == "bench"
 
     @pytest.mark.parametrize("value", ["nan", "-1"])
     @pytest.mark.parametrize("flag", ["--timing-threshold", "--timing-min-ms"])
+    # Both ways to gate: compare a recorded run, or measure one now.
     @pytest.mark.parametrize("command", [
-        ["compare", "base.json", "current.json"],
         ["gate", "--baseline", "base.json", "--current", "current.json"],
+        ["gate", "--baseline", "base.json"],
     ], ids=["compare", "gate"])
     def test_gate_settings_that_disable_or_invert_it_exit_two(
         self, capsys, command, flag, value
@@ -176,8 +179,8 @@ class TestCompareAndGate:
 
     def test_compare_missing_file_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", "compare", str(tmp_path / "nope.json"),
-                  str(tmp_path / "nope.json")])
+            main(["bench", "gate", "--baseline", str(tmp_path / "nope.json"),
+                  "--current", str(tmp_path / "nope.json")])
         assert exc.value.code == 2
         assert "no such file" in capsys.readouterr().err
 
@@ -188,8 +191,8 @@ class TestScanLedgerHook:
         monkeypatch.setenv("NCHECKER_LEDGER_DIR", str(tmp_path / "scan-ledger"))
         main(["scan", "--ledger", APPS[0]])
         capsys.readouterr()
-        record = RunLedger(str(tmp_path / "scan-ledger")).last("scan")
-        assert record is not None
+        [record] = RunLedger(str(tmp_path / "scan-ledger")).entries()
+        assert record["kind"] == "scan"
         assert record["app_set"]["count"] == 1
         assert record["counters"].get("scan.apps") == 1
 
@@ -198,7 +201,8 @@ class TestScanLedgerHook:
         monkeypatch.setenv("NCHECKER_LEDGER_DIR", str(tmp_path / "auto"))
         main(["scan", "--stats", APPS[0]])
         capsys.readouterr()
-        assert RunLedger(str(tmp_path / "auto")).last("scan") is not None
+        records = RunLedger(str(tmp_path / "auto")).entries()
+        assert [record["kind"] for record in records] == ["scan"]
 
     def test_plain_scan_never_touches_the_ledger(self, tmp_path, capsys,
                                                  monkeypatch):

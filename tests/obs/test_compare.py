@@ -1,5 +1,5 @@
-"""Regression comparison: the rules `bench compare|gate` apply to two
-recorded runs."""
+"""Regression comparison: the rules `bench gate` applies to two recorded
+runs."""
 
 import copy
 import json
@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.checker import NCheckerOptions
 from repro.obs import compare_runs, load_run, run_record
-from repro.obs.compare import gate
 
 
 def _snapshot():
@@ -64,14 +63,12 @@ class TestCounters:
         result = compare_runs(baseline, copy.deepcopy(baseline))
         assert result.ok
         assert result.counter_rows == []
-        code, _ = gate(baseline, copy.deepcopy(baseline))
-        assert code == 0
 
     def test_deterministic_counter_drift_gates(self, baseline):
         current = copy.deepcopy(baseline)
         current["counters"]["pass.connectivity.runs"] = 5
-        code, result = gate(baseline, current)
-        assert code == 1
+        result = compare_runs(baseline, current)
+        assert not result.ok
         assert any("pass.connectivity.runs" in r for r in result.regressions)
 
     def test_missing_counter_compares_as_zero(self, baseline):
@@ -97,14 +94,13 @@ class TestTimings:
 
     def test_regression_beyond_threshold_gates(self, baseline):
         current = self._with_total(baseline, 125.0)  # +25% on 100 ms
-        code, result = gate(baseline, current)
-        assert code == 1
+        result = compare_runs(baseline, current)
+        assert not result.ok
         assert any("pass.connectivity.wall_ms" in r for r in result.regressions)
 
     def test_threshold_is_configurable(self, baseline):
         current = self._with_total(baseline, 125.0)
-        code, _ = gate(baseline, current, threshold=0.5)
-        assert code == 0
+        assert compare_runs(baseline, current, threshold=0.5).ok
 
     def test_improvement_reports_without_gating(self, baseline):
         current = self._with_total(baseline, 50.0)
@@ -135,8 +131,8 @@ class TestIdentityGuards:
     def test_options_fingerprint_mismatch_gates(self, baseline):
         current = copy.deepcopy(baseline)
         current["options_fingerprint"] = "f" * 24
-        code, result = gate(baseline, current)
-        assert code == 1
+        result = compare_runs(baseline, current)
+        assert not result.ok
         assert any("options fingerprint" in r for r in result.regressions)
 
     def test_app_set_mismatch_gates(self, baseline):
@@ -150,8 +146,8 @@ class TestProfile:
         current = copy.deepcopy(baseline)
         node = current["profile"]["scan"]["children"]["pass:connectivity"]
         node["count"] = 5
-        code, result = gate(baseline, current)
-        assert code == 1
+        result = compare_runs(baseline, current)
+        assert not result.ok
         assert any("scan/pass:connectivity" in r for r in result.regressions)
 
     def test_gc_node_count_never_gates(self, baseline):
@@ -220,7 +216,7 @@ class TestRender:
         current = copy.deepcopy(baseline)
         current["counters"]["pass.connectivity.runs"] = 9
         text = compare_runs(baseline, current).render()
-        assert "== bench compare ==" in text
+        assert "== bench gate ==" in text
         assert "-- counters:" in text
         assert "-- timings:" in text
         assert "REGRESSION: deterministic counter" in text

@@ -139,8 +139,7 @@ class TestRunLedger:
         assert ledger.path.exists()
         entries = ledger.entries()
         assert entries == [stored]
-        assert ledger.last("bench") == stored
-        assert ledger.last("scan") is None
+        assert stored["kind"] == "bench"
 
     def test_append_stamps_handmade_records(self, tmp_path):
         ledger = RunLedger(str(tmp_path))
@@ -159,7 +158,6 @@ class TestRunLedger:
     def test_missing_file_reads_empty(self, tmp_path):
         ledger = RunLedger(str(tmp_path / "never-written"))
         assert ledger.entries() == []
-        assert ledger.last() is None
 
 
 class TestGitSha:

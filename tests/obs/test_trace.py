@@ -39,10 +39,11 @@ def check_balanced_be(events):
 class TestTracer:
     def test_disabled_returns_null_span_singleton(self):
         t = Tracer(enabled=False)
-        assert t.span("a") is NULL_SPAN
-        assert t.span("b", key="v") is NULL_SPAN
-        with t.span("c"):
-            pass
+        with use_tracer(t):
+            assert span("a") is NULL_SPAN
+            assert span("b", key="v") is NULL_SPAN
+            with span("c"):
+                pass
         assert t.export() == []
         assert t.spans_opened == 0
 
@@ -52,9 +53,10 @@ class TestTracer:
 
     def test_events_have_required_keys(self):
         t = Tracer(enabled=True)
-        with t.span("outer", package="com.x"):
-            with t.span("inner"):
-                pass
+        with use_tracer(t):
+            with span("outer", package="com.x"):
+                with span("inner"):
+                    pass
         events = t.export()
         assert len(events) == 4
         for event in events:
@@ -63,12 +65,13 @@ class TestTracer:
 
     def test_nesting_is_balanced(self):
         t = Tracer(enabled=True)
-        with t.span("a"):
-            with t.span("b"):
-                pass
-            with t.span("c"):
-                with t.span("d"):
+        with use_tracer(t):
+            with span("a"):
+                with span("b"):
                     pass
+                with span("c"):
+                    with span("d"):
+                        pass
         events = t.export()
         check_balanced_be(events)
         assert [e["name"] for e in events if e["ph"] == "B"] == [
@@ -77,9 +80,10 @@ class TestTracer:
 
     def test_timestamps_monotone_per_thread(self):
         t = Tracer(enabled=True)
-        with t.span("a"):
-            with t.span("b"):
-                pass
+        with use_tracer(t):
+            with span("a"):
+                with span("b"):
+                    pass
         ts = [e["ts"] for e in t.export()]
         assert ts == sorted(ts)
 
@@ -88,14 +92,15 @@ class TestTracer:
 
         def work():
             for _ in range(50):
-                with t.span("w"):
+                with span("w"):
                     pass
 
         threads = [threading.Thread(target=work) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        with use_tracer(t):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
         events = t.export()
         assert len(events) == 4 * 50 * 2
         check_balanced_be(events)
@@ -112,7 +117,7 @@ class TestTracer:
 
     def test_export_is_picklable_and_json_safe(self):
         t = Tracer(enabled=True)
-        with t.span("s", n=1):
+        with use_tracer(t), span("s", n=1):
             pass
         wrapped = chrome_trace(t.export())
         parsed = json.loads(json.dumps(wrapped))
@@ -121,7 +126,7 @@ class TestTracer:
 
     def test_clear_resets(self):
         t = Tracer(enabled=True)
-        with t.span("s"):
+        with use_tracer(t), span("s"):
             pass
         t.clear()
         assert t.export() == []
@@ -129,9 +134,10 @@ class TestTracer:
 
     def test_span_allocates_only_when_enabled(self):
         t = Tracer(enabled=True)
-        assert isinstance(t.span("s"), _Span)
-        t.enabled = False
-        assert t.span("s") is NULL_SPAN
+        with use_tracer(t):
+            assert isinstance(span("s"), _Span)
+            t.enabled = False
+            assert span("s") is NULL_SPAN
 
 
 class TestAddSpan:
@@ -140,7 +146,7 @@ class TestAddSpan:
         start = time.perf_counter()
         wall_us = time.time_ns() // 1_000
         t.add_span("done", start, start + 0.25)
-        with t.span("later"):
+        with use_tracer(t), span("later"):
             pass
         events = t.export()
         check_balanced_be(events)

@@ -24,7 +24,7 @@ class TestBuildOnDemand:
     def test_nothing_built_up_front(self):
         _, store = make_store()
         assert store.peek(CALLGRAPH) is None
-        assert store.counters.builds == {}
+        assert store.metrics.snapshot()["counters"] == {}
 
     def test_get_builds_dependencies_first(self):
         _, store = make_store()
@@ -38,7 +38,7 @@ class TestBuildOnDemand:
         second = store.get(CALLGRAPH)
         assert first is second
         assert store.counters.builds_of("callgraph") == 1
-        assert store.counters.hits_of("callgraph") == 1
+        assert store.counters.hits["callgraph"] == 1
 
     def test_retry_loops_pull_requests(self):
         _, store = make_store(RequestSpec(library="basichttp"))
@@ -58,5 +58,5 @@ class TestBuildOnDemand:
         store.cfg(method)
         store.defuse(method)  # def-use pulls the CFG: another hit
         assert store.counters.builds_of("cfg") == 1
-        assert store.counters.hits_of("cfg") == 2
+        assert store.counters.hits["cfg"] == 2
         assert store.counters.builds_of("defuse") == 1

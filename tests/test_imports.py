@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -359,4 +360,293 @@ class TestUnusedImports:
         )
         assert unused_imports(source) == [
             (2, "os"), (2, "osp"), (5, "e"), (10, "sys"),
+        ]
+
+
+#: Definitions that no ``src`` code references but that stay, one reason
+#: per name.  The check below fails when an entry is referenced again or
+#: no longer defined, so the list cannot go stale.
+KEPT_DEFINITIONS = {
+    "repro.core.checker.ScanResult.count_of":
+        "benchmarks/test_ablations.py counts findings per defect kind",
+    "repro.pipeline.artifacts.ArtifactCounters.builds_of":
+        "the artifact and disk-cache tests pin build counts per kind",
+    "repro.service.daemon.ServiceHandle.base_url":
+        "the handle `start_in_thread` returns to tests and benchmarks",
+    "repro.service.daemon.ServiceHandle.stop":
+        "the handle `start_in_thread` returns to tests and benchmarks",
+    "repro.ir.builder.MethodBuilder.get_field":
+        "IR builder API that tests hand-build apps with",
+    "repro.ir.builder.MethodBuilder.set_field":
+        "IR builder API that tests hand-build apps with",
+    "repro.ir.builder.MethodBuilder.if_else":
+        "IR builder API that tests hand-build apps with",
+    "repro.ir.builder.MethodBuilder.throw":
+        "IR builder API that tests hand-build apps with",
+    "repro.ir.builder.LoopHandle.break_":
+        "IR builder API that tests hand-build apps with",
+    "repro.dataflow.reaching.DefUseChains.use_sites":
+        "the def-to-use direction that per-method config-API facts need",
+    "repro.dataflow.summaries.SummaryEngine.sccs":
+        "benchmarks/test_pipeline_scaling.py bounds boolean-fact work per SCC",
+    "repro.corpus.study.TRANSIENT_SUBCAUSES": "paper §2.3 study data",
+    "repro.corpus.study.PERMANENT_SUBCAUSES": "paper §2.3 study data",
+    "repro.corpus.study.SWITCH_SUBCAUSES": "paper §2.3 study data",
+}
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _dotted(node: ast.expr):
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _name_loads(tree: ast.AST):
+    """Every name ``tree`` reads, including inside string annotations."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            yield from _annotation_names(node.annotation)
+        elif isinstance(node, _FUNCTIONS) and node.returns is not None:
+            yield from _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            yield from _annotation_names(node.annotation)
+
+
+def _attr_loads(tree: ast.AST):
+    return (node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _top_level_names(stmt: ast.stmt):
+    if isinstance(stmt, (*_FUNCTIONS, ast.ClassDef)):
+        yield stmt.name
+    elif isinstance(stmt, ast.Assign):
+        for target in stmt.targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name):
+                    yield node.id
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        yield stmt.target.id
+
+
+def _import_base(module: str, is_package: bool, node: ast.ImportFrom) -> str:
+    """The absolute module an ``ImportFrom`` in ``module`` reads from."""
+    if not node.level:
+        return node.module
+    parts = module.split(".")[: None if is_package else -1]
+    parts = parts[: len(parts) - (node.level - 1)]
+    return ".".join(parts + ([node.module] if node.module else []))
+
+
+def _external_has(dotted: str, name: str) -> bool:
+    """Whether the class ``dotted`` names outside ``repro`` has ``name``."""
+    module, _, attr = dotted.rpartition(".")
+    if module.partition(".")[0] in ("", "repro"):
+        return False
+    try:
+        return hasattr(getattr(importlib.import_module(module), attr), name)
+    except (ImportError, AttributeError):
+        return False
+
+
+class _Program:
+    """Who defines and who references what across a set of modules."""
+
+    def __init__(self, sources: dict[str, str]) -> None:
+        self.trees: dict[str, ast.Module] = {}
+        #: (module, name) pairs another module imports or a lazy map lists.
+        self.imported: set[tuple[str, str]] = set()
+        #: module -> local name -> the dotted name it is bound to.
+        self.bindings: dict[str, dict[str, str]] = {}
+        self.attr_loads: Counter = Counter()
+        for path, source in sources.items():
+            parts = path[: -len(".py")].split("/")
+            is_package = parts[-1] == "__init__"
+            module = ".".join(parts[:-1] if is_package else parts)
+            tree = self.trees[module] = ast.parse(source, path)
+            bound = self.bindings[module] = {}
+            self.attr_loads.update(_attr_loads(tree))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    base = _import_base(module, is_package, node)
+                    for alias in node.names:
+                        self.imported.add((base, alias.name))
+                        bound[alias.asname or alias.name] = f"{base}.{alias.name}"
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        local = alias.asname or alias.name.partition(".")[0]
+                        bound[local] = alias.name if alias.asname else local
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "lazy_exports"
+                ):
+                    exports = ast.literal_eval(node.args[1])
+                    for submodule, names in exports.items():
+                        for name in names:
+                            self.imported.add((f"{module}.{submodule}", name))
+        # ``module.name`` read through an imported module or package.
+        for module, tree in self.trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    owner = self._resolve(module, _dotted(node.value))
+                    if owner is not None:
+                        self.imported.add((owner, node.attr))
+        self.classes = {
+            (module, node.name): node
+            for module, tree in self.trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+        }
+
+    def _resolve(self, module: str, dotted):
+        """The absolute dotted name ``dotted`` means in ``module`` through
+        its imports, or None."""
+        if dotted is None:
+            return None
+        head, _, rest = dotted.partition(".")
+        bound = self.bindings[module].get(head)
+        if bound is None:
+            return None
+        return f"{bound}.{rest}" if rest else bound
+
+    def unused(self) -> list[str]:
+        found = []
+        for module, tree in self.trees.items():
+            loads = Counter(_name_loads(tree))
+            for stmt in tree.body:
+                own = Counter(_name_loads(stmt))
+                for name in _top_level_names(stmt):
+                    if _is_dunder(name) or (module, name) in self.imported:
+                        continue
+                    if loads[name] == own[name]:
+                        found.append(f"{module}.{name}")
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for item in cls.body:
+                    if not isinstance(item, _FUNCTIONS) or _is_dunder(item.name):
+                        continue
+                    own = sum(1 for n in _attr_loads(item) if n == item.name)
+                    if self.attr_loads[item.name] > own:
+                        continue
+                    if not self._overrides(module, cls, item.name):
+                        found.append(f"{module}.{cls.name}.{item.name}")
+        return sorted(found)
+
+    def _overrides(self, module: str, cls: ast.ClassDef, name: str) -> bool:
+        """Whether a base of ``cls``, here or outside ``repro``, defines
+        ``name``."""
+        for base in cls.bases:
+            if isinstance(base, ast.Subscript):  # Generic[T]
+                base = base.value
+            dotted = _dotted(base)
+            target = self._resolve(module, dotted) or f"{module}.{dotted}"
+            owner, _, base_name = target.rpartition(".")
+            base_cls = self.classes.get((owner, base_name))
+            if base_cls is None:
+                if _external_has(target, name):
+                    return True
+            elif any(
+                isinstance(item, _FUNCTIONS) and item.name == name
+                for item in base_cls.body
+            ) or self._overrides(owner, base_cls, name):
+                return True
+        return False
+
+
+def unused_definitions(sources: dict[str, str]) -> list[str]:
+    """Qualified names of the definitions in ``sources`` (``{"repro/a.py":
+    source}``) that nothing reaches.
+
+    A top-level function, class or constant is used when its own module
+    reads it outside its own body, another module imports it (or reads
+    it as ``module.name``), or a ``lazy_exports`` map lists it.  A
+    method is used when its name is read as an attribute anywhere
+    outside its own body, or when it overrides a base-class method.
+    Dunders are always used."""
+    return _Program(sources).unused()
+
+
+def _src_sources() -> dict[str, str]:
+    return {
+        path.relative_to(SRC).as_posix(): path.read_text()
+        for path in sorted((SRC / "repro").rglob("*.py"))
+    }
+
+
+class TestUnusedDefinitions:
+    """Every definition in ``src/repro`` is reached from ``src`` itself,
+    or named in :data:`KEPT_DEFINITIONS` with its reason."""
+
+    def test_no_definition_is_dead(self):
+        unused = unused_definitions(_src_sources())
+        assert [name for name in unused if name not in KEPT_DEFINITIONS] == []
+
+    def test_every_kept_definition_is_still_defined_and_unreferenced(self):
+        unused = unused_definitions(_src_sources())
+        assert [name for name in KEPT_DEFINITIONS if name not in unused] == []
+
+    def test_the_check_finds_what_it_should(self):
+        sources = {
+            "repro/__init__.py": (
+                "from ._lazy import lazy_exports\n"
+                "__getattr__, __dir__ = lazy_exports(__name__, {'a': ('Exported',)})\n"
+            ),
+            "repro/_lazy.py": "def lazy_exports(name, names):\n    return name, names\n",
+            "repro/a.py": (
+                "import pickle\n"
+                "from typing import Generic, TypeVar\n"
+                "T = TypeVar('T')\n"
+                "LIMIT = 3\n"
+                "DEAD_CONSTANT = 4\n"
+                "READ_AS_MODULE_ATTRIBUTE = 5\n"
+                "class Exported:\n"
+                "    pass\n"
+                "class Base(Generic[T]):\n"
+                "    def hook(self) -> 'T':\n"
+                "        raise NotImplementedError\n"
+                "    def run(self):\n"
+                "        return self.hook()\n"
+                "class Child(Base[int]):\n"
+                "    def __repr__(self):\n"
+                "        return 'child'\n"
+                "    def hook(self):\n"
+                "        return LIMIT\n"
+                "    def dead_method(self):\n"
+                "        return self.dead_method()\n"
+                "class Loader(pickle.Unpickler):\n"
+                "    def find_class(self, module, name):\n"
+                "        return self.helper(module, name)\n"
+                "    def helper(self, module, name):\n"
+                "        return module, name\n"
+                "def used():\n"
+                "    return Child().run()\n"
+                "def dead_function():\n"
+                "    return dead_function()\n"
+            ),
+            "repro/b.py": (
+                "from .a import Loader, used\n"
+                "from . import a\n"
+                "RESULT = (used(), a.READ_AS_MODULE_ATTRIBUTE, Loader)\n"
+                "print(RESULT)\n"
+            ),
+        }
+        assert unused_definitions(sources) == [
+            "repro.a.Child.dead_method",
+            "repro.a.DEAD_CONSTANT",
+            "repro.a.dead_function",
         ]

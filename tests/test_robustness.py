@@ -41,7 +41,7 @@ class TestRecursion:
         activity.add(pong)
         result = NChecker().scan(app.build())
         assert len(result.requests) == 1
-        assert result.requests[0].reachable
+        assert result.requests[0].chains
 
     def test_recursive_runtime_overflows_like_java(self):
         app = AppBuilder("com.rob.deep")
@@ -110,7 +110,7 @@ class TestDegenerateApps:
         result = NChecker().scan(app.build())
         assert len(result.requests) == 1
         request = result.requests[0]
-        assert not request.reachable
+        assert not request.chains
         from repro.core import DefectKind
 
         assert result.count_of(DefectKind.MISSED_TIMEOUT) == 1
