@@ -8,9 +8,11 @@ it is encoded (one ``join`` per list or dict), and strings go through
 the C ``encode_basestring_ascii`` the compact encoder uses, so no token
 list is ever held: 8 MB and about 70 ms for the same log, same bytes.
 
-:func:`dumps` returns the document; :func:`iter_chunks` yields it in
-pieces, streaming the outer ``depth`` container levels item by item so a
-caller can write a large document without holding it.
+:func:`dumps` returns the document, or one value of it encoded at the
+indent it sits at (``level``), ready to splice in; :func:`iter_chunks`
+yields a document in pieces, streaming the outer ``depth`` container
+levels item by item so a caller can write a large document without
+holding it.
 
 Semantics are ``json.dumps`` defaults with ``indent=2``: ``ensure_ascii``,
 ``","`` plus a newline and indent between items, ``": "`` after keys,
@@ -30,11 +32,16 @@ from typing import Iterator
 _INFINITY = float("inf")
 
 
-def dumps(obj, *, sort_keys: bool = False) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=sort_keys)``."""
+def dumps(obj, *, sort_keys: bool = False, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=sort_keys)``.
+
+    With ``level``, ``obj`` is encoded as that text writes it when it
+    sits ``level`` containers deep in a larger document: every line
+    after the first is indented ``2 * level`` more spaces, so the text
+    can be spliced in after the newline and indent that lead to it."""
     if sort_keys:
         obj = _sorted_keys(obj)
-    return _encode(obj, "\n")
+    return _encode(obj, "\n" + "  " * level)
 
 
 def iter_chunks(obj, depth: int, _newline: str = "\n") -> Iterator[str]:

@@ -18,9 +18,9 @@ Every subcommand and flag is documented in ``docs/CLI.md``
 (``tests/test_docs.py`` asserts the doc covers this parser, so it
 cannot rot).
 
-:func:`run` is the process entry point (``python -m repro.cli`` and the
-installed ``nchecker`` script); :func:`main` parses and runs one command
-in the calling process.
+:func:`run` is the process entry point (``python -m repro.cli``, and the
+installed ``nchecker`` script through :func:`repro._entry.run`);
+:func:`main` parses and runs one command in the calling process.
 """
 
 from __future__ import annotations
@@ -37,20 +37,12 @@ import time
 _IMPORT_START = time.perf_counter()
 _INTERP_CPU_S = time.process_time()
 
-#: The young-generation collection threshold of the ``nchecker`` process
-#: (CPython's default is 700 allocations).  Scanning allocates IR, CFGs
-#: and facts that live until the process exits, so almost every young
-#: collection scans survivors and frees nothing.  10,000 was measured on
-#: the 10k-statement app (``perfbench/inputs.merged_app(1, 10000)``,
-#: ``scan --json``, 2-vCPU VM): 139 collections and 42.6 ms of collector
-#: pauses became 18 and 12.0 ms, with peak RSS unchanged.  The older
-#: generations' thresholds are left alone.
-GEN0_THRESHOLD = 10_000
+from ._entry import raise_young_threshold  # noqa: E402
 
 if __name__ == "__main__":
     # Run as a program: raise the threshold before the imports below,
     # which would otherwise collect several times under the default.
-    gc.set_threshold(GEN0_THRESHOLD, *gc.get_threshold()[1:])
+    raise_young_threshold()
 
 import argparse  # noqa: E402
 import os  # noqa: E402
@@ -1049,9 +1041,10 @@ def run() -> None:
 
     It freezes the objects the CLI import created, so collections never
     rescan them (forked ``--jobs`` workers inherit the freeze), raises
-    the young-generation threshold to :data:`GEN0_THRESHOLD` (``python -m
-    repro.cli`` has done so before its imports already), runs
-    :func:`main`, flushes stdout and stderr and leaves through
+    the young-generation threshold to
+    :data:`~repro._entry.GEN0_THRESHOLD` (``python -m repro.cli`` and the
+    installed script have done so before the CLI's imports already),
+    runs :func:`main`, flushes stdout and stderr and leaves through
     ``os._exit``, skipping interpreter teardown.  That is safe because
     ``main`` returns only after every output file is closed and every
     worker pool is shut down, and ``repro`` registers no ``atexit``
@@ -1062,7 +1055,7 @@ def run() -> None:
     gets exit code 2 and one ``error:`` line on stderr.
     """
     gc.freeze()
-    gc.set_threshold(GEN0_THRESHOLD, *gc.get_threshold()[1:])
+    raise_young_threshold()
     try:
         try:
             code = main()

@@ -10,7 +10,7 @@ index within the ``.apkt`` artifact.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .._jsonwriter import dumps
 from ..core.checker import ScanResult
@@ -27,6 +27,13 @@ SARIF_SCHEMA = (
 _LEVEL_BY_IMPACT = {
     Impact.CRASH_FREEZE: "error",
 }
+
+#: A result sits four containers deep in the log (log, ``runs``, the
+#: run, ``results``): the log starts it on a new line indented eight
+#: spaces, after a comma when a result comes before it.
+_RESULT_LEVEL = 4
+_RESULT_INDENT = "\n" + "  " * _RESULT_LEVEL
+_RESULT_SEPARATOR = "," + _RESULT_INDENT
 
 
 def _rule(kind: DefectKind) -> dict:
@@ -77,6 +84,40 @@ def finding_result(finding: Finding, artifact_uri: Optional[str]) -> dict:
         },
     }
     return result
+
+
+def encode_results(findings: Sequence[Finding], artifact_uri: Optional[str]) -> str:
+    """The results of ``findings`` as the log writes them, joined by its
+    separator (``""`` for none): the text :func:`sarif_log_chunks`
+    splices in."""
+    return _RESULT_SEPARATOR.join([
+        dumps(finding_result(finding, artifact_uri), level=_RESULT_LEVEL)
+        for finding in findings
+    ])
+
+
+def sarif_log_chunks(
+    kind_values: list[str], result_texts: Sequence[str]
+) -> Iterator[str]:
+    """The log :func:`assemble_sarif_log` builds, encoded, in pieces:
+    its head, then each of ``result_texts`` (from :func:`encode_results`,
+    in output order; empty ones are skipped), then the closing brackets.
+
+    The head is the log with no results; the texts are spliced into its
+    empty ``results`` list as the encoder would have written them."""
+    log = dumps(assemble_sarif_log(kind_values, []))
+    texts = [text for text in result_texts if text]
+    if not texts:
+        yield log
+        return
+    # "results" is the run's last key: only closing brackets follow it.
+    head, _empty, tail = log.rpartition('"results": []')
+    yield head + '"results": ['
+    separator = _RESULT_INDENT
+    for text in texts:
+        yield separator + text
+        separator = _RESULT_SEPARATOR
+    yield "\n" + "  " * (_RESULT_LEVEL - 1) + "]" + tail
 
 
 def assemble_sarif_log(kind_values: list[str], results: list[dict]) -> dict:

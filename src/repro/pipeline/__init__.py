@@ -10,9 +10,11 @@
   output;
 * :mod:`repro.pipeline.cachestore` — the opt-in persistent cross-run
   cache behind ``--cache-dir``: content addressing, codec, and the
-  local-directory backend.
+  local-directory backend.  Its exports load on first use, so a scan
+  without ``--cache-dir`` never imports it (nor ``pickle``).
 """
 
+from .._lazy import lazy_exports
 from .artifacts import (
     ARTIFACTS,
     CALLGRAPH,
@@ -24,8 +26,11 @@ from .artifacts import (
     ArtifactKey,
     ArtifactStore,
 )
-from .cachestore import CacheStore, LocalDirBackend
 from .scan import ScanSession, SessionCache
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cachestore": ("CacheStore", "LocalDirBackend"),
+})
 
 __all__ = [
     "ARTIFACTS",

@@ -3,9 +3,10 @@
 One worker process per job scans whole apps independently — the natural
 parallel grain, since every artifact in the store is per-APK.  Workers
 return :class:`ScanPayload` objects: fully *rendered* per-app output
-(report texts, JSON dicts, SARIF result objects) rather than live
-analysis objects, so the parent never re-derives anything and the bytes
-printed are the same whether one process produced them or eight.
+(report texts, JSON dicts, SARIF results already encoded as the log
+writes them) rather than live analysis objects, so the parent never
+re-derives anything and the bytes printed are the same whether one
+process produced them or eight.
 
 Determinism contract: ``ProcessPoolExecutor.map`` preserves input order,
 payload rendering is a pure function of one app, and ``--jobs 1`` runs
@@ -68,10 +69,12 @@ class ScanPayload:
     """Rendered scan output for one app (or the error that prevented it).
 
     Everything the CLI and the daemon print is computed here, in the
-    worker, so the parent process only encodes and writes it — the key
-    to byte-identical output across ``--jobs`` values and front ends.
-    The JSON and SARIF parts stay dicts (the daemon's job view embeds
-    ``json_dict``); the parent encodes them piece by piece.
+    worker, so the parent process only writes it — the key to
+    byte-identical output across ``--jobs`` values and front ends.  The
+    SARIF results cross the pool as text, encoded here at the indent the
+    log gives them, and the parent splices them into the log.  The JSON
+    part stays a dict (the daemon's job view embeds ``json_dict``), and
+    the parent encodes it piece by piece.
     """
 
     path: str
@@ -88,13 +91,22 @@ class ScanPayload:
     report_texts: list = field(default_factory=list)
     #: ``ScanResult.to_dict()`` (``--json``).
     json_dict: Optional[dict] = None
-    #: Finding kind values + SARIF result objects (``--sarif``).
+    #: Finding kind values + SARIF results (``--sarif``): the results
+    #: encoded as the log writes them and joined by its separator, ``""``
+    #: for an app with no findings.
     sarif_kind_values: list = field(default_factory=list)
-    sarif_results: list = field(default_factory=list)
+    sarif_text: str = ""
     #: Chrome trace events from this app's scan (``--trace``).
     trace_events: list = field(default_factory=list)
     #: Metrics snapshot of this app's scan (``--metrics``/``--stats``).
     metrics_snapshot: Optional[dict] = None
+
+    @property
+    def sarif_results(self) -> list:
+        """The SARIF result objects in :attr:`sarif_text`, decoded."""
+        import json
+
+        return json.loads(f"[{self.sarif_text}]")
 
 
 def with_telemetry(
@@ -142,33 +154,38 @@ def render_payload(
     want_summary: bool = False,
 ) -> ScanPayload:
     """Render one scanned app into the payload every front end prints
-    from; ``name`` is the app's path (the SARIF artifact URI)."""
-    payload = ScanPayload(
-        name,
-        ok=True,
-        package=apk.package,
-        n_findings=len(result.findings),
-        n_requests=len(result.requests),
-    )
-    if want_json:
-        payload.json_dict = result.to_dict()
-    if want_sarif:
-        from ..eval.sarif import finding_result
+    from; ``name`` is the app's path (the SARIF artifact URI).  Runs in
+    a ``render.payload`` span."""
+    with span("render.payload"):
+        payload = ScanPayload(
+            name,
+            ok=True,
+            package=apk.package,
+            n_findings=len(result.findings),
+            n_requests=len(result.requests),
+        )
+        if want_json:
+            payload.json_dict = result.to_dict()
+        if want_sarif:
+            from ..eval.sarif import encode_results
 
-        uri = Path(name).as_posix()
-        payload.sarif_kind_values = [f.kind.value for f in result.findings]
-        payload.sarif_results = [finding_result(f, uri) for f in result.findings]
-    if want_json or want_sarif:
-        return payload  # machine output modes print nothing per app
-    if want_stats:
-        from ..ir.metrics import app_metrics
+            payload.sarif_kind_values = [f.kind.value for f in result.findings]
+            payload.sarif_text = encode_results(
+                result.findings, Path(name).as_posix()
+            )
+        if want_json or want_sarif:
+            return payload  # machine output modes print nothing per app
+        if want_stats:
+            from ..ir.metrics import app_metrics
 
-        payload.stats_rows = list(app_metrics(apk).as_rows())
-    if want_summary:
-        payload.summary_counts = sorted(result.summary().items())
-    else:
-        payload.report_texts = [report.render() for report in result.reports()]
-    return payload
+            payload.stats_rows = list(app_metrics(apk).as_rows())
+        if want_summary:
+            payload.summary_counts = sorted(result.summary().items())
+        else:
+            payload.report_texts = [
+                report.render() for report in result.reports()
+            ]
+        return payload
 
 
 def json_chunks(payloads: Sequence[ScanPayload]) -> Iterator[str]:
@@ -181,17 +198,16 @@ def json_chunks(payloads: Sequence[ScanPayload]) -> Iterator[str]:
 
 
 def sarif_chunks(payloads: Sequence[ScanPayload]) -> Iterator[str]:
-    """The log ``scan --sarif FILE`` writes, in pieces (one per SARIF
-    result), with no trailing newline (the daemon's ``/sarif`` body
-    joins them)."""
-    from ..eval.sarif import assemble_sarif_log
+    """The log ``scan --sarif FILE`` writes, in pieces (the log's head,
+    then one per app with findings), with no trailing newline (the
+    daemon's ``/sarif`` body joins them): each app's ``sarif_text``
+    spliced into the log."""
+    from ..eval.sarif import sarif_log_chunks
 
-    sarif_log = assemble_sarif_log(
+    return sarif_log_chunks(
         [kind for p in payloads for kind in p.sarif_kind_values],
-        [result for p in payloads for result in p.sarif_results],
+        [p.sarif_text for p in payloads],
     )
-    # log -> runs -> run -> results -> one piece per result
-    yield from iter_chunks(sarif_log, depth=4)
 
 
 def json_document(payloads: Sequence[ScanPayload]) -> str:
@@ -276,6 +292,15 @@ class BatchScanner:
         """Scan ``paths``; ``progress(done, total, payload)`` is invoked
         as each app's payload lands (in input order — the heartbeat the
         CLI's ``--progress`` prints)."""
+        if self.options.cache_dir:
+            # Every session opens the cache: load its code before the
+            # first app, so ``--jobs`` workers inherit it instead of each
+            # importing it, and a one-process scan does not import it
+            # mid-scan (that added about 90 KB of peak RSS on a
+            # 10k-statement app).
+            import importlib
+
+            importlib.import_module(".cachestore", __package__)
         tasks = [
             _ScanTask(str(path), self.options, want_json, want_sarif,
                       want_stats, want_summary, want_trace, want_metrics,

@@ -57,11 +57,14 @@ class ScanSession:
         self.registry = registry
         self.options = options
         self.store = ArtifactStore(apk, registry)
-        from .cachestore import CacheStore
-
         #: Persistent cross-run cache, or ``None`` (no ``cache_dir`` in
-        #: the options).
-        self.artifact_cache = CacheStore.from_options(options)
+        #: the options).  A scan without one never imports the cache
+        #: code (and ``pickle`` with it).
+        self.artifact_cache = None
+        if options.cache_dir:
+            from .cachestore import CacheStore
+
+            self.artifact_cache = CacheStore.from_options(options)
         #: Artifact kinds already persisted under the current content
         #: fingerprint — loaded from or written to the cache by this
         #: session — so repeat scans rewrite nothing.

@@ -249,6 +249,24 @@ class TestRenderSpans:
             others = {"render.text", "render.json", "render.sarif"} - {name}
             assert not others & set(profile)
 
+    def test_workers_render_each_payload_in_a_span(self, tmp_path, capsys):
+        """Each app's output (its SARIF results encoded as the log writes
+        them) is rendered where the app was scanned, under one
+        `render.payload` root span per app, merged across `--jobs`; the
+        parent's `render.sarif` only splices the text in."""
+        metrics, trace = tmp_path / "m.json", tmp_path / "t.json"
+        main(["scan", "--jobs", "2", "--sarif", str(tmp_path / "l.sarif"),
+              "--metrics", str(metrics), "--trace", str(trace), *APPS])
+        capsys.readouterr()
+        profile = json.loads(metrics.read_text())["profile"]
+        assert profile["render.payload"]["count"] == len(APPS)
+        assert profile["render.sarif"]["count"] == 1
+        events = json.loads(trace.read_text())["traceEvents"]
+        pids = {name: {e["pid"] for e in events if e["name"] == name}
+                for name in ("scan", "render.payload", "render.sarif")}
+        assert pids["render.payload"] == pids["scan"]
+        assert not pids["render.sarif"] & pids["scan"]
+
     def test_render_spans_join_the_trace(self, tmp_path, capsys):
         trace = tmp_path / "t.json"
         main(["scan", "--jobs", "2", "--json", "--trace", str(trace), *APPS])

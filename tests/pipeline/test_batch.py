@@ -1,7 +1,12 @@
 """Batch scanner determinism: --jobs N output is byte-identical to
 --jobs 1, findings stay input-order stable, errors match serial scans."""
 
+import dataclasses
 import json
+import pickle
+import pickletools
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +17,16 @@ from repro.core import NChecker
 from repro.eval.sarif import dumps_sarif
 from repro.pipeline.batch import (
     BatchScanner,
+    ScanPayload,
     json_document,
     sarif_document,
     scan_corpus,
 )
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "apps"
+CLEAN = EXAMPLES / "chatsecure_fig1.apkt"
+BUGGY = [EXAMPLES / f"{name}.apkt"
+         for name in ("musicplayer", "newsreader", "uploader")]
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +133,69 @@ class TestCliByteIdentity:
             main(["scan", "--jobs", "2", str(corpus_dir[0]), "/no/such.apkt"])
         assert exc.value.code == 2
         assert "error: no such file" in capsys.readouterr().err
+
+
+class TestSarifSplice:
+    """The workers' SARIF text spliced into the log: ``--jobs 1`` and
+    ``--jobs 2`` write the same bytes wherever the apps without findings
+    sit in the batch."""
+
+    @staticmethod
+    def sarif_bytes(tmp_path, jobs, paths):
+        log = tmp_path / f"jobs{jobs}.sarif"
+        try:
+            code = main(["scan", "--jobs", str(jobs), "--sarif", str(log),
+                         *map(str, paths)])
+        except SystemExit as exc:
+            code = exc.code
+        return code, log.read_bytes()
+
+    def assert_jobs_agree(self, tmp_path, paths):
+        serial = self.sarif_bytes(tmp_path, 1, paths)
+        assert self.sarif_bytes(tmp_path, 2, paths) == serial
+        log = serial[1]
+        if log:  # the splice is what the stdlib encoder writes
+            assert log.decode() == json.dumps(json.loads(log), indent=2)
+        return serial
+
+    @pytest.mark.parametrize("clean_at", [0, 1, 3], ids=["first", "middle", "last"])
+    def test_an_app_without_findings_anywhere(self, tmp_path, capsys, clean_at):
+        paths = list(BUGGY)
+        paths.insert(clean_at, CLEAN)
+        code, log = self.assert_jobs_agree(tmp_path, paths)
+        capsys.readouterr()
+        assert code == 1
+        results = json.loads(log)["runs"][0]["results"]
+        assert {r["locations"][0]["physicalLocation"]["artifactLocation"]["uri"]
+                for r in results} == {path.as_posix() for path in BUGGY}
+
+    def test_an_all_clean_batch(self, tmp_path, capsys):
+        paths = [tmp_path / "a.apkt", tmp_path / "b.apkt"]
+        for path in paths:
+            shutil.copy(CLEAN, path)
+        code, log = self.assert_jobs_agree(tmp_path, paths)
+        capsys.readouterr()
+        assert code == 0
+        assert b'"results": []' in log
+        assert json.loads(log)["runs"][0]["results"] == []
+
+    def test_an_unloadable_app_leaves_the_log_empty(self, tmp_path, capsys):
+        bad = tmp_path / "bad.apkt"
+        bad.write_text("garbage\n")
+        code, log = self.assert_jobs_agree(tmp_path, [BUGGY[0], bad, BUGGY[1]])
+        assert "missing apk header" in capsys.readouterr().err
+        assert (code, log) == (2, b"")
+
+    def test_the_sarif_part_of_a_payload_pickles_with_no_dict(self):
+        (payload,) = BatchScanner().scan_paths([str(BUGGY[2])], want_sarif=True)
+        sarif_fields = [f.name for f in dataclasses.fields(ScanPayload)
+                        if f.name.startswith("sarif")]
+        assert sarif_fields == ["sarif_kind_values", "sarif_text"]
+        for name in sarif_fields:
+            opcodes = {op.name for op, _arg, _pos in
+                       pickletools.genops(pickle.dumps(getattr(payload, name)))}
+            assert not opcodes & {"EMPTY_DICT", "DICT"}, name
+        assert payload.sarif_text and len(payload.sarif_results) == payload.n_findings
 
 
 class TestCorpusFanout:

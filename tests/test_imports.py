@@ -40,6 +40,7 @@ LAZY_PACKAGES = (
     "repro.eval",
     "repro.ir",
     "repro.obs",
+    "repro.pipeline",
 )
 
 
@@ -160,6 +161,19 @@ class TestStartupWork:
         assert result.stdout.split() == ["False", "False"], result.stdout
         if cache:
             assert any((tmp_path / "cache").rglob("*")), "the scan wrote no entry"
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["default", "cache-dir"])
+    def test_only_a_cache_dir_scan_loads_the_cache_code(self, cache, tmp_path):
+        # The artifact cache (and `pickle`, its codec) loads only for
+        # `--cache-dir`.
+        args = ["--cache-dir", str(tmp_path / "cache")] if cache else []
+        result = _python(
+            f"ARGS = {args!r}\n"
+            + self.SCAN
+            + "print('pickle' in sys.modules,\n"
+            "      'repro.pipeline.cachestore' in sys.modules)\n"
+        )
+        assert result.stdout.split() == [str(cache)] * 2, result.stdout
 
 
 class TestRecords:
@@ -371,6 +385,10 @@ KEPT_DEFINITIONS = {
         "benchmarks/test_ablations.py counts findings per defect kind",
     "repro.pipeline.artifacts.ArtifactCounters.builds_of":
         "the artifact and disk-cache tests pin build counts per kind",
+    "repro._entry.run":
+        "the installed `nchecker` script (pyproject.toml [project.scripts])",
+    "repro.pipeline.batch.ScanPayload.sarif_results":
+        "perfbench/layers.py::batch_layer reads the SARIF result objects",
     "repro.service.daemon.ServiceHandle.base_url":
         "the handle `start_in_thread` returns to tests and benchmarks",
     "repro.service.daemon.ServiceHandle.stop":

@@ -100,6 +100,23 @@ class TestMatchesTheStdlib:
 
     @seed(20261018)
     @settings(max_examples=100, deadline=None)
+    @given(DOCUMENTS, st.integers(min_value=0, max_value=5))
+    def test_a_value_at_its_level_splices_into_the_document(self, document, level):
+        """``dumps(value, level=k)`` is the value's text inside ``k``
+        enclosing lists, the way the SARIF log takes its results."""
+        nested = document
+        for _ in range(level):
+            nested = [nested]
+        expected = stdlib(nested)
+        spliced = "".join(
+            "[\n" + "  " * (depth + 1) for depth in range(level)
+        ) + dumps(document, level=level) + "".join(
+            "\n" + "  " * depth + "]" for depth in reversed(range(level))
+        )
+        assert spliced == expected
+
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None)
     @given(DOCUMENTS)
     def test_sort_keys_equals_json_dumps(self, document):
         try:
@@ -182,10 +199,15 @@ class TestBatchDocuments:
         assert '"results": []' in sarif_document([clean])
 
     def test_documents_come_in_pieces(self, payloads):
-        findings = sum(p.n_findings for p in payloads)
-        assert findings > 1
-        # One piece or more per SARIF result: no piece holds the log.
-        assert len(list(sarif_chunks(payloads))) > findings
+        with_findings = [p for p in payloads if p.n_findings]
+        assert len(with_findings) > 1
+        # The log's head, one piece per app with findings, the closing
+        # brackets: no piece holds two apps' results.
+        pieces = list(sarif_chunks(payloads))
+        assert len(pieces) == len(with_findings) + 2
+        assert [piece.lstrip(",\n ") for piece in pieces[1:-1]] == [
+            p.sarif_text for p in with_findings
+        ]
         assert len(list(json_chunks(payloads))) > len(payloads)
 
 

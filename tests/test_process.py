@@ -9,6 +9,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -19,7 +20,8 @@ from pathlib import Path
 import pytest
 
 from repro.app import save_apk
-from repro.cli import GEN0_THRESHOLD, main
+from repro._entry import GEN0_THRESHOLD
+from repro.cli import main
 from repro.corpus.snippets import Connectivity, Notification, RequestSpec
 from repro.obs import flatten_profile
 from repro.obs.trace import GC_SPAN
@@ -333,3 +335,37 @@ class TestImportCollections:
         assert proc.returncode == 0, proc.stderr
         threshold, default = proc.stderr.split()[1:]
         assert threshold == default != str(GEN0_THRESHOLD).encode()
+
+
+class TestConsoleScript:
+    """The installed ``nchecker`` script imports the entry point that
+    ``pyproject.toml`` names and calls it, as pip's generated script
+    does; the CLI then loads under the raised young threshold too."""
+
+    def test_no_collection_before_run(self):
+        entry = re.search(
+            r'^nchecker = "([\w.]+):(\w+)"$',
+            (ROOT / "pyproject.toml").read_text(), re.MULTILINE,
+        )
+        module, function = entry.groups()
+        probe = (
+            "import gc, sys\n"
+            "starts = []\n"
+            "gc.callbacks.append(\n"
+            "    lambda phase, info: phase == 'start' and starts.append(1))\n"
+            "def profiler(frame, event, arg):\n"
+            "    if (event == 'call' and frame.f_code.co_name == 'run'\n"
+            "            and frame.f_globals['__name__'] == 'repro.cli'):\n"
+            "        sys.setprofile(None)\n"
+            "        print('collections', len(starts), file=sys.stderr)\n"
+            "sys.setprofile(profiler)\n"
+            "sys.argv = ['nchecker', 'checks']\n"
+            f"from {module} import {function}\n"
+            f"sys.exit({function}())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, env=_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == [b"collections", b"0"]
