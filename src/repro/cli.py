@@ -47,7 +47,7 @@ if __name__ == "__main__":
 import argparse  # noqa: E402
 import os  # noqa: E402
 import sys  # noqa: E402
-from contextlib import ExitStack  # noqa: E402
+from contextlib import ExitStack, closing  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from .app.loader import dumps_apk, load_apk  # noqa: E402
@@ -80,7 +80,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         enabled_checks=_enabled_checks(args),
     )
-    from .pipeline.batch import BatchScanner
+    from .pipeline.batch import BatchScanner, WorkerDied
 
     # --trace / --metrics / --stats / --profile / --ledger all ride on
     # the worker telemetry round-trip; none of them touch stdout, which
@@ -106,8 +106,19 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         files = _open_scan_outputs(args, stack)
         if files is None:
             return 2
+        spool = None
+        if args.sarif:
+            from .eval.sarif import SarifSpool
+
+            try:
+                spool = stack.enter_context(closing(SarifSpool()))
+            except OSError as exc:
+                _output_error(args, "sarif", exc)
+                return 2
         scanner = BatchScanner(options=options, jobs=args.jobs)
-        payloads = scanner.scan_paths(
+        # Closed on the way out, so a load error or Ctrl-C reaps the
+        # workers.
+        payloads = stack.enter_context(closing(scanner.iter_paths(
             args.apps,
             want_json=args.json,
             want_sarif=bool(args.sarif),
@@ -117,13 +128,23 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             want_metrics=want_metrics,
             want_profile=want_metrics,
             progress=progress,
-        )
+        )))
         # The parent's own spans (rendering and writing the output) join
         # the workers' in the trace and the profile tree.
         render_tracer = Tracer(enabled=want_trace or want_metrics)
         render_tracer.add_span("cli.import", _IMPORT_START, _IMPORT_END)
-        with use_tracer(render_tracer), gc_spans(render_tracer):
-            exit_code = _write_scan_output(args, payloads, files)
+        try:
+            if args.json or want_trace or want_metrics:
+                # The --json document goes out only once every app has
+                # loaded (a load error leaves no partial stdout), and
+                # telemetry merges every app's export: hold them all.
+                # Otherwise each payload is written as it lands.
+                payloads = list(payloads)
+            with use_tracer(render_tracer), gc_spans(render_tracer):
+                exit_code = _write_scan_output(args, payloads, files, spool)
+        except WorkerDied as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if exit_code != 2 and (want_trace or want_metrics):
             code = _write_scan_telemetry(
                 args, payloads, options, render_tracer.export(), files
@@ -174,21 +195,25 @@ def _write_and_close(args: argparse.Namespace, files, dest: str, pieces) -> bool
     return True
 
 
-def _write_scan_output(args: argparse.Namespace, payloads, files) -> int:
+def _write_scan_output(args: argparse.Namespace, payloads, files, spool) -> int:
     """Print the reports (or the ``--json`` document) and write the
-    ``--sarif`` log into its open file.  Returns 1 when any app has
-    findings, else 0, and 2 when the log cannot be written; exits 2 at
-    the first app that failed to load, after the reports of the apps
-    before it."""
+    ``--sarif`` log, through ``spool``, into its open file.  Returns 1
+    when any app has findings, else 0, and 2 when the log cannot be
+    written; exits 2 at the first app that failed to load, after the
+    reports of the apps before it."""
     text_mode = not (args.json or args.sarif)
     exit_code = 0
+    n_apps = 0
     with span("render.text") if text_mode else NULL_SPAN:
         for payload in payloads:
             if not payload.ok:
                 print(payload.error, file=sys.stderr)
                 raise SystemExit(2)
+            n_apps += 1
             if payload.n_findings:
                 exit_code = 1
+            if spool is not None:
+                spool.add(payload.sarif_kind_values, payload.sarif_text)
             if not text_mode:
                 continue
             print(f"== {payload.package}: {payload.n_findings} NPD(s), "
@@ -203,20 +228,20 @@ def _write_scan_output(args: argparse.Namespace, payloads, files) -> int:
                 for text in payload.report_texts:
                     print(text)
                     print()
-    from .pipeline.batch import json_chunks, sarif_chunks
-
     # Both documents go out piece by piece as they are encoded, so the
     # parent never holds one whole.
     if args.json:
+        from .pipeline.batch import json_chunks
+
         with span("render.json"):
             sys.stdout.writelines(json_chunks(payloads))
-    if args.sarif:
+    if spool is not None:
         with span("render.sarif"):
-            if not _write_and_close(args, files, "sarif", sarif_chunks(payloads)):
+            if not _write_and_close(args, files, "sarif", spool.chunks()):
                 return 2
         # Diagnostics go through the logger (stderr), so machine-readable
         # stdout (--json / --sarif) is never polluted.
-        log.info("wrote SARIF log for %d app(s) to %s", len(payloads), args.sarif)
+        log.info("wrote SARIF log for %d app(s) to %s", n_apps, args.sarif)
     return exit_code
 
 

@@ -43,30 +43,30 @@ class Slicer:
             (criterion, name) for name in locals_of_interest
         ]
         seen: set[tuple[int, str]] = set(worklist)
+        # Slice nodes whose control dependences are still to be followed.
+        controlled: list[int] = [criterion] if include_control else []
 
-        def enqueue_node(node: int) -> None:
-            if node in in_slice or node < 0:
-                return
-            in_slice.add(node)
-            node_stmt = self.cfg.method.statements[node]
-            for used in node_stmt.uses():
-                key = (node, used.name)
-                if key not in seen:
-                    seen.add(key)
-                    worklist.append(key)
-            if include_control:
-                enqueue_control(node)
-
-        def enqueue_control(node: int) -> None:
-            for branch in self.control_deps.get(node, ()):
-                if branch != self.cfg.exit:
-                    enqueue_node(branch)
-
-        if include_control:
-            enqueue_control(criterion)
-
-        while worklist:
-            node, name = worklist.pop()
-            for def_site in self.defuse.definition_sites(node, name):
-                enqueue_node(def_site)
+        # One loop, not mutually recursive helpers: nested functions that
+        # call each other are a reference cycle left behind by every call.
+        while worklist or controlled:
+            if controlled:
+                sources = [
+                    branch
+                    for branch in self.control_deps.get(controlled.pop(), ())
+                    if branch != self.cfg.exit
+                ]
+            else:
+                node, name = worklist.pop()
+                sources = self.defuse.definition_sites(node, name)
+            for node in sources:
+                if node in in_slice or node < 0:
+                    continue
+                in_slice.add(node)
+                for used in self.cfg.method.statements[node].uses():
+                    key = (node, used.name)
+                    if key not in seen:
+                        seen.add(key)
+                        worklist.append(key)
+                if include_control:
+                    controlled.append(node)
         return in_slice

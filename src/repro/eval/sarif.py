@@ -10,7 +10,8 @@ index within the ``.apkt`` artifact.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from functools import partial
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .._jsonwriter import dumps
 from ..core.checker import ScanResult
@@ -88,39 +89,80 @@ def finding_result(finding: Finding, artifact_uri: Optional[str]) -> dict:
 
 def encode_results(findings: Sequence[Finding], artifact_uri: Optional[str]) -> str:
     """The results of ``findings`` as the log writes them, joined by its
-    separator (``""`` for none): the text :func:`sarif_log_chunks`
-    splices in."""
+    separator (``""`` for none): the text :func:`result_pieces`
+    separates from the next app's."""
     return _RESULT_SEPARATOR.join([
         dumps(finding_result(finding, artifact_uri), level=_RESULT_LEVEL)
         for finding in findings
     ])
 
 
-def sarif_log_chunks(
-    kind_values: list[str], result_texts: Sequence[str]
-) -> Iterator[str]:
-    """The log :func:`assemble_sarif_log` builds, encoded, in pieces:
-    its head, then each of ``result_texts`` (from :func:`encode_results`,
-    in output order; empty ones are skipped), then the closing brackets.
+def result_pieces(result_texts: Iterable[str]) -> Iterator[str]:
+    """Each non-empty text of ``result_texts`` (from
+    :func:`encode_results`, in output order) behind its separator: the
+    pieces :func:`sarif_log_chunks` splices into the log."""
+    separator = _RESULT_INDENT
+    for text in result_texts:
+        if text:
+            yield separator + text
+            separator = _RESULT_SEPARATOR
 
-    The head is the log with no results; the texts are spliced into its
+
+def sarif_log_chunks(kind_values: Iterable[str], pieces: Iterable[str]) -> Iterator[str]:
+    """The log :func:`assemble_sarif_log` builds, encoded, in pieces:
+    its head, then ``pieces`` (the results, as :func:`result_pieces`
+    separates them, in any slices), then the closing brackets.
+
+    The head is the log with no results; the pieces are spliced into its
     empty ``results`` list as the encoder would have written them."""
     log = dumps(assemble_sarif_log(kind_values, []))
-    texts = [text for text in result_texts if text]
-    if not texts:
-        yield log
-        return
     # "results" is the run's last key: only closing brackets follow it.
     head, _empty, tail = log.rpartition('"results": []')
-    yield head + '"results": ['
-    separator = _RESULT_INDENT
-    for text in texts:
-        yield separator + text
-        separator = _RESULT_SEPARATOR
+    spliced = False
+    for piece in pieces:
+        if not spliced:
+            yield head + '"results": ['
+            spliced = True
+        yield piece
+    if not spliced:
+        yield log
+        return
     yield "\n" + "  " * (_RESULT_LEVEL - 1) + "]" + tail
 
 
-def assemble_sarif_log(kind_values: list[str], results: list[dict]) -> dict:
+class SarifSpool:
+    """A ``--sarif`` log written as the apps' results arrive: each app's
+    text goes to an unlinked temporary file at once (so the writer holds
+    no app's results), and :meth:`chunks` then yields the log, results
+    read back from the file in blocks.  The bytes are those of
+    :func:`sarif_log_chunks` over the same apps."""
+
+    def __init__(self) -> None:
+        import tempfile
+
+        self._file = tempfile.TemporaryFile("w+", encoding="utf-8")
+        self._kind_values: set[str] = set()
+        self._separator = _RESULT_INDENT
+
+    def add(self, kind_values: Iterable[str], text: str) -> None:
+        """One app's finding kinds and :func:`encode_results` text."""
+        self._kind_values.update(kind_values)
+        if text:
+            self._file.write(self._separator)
+            self._file.write(text)
+            self._separator = _RESULT_SEPARATOR
+
+    def chunks(self) -> Iterator[str]:
+        self._file.seek(0)
+        return sarif_log_chunks(
+            self._kind_values, iter(partial(self._file.read, 1 << 16), "")
+        )
+
+    def close(self) -> None:
+        self._file.close()
+
+
+def assemble_sarif_log(kind_values: Iterable[str], results: list[dict]) -> dict:
     """Assemble a SARIF log from pre-rendered pieces.
 
     ``kind_values`` are the ``DefectKind.value`` strings of every finding

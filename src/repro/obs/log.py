@@ -12,11 +12,13 @@ Verbosity mapping (:func:`configure_logging`): ``-1`` or lower → errors
 only, ``0`` (default) → info, ``1`` or higher → debug.
 
 The stdlib ``logging`` package (with the ``traceback``, ``linecache``,
-``tokenize`` and ``string`` it pulls in, about 10 ms) loads only when a
-record at or above the configured level is emitted, so a scan that logs
-nothing never imports it.  :func:`get_logger` hands out a stand-in that
-drops records below that level itself while ``logging`` is not loaded,
-and forwards everything to the real logger once it is;
+``tokenize`` and ``string`` it pulls in, about 10 ms) loads only for a
+record that needs it, one with a traceback or keyword options, so a scan
+that logs plain lines ("wrote SARIF log to ...") never imports it.
+:func:`get_logger` hands out a stand-in that, while ``logging`` is not
+loaded, drops records below the configured level and writes the others'
+messages to stderr itself, as the handler would; once ``logging`` is
+loaded it forwards everything to the real logger.
 :func:`configure_logging` records the level and sets up the real logger
 when ``logging`` loads.
 """
@@ -48,8 +50,17 @@ class _LazyLogger:
         self.name = name
 
     def _log(self, level: int, method: str, msg, args, kwargs) -> None:
-        if level < _threshold and "logging" not in sys.modules:
-            return
+        if "logging" not in sys.modules:
+            if level < _threshold:
+                return
+            if method != "exception" and not kwargs:
+                # The line the handler (or, unconfigured, the root
+                # logger's last resort) would write: the bare message.
+                try:
+                    sys.stderr.write((str(msg) % args if args else str(msg)) + "\n")
+                except (OSError, ValueError):
+                    pass  # logging, too, never raises out of a record
+                return
         getattr(_real_logger(self.name), method)(msg, *args, **kwargs)
 
     def debug(self, msg, *args, **kwargs) -> None:

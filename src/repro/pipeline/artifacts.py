@@ -124,14 +124,6 @@ class ArtifactStore:
         self._defuse: dict[MethodKey, "DefUseChains"] = {}
         self._constants: dict[MethodKey, object] = {}
         self._context: Optional["AnalysisContext"] = None
-        self._builders = {
-            CALLGRAPH.name: self._build_callgraph,
-            SUMMARIES.name: self._build_summaries,
-            REQUESTS.name: self._build_requests,
-            RETRY_LOOPS.name: self._build_retry_loops,
-            ICC_MODEL.name: self._build_icc_model,
-            THREADCONTEXT.name: self._build_threadcontext,
-        }
 
     # -- telemetry -----------------------------------------------------------
 
@@ -176,7 +168,7 @@ class ArtifactStore:
         self._count(f"artifact.{key.name}.builds")
         with span(f"artifact:{key.name}", package=self.apk.package):
             start = time.perf_counter()
-            value = self._builders[key.name]()
+            value = _BUILDERS[key.name](self)
             self._observe(
                 f"artifact.{key.name}.build_ms",
                 (time.perf_counter() - start) * 1000.0,
@@ -210,6 +202,19 @@ class ArtifactStore:
                 self.apk, self.registry, self.get(CALLGRAPH), self
             )
         return self._context
+
+    def release(self) -> None:
+        """Drop every artifact and the context.  They point back at the
+        store (the call graph, the summaries and the context all hold
+        it), so without this an app's analysis is cyclic garbage that
+        only a collector pass frees; after it, reference counting frees
+        the app once its last holder lets go.  An artifact asked for
+        again is rebuilt."""
+        self._app.clear()
+        self._cfgs.clear()
+        self._defuse.clear()
+        self._constants.clear()
+        self._context = None
 
     # -- builders ------------------------------------------------------------
 
@@ -303,3 +308,16 @@ class ArtifactStore:
                       (time.perf_counter() - start) * 1000.0)
         self._constants[key] = built
         return built
+
+
+#: Artifact name → its :class:`ArtifactStore` builder.  Not a table on
+#: each store: bound methods there would tie every store into a
+#: reference cycle.
+_BUILDERS = {
+    CALLGRAPH.name: ArtifactStore._build_callgraph,
+    SUMMARIES.name: ArtifactStore._build_summaries,
+    REQUESTS.name: ArtifactStore._build_requests,
+    RETRY_LOOPS.name: ArtifactStore._build_retry_loops,
+    ICC_MODEL.name: ArtifactStore._build_icc_model,
+    THREADCONTEXT.name: ArtifactStore._build_threadcontext,
+}

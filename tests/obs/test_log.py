@@ -31,6 +31,7 @@ def test_exception_writes_message_and_traceback_to_stderr(capsys):
 
 
 def test_records_below_the_level_never_load_logging():
+    # Nor do plain records at or above it: the stand-in writes those.
     result = _python(
         "import sys\n"
         "from repro.obs import configure_logging, get_logger\n"
@@ -43,8 +44,33 @@ def test_records_below_the_level_never_load_logging():
         "print('logging' in sys.modules)\n"
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "True"]
+    assert result.stdout.split() == ["False", "False"]
     assert result.stderr == "kept 2\n"
+
+
+def test_a_traceback_loads_logging_and_later_records_go_through_it():
+    result = _python(
+        "import sys\n"
+        "from repro.obs import configure_logging, get_logger\n"
+        "configure_logging(0)\n"
+        "get_logger('cli').info('plain %s', 1)\n"
+        "try:\n"
+        "    raise ValueError('boom')\n"
+        "except ValueError:\n"
+        "    get_logger('cli').exception('failed')\n"
+        "print('logging' in sys.modules)\n"
+        "import logging\n"
+        "seen = []\n"
+        "class Keep(logging.Handler):\n"
+        "    def emit(self, record): seen.append(record.getMessage())\n"
+        "logging.getLogger('nchecker').addHandler(Keep())\n"
+        "get_logger('cli').info('forwarded %s', 2)\n"
+        "print(seen)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["True", "['forwarded 2']"]
+    assert result.stderr.startswith("plain 1\nfailed\nTraceback")
+    assert result.stderr.endswith("ValueError: boom\nforwarded 2\n")
 
 
 def test_unconfigured_warnings_reach_stderr_as_before():

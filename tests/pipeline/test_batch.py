@@ -2,10 +2,14 @@
 --jobs 1, findings stay input-order stable, errors match serial scans."""
 
 import dataclasses
+import gc
 import json
+import os
 import pickle
 import pickletools
 import shutil
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,8 @@ from repro.core import NCheckerOptions
 from repro.app import load_apk
 from repro.core import NChecker
 from repro.eval.sarif import dumps_sarif
+from repro.pipeline import batch
+from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.batch import (
     BatchScanner,
     ScanPayload,
@@ -198,17 +204,177 @@ class TestSarifSplice:
         assert payload.sarif_text and len(payload.sarif_results) == payload.n_findings
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestOneAppAtATime:
+    """A process that scans several apps frees each before the next one
+    starts, by reference counting alone."""
+
+    @pytest.mark.parametrize("release", [True, False], ids=["released", "kept"])
+    def test_no_app_is_left_for_the_collector(self, monkeypatch, release):
+        if not release:  # the check itself sees what a missing release leaves
+            monkeypatch.setattr(ArtifactStore, "release", lambda store: None)
+        paths = [str(p) for p in [CLEAN, *BUGGY]] * 2
+        BatchScanner().scan_paths(paths[:4], want_sarif=True)  # lazy imports
+        garbage = []
+        gc.collect()
+        gc.disable()
+        try:
+            BatchScanner(jobs=1).scan_paths(
+                paths, want_sarif=True,
+                # Each heartbeat comes after the app before was released.
+                progress=lambda done, total, payload: garbage.append(gc.collect()),
+            )
+        finally:
+            gc.enable()
+        if release:
+            assert garbage == [0] * len(paths)
+        else:
+            assert all(garbage[1:])
+
+    def test_the_last_app_is_not_released(self, monkeypatch):
+        released = []
+        real = ArtifactStore.release
+
+        def counting(store):
+            released.append(store.apk.package)
+            real(store)
+
+        monkeypatch.setattr(ArtifactStore, "release", counting)
+        paths = [str(p) for p in BUGGY]
+        BatchScanner(jobs=1).scan_paths(paths)
+        assert released == [load_apk(p).package for p in paths[:-1]]
+        released.clear()
+        BatchScanner(jobs=1).scan_paths(paths[:1])
+        assert released == []
+
+
+def _patch_load(monkeypatch, before):
+    """Run ``before(path)`` in whichever process scans ``path``, just
+    before the app loads."""
+    real = batch._load_and_render
+
+    def patched(task, apps):
+        before(task.path)
+        return real(task, apps)
+
+    monkeypatch.setattr(batch, "_load_and_render", patched)
+
+
+class TestForkPool:
+    def test_order_holds_when_the_first_chunk_is_the_slowest(
+        self, corpus_dir, monkeypatch, tmp_path
+    ):
+        # 8 apps over 2 workers go out in 8 chunks of 1; the worker with
+        # chunk 0 sleeps while the other one answers the chunks after it.
+        paths = [str(p) for p in [*corpus_dir, CLEAN, *BUGGY]]
+        scanned = tmp_path / "scanned"
+
+        def before(path):
+            if path == paths[0]:
+                time.sleep(0.5)
+            with open(scanned, "a") as log:
+                log.write(f"{path}\n")
+
+        serial = BatchScanner(jobs=1).scan_paths(paths, want_json=True)
+        _patch_load(monkeypatch, before)
+        heartbeats = []
+        payloads = BatchScanner(jobs=2).scan_paths(
+            paths, want_json=True,
+            progress=lambda done, total, payload:
+                heartbeats.append((done, total, payload.path)),
+        )
+        assert payloads == serial
+        assert heartbeats == [(i + 1, len(paths), p) for i, p in enumerate(paths)]
+        # The other worker had answered chunk 1 and taken chunk 2 before
+        # chunk 0's app even started.
+        assert scanned.read_text().splitlines().index(paths[0]) >= 2
+        assert_no_child_left()
+
+    def test_a_killed_worker_exits_2_with_one_error_line(
+        self, corpus_dir, monkeypatch, tmp_path, capsys
+    ):
+        paths = [str(p) for p in corpus_dir] * 4
+        victim = paths[1]
+
+        def before(path):
+            if path == victim:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        _patch_load(monkeypatch, before)
+        log = tmp_path / "out.sarif"
+        log.write_text("stale")
+        code = main(["scan", "--jobs", "2", "--sarif", str(log), *paths])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: scan worker ")
+        assert "killed by signal 9 (SIGKILL)" in captured.err
+        assert "Traceback" not in captured.err
+        assert log.read_bytes() == b""
+        assert_no_child_left()
+
+    def test_a_worker_exception_reraises_in_the_parent(
+        self, corpus_dir, monkeypatch
+    ):
+        paths = [str(p) for p in corpus_dir] * 2
+
+        def before(path):
+            if path == paths[3]:
+                raise KeyError("boom")
+
+        _patch_load(monkeypatch, before)
+        seen = []
+        with pytest.raises(KeyError, match="boom") as raised:
+            BatchScanner(jobs=2).scan_paths(
+                paths, progress=lambda done, total, payload: seen.append(done),
+            )
+        assert "raise KeyError" in str(raised.value.__cause__)
+        assert seen == [1, 2, 3]  # where a serial scan raises too
+        assert_no_child_left()
+
+    def test_closing_the_iterator_early_kills_and_reaps_the_workers(
+        self, corpus_dir, monkeypatch
+    ):
+        # 16 apps over 2 workers, chunks of 2: the worker with chunk 1
+        # hangs, and is killed rather than waited for.
+        paths = [str(p) for p in corpus_dir] * 4
+
+        def before(path):
+            if path == paths[2]:
+                time.sleep(60)
+
+        _patch_load(monkeypatch, before)
+        payloads = BatchScanner(jobs=2).iter_paths(paths)
+        assert next(payloads).path == paths[0]
+        start = time.monotonic()
+        payloads.close()
+        assert time.monotonic() - start < 10
+        assert_no_child_left()
+
+    def test_a_load_error_reaps_the_workers(self, corpus_dir, capsys):
+        paths = [str(p) for p in corpus_dir] * 4
+        paths[2] = "/no/such.apkt"
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--jobs", "2", *paths])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: no such file: /no/such.apkt\n"
+        assert_no_child_left()
+
+
 class TestCorpusFanout:
     def test_parallel_corpus_scan_matches_serial(self):
         from repro.corpus.profiles import PAPER_PROFILE
 
-        serial = scan_corpus(PAPER_PROFILE, 6, jobs=1)
-        parallel = scan_corpus(PAPER_PROFILE, 6, jobs=2)
-        assert [r.package for r in serial] == [r.package for r in parallel]
-        assert [
-            [(f.kind, f.method_key, f.stmt_index) for f in r.findings]
-            for r in serial
-        ] == [
-            [(f.kind, f.method_key, f.stmt_index) for f in r.findings]
-            for r in parallel
-        ]
+        runs = {}
+        for jobs in (1, 2):
+            telemetry = {}
+            results = scan_corpus(PAPER_PROFILE, 6, jobs=jobs, telemetry=telemetry)
+            runs[jobs] = ([r.to_dict() for r in results],
+                          telemetry["counters"]["scan.apps"])
+        assert runs[1] == runs[2]
+        assert len(runs[1][0]) == runs[1][1] == 6
+        assert_no_child_left()

@@ -122,7 +122,7 @@ class TestErrorHandling:
         def no_scan(*args, **kwargs):
             raise AssertionError("scanned although an output cannot be written")
 
-        monkeypatch.setattr(BatchScanner, "scan_paths", no_scan)
+        monkeypatch.setattr(BatchScanner, "iter_paths", no_scan)
         target = tmp_path / "no-such-dir" / "out.json"
         code = main(["scan", flag, str(target), str(buggy_app_file)])
         assert code == 2

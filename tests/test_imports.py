@@ -112,6 +112,52 @@ class TestImportBudget:
         assert result.stdout.strip() == "False", result.stdout
 
 
+    def test_a_parallel_sarif_scan_loads_no_process_pool_or_logging(
+        self, tmp_path
+    ):
+        # `--jobs` forks its own workers: `concurrent.futures` would load
+        # `multiprocessing`, `logging`, `socket` and `subprocess` into the
+        # parent and so into every worker.  `-X importtime` lists the
+        # workers' imports as well as the parent's.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro.cli", "scan",
+             "--jobs", "2", "--sarif", str(tmp_path / "out.sarif"),
+             *sorted(map(str, NEWSREADER.parent.glob("*.apkt")))],
+            capture_output=True, text=True, cwd=ROOT, env=env, timeout=120,
+        )
+        assert result.returncode == 1, result.stderr
+        imported = Counter(
+            line.rsplit("|", 1)[-1].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:")
+        )
+        assert "repro.pipeline.batch" in imported
+        # The parent loads the SARIF encoder before it forks.
+        assert imported["repro.eval.sarif"] == 1
+        assert not {"concurrent.futures", "multiprocessing", "logging"} & set(imported)
+        assert result.stderr.endswith("wrote SARIF log for 4 app(s) to "
+                                      f"{tmp_path / 'out.sarif'}\n")
+
+    def test_a_parallel_sarif_batch_loads_the_encoder_before_it_forks(self):
+        # The workers inherit the SARIF encoder instead of each importing
+        # it (an "import" audit event marks a module loaded afresh).
+        apps = sorted(map(str, NEWSREADER.parent.glob("*.apkt")))
+        result = _python(
+            "import os, sys\n"
+            "parent = os.getpid()\n"
+            "def hook(event, args):\n"
+            "    if event == 'import' and args[0].startswith('repro.eval')"
+            " and os.getpid() != parent:\n"
+            "        os.write(1, f'worker imports {args[0]}\\n'.encode())\n"
+            "sys.addaudithook(hook)\n"
+            "from repro.pipeline.batch import BatchScanner\n"
+            f"BatchScanner(jobs=2).scan_paths({apps!r}, want_sarif=True)\n"
+            "print('repro.eval.sarif' in sys.modules)\n"
+        )
+        assert result.stdout == "True\n"
+
+
 class TestStartupWork:
     """What a default scan compiles and loads before and besides its
     analysis (docs/ARCHITECTURE.md, "Records" and "Import layering")."""
