@@ -17,20 +17,23 @@ Three claims from the pipeline work, measured:
 
 The tests read the telemetry through :mod:`repro.obs` — the
 snapshot/merge protocol the ``--metrics`` flag exposes — and append
-their measurements (including the merged per-pass timing fields) to
-``BENCH_pipeline.json`` in the working directory.
+their measurements (with the span-tree profile of the cache sweeps,
+which run under a tracer) to ``BENCH_pipeline.json`` in the working
+directory.
 """
 
 import json
 import multiprocessing
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.app.loader import dumps_apk, loads_apk
 from repro.core import NChecker
 from repro.core.checker import NCheckerOptions
 from repro.corpus import CorpusGenerator, PAPER_PROFILE
-from repro.obs import use_metrics
+from repro.obs import Tracer, profile_from_events, use_metrics, use_tracer
+from repro.obs.profile import cum_ms_by_name
 from repro.pipeline.batch import scan_corpus
 
 BENCH_FILE = Path("BENCH_pipeline.json")
@@ -68,13 +71,17 @@ def _scan_signature(results) -> list:
     ]
 
 
-def _timing_fields(snapshot: dict) -> dict:
-    """The per-pass/per-artifact timing summary of a merged snapshot
-    (histogram reservoirs stripped — BENCH files stay small)."""
-    return {
-        name: {k: hist[k] for k in ("count", "total", "p50", "p95", "p99", "max")}
-        for name, hist in snapshot.get("histograms", {}).items()
-    }
+@contextmanager
+def _traced_telemetry():
+    """A fresh metrics registry and an enabled tracer; on exit the
+    yielded dict holds the registry's snapshot, with the run's span tree
+    under ``profile``."""
+    snapshot: dict = {}
+    tracer = Tracer(enabled=True)
+    with use_metrics() as registry, use_tracer(tracer):
+        yield snapshot
+    snapshot.update(registry.snapshot())
+    snapshot["profile"] = profile_from_events(tracer.export())
 
 
 def test_batch_scan_scaling(benchmark):
@@ -120,7 +127,6 @@ def test_batch_scan_scaling(benchmark):
         "speedup": speedup,
         "identical_results": True,
         "counters": parallel_telemetry["counters"],
-        "timings": _timing_fields(parallel_telemetry),
     })
 
 
@@ -137,12 +143,12 @@ def test_disk_cache_cold_warm(benchmark, tmp_path):
     def sweep(cache: bool):
         """One fresh-process-equivalent scan of every app."""
         options = NCheckerOptions(cache_dir=str(cache_dir) if cache else None)
-        with use_metrics() as registry:
+        with _traced_telemetry() as snapshot:
             checker = NChecker(options=options)
             results = [
                 checker.open_session(loads_apk(blob)).scan() for blob in blobs
             ]
-            return results, registry.snapshot()
+        return results, snapshot
 
     start = time.perf_counter()
     disabled_results, disabled_snap = sweep(cache=False)
@@ -181,7 +187,7 @@ def test_disk_cache_cold_warm(benchmark, tmp_path):
         "warm_app_scoped_builds": 0,
         "identical_results": True,
         "counters": counters,
-        "timings": _timing_fields(warm_snap),
+        "profile": warm_snap["profile"],
     })
 
 
@@ -201,12 +207,12 @@ def test_threadcontext_cache_warm(benchmark, tmp_path):
     )
 
     def sweep():
-        with use_metrics() as registry:
+        with _traced_telemetry() as snapshot:
             checker = NChecker(options=options)
             results = [
                 checker.open_session(loads_apk(blob)).scan() for blob in blobs
             ]
-            return results, registry.snapshot()
+        return results, snapshot
 
     start = time.perf_counter()
     cold_results, cold_snap = sweep()
@@ -222,8 +228,10 @@ def test_threadcontext_cache_warm(benchmark, tmp_path):
         "warm re-scan rebuilt the threadcontext artifact"
     )
     assert counters.get("cache.local.threadcontext.hits", 0) == n_apps
-    build_hist = cold_snap["histograms"].get("artifact.threadcontext.build_ms", {})
-    build_total_ms = build_hist.get("total", 0.0)
+    build_total_ms = cum_ms_by_name(cold_snap["profile"])[
+        "artifact:threadcontext"
+    ]
+    assert build_total_ms > 0.0
     print(
         f"\nthreadcontext over {n_apps} apps: cold {cold_s*1000:.0f} ms "
         f"(analysis builds {build_total_ms:.1f} ms), warm {warm_s*1000:.0f} ms, "
@@ -237,7 +245,7 @@ def test_threadcontext_cache_warm(benchmark, tmp_path):
         "warm_threadcontext_builds": 0,
         "identical_results": True,
         "counters": counters,
-        "timings": _timing_fields(cold_snap),
+        "profile": cold_snap["profile"],
     })
 
 
@@ -298,7 +306,6 @@ def test_summary_laziness(benchmark):
             "lazy_bool_fact_sccs": lazy_sccs,
             "scc_work_ratio": lazy_sccs / whole_app_sccs,
             "lazy_counters": lazy_snap["counters"],
-            "lazy_timings": _timing_fields(lazy_snap),
         }
         print(
             f"\nsummary laziness ({label} checks, {n_apps} apps): "
@@ -372,10 +379,18 @@ def test_service_throughput(benchmark, tmp_path):
         ]
         # Warm jobs rebuild nothing app-scoped: either the worker's
         # session is warm or the workers' shared cache directory serves
-        # every artifact.
+        # every artifact.  Either way the scan asks its store for them,
+        # and the job's own counters see those hits.
         for view in warm_views:
             for kind in app_kinds:
                 assert view["counters"].get(f"artifact.{kind}.builds", 0) == 0
+            for kind in ("summaries", "requests"):
+                assert view["counters"].get(f"artifact.{kind}.hits", 0) >= 1
+        warm_artifacts = {}
+        for view in warm_views:
+            for name, value in view["counters"].items():
+                if name.startswith("artifact."):
+                    warm_artifacts[name] = warm_artifacts.get(name, 0) + value
 
         service_counters = get_json("/metrics")["counters"]
         assert service_counters["service.scans.completed"] == 2 * n_apps
@@ -402,4 +417,5 @@ def test_service_throughput(benchmark, tmp_path):
             name: value for name, value in sorted(service_counters.items())
             if name.startswith("service.")
         },
+        "warm_artifact_counters": dict(sorted(warm_artifacts.items())),
     })

@@ -341,20 +341,19 @@ class CallGraph:
                         break
         return found
 
-    def transitive_callers(self, keys: Iterable[MethodKey]) -> set[MethodKey]:
-        """All methods from which any of ``keys`` is reachable (callers,
-        callers-of-callers, ...), excluding ``keys`` themselves."""
-        seen: set[MethodKey] = set(keys)
-        frontier = deque(seen)
-        result: set[MethodKey] = set()
+    def transitive_callers(self, target: MethodKey) -> dict[MethodKey, int]:
+        """Every method from which ``target`` is reachable (callers,
+        callers-of-callers, ...), mapped to its shortest distance to
+        ``target`` in call edges; ``target`` itself maps to 0."""
+        dist = {target: 0}
+        frontier = deque(dist)
         while frontier:
             node = frontier.popleft()
             for edge in self.in_edges.get(node, ()):
-                if edge.caller not in seen:
-                    seen.add(edge.caller)
-                    result.add(edge.caller)
+                if edge.caller not in dist:
+                    dist[edge.caller] = dist[node] + 1
                     frontier.append(edge.caller)
-        return result
+        return dist
 
     # -- queries -------------------------------------------------------------
 

@@ -43,17 +43,20 @@ def chains_to_method(
     The search is pruned to the target's *caller cone* (the methods from
     which ``target`` is reachable at all): entry points outside it are
     skipped, and so is every edge into a method that is neither the
-    target nor in the cone.  Pruned branches never end at the target, so
-    the chains and their order are those of the unpruned search, and the
-    cost per request follows the cone rather than the whole app.
+    target nor in the cone.  It is also pruned by depth: an edge is not
+    followed when even the shortest way on from its callee to the target
+    would make the chain longer than ``max_depth``.  Pruned branches
+    never end at the target within the cap, so the chains and their
+    order are those of the unpruned search, and the cost per request
+    follows the cone rather than the number of paths through it.
 
     Chains are capped at ``max_chains`` per target and at ``max_depth``
     edges each, to bound path explosion; an entry point that is itself
     the target always contributes its empty chain.
     """
-    cone = graph.transitive_callers((target,))
+    dist = graph.transitive_callers(target)
     chains: list[CallChain] = []
-    for entry in graph.entries_of(cone | {target}):
+    for entry in graph.entries_of(dist):
         if entry.key not in graph.methods:
             continue
         if entry.key == target:
@@ -62,12 +65,11 @@ def chains_to_method(
         stack: list[tuple[MethodKey, tuple[CallEdge, ...]]] = [(entry.key, ())]
         while stack and len(chains) < max_chains:
             node, path = stack.pop()
-            if len(path) >= max_depth:
-                continue
             for edge in graph.callees(node):
                 callee = edge.callee
-                if callee != target and callee not in cone:
-                    continue  # cannot reach the target
+                remaining = dist.get(callee)
+                if remaining is None or len(path) + 1 + remaining > max_depth:
+                    continue  # cannot reach the target within the cap
                 if callee == node or any(e.caller == callee for e in path):
                     continue  # avoid cycles
                 new_path = path + (edge,)

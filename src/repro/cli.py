@@ -126,7 +126,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             want_summary=args.summary,
             want_trace=want_trace,
             want_metrics=want_metrics,
-            want_profile=want_metrics,
             progress=progress,
         )))
         # The parent's own spans (rendering and writing the output) join
@@ -523,7 +522,7 @@ def _bench_measure(apps, jobs: int, options, label):
 
     scanner = BatchScanner(options=options, jobs=jobs)
     start = time.perf_counter()
-    payloads = scanner.scan_paths(apps, want_metrics=True, want_profile=True)
+    payloads = scanner.scan_paths(apps, want_metrics=True)
     wall_s = time.perf_counter() - start
     for payload in payloads:
         if not payload.ok:
@@ -551,7 +550,7 @@ def _bench_export(record: dict) -> dict:
         "schema_version": BENCH_SCHEMA_VERSION,
         "provenance": provenance(record),
     }
-    for key in ("wall_s", "counters", "gauges", "timings", "profile"):
+    for key in ("wall_s", "counters", "gauges", "profile"):
         export[key] = record.get(key)
     return export
 
@@ -768,8 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scan.add_argument(
         "--metrics", dest="metrics_out", metavar="FILE",
-        help="write the merged metrics snapshot (counters, timing "
-        "histograms) as JSON to FILE",
+        help="write the merged metrics snapshot (counters, gauges, and "
+        "the span-tree profile) as JSON to FILE",
     )
     scan.add_argument(
         "--profile", action="store_true",
@@ -979,12 +978,13 @@ def build_parser() -> argparse.ArgumentParser:
     gate.add_argument(
         "--timing-threshold", type=_non_negative_float, default=0.2,
         metavar="FRACTION",
-        help="relative wall-time tolerance (default 0.2 = ±20%%)",
+        help="relative wall-time tolerance per profile node (default 0.2 "
+        "= ±20%%)",
     )
     gate.add_argument(
         "--timing-min-ms", type=_non_negative_float, default=5.0, metavar="MS",
-        help="absolute noise floor: timings whose totals stay under MS "
-        "never gate (default 5.0)",
+        help="absolute noise floor: profile nodes whose times stay under "
+        "MS never gate (default 5.0)",
     )
     gate.add_argument(
         "--label", metavar="TEXT",

@@ -96,10 +96,7 @@ class CorpusGenerator:
             yield self.generate_app(index)
 
     def generate_app(self, index: int) -> tuple[APK, AppGroundTruth]:
-        registry = obs_metrics()
-        with span("corpus:generate-app", index=index), registry.timer(
-            "corpus.generate_ms"
-        ):
+        with span("corpus:generate-app", index=index):
             rng = random.Random(f"{self.profile.seed}:{index}")
             style = self._draw_style(rng)
             package = f"com.corpus.app{index:04d}"
@@ -112,7 +109,7 @@ class CorpusGenerator:
                 record = builder_state.place_request(spec, in_service)
                 truth.requests.append(record)
             builder_state.finish()
-            registry.inc("corpus.apps_generated")
+            obs_metrics().inc("corpus.apps_generated")
             return app.build(), truth
 
     # -- draws ------------------------------------------------------------------

@@ -198,13 +198,12 @@ class SummaryEngine:
 
     def _ensure_scc_order(self) -> tuple[list, dict]:
         if self._scc_order is None:
-            registry = obs_metrics()
-            with span("scc-condensation"), registry.timer("scc.build_ms"):
+            with span("scc-condensation"):
                 keys = list(self.graph.methods)
                 self._scc_order = condensation_order(
                     keys, lambda k: [e.callee for e in self.graph.callees(k)]
                 )
-            registry.set_gauge("scc.components", len(self._scc_order[0]))
+            obs_metrics().set_gauge("scc.components", len(self._scc_order[0]))
         return self._scc_order
 
     @property

@@ -6,10 +6,11 @@ The telemetry subsystem behind ``nchecker scan --trace/--metrics/--stats
 
 * :mod:`repro.obs.trace` — span-based tracer (context-manager API,
   near-zero overhead when disabled) with Chrome trace-event export;
-* :mod:`repro.obs.metrics` — counters / gauges / timing histograms with
-  a serializable snapshot/merge protocol for process-pool workers;
+* :mod:`repro.obs.metrics` — counters / gauges with a serializable
+  snapshot/merge protocol for process-pool workers;
 * :mod:`repro.obs.profile` — folds the span stream into an aggregated
-  self/cumulative wall-time tree (``scan --profile``);
+  self/cumulative wall-time tree (``scan --profile``), the one record
+  of where time went;
 * :mod:`repro.obs.events` — the append-only JSONL run ledger
   (``nchecker bench record``);
 * :mod:`repro.obs.compare` — baseline/current regression comparison
@@ -18,13 +19,14 @@ The telemetry subsystem behind ``nchecker scan --trace/--metrics/--stats
   (stderr-only, so machine-readable stdout stays clean);
 * :mod:`repro.obs.render` — the ``--stats`` telemetry table.
 
-Instrumented code uses the two module-level accessors::
+Instrumented code uses the two module-level accessors: a span times a
+layer, and the registry active at the event counts it::
 
     from ..obs import metrics, span
 
     with span("pass:connectivity"):
-        with metrics().timer("pass.connectivity.wall_ms"):
-            ...
+        ...
+    metrics().inc("pass.connectivity.runs")
 """
 
 from .._lazy import lazy_exports

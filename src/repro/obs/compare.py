@@ -12,21 +12,20 @@ records (ledger entries, ledger files, derived exports, or raw
   :data:`NONDETERMINISTIC_COUNTER_PREFIXES` (cache hit/miss counts,
   which depend on what previous runs left behind) are reported but never
   gate.
-* **Timings** compare with a configurable relative threshold (default
-  ±20%, :data:`DEFAULT_TIMING_THRESHOLD`): a histogram's ``total``
-  exceeding ``baseline * (1 + threshold)`` is a regression, dropping
-  below ``baseline * (1 - threshold)`` is reported as an improvement.
-  Timings whose totals sit under an absolute noise floor
+* **Profile trees** compare node for node.  A span path whose *count*
+  changed is a regression: the tree's shape is a function of the code,
+  like a counter.  The exception is the ``gc`` span
+  (:data:`~repro.obs.trace.GC_SPAN`): how often the collector runs
+  depends on the allocator's history, so its nodes never gate.
+* **Timings** are the profile nodes' ``cum_ms``, compared with a
+  configurable relative threshold (default ±20%,
+  :data:`DEFAULT_TIMING_THRESHOLD`): a node's time exceeding
+  ``baseline * (1 + threshold)`` is a regression, dropping below
+  ``baseline * (1 - threshold)`` is reported as an improvement.  Nodes
+  whose times sit under an absolute noise floor
   (:data:`DEFAULT_TIMING_MIN_MS`) never gate: a relative threshold on a
-  0.04 ms total measures scheduler jitter, not the code.
-* **Profile trees** compare node-for-node on the deterministic axis:
-  a span path whose *count* changed is a regression (the tree's shape is
-  a function of the code, like a counter).  The exception is the ``gc``
-  span (:data:`~repro.obs.trace.GC_SPAN`): how often the collector runs
-  depends on the allocator's history, so its nodes never gate on count.
-  Per-node times ride the same relative threshold but only *inform* —
-  the pass/artifact timing histograms already gate wall time, and
-  double-charging the same clock noise would double the flake rate.
+  0.04 ms node measures scheduler jitter, not the code.  A node only
+  one run has is a count change, not a timing.
 
 An options-fingerprint mismatch is itself a regression: comparing a
 ``--extended-checks`` run against a default baseline would otherwise
@@ -63,6 +62,10 @@ def load_run(path) -> dict:
     * a single ledger-entry / baseline / ``bench record --out`` JSON
       object (``provenance`` block lifted to the top level if present),
     * a raw ``scan --metrics`` snapshot (wrapped as an anonymous record).
+
+    The timing summaries of older files (a ledger record's ``timings``,
+    a raw snapshot's histogram section, written before the profile tree
+    became the only clock) are ignored.
     """
     text = Path(path).read_text()
     try:
@@ -90,13 +93,6 @@ def load_run(path) -> dict:
             record.setdefault(key, value)
     if "counters" not in record:
         raise ValueError(f"{path}: record carries no counters section")
-    # A raw --metrics snapshot stores full histograms; summarize them
-    # into the timings shape ledger records use.
-    if "timings" not in record and "histograms" in record:
-        from .events import timing_summary
-
-        record["timings"] = timing_summary(record)
-    record.setdefault("timings", {})
     return record
 
 
@@ -113,9 +109,9 @@ class CompareResult:
     threshold: float
     #: ``[name, base, cur, note]`` per differing counter.
     counter_rows: list = field(default_factory=list)
-    #: ``[name, base_ms, cur_ms, delta_pct, note]`` per reported timing.
+    #: ``[path, base_ms, cur_ms, delta_pct, note]`` per reported node time.
     timing_rows: list = field(default_factory=list)
-    #: ``[path, base_count, cur_count, base_ms, cur_ms, note]``.
+    #: ``[path, base_count, cur_count, note]`` per node whose count differs.
     profile_rows: list = field(default_factory=list)
     #: Human-readable regression sentences; empty means the gate passes.
     regressions: list = field(default_factory=list)
@@ -150,16 +146,13 @@ class CompareResult:
             f"threshold ±{pct:.0f}% --"
         )
         for name, base, cur, delta, note in self.timing_rows:
-            arrow = f"{base:.1f} -> {cur:.1f} ms"
-            delta_s = f"{delta:+.0f}%" if delta is not None else "n/a"
-            lines.append(f"{name}: {arrow} ({delta_s})  [{note}]")
+            lines.append(
+                f"{name}: {base:.1f} -> {cur:.1f} ms ({delta:+.0f}%)  [{note}]"
+            )
         if self.profile_rows:
             lines.append("-- profile --")
-            for path, bc, cc, bms, cms, note in self.profile_rows:
-                lines.append(
-                    f"{path}: count {bc} -> {cc}, "
-                    f"cum {bms:.1f} -> {cms:.1f} ms  [{note}]"
-                )
+            for path, bc, cc, note in self.profile_rows:
+                lines.append(f"{path}: count {bc} -> {cc}  [{note}]")
         if self.regressions:
             lines.append(f"-- verdict: {len(self.regressions)} regression(s) --")
             lines.extend(f"REGRESSION: {r}" for r in self.regressions)
@@ -210,13 +203,27 @@ def compare_runs(
         else:
             result.counter_rows.append([name, base, cur, "state-dependent"])
 
-    base_timings = baseline.get("timings", {})
-    cur_timings = current.get("timings", {})
-    shared = sorted(set(base_timings) & set(cur_timings))
+    base_profile = flatten_profile(baseline.get("profile") or {})
+    cur_profile = flatten_profile(current.get("profile") or {})
+    # A record without a profile tree (none was recorded) compares none.
+    gated = {
+        path for path in base_profile.keys() | cur_profile.keys()
+        if path.rpartition("/")[2] != GC_SPAN
+    } if base_profile and cur_profile else set()
+    for path in sorted(gated):
+        base = base_profile.get(path, {}).get("count", 0)
+        cur = cur_profile.get(path, {}).get("count", 0)
+        if base != cur:
+            result.profile_rows.append([path, base, cur, "MISMATCH"])
+            result.regressions.append(
+                f"profile node {path} count changed: {base} -> {cur}"
+            )
+
+    shared = sorted(gated & base_profile.keys() & cur_profile.keys())
     result.timings_compared = len(shared)
-    for name in shared:
-        base = base_timings[name].get("total", 0.0)
-        cur = cur_timings[name].get("total", 0.0)
+    for path in shared:
+        base = base_profile[path]["cum_ms"]
+        cur = cur_profile[path]["cum_ms"]
         if base <= 0.0:
             continue  # nothing to take a ratio against
         if max(base, cur) < min_total_ms:
@@ -224,51 +231,17 @@ def compare_runs(
         delta = (cur - base) / base
         if delta > threshold:
             result.timing_rows.append(
-                [name, base, cur, delta * 100.0, "REGRESSION"]
+                [path, base, cur, delta * 100.0, "REGRESSION"]
             )
             result.regressions.append(
-                f"timing {name} regressed {delta * 100.0:+.0f}% "
+                f"timing {path} regressed {delta * 100.0:+.0f}% "
                 f"({base:.1f} -> {cur:.1f} ms, threshold "
                 f"±{threshold * 100.0:.0f}%)"
             )
         elif delta < -threshold:
             result.timing_rows.append(
-                [name, base, cur, delta * 100.0, "improved"]
+                [path, base, cur, delta * 100.0, "improved"]
             )
         elif abs(delta) >= threshold / 2.0:
-            result.timing_rows.append([name, base, cur, delta * 100.0, "ok"])
-    for name in sorted(set(base_timings) - set(cur_timings)):
-        result.timing_rows.append(
-            [name, base_timings[name].get("total", 0.0), 0.0, None, "gone"]
-        )
-    for name in sorted(set(cur_timings) - set(base_timings)):
-        result.timing_rows.append(
-            [name, 0.0, cur_timings[name].get("total", 0.0), None, "new"]
-        )
-
-    base_profile = flatten_profile(baseline.get("profile") or {})
-    cur_profile = flatten_profile(current.get("profile") or {})
-    if base_profile and cur_profile:
-        for path in sorted(set(base_profile) | set(cur_profile)):
-            b = base_profile.get(path, {"count": 0, "cum_ms": 0.0})
-            c = cur_profile.get(path, {"count": 0, "cum_ms": 0.0})
-            if b["count"] != c["count"] and path.rpartition("/")[2] != GC_SPAN:
-                result.profile_rows.append(
-                    [path, b["count"], c["count"],
-                     b["cum_ms"], c["cum_ms"], "MISMATCH"]
-                )
-                result.regressions.append(
-                    f"profile node {path} count changed: "
-                    f"{b['count']} -> {c['count']}"
-                )
-            elif b["cum_ms"] > 0.0 and (
-                max(b["cum_ms"], c["cum_ms"]) >= min_total_ms
-            ) and (
-                abs(c["cum_ms"] - b["cum_ms"]) / b["cum_ms"] > threshold
-            ):
-                result.profile_rows.append(
-                    [path, b["count"], c["count"],
-                     b["cum_ms"], c["cum_ms"], "time shifted"]
-                )
+            result.timing_rows.append([path, base, cur, delta * 100.0, "ok"])
     return result
-

@@ -16,10 +16,9 @@ record carrying everything a later ``nchecker bench gate`` needs:
   compare silently;
 * ``app_set`` — ``{"count", "digest"}`` over the scanned app files'
   names and contents (:func:`app_set_digest`);
-* ``counters`` / ``gauges`` / ``timings`` — the merged metrics snapshot
-  (timings summarized: count/total/p50/p95/p99/max/decimation, raw
-  reservoirs dropped so ledger lines stay small);
-* ``profile`` — the aggregated span tree (:mod:`repro.obs.profile`);
+* ``counters`` / ``gauges`` — the merged metrics snapshot;
+* ``profile`` — the aggregated span tree (:mod:`repro.obs.profile`),
+  the run's only timing record;
 * ``git_sha`` — ``HEAD`` if the working directory is a git checkout;
 * ``run_id`` — a digest of the *deterministic* identity fields only
   (schema, kind, options fingerprint, app set, counters).  Wall-clock
@@ -51,14 +50,15 @@ except ImportError:  # an interpreter built without it: hashlib has one
 if TYPE_CHECKING:
     from ..core.checker import NCheckerOptions
 
-#: Bump on any change to the ledger record layout older readers cannot
-#: handle; readers check it before comparing.
-LEDGER_SCHEMA_VERSION = 1
+#: Bump on any change to the ledger record layout.  Version 2 dropped
+#: the ``timings`` histogram summaries: the profile tree times a run.
+LEDGER_SCHEMA_VERSION = 2
 
 #: Schema of the derived exports (``BENCH_pipeline.json``, ``bench
 #: record --out/--baseline``): version 1 was the schemaless pre-ledger
-#: snapshot, version 2 adds ``schema_version`` + ``provenance``.
-BENCH_SCHEMA_VERSION = 2
+#: snapshot, version 2 adds ``schema_version`` + ``provenance``, and
+#: version 3 drops ``timings`` (profile trees replace them).
+BENCH_SCHEMA_VERSION = 3
 
 LEDGER_FILENAME = "ledger.jsonl"
 
@@ -110,23 +110,6 @@ def app_set_digest(paths: Iterable) -> dict:
     return {"count": len(entries), "digest": h.hexdigest()}
 
 
-def timing_summary(snapshot: dict) -> dict:
-    """Histogram summaries of a metrics snapshot, reservoirs stripped —
-    what a ledger record stores under ``timings``."""
-    out = {}
-    for name, hist in sorted(snapshot.get("histograms", {}).items()):
-        out[name] = {
-            "count": hist.get("count", 0),
-            "total": hist.get("total", 0.0),
-            "p50": hist.get("p50", 0.0),
-            "p95": hist.get("p95", 0.0),
-            "p99": hist.get("p99", 0.0),
-            "max": hist.get("max", 0.0),
-            "decimation": hist.get("decimation", 1),
-        }
-    return out
-
-
 def run_identity(record: dict) -> str:
     """The deterministic identity digest: schema, kind, options
     fingerprint, app set, and counters — **never** wall-clock fields."""
@@ -167,7 +150,6 @@ def run_record(
         "wall_s": wall_s,
         "counters": dict(snapshot.get("counters", {})),
         "gauges": dict(snapshot.get("gauges", {})),
-        "timings": timing_summary(snapshot),
         "profile": snapshot.get("profile"),
     }
     record["run_id"] = run_identity(record)

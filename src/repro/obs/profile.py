@@ -138,6 +138,17 @@ def flatten_profile(profile: Mapping, _prefix: tuple = ()) -> dict:
     return flat
 
 
+def cum_ms_by_name(profile: Mapping) -> dict[str, float]:
+    """Wall time per span name, pooled over every tree position — what
+    ``--stats`` reports per pass and per artifact.  No pipeline layer
+    opens a span inside one of its own name, so no time counts twice."""
+    totals: dict[str, float] = {}
+    for path, node in flatten_profile(profile).items():
+        name = path.rpartition("/")[2]
+        totals[name] = totals.get(name, 0.0) + node["cum_ms"]
+    return totals
+
+
 def render_profile(profile: Mapping) -> str:
     """The ``scan --stats --profile`` table: top-down, siblings sorted by
     cumulative time, with per-node self/cum and share of the total."""

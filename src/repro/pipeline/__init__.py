@@ -22,7 +22,6 @@ from .artifacts import (
     REQUESTS,
     RETRY_LOOPS,
     SUMMARIES,
-    ArtifactCounters,
     ArtifactKey,
     ArtifactStore,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "ARTIFACTS",
     "CacheStore",
     "LocalDirBackend",
-    "ArtifactCounters",
     "ArtifactKey",
     "ArtifactStore",
     "CALLGRAPH",

@@ -6,7 +6,8 @@ ICC model, the thread contexts (each behind a typed :class:`ArtifactKey`),
 and per-method CFGs, def-use chains and constants — lives in one
 :class:`ArtifactStore` per APK.  The store builds artifacts on demand
 (building an artifact first builds its declared dependencies) and counts
-hits/builds for the cache-effectiveness benchmarks.  A built artifact
+``artifact.<kind>.builds`` / ``.hits`` into the metrics registry active
+at each event, like every other layer.  A built artifact
 lives as long as its store: the app under a store is never mutated (the
 patcher rescans each round's patched app through a fresh session).
 
@@ -18,14 +19,11 @@ share as the context's ``cache``.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Optional
 
 from .._record import record
 from ..callgraph.entrypoints import MethodKey, method_key
-from ..obs import span
-from ..obs.metrics import MetricsRegistry
-from ..obs.metrics import metrics as active_metrics
+from ..obs import metrics, span
 
 if TYPE_CHECKING:
     from ..app.apk import APK
@@ -76,84 +74,17 @@ _APP_ARTIFACT_ORDER: tuple[ArtifactKey, ...] = (
 ARTIFACTS: dict[str, ArtifactKey] = {key.name: key for key in _APP_ARTIFACT_ORDER}
 
 
-class ArtifactCounters:
-    """Build/hit accounting — a read view over the store's local
-    :class:`~repro.obs.metrics.MetricsRegistry`.
-
-    The bespoke dict counters this class used to hold now live as
-    ``artifact.<kind>.builds`` / ``artifact.<kind>.hits`` counters in
-    the telemetry registry (one per store, mirrored into the active
-    global registry so ``--metrics`` snapshots see them); the accessors
-    keep the benchmark and test API of the pre-telemetry counters.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-
-    @property
-    def hits(self) -> dict[str, int]:
-        return self._per_kind("hits")
-
-    def builds_of(self, name: str) -> int:
-        return self._registry.counter_value(f"artifact.{name}.builds")
-
-    def _per_kind(self, event: str) -> dict[str, int]:
-        suffix = f".{event}"
-        out: dict[str, int] = {}
-        for name, value in self._registry.snapshot()["counters"].items():
-            if name.startswith("artifact.") and name.endswith(suffix) and value:
-                out[name[len("artifact."):-len(suffix)]] = value
-        return out
-
-
 class ArtifactStore:
     """All derived artifacts of one APK, built on demand."""
 
     def __init__(self, apk: "APK", registry: "LibraryRegistry") -> None:
         self.apk = apk
         self.registry = registry
-        #: Store-local telemetry, mirrored into the registry that was
-        #: active when the store was created (batch workers install a
-        #: fresh one per app and ship its snapshot back to the parent).
-        self.metrics = MetricsRegistry()
-        self._global = active_metrics()
-        self.counters = ArtifactCounters(self.metrics)
-        self._counter_pairs: dict[str, tuple] = {}
         self._app: dict[str, object] = {}
         self._cfgs: dict[MethodKey, "CFGGraph"] = {}
         self._defuse: dict[MethodKey, "DefUseChains"] = {}
         self._constants: dict[MethodKey, object] = {}
         self._context: Optional["AnalysisContext"] = None
-
-    # -- telemetry -----------------------------------------------------------
-
-    def _count(self, name: str, n: int = 1) -> None:
-        """Bump a counter in the store-local registry and, when distinct,
-        the active global one (so ``--metrics`` snapshots include it).
-
-        Counter objects are resolved once per name: cache-hit accounting
-        runs on every cfg/defuse/constants access, and the two name
-        lookups per bump were measurable on cold scans.
-        """
-        pair = self._counter_pairs.get(name)
-        if pair is None:
-            local = self.metrics.counter(name)
-            shared = (
-                self._global.counter(name)
-                if self._global is not self.metrics
-                else None
-            )
-            pair = (local, shared)
-            self._counter_pairs[name] = pair
-        local, shared = pair
-        local.inc(n)
-        if shared is not None:
-            shared.inc(n)
-
-    def _observe(self, name: str, value: float) -> None:
-        self.metrics.observe(name, value)
-        if self._global is not self.metrics:
-            self._global.observe(name, value)
 
     # -- app-scoped artifacts ------------------------------------------------
 
@@ -161,18 +92,13 @@ class ArtifactStore:
         """The artifact for ``key``, building it (and its dependencies)
         if missing."""
         if key.name in self._app:
-            self._count(f"artifact.{key.name}.hits")
+            metrics().inc(f"artifact.{key.name}.hits")
             return self._app[key.name]
         for dep in key.deps:
             self.get(ARTIFACTS[dep])
-        self._count(f"artifact.{key.name}.builds")
+        metrics().inc(f"artifact.{key.name}.builds")
         with span(f"artifact:{key.name}", package=self.apk.package):
-            start = time.perf_counter()
             value = _BUILDERS[key.name](self)
-            self._observe(
-                f"artifact.{key.name}.build_ms",
-                (time.perf_counter() - start) * 1000.0,
-            )
         self._app[key.name] = value
         return value
 
@@ -222,11 +148,7 @@ class ArtifactStore:
         from ..callgraph.cha import CallGraph
 
         graph = CallGraph(self.apk, self.registry, self)
-        self._global.set_gauge("callgraph.methods", len(graph.methods))
-        self._global.set_gauge(
-            "callgraph.edges",
-            sum(len(edges) for edges in graph.out_edges.values()),
-        )
+        record_graph_shape(graph)
         return graph
 
     def _build_summaries(self) -> "SummaryEngine":
@@ -260,15 +182,12 @@ class ArtifactStore:
         key = method_key(method)
         cached = self._cfgs.get(key)
         if cached is not None:
-            self._count("artifact.cfg.hits")
+            metrics().inc("artifact.cfg.hits")
             return cached
         from ..cfg.graph import CFG as CFGGraph
 
-        self._count("artifact.cfg.builds")
-        start = time.perf_counter()
+        metrics().inc("artifact.cfg.builds")
         built = CFGGraph(method)
-        self._observe("artifact.cfg.build_ms",
-                      (time.perf_counter() - start) * 1000.0)
         self._cfgs[key] = built
         return built
 
@@ -276,16 +195,13 @@ class ArtifactStore:
         key = method_key(method)
         cached = self._defuse.get(key)
         if cached is not None:
-            self._count("artifact.defuse.hits")
+            metrics().inc("artifact.defuse.hits")
             return cached
         from ..dataflow.reaching import DefUseChains
 
-        self._count("artifact.defuse.builds")
+        metrics().inc("artifact.defuse.builds")
         cfg = self.cfg(method)
-        start = time.perf_counter()
         built = DefUseChains(cfg)
-        self._observe("artifact.defuse.build_ms",
-                      (time.perf_counter() - start) * 1000.0)
         self._defuse[key] = built
         return built
 
@@ -296,18 +212,26 @@ class ArtifactStore:
         key = method_key(method)
         cached = self._constants.get(key)
         if cached is not None:
-            self._count("artifact.constants.hits")
+            metrics().inc("artifact.constants.hits")
             return cached
         from ..dataflow.constants import ConstantPropagation
 
-        self._count("artifact.constants.builds")
+        metrics().inc("artifact.constants.builds")
         cfg = self.cfg(method)
-        start = time.perf_counter()
         built = ConstantPropagation(cfg)
-        self._observe("artifact.constants.build_ms",
-                      (time.perf_counter() - start) * 1000.0)
         self._constants[key] = built
         return built
+
+
+def record_graph_shape(graph: "CallGraph") -> None:
+    """Gauge the call graph's size, whether it was built or loaded from
+    the persistent cache, so ``--stats`` reads the same either way."""
+    registry = metrics()
+    registry.set_gauge("callgraph.methods", len(graph.methods))
+    registry.set_gauge(
+        "callgraph.edges",
+        sum(len(edges) for edges in graph.out_edges.values()),
+    )
 
 
 #: Artifact name → its :class:`ArtifactStore` builder.  Not a table on

@@ -61,20 +61,17 @@ class _ScanTask:
     """Picklable work order for one app file."""
 
     path: str
-    options: NCheckerOptions
     want_json: bool
     want_sarif: bool
     want_stats: bool
     want_summary: bool
     #: Collect span events / a metrics snapshot for this app.  Workers
     #: install a fresh tracer/registry per task and ship the export back
-    #: in the payload; the parent merges (`--trace`/`--metrics`/`--stats`).
+    #: in the payload; the parent merges (`--trace`/`--metrics`/`--stats`
+    #: /`--profile`).  A snapshot carries the app's span tree under
+    #: `profile`, so it merges across the pool with the counters.
     want_trace: bool = False
     want_metrics: bool = False
-    #: Also fold this app's span stream into an aggregated profile tree
-    #: (`--profile`; rides on the metrics snapshot so it merges across
-    #: the pool with everything else).
-    want_profile: bool = False
 
 
 @record
@@ -127,31 +124,27 @@ def with_telemetry(
     *,
     trace: bool,
     metrics: bool,
-    profile: bool,
 ) -> ScanPayload:
     """Run ``render`` under a fresh tracer/registry pair and attach what
-    was asked for to its payload: the span events (``trace``), the
-    metrics snapshot (``metrics``), and the profile tree folded into
-    that snapshot (``profile``).
+    was asked for to its payload: the span events (``trace``), and the
+    metrics snapshot with the span stream folded into its profile tree
+    (``metrics``; the tree is the snapshot's only clock).
 
     Both front ends' workers go through here, so the telemetry of a run
     is the sum of per-app exports whichever process scanned which app.
     """
-    if not (trace or metrics or profile):
+    if not (trace or metrics):
         return render()
-    # Profiling needs the span stream, so it enables the tracer even
-    # when no trace was asked for.
-    tracer = Tracer(enabled=trace or profile)
+    tracer = Tracer(enabled=True)
     with use_tracer(tracer), gc_spans(tracer), use_metrics() as registry:
         payload = render()
     if trace:
         payload.trace_events = tracer.export()
-    if metrics or profile:
-        snapshot = registry.snapshot()
-        if profile:
-            from ..obs import profile_from_events
+    if metrics:
+        from ..obs import profile_from_events
 
-            snapshot["profile"] = profile_from_events(tracer.export())
+        snapshot = registry.snapshot()
+        snapshot["profile"] = profile_from_events(tracer.export())
         payload.metrics_snapshot = snapshot
     return payload
 
@@ -234,10 +227,12 @@ def sarif_document(payloads: Sequence[ScanPayload]) -> str:
 
 
 class _OneAppAtATime:
-    """The scan sessions of the apps one process scans in turn, held one
-    at a time.
+    """The scan sessions of the apps one process scans in turn, opened
+    from one checker and held one at a time.
 
-    :meth:`release` drops the previous app's artifacts
+    The checker, and with it the library registry, serves every app:
+    the registry holds no per-app state.  :meth:`release` drops the
+    previous app's artifacts
     (:meth:`~repro.pipeline.artifacts.ArtifactStore.release`) before the
     next app starts, so reference counting frees that app at once and no
     collector pass is needed.  The last app is never released: the
@@ -245,10 +240,20 @@ class _OneAppAtATime:
     freeing it, and freeing the 10k-statement app costs 7-9 ms.
     """
 
-    __slots__ = ("held",)
+    __slots__ = ("checker", "held")
 
-    def __init__(self) -> None:
+    def __init__(self, options: NCheckerOptions) -> None:
+        from ..core.checker import NChecker
+
+        self.checker = NChecker(options=options)
         self.held = None
+
+    def scan(self, apk: "APK") -> "ScanResult":
+        """Scan ``apk`` in a fresh session (a one-shot scan's session
+        cache could never hit, so it skips the cache and the content
+        fingerprint it would compute), held until :meth:`release`."""
+        self.held = self.checker.open_session(apk)
+        return self.held.scan()
 
     def release(self) -> None:
         if self.held is not None:
@@ -263,7 +268,6 @@ def _scan_payload(task: _ScanTask, apps: _OneAppAtATime) -> ScanPayload:
         lambda: _load_and_render(task, apps),
         trace=task.want_trace,
         metrics=task.want_metrics,
-        profile=task.want_profile,
     )
 
 
@@ -284,16 +288,10 @@ def _load_and_render(task: _ScanTask, apps: _OneAppAtATime) -> ScanPayload:
         return ScanPayload(task.path, ok=False,
                            error=f"error: {task.path}: {exc}")
 
-    from ..core.checker import NChecker
-
-    # A throwaway checker's session cache could never hit, so skip it
-    # (and the content fingerprint it would compute).
-    apps.held = NChecker(options=task.options).open_session(apk)
-    result = apps.held.scan()
     return render_payload(
         task.path,
         apk,
-        result,
+        apps.scan(apk),
         want_json=task.want_json,
         want_sarif=task.want_sarif,
         want_stats=task.want_stats,
@@ -327,7 +325,6 @@ class BatchScanner:
         want_summary: bool = False,
         want_trace: bool = False,
         want_metrics: bool = False,
-        want_profile: bool = False,
         progress: Optional[Callable[[int, int, ScanPayload], None]] = None,
     ) -> Iterator[ScanPayload]:
         """Scan ``paths``, yielding each app's payload in input order as
@@ -348,12 +345,12 @@ class BatchScanner:
         if want_sarif:
             importlib.import_module("..eval.sarif", __package__)
         tasks = [
-            _ScanTask(str(path), self.options, want_json, want_sarif,
-                      want_stats, want_summary, want_trace, want_metrics,
-                      want_profile)
+            _ScanTask(str(path), want_json, want_sarif,
+                      want_stats, want_summary, want_trace, want_metrics)
             for path in paths
         ]
-        apps = _OneAppAtATime()
+        # Built before the fork, so the workers inherit it.
+        apps = _OneAppAtATime(self.options)
         payloads = self._map(lambda task: _scan_payload(task, apps), tasks)
         with closing(payloads):
             for done, payload in enumerate(payloads, 1):
@@ -585,18 +582,15 @@ def _scan_corpus_chunk(task) -> tuple:
     time; returns the ``(index, result)`` pairs plus this slice's metrics
     snapshot (or ``None`` when the caller did not ask for telemetry)."""
     profile, indices, options, collect = task
-    from ..core.checker import NChecker
     from ..corpus.generator import CorpusGenerator
 
     with use_metrics() if collect else nullcontext() as registry:
         generator = CorpusGenerator(profile)
-        checker = NChecker(options=options)
-        apps = _OneAppAtATime()
+        apps = _OneAppAtATime(options)
         out = []
         for index in indices:
             apps.release()
-            apps.held = checker.open_session(generator.generate_app(index)[0])
-            out.append((index, apps.held.scan()))
+            out.append((index, apps.scan(generator.generate_app(index)[0])))
     return out, registry.snapshot() if collect else None
 
 
@@ -614,9 +608,10 @@ def scan_corpus(
     the parent just reorders).
 
     Pass a dict as ``telemetry`` to receive the run's merged metrics
-    snapshot in it (generation + scan counters and timings, summed over
-    workers) — the public accounting the benchmarks and experiments
-    assert on instead of reaching into store internals.
+    snapshot in it (generation + scan counters, summed over workers) —
+    the public accounting the benchmarks and experiments assert on
+    instead of reaching into store internals.  It carries no profile:
+    nothing is traced, so the sweep pays no tracing.
     """
     from ..obs import merge_snapshots
 

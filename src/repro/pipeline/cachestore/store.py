@@ -11,11 +11,11 @@ built (:mod:`.codec`), so a load reads one file and a write rewrites
 it whole.
 
 Telemetry: ``cache.local.<kind>.hits`` / ``.misses`` counters per
-artifact kind, a ``cache.local.errors`` counter for unusable entries,
-and ``cache.local.load_ms`` / ``.store_ms`` timers (one observation per
-entry read or written) land in the store's registry (and the active
-global one), riding the same snapshot/merge protocol as every other
-counter — ``--metrics`` of a ``--jobs N`` run sums them across workers.
+artifact kind and a ``cache.local.errors`` counter for unusable entries
+land in the active metrics registry, riding the same snapshot/merge
+protocol as every other counter — ``--metrics`` of a ``--jobs N`` run
+sums them across workers.  The session times a read and a write with
+its ``cache:load`` / ``cache:store`` spans.
 A kind new to a written entry counts one miss (the cache could not
 supply the artifact, so the scan built it), which is what makes
 ``hits/(hits+misses)`` a true hit rate.
@@ -24,11 +24,12 @@ supply the artifact, so the scan built it), which is what makes
 from __future__ import annotations
 
 import pickle
-import time
 from typing import TYPE_CHECKING, Optional
 
-from ...obs import get_logger
-from ..artifacts import _APP_ARTIFACT_ORDER, ARTIFACTS, ArtifactStore
+from ...obs import get_logger, metrics
+from ..artifacts import (
+    _APP_ARTIFACT_ORDER, ARTIFACTS, ArtifactStore, record_graph_shape,
+)
 from .codec import CacheMiss, decode_entry, encode_entry
 from .fingerprints import entry_digest
 from .local import EntryKey, LocalDirBackend
@@ -74,7 +75,6 @@ class CacheStore:
         """
         if any(store.peek(key) is not None for key in _APP_ARTIFACT_ORDER):
             return set()
-        start = time.perf_counter()
         entry = self.entry_key(app_fp, store.registry)
         blob = self.backend.get(entry)
         if blob is None:
@@ -85,24 +85,15 @@ class CacheStore:
             log.info(
                 "cache entry %s unusable (%s): rebuilding", app_fp[:12], exc
             )
-            store._count("cache.local.errors")
+            metrics().inc("cache.local.errors")
             self.backend.delete(entry)
             return set()
         for kind, value in artifacts.items():
             store.adopt(ARTIFACTS[kind], value)
-            store._count(f"cache.local.{kind}.hits")
+            metrics().inc(f"cache.local.{kind}.hits")
         graph = artifacts.get("callgraph")
         if graph is not None:
-            # Parity with _build_callgraph's gauges, so --stats reads the
-            # same whether the graph was built or loaded.
-            store._global.set_gauge("callgraph.methods", len(graph.methods))
-            store._global.set_gauge(
-                "callgraph.edges",
-                sum(len(edges) for edges in graph.out_edges.values()),
-            )
-        store._observe(
-            "cache.local.load_ms", (time.perf_counter() - start) * 1000.0
-        )
+            record_graph_shape(graph)
         return set(artifacts)
 
     def store_from(
@@ -129,7 +120,6 @@ class CacheStore:
         built = artifacts.keys() - exclude
         if not built:
             return set()
-        start = time.perf_counter()
         try:
             blob = encode_entry(store, artifacts)
         except pickle.PicklingError as exc:
@@ -137,9 +127,7 @@ class CacheStore:
             return set()
         if not self.backend.put(self.entry_key(app_fp, store.registry), blob):
             return set()  # write failed; retried next run
+        registry = metrics()
         for kind in built:
-            store._count(f"cache.local.{kind}.misses")
-        store._observe(
-            "cache.local.store_ms", (time.perf_counter() - start) * 1000.0
-        )
+            registry.inc(f"cache.local.{kind}.misses")
         return set(artifacts)

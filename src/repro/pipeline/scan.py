@@ -82,12 +82,10 @@ class ScanSession:
         The summary engine is always handed out: it computes nothing until
         a check queries it.  Retry loops, the ICC model and the thread
         contexts are built only for the checks that read them.  Each check
-        runs inside a ``pass:<name>`` span and records its wall time,
-        findings emitted, and methods visited (the call-graph universe it
-        analyses) into the active metrics registry.
+        runs inside a ``pass:<name>`` span (its wall time) and counts its
+        runs, findings emitted, and methods visited (the call-graph
+        universe it analyses) into the active metrics registry.
         """
-        import time
-
         from ..core.checker import ScanResult
         from ..core.checks import check_catalog
         from ..core.findings import Finding
@@ -108,7 +106,6 @@ class ScanSession:
         catalog = check_catalog(opts, icc_model)
 
         with span("scan", package=self.apk.package):
-            scan_start = time.perf_counter()
             ctx = store.context
             ctx.summaries = store.get(SUMMARIES)
             if "ui-thread-network" in enabled:
@@ -127,12 +124,7 @@ class ScanSession:
                     continue
                 name = check.name
                 with span(f"pass:{name}", package=self.apk.package):
-                    start = time.perf_counter()
                     emitted = check.run(ctx, requests)
-                    registry.observe(
-                        f"pass.{name}.wall_ms",
-                        (time.perf_counter() - start) * 1000.0,
-                    )
                 registry.inc(f"pass.{name}.runs")
                 registry.inc(f"pass.{name}.findings", len(emitted))
                 registry.inc(
@@ -140,9 +132,6 @@ class ScanSession:
                 )
                 findings.extend(emitted)
             registry.inc("scan.apps")
-            registry.observe(
-                "scan.wall_ms", (time.perf_counter() - scan_start) * 1000.0
-            )
 
         self._persist_to_disk()
         findings.sort(key=lambda f: (f.method_key, f.stmt_index, f.kind.value))

@@ -54,4 +54,4 @@ def execute_scan(
             filename, apk, checker.scan(apk), want_json=True, want_sarif=True
         )
 
-    return with_telemetry(scan, trace=True, metrics=True, profile=True)
+    return with_telemetry(scan, trace=True, metrics=True)

@@ -8,6 +8,7 @@ the same ``max_chains`` / ``max_depth`` points.  The reference below is
 that plain DFS, with the same cycle guard.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.app import APK, Manifest
@@ -105,3 +106,62 @@ class TestChainOracle:
         graph = ArtifactStore(graph.apk, default_registry()).get(CALLGRAPH)
         assert (CLASS, "onStart", 0) in {e.key for e in graph.entry_points}
         _assert_equivalent(graph)
+
+
+def ladder(width: int, rungs: int):
+    """A ladder of ``rungs`` diamonds: ``onCreate`` calls ``a0``, each
+    ``a<k>`` calls ``width`` methods ``m<k>_<j>``, and each of those calls
+    ``a<k+1>``.  Returns the call graph and ``a<rungs>``'s key, which sits
+    ``2 * rungs + 1`` edges below the entry point over ``width ** rungs``
+    paths."""
+    main = ClassBuilder(CLASS, "android.app.Activity")
+    _method(main, "onCreate", ["a0"])
+    for k in range(rungs):
+        rung = [f"m{k}_{j}" for j in range(width)]
+        _method(main, f"a{k}", rung)
+        for name in rung:
+            _method(main, name, [f"a{k + 1}"])
+    _method(main, f"a{rungs}", [])
+    apk = APK(Manifest("com.x", activities=[CLASS]), [main.build()])
+    graph = ArtifactStore(apk, default_registry()).get(CALLGRAPH)
+    return graph, (CLASS, f"a{rungs}", 0)
+
+
+class TestLadders:
+    """Deep, wide call graphs: the depth prune must cut exactly the
+    branches that cannot finish within ``max_depth``."""
+
+    @pytest.mark.parametrize("width", (1, 2))
+    @pytest.mark.parametrize("rungs", (2, 11, 12, 13))
+    def test_pruned_chains_equal_reference(self, width, rungs):
+        graph, deepest = ladder(width, rungs)
+        shallow = (CLASS, f"m{rungs // 2}_0", 0)
+        for target in (deepest, shallow):
+            for max_chains, max_depth in CAPS:
+                assert chains_to_method(
+                    graph, target, max_chains, max_depth
+                ) == reference_chains(graph, target, max_chains, max_depth)
+
+    @pytest.mark.parametrize(
+        ("rungs", "chains"),
+        ((13, 0), (11, 32)),
+        ids=["past-the-depth-cap", "within-the-depth-cap"],
+    )
+    def test_a_wide_ladder_costs_work_linear_in_the_graph(self, rungs, chains):
+        # 4 ** 12 paths lead down a 13-rung ladder, and none reaches the
+        # request within 24 edges; the search may still visit each method
+        # only a bounded number of times.
+        graph, target = ladder(4, rungs)
+        edges = sum(len(out) for out in graph.out_edges.values())
+        budget = 2 * (len(graph.methods) + edges)
+        callees = graph.callees
+        calls = 0
+
+        def counting(key):
+            nonlocal calls
+            calls += 1
+            assert calls <= budget, f"more than {budget} expansions"
+            return callees(key)
+
+        graph.callees = counting
+        assert len(chains_to_method(graph, target)) == chains

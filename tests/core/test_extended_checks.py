@@ -13,6 +13,7 @@ from repro.core.patcher import Patcher
 from repro.corpus.lifecycle import EXTENDED_KINDS, build_lifecycle_corpus
 from repro.eval.experiments import run_table6x
 from repro.eval.sarif import sarif_log
+from repro.obs import use_metrics
 
 
 def extended_checker() -> NChecker:
@@ -104,10 +105,10 @@ class TestOptInGating:
     def test_default_scan_reports_no_extended_kinds(self, corpus):
         checker = NChecker()
         for apk, _truth in corpus:
-            session = checker.session_for(apk)
-            result = session.scan()
+            with use_metrics() as counts:
+                result = checker.scan(apk)
             assert not any(f.kind in EXTENDED_KINDS for f in result.findings)
-            assert session.store.counters.builds_of("threadcontext") == 0
+            assert counts.counter_value("artifact.threadcontext.builds") == 0
 
     def test_extended_scan_keeps_default_findings(self, corpus, scans):
         checker = NChecker()

@@ -109,13 +109,14 @@ class TestCompareAndGate:
         assert code == 0
 
     def test_gate_fails_on_injected_timing_regression(self, tmp_path, capsys):
-        # The acceptance bar: inflate one timing well past the 20%
-        # threshold (and the absolute noise floor) and the gate must
-        # exit nonzero.
+        # The acceptance bar: inflate one profile node's time well past
+        # the 20% threshold (and the absolute noise floor) and the gate
+        # must exit nonzero.
         out = self._exports(tmp_path, capsys)
         export = json.loads(out.read_text())
-        name, hist = next(iter(export["timings"].items()))
-        hist["total"] = hist["total"] * 10 + 100.0
+        assert "timings" not in export
+        name, node = next(iter(export["profile"].items()))
+        node["cum_ms"] = node["cum_ms"] * 10 + 100.0
         regressed = tmp_path / "regressed.json"
         regressed.write_text(json.dumps(export))
         code = main(["bench", "gate", "--baseline", str(out),

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.obs import flatten_profile
+from repro.obs.trace import GC_SPAN
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "apps"
 APPS = sorted(str(p) for p in EXAMPLES.glob("*.apkt"))
@@ -85,10 +87,16 @@ class TestMetricsExport:
         merged = self._counters(tmp_path, capsys, 2)
         assert serial["counters"] == merged["counters"]
         assert merged["counters"]["scan.apps"] == len(APPS)
-        # Timing histograms merge too: counts are deterministic even
-        # though the sampled durations are not.
-        for name, hist in serial["histograms"].items():
-            assert merged["histograms"][name]["count"] == hist["count"]
+        # Profile trees merge too: node counts are deterministic even
+        # though the durations are not (collector runs are neither).
+        def counts(snap):
+            return {
+                path: node["count"]
+                for path, node in flatten_profile(snap["profile"]).items()
+                if path.rpartition("/")[2] != GC_SPAN
+            }
+
+        assert counts(merged) == counts(serial)
 
     def test_snapshot_covers_every_layer(self, tmp_path, capsys):
         snap = self._counters(tmp_path, capsys, jobs=1)
@@ -96,7 +104,10 @@ class TestMetricsExport:
         assert any(n.startswith("pass.") for n in counters)
         assert any(n.startswith("artifact.") for n in counters)
         assert any(n.startswith("dataflow.") for n in counters)
-        assert any(n.startswith("pass.") for n in snap["histograms"])
+        assert "histograms" not in snap
+        scan = snap["profile"]["scan"]["children"]
+        assert any(name.startswith("pass:") for name in scan)
+        assert any(name.startswith("artifact:") for name in scan)
         assert snap["gauges"].get("callgraph.methods", 0) > 0
 
 
@@ -108,6 +119,23 @@ class TestStatsAndProgress:
         assert "-- passes --" in captured.err
         assert "-- artifacts --" in captured.err
         assert "== telemetry ==" not in captured.out
+
+    def test_stats_times_passes_and_app_artifacts_from_the_profile(
+        self, capsys
+    ):
+        main(["scan", "--stats", "--jobs", "2", *APPS])
+        table = capsys.readouterr().err.split("== telemetry ==")[1]
+        rows = {
+            line.split()[0]: line.split()
+            for line in table.splitlines()
+            if line and not line.startswith(("--", "pass ", "artifact "))
+        }
+        # A pass row ends with its total time, an app-scoped artifact row
+        # with its build time (milliseconds, one decimal); per-method
+        # artifacts have no span.
+        assert float(rows["connectivity"][-1]) >= 0.0
+        assert float(rows["callgraph"][-1]) >= 0.0
+        assert rows["cfg"][-1] == "-"
 
     def test_progress_heartbeats_on_stderr(self, capsys):
         main(["scan", "--progress", *APPS])

@@ -18,16 +18,6 @@ def _snapshot():
             "cache.local.callgraph.hits": 7,
         },
         "gauges": {},
-        "histograms": {
-            "pass.connectivity.wall_ms": {
-                "count": 4, "total": 100.0, "p50": 20.0, "p95": 40.0,
-                "p99": 40.0, "max": 40.0, "decimation": 1, "values": [],
-            },
-            "pass.tiny.wall_ms": {
-                "count": 4, "total": 0.04, "p50": 0.01, "p95": 0.02,
-                "p99": 0.02, "max": 0.02, "decimation": 1, "values": [],
-            },
-        },
         "profile": {
             "scan": {
                 "count": 4, "cum_ms": 100.0, "self_ms": 60.0,
@@ -37,6 +27,9 @@ def _snapshot():
                         "children": {},
                     },
                 },
+            },
+            "pass:tiny": {
+                "count": 4, "cum_ms": 0.04, "self_ms": 0.04, "children": {},
             },
         },
     }
@@ -89,14 +82,14 @@ class TestCounters:
 class TestTimings:
     def _with_total(self, record, total):
         out = copy.deepcopy(record)
-        out["timings"]["pass.connectivity.wall_ms"]["total"] = total
+        out["profile"]["scan"]["cum_ms"] = total
         return out
 
     def test_regression_beyond_threshold_gates(self, baseline):
         current = self._with_total(baseline, 125.0)  # +25% on 100 ms
         result = compare_runs(baseline, current)
         assert not result.ok
-        assert any("pass.connectivity.wall_ms" in r for r in result.regressions)
+        assert any(r.startswith("timing scan ") for r in result.regressions)
 
     def test_threshold_is_configurable(self, baseline):
         current = self._with_total(baseline, 125.0)
@@ -109,22 +102,39 @@ class TestTimings:
         assert any(row[4] == "improved" for row in result.timing_rows)
 
     def test_sub_floor_jitter_never_gates(self, baseline):
-        # pass.tiny doubles from 0.04 to 0.08 ms: +100%, but both totals
+        # pass:tiny doubles from 0.04 to 0.08 ms: +100%, but both times
         # sit under the absolute noise floor.
         current = copy.deepcopy(baseline)
-        current["timings"]["pass.tiny.wall_ms"]["total"] = 0.08
+        current["profile"]["pass:tiny"]["cum_ms"] = 0.08
         assert compare_runs(baseline, current).ok
         # Lowering the floor turns the same delta into a regression.
         assert not compare_runs(baseline, current, min_total_ms=0.01).ok
 
-    def test_gone_and_new_timings_inform_only(self, baseline):
+    def test_a_node_only_one_run_has_gates_on_its_count_alone(self, baseline):
         current = copy.deepcopy(baseline)
-        del current["timings"]["pass.tiny.wall_ms"]
-        current["timings"]["pass.fresh.wall_ms"] = {"total": 1.0}
+        del current["profile"]["pass:tiny"]
+        current["profile"]["pass:fresh"] = {
+            "count": 1, "cum_ms": 100.0, "self_ms": 100.0, "children": {},
+        }
         result = compare_runs(baseline, current)
+        assert sorted(result.regressions) == [
+            "profile node pass:fresh count changed: 0 -> 1",
+            "profile node pass:tiny count changed: 4 -> 0",
+        ]
+        assert result.timing_rows == []
+
+    def test_gc_node_times_never_gate(self, baseline):
+        # Collector time varies with its run count: both are the
+        # allocator's history, and the parent node's time includes it.
+        base_gc = copy.deepcopy(baseline)
+        base_gc["profile"]["scan"]["children"]["gc"] = {
+            "count": 3, "cum_ms": 10.0, "self_ms": 10.0, "children": {},
+        }
+        current = copy.deepcopy(base_gc)
+        current["profile"]["scan"]["children"]["gc"]["cum_ms"] = 40.0
+        result = compare_runs(base_gc, current)
         assert result.ok
-        notes = {row[4] for row in result.timing_rows}
-        assert {"gone", "new"} <= notes
+        assert result.timing_rows == []
 
 
 class TestIdentityGuards:
@@ -162,13 +172,21 @@ class TestProfile:
         assert compare_runs(base_gc, baseline).ok
 
     def test_time_shift_informs_without_gating(self, baseline):
+        # +15%: inside the ±20% threshold, past half of it, so reported.
         current = copy.deepcopy(baseline)
-        current["profile"]["scan"]["cum_ms"] = 200.0
+        current["profile"]["scan"]["cum_ms"] = 115.0
         result = compare_runs(baseline, current)
         assert result.ok
-        assert ["scan", 4, 4, 100.0, 200.0, "time shifted"] in (
-            result.profile_rows
-        )
+        assert result.timing_rows == [
+            ["scan", 100.0, 115.0, pytest.approx(15.0), "ok"]
+        ]
+
+    def test_a_record_without_a_profile_compares_no_nodes(self, baseline):
+        current = copy.deepcopy(baseline)
+        current["profile"] = None
+        result = compare_runs(baseline, current)
+        assert result.ok
+        assert result.profile_rows == [] and result.timings_compared == 0
 
 
 class TestLoadRun:
@@ -180,7 +198,7 @@ class TestLoadRun:
                 "options_fingerprint": baseline["options_fingerprint"],
             },
             "counters": baseline["counters"],
-            "timings": baseline["timings"],
+            "timings": {"pass.connectivity.wall_ms": {"total": 1.0}},
         }
         path = tmp_path / "export.json"
         path.write_text(json.dumps(export))
@@ -197,12 +215,28 @@ class TestLoadRun:
         )
         assert load_run(path)["label"] == "newer"
 
-    def test_raw_metrics_snapshot_gets_timings_summarized(self, tmp_path):
+    def test_raw_metrics_snapshot_loads_with_its_profile(self, tmp_path):
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps(_snapshot()))
         loaded = load_run(path)
-        assert "pass.connectivity.wall_ms" in loaded["timings"]
-        assert loaded["timings"]["pass.connectivity.wall_ms"]["p99"] == 40.0
+        assert loaded["profile"] == _snapshot()["profile"]
+        assert compare_runs(loaded, _run()).ok
+
+    def test_timing_summaries_of_older_files_are_ignored(
+        self, tmp_path, baseline
+    ):
+        older = copy.deepcopy(baseline)
+        older["timings"] = {"pass.connectivity.wall_ms": {"total": 1.0}}
+        older["histograms"] = {"pass.connectivity.wall_ms": {"total": 1.0}}
+        path = tmp_path / "older.json"
+        path.write_text(json.dumps(older))
+        # The profile node's time gates; the older summaries do not.
+        current = copy.deepcopy(baseline)
+        current["profile"]["scan"]["cum_ms"] = 500.0
+        result = compare_runs(load_run(path), current)
+        assert [r.split(" regressed")[0] for r in result.regressions] == [
+            "timing scan"
+        ]
 
     def test_counterless_file_is_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

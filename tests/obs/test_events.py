@@ -13,18 +13,15 @@ from repro.obs import (
     resolve_ledger_dir,
     run_record,
 )
-from repro.obs.events import timing_summary
 
 
 def _snapshot(counters=None):
     return {
         "counters": counters or {"scan.apps": 2, "pass.connectivity.runs": 2},
         "gauges": {"callgraph.methods": 10.0},
-        "histograms": {
-            "pass.connectivity.wall_ms": {
-                "count": 2, "total": 3.0, "p50": 1.0, "p95": 2.0,
-                "p99": 2.0, "max": 2.0, "decimation": 1,
-                "values": [1.0, 2.0],
+        "profile": {
+            "pass:connectivity": {
+                "count": 2, "cum_ms": 3.0, "self_ms": 3.0, "children": {},
             },
         },
     }
@@ -104,32 +101,20 @@ class TestRunRecord:
         assert base["run_id"] != changed["run_id"]
         assert base["run_id"] != other_apps["run_id"]
 
-    def test_record_is_json_safe_with_summarized_timings(self):
+    def test_record_is_json_safe_and_timed_by_its_profile_alone(self):
         record = _record(wall_s=1.0)
         assert json.loads(json.dumps(record)) == record
         assert record["schema_version"] == LEDGER_SCHEMA_VERSION
-        hist = record["timings"]["pass.connectivity.wall_ms"]
-        assert set(hist) == {
-            "count", "total", "p50", "p95", "p99", "max", "decimation"
-        }
-        assert "values" not in hist  # reservoirs never reach the ledger
+        assert record["profile"] == _snapshot()["profile"]
+        assert "timings" not in record
 
     def test_provenance_carries_identity_not_measurements(self):
         record = _record(wall_s=1.0)
         prov = provenance(record)
         assert prov["run_id"] == record["run_id"]
         assert prov["options_fingerprint"] == record["options_fingerprint"]
-        for key in ("wall_s", "counters", "timings", "profile"):
+        for key in ("wall_s", "counters", "profile"):
             assert key not in prov
-
-
-class TestTimingSummary:
-    def test_sorted_and_defaulted(self):
-        snap = {"histograms": {"b": {"count": 1}, "a": {}}}
-        out = timing_summary(snap)
-        assert list(out) == ["a", "b"]
-        assert out["a"]["decimation"] == 1
-        assert out["b"]["count"] == 1
 
 
 class TestRunLedger:

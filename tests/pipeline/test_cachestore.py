@@ -28,6 +28,7 @@ from repro.core import NChecker
 from repro.core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NCheckerOptions
 from repro.corpus.snippets import RequestSpec
 from repro.libmodels import default_registry
+from repro.obs import use_metrics
 from repro.pipeline.artifacts import CALLGRAPH, SUMMARIES, ArtifactStore
 from repro.pipeline.cachestore import (
     CACHE_FORMAT_VERSION,
@@ -78,18 +79,21 @@ def finding_sigs(result) -> list[tuple]:
 
 def scan_with(backend, apk=None):
     """One fresh-process-equivalent scan against a live backend object
-    (``None``: no cache)."""
+    (``None``: no cache); returns the result, the session and the
+    metrics registry the scan counted into."""
     session = NChecker().open_session(apk if apk is not None else fresh_apk())
     session.artifact_cache = CacheStore(backend) if backend is not None else None
-    return session.scan(), session
+    with use_metrics() as counts:
+        result = session.scan()
+    return result, session, counts
 
 
-def app_builds(session) -> dict[str, int]:
-    return {kind: session.store.counters.builds_of(kind) for kind in APP_KINDS}
+def builds(counts, kind: str) -> int:
+    return counts.counter_value(f"artifact.{kind}.builds")
 
 
-def counter(session, name: str) -> int:
-    return session.store.metrics.counter_value(name)
+def app_builds(counts) -> dict[str, int]:
+    return {kind: builds(counts, kind) for kind in APP_KINDS}
 
 
 # ---------------------------------------------------------------------------
@@ -240,28 +244,30 @@ class TestLocalBackendEdgeCases:
 class TestWarmScanEveryBackend:
     def test_warm_rescan_is_build_free(self, backend):
         apk = fresh_apk()
-        cold_result, cold_session = scan_with(backend, apk)
-        assert cold_session.store.counters.builds_of("callgraph") == 1
+        cold_result, _, cold_counts = scan_with(backend, apk)
+        assert builds(cold_counts, "callgraph") == 1
 
-        warm_result, warm_session = scan_with(backend, loads_apk(dumps_apk(apk)))
-        assert app_builds(warm_session) == dict.fromkeys(APP_KINDS, 0)
+        warm_result, _, warm_counts = scan_with(
+            backend, loads_apk(dumps_apk(apk))
+        )
+        assert app_builds(warm_counts) == dict.fromkeys(APP_KINDS, 0)
         for kind in PERSISTED_KINDS:
-            assert counter(warm_session, f"cache.local.{kind}.hits") == 1
+            assert warm_counts.counter_value(f"cache.local.{kind}.hits") == 1
         assert finding_sigs(warm_result) == finding_sigs(cold_result)
 
     def test_output_matches_uncached_scan(self, backend):
         apk = fresh_apk()
-        baseline, _ = scan_with(None, loads_apk(dumps_apk(apk)))
-        cold, _ = scan_with(backend, apk)
-        warm, _ = scan_with(backend, loads_apk(dumps_apk(apk)))
+        baseline, _, _ = scan_with(None, loads_apk(dumps_apk(apk)))
+        cold, _, _ = scan_with(backend, apk)
+        warm, _, _ = scan_with(backend, loads_apk(dumps_apk(apk)))
         assert (
             finding_sigs(baseline) == finding_sigs(cold) == finding_sigs(warm)
         )
 
     def test_cold_scan_counts_one_miss_per_tier_written(self, backend):
-        _result, session = scan_with(backend)
-        assert counter(session, "cache.local.callgraph.misses") == 1
-        assert counter(session, "cache.local.callgraph.hits") == 0
+        _result, session, counts = scan_with(backend)
+        assert counts.counter_value("cache.local.callgraph.misses") == 1
+        assert counts.counter_value("cache.local.callgraph.hits") == 0
 
 
 class TestCorruptionEveryBackend:
@@ -274,17 +280,17 @@ class TestCorruptionEveryBackend:
 
     def test_garbage_blob_is_a_miss_and_gets_repaired(self, backend):
         apk = fresh_apk()
-        cold_result, _ = scan_with(backend, apk)
+        cold_result, _, _ = scan_with(backend, apk)
         k = self.app_key(backend)
         backend.put(k, b"complete garbage, not even a header")
 
-        result, session = scan_with(backend, loads_apk(dumps_apk(apk)))
+        result, session, counts = scan_with(backend, loads_apk(dumps_apk(apk)))
         assert finding_sigs(result) == finding_sigs(cold_result)
-        assert session.store.counters.builds_of("summaries") == 1
-        assert session.store.counters.builds_of("callgraph") == 1
-        assert counter(session, "cache.local.summaries.misses") == 1
-        assert counter(session, "cache.local.summaries.hits") == 0
-        assert counter(session, "cache.local.errors") == 1
+        assert builds(counts, "summaries") == 1
+        assert builds(counts, "callgraph") == 1
+        assert counts.counter_value("cache.local.summaries.misses") == 1
+        assert counts.counter_value("cache.local.summaries.hits") == 0
+        assert counts.counter_value("cache.local.errors") == 1
         # The bad entry was dropped and the rebuilt artifact re-published
         # — the next reader gets a valid blob.
         repaired = backend.get(k)
@@ -292,27 +298,27 @@ class TestCorruptionEveryBackend:
 
     def test_header_version_mismatch_is_a_miss(self, backend):
         apk = fresh_apk()
-        cold_result, _ = scan_with(backend, apk)
+        cold_result, _, _ = scan_with(backend, apk)
         k = self.app_key(backend)
         stale = bytearray(backend.get(k))
         struct.pack_into(">I", stale, 4, CACHE_FORMAT_VERSION + 1)
         backend.put(k, bytes(stale))
 
-        result, session = scan_with(backend, loads_apk(dumps_apk(apk)))
+        result, session, counts = scan_with(backend, loads_apk(dumps_apk(apk)))
         assert finding_sigs(result) == finding_sigs(cold_result)
-        assert session.store.counters.builds_of("summaries") == 1
+        assert builds(counts, "summaries") == 1
 
     def test_flipped_payload_byte_is_a_miss(self, backend):
         apk = fresh_apk()
-        cold_result, _ = scan_with(backend, apk)
+        cold_result, _, _ = scan_with(backend, apk)
         k = self.app_key(backend)
         flipped = bytearray(backend.get(k))
         flipped[-1] ^= 0xFF
         backend.put(k, bytes(flipped))
 
-        result, session = scan_with(backend, loads_apk(dumps_apk(apk)))
+        result, session, counts = scan_with(backend, loads_apk(dumps_apk(apk)))
         assert finding_sigs(result) == finding_sigs(cold_result)
-        assert session.store.counters.builds_of("summaries") == 1
+        assert builds(counts, "summaries") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +370,8 @@ class TestOneEntryPerApp:
             scan_with(backend, apk)
         gets = count_calls(monkeypatch, "get")
         for apk in apks:
-            _result, session = scan_with(backend, loads_apk(dumps_apk(apk)))
-            assert app_builds(session) == dict.fromkeys(APP_KINDS, 0)
+            _result, session, counts = scan_with(backend, loads_apk(dumps_apk(apk)))
+            assert app_builds(counts) == dict.fromkeys(APP_KINDS, 0)
         assert len(gets) == len(set(gets)) == len(apks)
 
     def test_extended_rescan_adds_threadcontext_then_writes_nothing(
@@ -380,14 +386,15 @@ class TestOneEntryPerApp:
                 loads_apk(dumps_apk(apk))
             )
             session.artifact_cache = CacheStore(backend)
-            session.scan()
-            return session
+            with use_metrics() as counts:
+                session.scan()
+            return session, counts
 
-        second = scan_extended()
-        assert second.store.counters.builds_of("threadcontext") == 1
-        assert second.store.counters.builds_of("callgraph") == 0
-        assert counter(second, "cache.local.threadcontext.misses") == 1
-        assert counter(second, "cache.local.callgraph.misses") == 0
+        second, second_counts = scan_extended()
+        assert builds(second_counts, "threadcontext") == 1
+        assert builds(second_counts, "callgraph") == 0
+        assert second_counts.counter_value("cache.local.threadcontext.misses") == 1
+        assert second_counts.counter_value("cache.local.callgraph.misses") == 0
         assert len(puts) == 1  # the entry, rewritten whole
         assert unique_keys(backend) == {puts[0]}
         loaded = CacheStore(backend).load_into(
@@ -396,19 +403,19 @@ class TestOneEntryPerApp:
         )
         assert loaded == {*PERSISTED_KINDS, "threadcontext"}
 
-        third = scan_extended()
-        assert app_builds(third) == dict.fromkeys(APP_KINDS, 0)
-        assert third.store.counters.builds_of("threadcontext") == 0
-        assert counter(third, "cache.local.threadcontext.hits") == 1
+        third, third_counts = scan_extended()
+        assert app_builds(third_counts) == dict.fromkeys(APP_KINDS, 0)
+        assert builds(third_counts, "threadcontext") == 0
+        assert third_counts.counter_value("cache.local.threadcontext.hits") == 1
         assert len(puts) == 1  # nothing new to write
 
     def test_loaded_callgraph_holds_the_live_apps_methods(self, backend):
         apk = fresh_apk()
         scan_with(backend, apk)
         clone = loads_apk(dumps_apk(apk))
-        _result, session = scan_with(backend, clone)
+        _result, session, counts = scan_with(backend, clone)
         graph = session.store.peek(CALLGRAPH)
-        assert counter(session, "cache.local.callgraph.hits") == 1
+        assert counts.counter_value("cache.local.callgraph.hits") == 1
         live = {method_key(m): m for m in clone.methods()}
         assert graph.methods
         for key_, method in graph.methods.items():
@@ -422,9 +429,9 @@ class TestOneEntryPerApp:
 
     def test_callgraph_entry_carries_no_build_memo(self, backend):
         apk = fresh_apk()
-        _result, cold = scan_with(backend, apk)
-        _result, warm = scan_with(backend, loads_apk(dumps_apk(apk)))
-        assert counter(warm, "cache.local.callgraph.hits") == 1
+        _result, cold, _ = scan_with(backend, apk)
+        _result, warm, warm_counts = scan_with(backend, loads_apk(dumps_apk(apk)))
+        assert warm_counts.counter_value("cache.local.callgraph.hits") == 1
         for session in (cold, warm):
             state = vars(session.store.peek(CALLGRAPH))
             assert not {"_origin_memo", "_scope_memo"} & set(state)
@@ -437,14 +444,14 @@ class TestOneEntryPerApp:
     )
     def test_payload_that_is_not_a_kind_dict_is_a_miss(self, backend, payload):
         apk = fresh_apk()
-        cold_result, _ = scan_with(backend, apk)
+        cold_result, _, _ = scan_with(backend, apk)
         [k] = unique_keys(backend)
         backend.put(k, entry_blob(pickle.dumps(payload)))
 
-        result, session = scan_with(backend, loads_apk(dumps_apk(apk)))
+        result, session, counts = scan_with(backend, loads_apk(dumps_apk(apk)))
         assert finding_sigs(result) == finding_sigs(cold_result)
-        assert counter(session, "cache.local.errors") == 1
-        assert session.store.counters.builds_of("callgraph") == 1
+        assert counts.counter_value("cache.local.errors") == 1
+        assert builds(counts, "callgraph") == 1
         assert backend.get(k)[24:] != pickle.dumps(payload)  # rewritten
 
     def test_another_apps_entry_is_a_miss(self, backend):
@@ -460,15 +467,15 @@ class TestOneEntryPerApp:
                                 (other, default_registry()))
         )
         backend.put(foreign, backend.get(own))
-        _result, session = scan_with(backend, loads_apk(dumps_apk(other)))
-        assert counter(session, "cache.local.errors") == 1
-        assert session.store.counters.builds_of("callgraph") == 1
+        _result, session, counts = scan_with(backend, loads_apk(dumps_apk(other)))
+        assert counts.counter_value("cache.local.errors") == 1
+        assert builds(counts, "callgraph") == 1
 
     def test_another_sessions_objects_refuse_to_encode(self, backend):
         """An artifact that reaches another session's APK is not
         written."""
         apk = fresh_apk()
-        _result, session = scan_with(None, apk)
+        _result, session, _ = scan_with(None, apk)
         foreign = ArtifactStore(loads_apk(dumps_apk(apk)), session.registry)
         foreign.adopt(CALLGRAPH, session.store.peek(CALLGRAPH))
         with pytest.raises(pickle.PicklingError):
@@ -549,10 +556,10 @@ class TestPreSplitFormatCompat:
         dst.parent.mkdir(parents=True)
         dst.write_bytes((tmp_path / "writer" / relative).read_bytes())
 
-        result, session = scan_with(
+        result, session, counts = scan_with(
             LocalDirBackend(legacy_root), loads_apk(dumps_apk(apk))
         )
-        assert app_builds(session) == dict.fromkeys(APP_KINDS, 0)
+        assert app_builds(counts) == dict.fromkeys(APP_KINDS, 0)
         assert finding_sigs(result) == finding_sigs(cold_result)
 
 

@@ -24,6 +24,7 @@ import repro.dataflow.configvalues
 import repro.dataflow.taint
 from repro.core import NCheckerOptions
 from repro.libmodels import default_registry
+from repro.obs import use_metrics
 from repro.pipeline.scan import ScanSession
 from tests.callgraph.test_chain_scaling import SIZES, merged_app
 
@@ -76,9 +77,12 @@ def work():
             apk = merged_app(apps, stride=max(SIZES) // apps)
             statements = apk.stats()["statements"]
             calls = 0
-            session = ScanSession(apk, registry, NCheckerOptions())
-            session.scan()
-            builds = session.store.counters.builds_of
+            with use_metrics() as counts:
+                ScanSession(apk, registry, NCheckerOptions()).scan()
+
+            def builds(kind):
+                return counts.counter_value(f"artifact.{kind}.builds")
+
             per_stmt = {
                 kind: builds(kind) / statements
                 for kind in ("cfg", "defuse", "constants")

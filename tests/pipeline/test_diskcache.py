@@ -23,6 +23,7 @@ from repro.core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NCheckerOptions
 from repro.core.patcher import Patcher
 from repro.corpus.snippets import Connectivity, Notification, RequestSpec
 from repro.ir.statements import NopStmt
+from repro.obs import use_metrics
 from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.cachestore import (
     CACHE_FORMAT_VERSION,
@@ -56,21 +57,27 @@ def finding_sigs(result) -> list[tuple]:
     ]
 
 
-def app_builds(session) -> dict[str, int]:
-    """The session's app-scoped build counts (method-scoped kinds are
-    rebuilt per process by design and excluded here)."""
+def app_builds(counts) -> dict[str, int]:
+    """The app-scoped build counts in the registry ``counts``
+    (method-scoped kinds are rebuilt per process by design and excluded
+    here)."""
     return {
-        kind: session.store.counters.builds_of(kind) for kind in APP_KINDS
+        kind: counts.counter_value(f"artifact.{kind}.builds")
+        for kind in APP_KINDS
     }
 
 
-def scan_once(cache_dir, apk=None):
-    """One fresh-process-equivalent scan: new checker, new session."""
-    options = NCheckerOptions(cache_dir=str(cache_dir) if cache_dir else None)
-    checker = NChecker(options=options)
+def scan_once(cache_dir, apk=None, **options):
+    """One fresh-process-equivalent scan: new checker, new session;
+    returns the result, the session and the metrics registry the scan
+    counted into."""
+    checker = NChecker(options=NCheckerOptions(
+        cache_dir=str(cache_dir) if cache_dir else None, **options
+    ))
     session = checker.open_session(apk if apk is not None else fresh_apk())
-    result = session.scan()
-    return result, session
+    with use_metrics() as counts:
+        result = session.scan()
+    return result, session, counts
 
 
 class TestFingerprints:
@@ -159,14 +166,14 @@ class TestSizes:
 class TestWarmScan:
     def test_cold_builds_then_warm_adopts(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        r1, s1 = scan_once(cache_dir)
-        cold = app_builds(s1)
+        r1, _, c1 = scan_once(cache_dir)
+        cold = app_builds(c1)
         assert cold["callgraph"] == 1 and cold["requests"] == 1
 
-        r2, s2 = scan_once(cache_dir)
-        assert app_builds(s2) == dict.fromkeys(APP_KINDS, 0)
+        r2, _, c2 = scan_once(cache_dir)
+        assert app_builds(c2) == dict.fromkeys(APP_KINDS, 0)
         for kind in ("callgraph", "summaries", "requests", "retry-loops"):
-            assert s2.store.metrics.counter_value(f"cache.local.{kind}.hits") == 1
+            assert c2.counter_value(f"cache.local.{kind}.hits") == 1
         assert finding_sigs(r2) == finding_sigs(r1)
         assert [req.location() for req in r2.requests] == [
             req.location() for req in r1.requests
@@ -175,13 +182,13 @@ class TestWarmScan:
     def test_disabled_cache_writes_nothing(self, tmp_path):
         cache_dir = tmp_path / "cache"
         assert CacheStore.from_options(NCheckerOptions()) is None
-        _r, _s = scan_once(None)
+        scan_once(None)
         assert not cache_dir.exists()
         assert LocalDirBackend(cache_dir)._entry_files() == []
 
     def test_repeat_scan_rewrites_nothing(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        _r, session = scan_once(cache_dir)
+        _r, session, _ = scan_once(cache_dir)
         entries = {p: p.stat().st_mtime_ns for p in LocalDirBackend(cache_dir)._entry_files()}
         assert entries
         session.scan()  # same session, same fingerprint: already synced
@@ -194,15 +201,15 @@ class TestWarmScan:
         monkeypatch.setattr(
             fingerprints, "CACHE_FORMAT_VERSION", CACHE_FORMAT_VERSION + 1
         )
-        _r, session = scan_once(cache_dir)
-        assert app_builds(session)["callgraph"] == 1  # old entries unusable
+        _r, _, counts = scan_once(cache_dir)
+        assert app_builds(counts)["callgraph"] == 1  # old entries unusable
 
     def test_library_model_bump_is_cold(self, tmp_path, monkeypatch):
         cache_dir = tmp_path / "cache"
         scan_once(cache_dir)
         monkeypatch.setattr(fingerprints, "LIBMODELS_VERSION", 9999)
-        _r, session = scan_once(cache_dir)
-        assert app_builds(session)["callgraph"] == 1
+        _r, _, counts = scan_once(cache_dir)
+        assert app_builds(counts)["callgraph"] == 1
 
 
 class TestCorruption:
@@ -211,36 +218,35 @@ class TestCorruption:
 
     def corrupt_and_rescan(self, tmp_path, mutate):
         cache_dir = tmp_path / "cache"
-        r1, _ = scan_once(cache_dir)
+        r1, _, _ = scan_once(cache_dir)
         (path,) = LocalDirBackend(cache_dir)._entry_files()
         mutate(path)
-        r2, session = scan_once(cache_dir)
+        r2, _, counts = scan_once(cache_dir)
         assert finding_sigs(r2) == finding_sigs(r1)
-        return session, path
+        return counts, path
 
     def test_truncated_entry_is_a_miss_and_rebuilds(self, tmp_path):
         def truncate(path):
             path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
-        session, path = self.corrupt_and_rescan(tmp_path, truncate)
-        m = session.store.metrics
+        counts, path = self.corrupt_and_rescan(tmp_path, truncate)
         # The unreadable entry counts an error; the write-back of the
         # rebuilt app counts one miss per kind it holds.
-        assert m.counter_value("cache.local.errors") == 1
+        assert counts.counter_value("cache.local.errors") == 1
         for kind in ("callgraph", "summaries", "requests", "retry-loops"):
-            assert m.counter_value(f"cache.local.{kind}.misses") == 1
-            assert m.counter_value(f"cache.local.{kind}.hits") == 0
-            assert app_builds(session)[kind] == 1
+            assert counts.counter_value(f"cache.local.{kind}.misses") == 1
+            assert counts.counter_value(f"cache.local.{kind}.hits") == 0
+            assert app_builds(counts)[kind] == 1
         # The rebuilt entry overwrote the bad one: next scan is clean.
-        _r3, s3 = scan_once(tmp_path / "cache")
-        assert app_builds(s3) == dict.fromkeys(APP_KINDS, 0)
-        assert s3.store.metrics.counter_value("cache.local.errors") == 0
+        _r3, _, c3 = scan_once(tmp_path / "cache")
+        assert app_builds(c3) == dict.fromkeys(APP_KINDS, 0)
+        assert c3.counter_value("cache.local.errors") == 0
 
     def test_truncated_below_header_is_a_miss(self, tmp_path):
-        session, _ = self.corrupt_and_rescan(
+        counts, _ = self.corrupt_and_rescan(
             tmp_path, lambda p: p.write_bytes(b"NC")
         )
-        assert session.store.metrics.counter_value("cache.local.errors") == 1
+        assert counts.counter_value("cache.local.errors") == 1
 
     def test_bad_magic_is_a_miss(self, tmp_path):
         def stamp(path):
@@ -248,8 +254,8 @@ class TestCorruption:
             data[:4] = b"XXXX"
             path.write_bytes(bytes(data))
 
-        session, _ = self.corrupt_and_rescan(tmp_path, stamp)
-        assert session.store.metrics.counter_value("cache.local.errors") == 1
+        counts, _ = self.corrupt_and_rescan(tmp_path, stamp)
+        assert counts.counter_value("cache.local.errors") == 1
 
     def test_header_version_mismatch_is_a_miss(self, tmp_path):
         def bump_version(path):
@@ -257,8 +263,8 @@ class TestCorruption:
             struct.pack_into(">I", data, 4, CACHE_FORMAT_VERSION + 7)
             path.write_bytes(bytes(data))
 
-        session, _ = self.corrupt_and_rescan(tmp_path, bump_version)
-        assert session.store.metrics.counter_value("cache.local.errors") == 1
+        counts, _ = self.corrupt_and_rescan(tmp_path, bump_version)
+        assert counts.counter_value("cache.local.errors") == 1
 
     def test_flipped_payload_byte_is_a_miss(self, tmp_path):
         def flip(path):
@@ -266,8 +272,8 @@ class TestCorruption:
             data[-1] ^= 0xFF
             path.write_bytes(bytes(data))
 
-        session, _ = self.corrupt_and_rescan(tmp_path, flip)
-        assert session.store.metrics.counter_value("cache.local.errors") == 1
+        counts, _ = self.corrupt_and_rescan(tmp_path, flip)
+        assert counts.counter_value("cache.local.errors") == 1
 
 
 class TestPatchWarmStart:
@@ -467,30 +473,26 @@ class TestExtendedChecksCache:
     warm re-scan, and byte-identical `--extended-checks` output."""
 
     def scan_extended(self, cache_dir, apk=None):
-        options = NCheckerOptions(
-            cache_dir=str(cache_dir),
-            enabled_checks=DEFAULT_CHECKS | EXTENDED_CHECKS,
+        return scan_once(
+            cache_dir, apk, enabled_checks=DEFAULT_CHECKS | EXTENDED_CHECKS
         )
-        checker = NChecker(options=options)
-        session = checker.open_session(apk if apk is not None else fresh_apk())
-        return session.scan(), session
 
     def test_warm_rescan_builds_zero_threadcontexts(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        r1, s1 = self.scan_extended(cache_dir)
-        assert s1.store.counters.builds_of("threadcontext") == 1
+        r1, _, c1 = self.scan_extended(cache_dir)
+        assert c1.counter_value("artifact.threadcontext.builds") == 1
 
-        r2, s2 = self.scan_extended(cache_dir)
-        assert s2.store.counters.builds_of("threadcontext") == 0
+        r2, _, c2 = self.scan_extended(cache_dir)
+        assert c2.counter_value("artifact.threadcontext.builds") == 0
         assert (
-            s2.store.metrics.counter_value("cache.local.threadcontext.hits") == 1
+            c2.counter_value("cache.local.threadcontext.hits") == 1
         )
-        assert app_builds(s2) == dict.fromkeys(APP_KINDS, 0)
+        assert app_builds(c2) == dict.fromkeys(APP_KINDS, 0)
         assert finding_sigs(r2) == finding_sigs(r1)
 
     def test_default_scan_never_persists_threadcontext(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        _r, session = scan_once(cache_dir)
+        _r, session, _ = scan_once(cache_dir)
         assert LocalDirBackend(cache_dir)._entry_files()
         loaded = CacheStore(LocalDirBackend(cache_dir)).load_into(
             ArtifactStore(session.apk, session.registry),

@@ -13,18 +13,16 @@ from tests.conftest import single_request_app
 
 
 def traced_scan(**kwargs):
-    """Scan one app under ``kwargs`` options; returns the session's
-    artifact counters, its metrics snapshot and the names of the spans
-    it opened, in order."""
+    """Scan one app under ``kwargs`` options; returns its metrics
+    snapshot and the names of the spans it opened, in order."""
     apk, _ = single_request_app(RequestSpec(library="basichttp"))
     checker = NChecker(options=NCheckerOptions(**kwargs))
     tracer = Tracer(enabled=True)
     with use_metrics() as registry, use_tracer(tracer):
-        session = checker.session_for(apk)
-        session.scan()
+        checker.scan(apk)
         snapshot = registry.snapshot()
     spans = [event["name"] for event in tracer.export() if event["ph"] == "B"]
-    return session.store.counters, snapshot, spans
+    return snapshot, spans
 
 
 class TestCatalogOrder:
@@ -40,12 +38,12 @@ class TestCatalogOrder:
             for check, enabled in check_catalog(options)
             if enabled
         ]
-        _counters, _snapshot, spans = traced_scan(enabled_checks=checks)
+        _snapshot, spans = traced_scan(enabled_checks=checks)
         assert [name for name in spans if name.startswith("pass:")] == expected
         assert len(expected) == len(checks)
 
     def test_network_switch_runs_last_when_switched_on(self):
-        _counters, _snapshot, spans = traced_scan(check_network_switch=True)
+        _snapshot, spans = traced_scan(check_network_switch=True)
         passes = [name for name in spans if name.startswith("pass:")]
         assert passes[0] == "pass:config-apis"
         assert passes[-1] == "pass:network-switch"
@@ -71,48 +69,54 @@ class TestPlanning:
 
 
 class TestSkippedArtifactsNotBuilt:
-    def scan_counters(self, **kwargs):
-        counters, _snapshot, _spans = traced_scan(**kwargs)
-        return counters
+    def scan_builds(self, **kwargs):
+        """Builds per artifact kind of one scan (0 for a kind not built)."""
+        snapshot, _spans = traced_scan(**kwargs)
+        builds = {
+            name.split(".")[1]: value
+            for name, value in snapshot["counters"].items()
+            if name.startswith("artifact.") and name.endswith(".builds")
+        }
+        return lambda kind: builds.get(kind, 0)
 
     def test_default_scan_builds_retry_loops(self):
-        counters = self.scan_counters()
-        assert counters.builds_of("retry-loops") == 1
-        assert counters.builds_of("icc-model") == 0
+        builds_of = self.scan_builds()
+        assert builds_of("retry-loops") == 1
+        assert builds_of("icc-model") == 0
 
     def test_default_options_build_neither_icc_model_nor_threadcontext(self):
-        counters = self.scan_counters()
-        assert counters.builds_of("icc-model") == 0
-        assert counters.builds_of("threadcontext") == 0
+        builds_of = self.scan_builds()
+        assert builds_of("icc-model") == 0
+        assert builds_of("threadcontext") == 0
 
     def test_extended_checks_build_threadcontext(self):
-        counters = self.scan_counters(
+        builds_of = self.scan_builds(
             enabled_checks=DEFAULT_CHECKS | EXTENDED_CHECKS
         )
-        assert counters.builds_of("threadcontext") == 1
+        assert builds_of("threadcontext") == 1
 
     def test_no_retry_loop_detection_builds_no_retry_loops(self):
-        counters = self.scan_counters(detect_retry_loops=False)
-        assert counters.builds_of("retry-loops") == 0
-        assert counters.builds_of("requests") == 1
+        builds_of = self.scan_builds(detect_retry_loops=False)
+        assert builds_of("retry-loops") == 0
+        assert builds_of("requests") == 1
 
     def test_inter_component_builds_the_icc_model(self):
-        counters = self.scan_counters(inter_component=True)
-        assert counters.builds_of("icc-model") == 1
+        builds_of = self.scan_builds(inter_component=True)
+        assert builds_of("icc-model") == 1
 
     def test_disabling_checks_skips_artifacts_only_they_need(self):
-        counters = self.scan_counters(enabled_checks=frozenset({"connectivity"}))
-        assert counters.builds_of("retry-loops") == 0
-        assert counters.builds_of("icc-model") == 0
+        builds_of = self.scan_builds(enabled_checks=frozenset({"connectivity"}))
+        assert builds_of("retry-loops") == 0
+        assert builds_of("icc-model") == 0
         # Shared artifacts are still built exactly once.
-        assert counters.builds_of("requests") == 1
-        assert counters.builds_of("callgraph") == 1
+        assert builds_of("requests") == 1
+        assert builds_of("callgraph") == 1
 
     def test_summary_ablation_never_builds_the_engine(self):
         """The intraprocedural connectivity ablation, run alone, queries
         no summary fact: the engine it is handed builds no fact — it
         evaluates no SCC and never condenses the call graph."""
-        _counters, snapshot, spans = traced_scan(
+        snapshot, spans = traced_scan(
             enabled_checks=frozenset({"connectivity"}),
             interprocedural_connectivity=False,
         )

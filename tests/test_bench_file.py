@@ -1,5 +1,5 @@
-"""The committed BENCH export: schema, provenance, and no retired
-counter names.
+"""The committed BENCH export and bench baseline: schema, provenance,
+no retired counter names, and a baseline that still matches the code.
 
 PR 7 renamed the cache-hit counters from ``cache.disk.*`` to per-tier
 ``cache.<tier>.*`` names; the committed measurements must not keep the
@@ -10,8 +10,9 @@ reintroduce it.
 import json
 from pathlib import Path
 
+from repro.cli import main
 from repro.core.checker import NCheckerOptions
-from repro.obs import BENCH_SCHEMA_VERSION, use_metrics
+from repro.obs import BENCH_SCHEMA_VERSION, compare_runs, load_run, use_metrics
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH_FILE = REPO / "BENCH_pipeline.json"
@@ -45,6 +46,29 @@ class TestCommittedBenchFile:
             assert not any(
                 name.startswith(prefix) for name in baseline["counters"]
             )
+
+
+class TestCommittedBaseline:
+    def test_a_fresh_recording_gates_clean_on_its_counts(
+        self, tmp_path, capsys
+    ):
+        """What CI's `bench gate` checks, minus wall time: a run recorded
+        now has the baseline's counters and profile-node counts, so a
+        span or counter added without refreshing the baseline
+        (`nchecker bench record --baseline`) fails here first."""
+        apps = sorted(str(p) for p in (REPO / "examples" / "apps").glob("*.apkt"))
+        current = tmp_path / "current.json"
+        code = main(["bench", "record", "--ledger-dir", str(tmp_path),
+                     "--out", str(current), *apps])
+        capsys.readouterr()
+        assert code == 0
+        result = compare_runs(
+            load_run(REPO / "benchmarks" / "bench_baseline.json"),
+            load_run(current),
+            threshold=float("inf"),
+        )
+        assert result.ok, result.render()
+        assert result.counters_compared == 30
 
 
 class TestFreshSnapshots:

@@ -429,8 +429,8 @@ class TestUnusedImports:
 KEPT_DEFINITIONS = {
     "repro.core.checker.ScanResult.count_of":
         "benchmarks/test_ablations.py counts findings per defect kind",
-    "repro.pipeline.artifacts.ArtifactCounters.builds_of":
-        "the artifact and disk-cache tests pin build counts per kind",
+    "repro.obs.metrics.MetricsRegistry.counter_value":
+        "tests read single counts from a use_metrics() registry",
     "repro._entry.run":
         "the installed `nchecker` script (pyproject.toml [project.scripts])",
     "repro.pipeline.batch.ScanPayload.sarif_results":
