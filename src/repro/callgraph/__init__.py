@@ -16,7 +16,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "EntryPoint",
         "MethodKey",
         "discover_entry_points",
-        "entry_points_by_key",
         "method_key",
     ),
     "reachability": ("CallChain", "chains_to_method"),
@@ -40,7 +39,6 @@ __all__ = [
     "chains_to_method",
     "collect_field_types",
     "discover_entry_points",
-    "entry_points_by_key",
     "method_key",
     "origin_classes",
 ]

@@ -82,6 +82,3 @@ def discover_entry_points(apk: APK) -> list[EntryPoint]:
                 add(method, kind, is_ui=False)
     return entries
 
-
-def entry_points_by_key(apk: APK) -> dict[MethodKey, EntryPoint]:
-    return {entry.key: entry for entry in discover_entry_points(apk)}

@@ -15,13 +15,11 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "defects": (
         "DefectKind",
         "FIX_SUGGESTIONS",
-        "IMPACT_DISTRIBUTION",
         "Impact",
         "KIND_IMPACT",
         "KIND_PATTERN",
         "KIND_ROOT_CAUSE",
         "MisusePattern",
-        "ROOT_CAUSE_CASES",
         "RootCause",
         "defect_info",
     ),
@@ -38,7 +36,6 @@ __all__ = [
     "DefectKind",
     "FIX_SUGGESTIONS",
     "Finding",
-    "IMPACT_DISTRIBUTION",
     "Impact",
     "KIND_IMPACT",
     "KIND_PATTERN",
@@ -50,7 +47,6 @@ __all__ = [
     "PatchResult",
     "Patcher",
     "AppliedPatch",
-    "ROOT_CAUSE_CASES",
     "RetryLoop",
     "RootCause",
     "ScanDiff",

@@ -19,15 +19,6 @@ class Impact(Enum):
     BATTERY_DRAIN = "Battery drain"
 
 
-#: Fig 4 distribution (percent of the 90 studied NPDs).
-IMPACT_DISTRIBUTION: dict[Impact, int] = {
-    Impact.DYSFUNCTION: 36,
-    Impact.UNFRIENDLY_UI: 33,
-    Impact.CRASH_FREEZE: 21,
-    Impact.BATTERY_DRAIN: 10,
-}
-
-
 class RootCause(Enum):
     """Root causes of the studied NPDs (paper Table 3 / §2.3)."""
 
@@ -35,15 +26,6 @@ class RootCause(Enum):
     MISHANDLED_TRANSIENT = "Mishandling transient error"
     MISHANDLED_PERMANENT = "Mishandling permanent error"
     MISHANDLED_SWITCH = "Mishandling network switch"
-
-
-#: Table 3: cases (of 90) per root cause.
-ROOT_CAUSE_CASES: dict[RootCause, int] = {
-    RootCause.NO_CONNECTIVITY_CHECK: 27,
-    RootCause.MISHANDLED_TRANSIENT: 12,
-    RootCause.MISHANDLED_PERMANENT: 24,
-    RootCause.MISHANDLED_SWITCH: 27,
-}
 
 
 class MisusePattern(Enum):

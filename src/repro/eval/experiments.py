@@ -477,6 +477,3 @@ EXPERIMENTS: dict[str, Callable[[], ExperimentReport]] = {
     "table2x": run_table2x,
 }
 
-
-def run_all() -> list[ExperimentReport]:
-    return [runner() for runner in EXPERIMENTS.values()]

@@ -52,7 +52,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "MethodSig",
         "NewArrayExpr",
         "NewExpr",
-        "NULL",
         "THIS",
         "UnaryExpr",
         "Value",
@@ -68,7 +67,7 @@ __all__ = [
     "FieldRef", "FieldSig", "GotoStmt", "IRClass", "IRMethod", "IfStmt",
     "InstanceOfExpr", "InvokeExpr", "InvokeStmt", "KIND_INTERFACE",
     "KIND_SPECIAL", "KIND_STATIC", "KIND_VIRTUAL", "LengthExpr", "Local",
-    "LoopHandle", "MethodBuilder", "MethodSig", "NULL", "NewArrayExpr",
+    "LoopHandle", "MethodBuilder", "MethodSig", "NewArrayExpr",
     "NewExpr", "NopStmt", "ParseError", "ReturnStmt", "Stmt", "THIS",
     "ThrowStmt", "Trap", "TryRegion", "UnaryExpr", "Value", "format_stmt",
     "locals_in", "parse_class", "parse_classes", "parse_stmt", "print_class",

@@ -109,9 +109,6 @@ class Const(Value):
         return str(self.value)
 
 
-NULL = Const(None)
-
-
 class Expr(Value):
     """Base class for composite (non-atomic) right-hand-side values."""
 

@@ -46,7 +46,6 @@ from .basichttp import BASIC_HTTP
 from .capabilities import (
     CAPABILITY_MATRIX,
     EXTENDED_CAPABILITY_MATRIX,
-    EXTENDED_CAUSE_ROWS,
     LIBRARY_COLUMNS,
     NPD_CAUSE_ROWS,
     Tolerance,
@@ -56,7 +55,7 @@ from .capabilities import (
 )
 from .httpurlconnection import HTTPURLCONNECTION
 from .okhttp import OKHTTP
-from .volley import VOLLEY, VOLLEY_ERROR_TYPES, VOLLEY_METHOD_CODES, VOLLEY_REQUEST_CLASSES
+from .volley import VOLLEY, VOLLEY_METHOD_CODES, VOLLEY_REQUEST_CLASSES
 
 ALL_LIBRARIES = (
     HTTPURLCONNECTION,
@@ -101,7 +100,6 @@ __all__ = [
     "CAPABILITY_MATRIX",
     "CONNECTIVITY_CHECK_APIS",
     "EXTENDED_CAPABILITY_MATRIX",
-    "EXTENDED_CAUSE_ROWS",
     "CallbackRole",
     "CallbackSpec",
     "ConfigAPI",
@@ -124,7 +122,6 @@ __all__ = [
     "UI_NOTIFICATION_CLASSES",
     "UNREGISTER_FOR",
     "VOLLEY",
-    "VOLLEY_ERROR_TYPES",
     "VOLLEY_METHOD_CODES",
     "VOLLEY_REQUEST_CLASSES",
     "default_registry",

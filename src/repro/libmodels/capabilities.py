@@ -60,17 +60,10 @@ CAPABILITY_MATRIX: dict[str, tuple[Tolerance, ...]] = {
 }
 
 
-#: Extended NPD causes (beyond the paper's Table 4): the taxonomy-driven
-#: classes added by the thread-context and callback-lifecycle analyses.
-#: Kept in separate structures so the paper matrix above stays exactly as
-#: printed (and test-asserted).
-EXTENDED_CAUSE_ROWS: tuple[str, ...] = (
-    "Network call on UI thread",
-    "Connectivity callback leak",
-    "No offline cache fallback",
-)
-
-#: Extended matrix (rows above × LIBRARY_COLUMNS).  Volley and loopj run
+#: Extended matrix: the taxonomy-driven NPD causes beyond the paper's
+#: Table 4 (added by the thread-context and callback-lifecycle analyses)
+#: × LIBRARY_COLUMNS, kept apart so the paper matrix above stays exactly
+#: as printed (and test-asserted).  Volley and loopj run
 #: the request off-thread automatically (⋆ for UI-thread calls); Volley's
 #: request queue caches responses by default (⋆ for offline fallback);
 #: everything else offers APIs the developer must wire up (©).

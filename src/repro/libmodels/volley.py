@@ -84,16 +84,3 @@ VOLLEY = LibraryModel(
     ),
     exposes_error_types=True,
 )
-
-#: Volley error classes exposed to onErrorResponse (paper §4.2, pattern 3).
-VOLLEY_ERROR_TYPES = frozenset(
-    {
-        "com.android.volley.NoConnectionError",
-        "com.android.volley.TimeoutError",
-        "com.android.volley.NetworkError",
-        "com.android.volley.ServerError",
-        "com.android.volley.AuthFailureError",
-        "com.android.volley.ClientError",
-        "com.android.volley.ParseError",
-    }
-)

@@ -23,12 +23,10 @@ from .link import (
     LinkProfile,
     LinkSchedule,
     OFFLINE,
-    PROFILES,
     THREE_G,
     THREE_G_CLEAN,
     THREE_G_LOSSY,
     WIFI,
-    wifi_to_cellular_handover,
 )
 from .scenarios import POOR_3G, SCENARIOS
 from .runtime import (
@@ -57,7 +55,6 @@ __all__ = [
     "LinkSchedule",
     "MSS",
     "OFFLINE",
-    "PROFILES",
     "POOR_3G",
     "SCENARIOS",
     "RequestPolicy",
@@ -73,7 +70,6 @@ __all__ = [
     "TransferOutcome",
     "WIFI",
     "connect",
-    "wifi_to_cellular_handover",
     "download_success_rate",
     "transfer",
 ]

@@ -48,11 +48,6 @@ OFFLINE = LinkProfile("offline", bandwidth_kbps=1.0, rtt_ms=1.0, connected=False
 THREE_G_CLEAN = THREE_G
 THREE_G_LOSSY = THREE_G.with_loss(0.10)
 
-PROFILES: dict[str, LinkProfile] = {
-    p.name: p for p in (THREE_G, EDGE, WIFI, LTE, OFFLINE)
-}
-
-
 @record(frozen=True)
 class LinkSchedule:
     """A mobility timeline: which link the device is on at each instant.
@@ -89,7 +84,3 @@ class LinkSchedule:
     def constant(cls, link: LinkProfile) -> "LinkSchedule":
         return cls(((0.0, link),))
 
-
-def wifi_to_cellular_handover(at_ms: float = 5_000.0) -> LinkSchedule:
-    """The canonical switch scenario: WiFi, then a hop to 3G."""
-    return LinkSchedule(((0.0, WIFI), (at_ms, THREE_G)))

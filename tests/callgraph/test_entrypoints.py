@@ -1,7 +1,7 @@
 """Entry-point discovery tests."""
 
 from repro.app import APK, ComponentKind, Manifest
-from repro.callgraph import discover_entry_points, entry_points_by_key
+from repro.callgraph import discover_entry_points
 from repro.ir import ClassBuilder
 
 
@@ -31,6 +31,10 @@ def _app():
     b.ret()
     listener.add(b)
     return APK(manifest, [main.build(), sync.build(), listener.build()])
+
+
+def entry_points_by_key(apk):
+    return {entry.key: entry for entry in discover_entry_points(apk)}
 
 
 class TestDiscovery:

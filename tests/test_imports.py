@@ -456,6 +456,22 @@ KEPT_DEFINITIONS = {
     "repro.corpus.study.TRANSIENT_SUBCAUSES": "paper §2.3 study data",
     "repro.corpus.study.PERMANENT_SUBCAUSES": "paper §2.3 study data",
     "repro.corpus.study.SWITCH_SUBCAUSES": "paper §2.3 study data",
+    "repro.service.daemon.start_in_thread":
+        "tests and benchmarks boot the daemon in a thread of their own",
+    "repro.cfg.loops.loops_containing":
+        "tests check nested natural loops through it, innermost first",
+    "repro.corpus.snippets.SUPPORTED_LIBRARIES":
+        "tests parametrize over every library the snippet emitter writes",
+    "repro.eval.sarif.dumps_sarif":
+        "tests' one-shot reference for the streamed SARIF log",
+    "repro.ir.parser.parse_class":
+        "IR text API that tests parse single classes with",
+    "repro.ir.printer.print_class":
+        "IR text API that tests round-trip single classes with",
+    "repro.libmodels.capabilities.tolerates_automatically":
+        "tests read the Table 4 capability matrix one cell at a time",
+    "repro.netsim.energy.WIFI_RADIO":
+        "the WiFi radio preset the energy tests compare 3G against",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -531,8 +547,12 @@ class _Program:
 
     def __init__(self, sources: dict[str, str]) -> None:
         self.trees: dict[str, ast.Module] = {}
-        #: (module, name) pairs another module imports or a lazy map lists.
+        #: (module, name) pairs another module imports, reads as
+        #: ``module.name`` or exports from the top-level package.
         self.imported: set[tuple[str, str]] = set()
+        #: (package, name) -> (module, name) for what a subpackage
+        #: ``__init__`` re-exports, eagerly or through its lazy map.
+        self.reexports: dict[tuple[str, str], tuple[str, str]] = {}
         #: module -> local name -> the dotted name it is bound to.
         self.bindings: dict[str, dict[str, str]] = {}
         self.attr_loads: Counter = Counter()
@@ -543,12 +563,20 @@ class _Program:
             tree = self.trees[module] = ast.parse(source, path)
             bound = self.bindings[module] = {}
             self.attr_loads.update(_attr_loads(tree))
+            # Only the top-level package's exports are the public API: a
+            # subpackage ``__init__``'s re-export is a use only once
+            # something reads the name through it.
+            reexporter = is_package and module != "repro"
             for node in ast.walk(tree):
                 if isinstance(node, ast.ImportFrom):
                     base = _import_base(module, is_package, node)
                     for alias in node.names:
-                        self.imported.add((base, alias.name))
-                        bound[alias.asname or alias.name] = f"{base}.{alias.name}"
+                        local = alias.asname or alias.name
+                        bound[local] = f"{base}.{alias.name}"
+                        if reexporter:
+                            self.reexports[(module, local)] = (base, alias.name)
+                        else:
+                            self.imported.add((base, alias.name))
                 elif isinstance(node, ast.Import):
                     for alias in node.names:
                         local = alias.asname or alias.name.partition(".")[0]
@@ -561,7 +589,16 @@ class _Program:
                     exports = ast.literal_eval(node.args[1])
                     for submodule, names in exports.items():
                         for name in names:
-                            self.imported.add((f"{module}.{submodule}", name))
+                            target = (f"{module}.{submodule}", name)
+                            if reexporter:
+                                self.reexports[(module, name)] = target
+                            else:
+                                self.imported.add(target)
+            if reexporter:
+                # What the ``__init__`` itself runs is a use.
+                self.imported.update(
+                    (module, name) for name in _name_loads(tree)
+                )
         # ``module.name`` read through an imported module or package.
         for module, tree in self.trees.items():
             for node in ast.walk(tree):
@@ -569,6 +606,14 @@ class _Program:
                     owner = self._resolve(module, _dotted(node.value))
                     if owner is not None:
                         self.imported.add((owner, node.attr))
+        # A name read through a package reaches what the package
+        # re-exports under it, through any chain of re-exports.
+        pending = list(self.imported)
+        while pending:
+            target = self.reexports.get(pending.pop())
+            if target is not None and target not in self.imported:
+                self.imported.add(target)
+                pending.append(target)
         self.classes = {
             (module, node.name): node
             for module, tree in self.trees.items()
@@ -638,7 +683,10 @@ def unused_definitions(sources: dict[str, str]) -> list[str]:
 
     A top-level function, class or constant is used when its own module
     reads it outside its own body, another module imports it (or reads
-    it as ``module.name``), or a ``lazy_exports`` map lists it.  A
+    it as ``module.name``), or the top-level package exports it.  A
+    subpackage ``__init__`` that re-exports a name (imports it, or lists
+    it in its ``lazy_exports`` map) does not use it; reading the name
+    through the subpackage does.  A
     method is used when its name is read as an attribute anywhere
     outside its own body, or when it overrides a base-class method.
     Dunders are always used."""
@@ -704,13 +752,32 @@ class TestUnusedDefinitions:
             ),
             "repro/b.py": (
                 "from .a import Loader, used\n"
-                "from . import a\n"
-                "RESULT = (used(), a.READ_AS_MODULE_ATTRIBUTE, Loader)\n"
+                "from . import a, pkg\n"
+                "from .pkg import read_through_package\n"
+                "RESULT = (used(), a.READ_AS_MODULE_ATTRIBUTE, Loader,\n"
+                "          read_through_package, pkg.read_as_attribute)\n"
                 "print(RESULT)\n"
+            ),
+            # A subpackage's re-exports are not uses by themselves.
+            "repro/pkg/__init__.py": (
+                "from .._lazy import lazy_exports\n"
+                "from .mod import re_exported_only, read_through_package\n"
+                "__getattr__, __dir__ = lazy_exports(__name__, {\n"
+                "    'mod': ('lazily_exported_only', 'read_as_attribute'),\n"
+                "})\n"
+                "__all__ = ['re_exported_only', 'lazily_exported_only']\n"
+            ),
+            "repro/pkg/mod.py": (
+                "def re_exported_only():\n    pass\n"
+                "def lazily_exported_only():\n    pass\n"
+                "def read_through_package():\n    pass\n"
+                "def read_as_attribute():\n    pass\n"
             ),
         }
         assert unused_definitions(sources) == [
             "repro.a.Child.dead_method",
             "repro.a.DEAD_CONSTANT",
             "repro.a.dead_function",
+            "repro.pkg.mod.lazily_exported_only",
+            "repro.pkg.mod.re_exported_only",
         ]
