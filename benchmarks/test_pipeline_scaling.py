@@ -43,7 +43,7 @@ def _provenance() -> dict:
     """Identity block for the derived BENCH export: which schema wrote
     it, under which options fingerprint, at which commit."""
     from repro.obs import BENCH_SCHEMA_VERSION, git_head_sha
-    from repro.pipeline.cachestore.fingerprints import scan_options_fingerprint
+    from repro.obs.events import scan_options_fingerprint
 
     return {
         "schema_version": BENCH_SCHEMA_VERSION,

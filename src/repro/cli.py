@@ -8,9 +8,8 @@ Subcommands:
 * ``corpus <dir> [--apps N]`` — emit the synthetic evaluation corpus as
   ``.apkt`` files (inspectable, re-scannable);
 * ``cache stats|gc|clear`` — manage the persistent artifact cache;
-* ``bench record|gate`` — record performance runs into the
-  append-only run ledger and gate regressions against a baseline
-  (``docs/BENCHMARKS.md``);
+* ``bench gate`` — gate the run record of one ``scan --metrics`` against
+  a baseline record (``docs/BENCHMARKS.md``);
 * ``serve`` — run the scan-as-a-service HTTP daemon
   (``docs/SERVICE.md``).
 
@@ -82,16 +81,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     )
     from .pipeline.batch import BatchScanner, WorkerDied
 
-    # --trace / --metrics / --stats / --profile / --ledger all ride on
-    # the worker telemetry round-trip; none of them touch stdout, which
-    # stays byte-identical to an uninstrumented run (the table and
-    # notices go to stderr).  Whenever metrics are collected the span
-    # stream is folded into the profile tree too, so every --metrics
-    # snapshot carries a `profile` section.
+    # --trace / --metrics / --stats / --profile all ride on the worker
+    # telemetry round-trip; none of them touch stdout, which stays
+    # byte-identical to an uninstrumented run (the table and notices go
+    # to stderr).  Whenever metrics are collected the span stream is
+    # folded into the profile tree too, so every --metrics record
+    # carries a `profile` section.
     want_trace = bool(args.trace)
-    want_metrics = (
-        bool(args.metrics_out) or args.stats or args.profile or args.ledger
-    )
+    want_metrics = bool(args.metrics_out) or args.stats or args.profile
 
     progress = None
     if args.progress:
@@ -248,9 +245,8 @@ def _write_scan_telemetry(
     args: argparse.Namespace, payloads, options, render_events: list, files
 ) -> int:
     """Merge worker telemetry with the parent's ``render_events`` and
-    surface it (--trace/--metrics into their open files, --stats,
-    --profile), then append the run to the ledger when asked (--ledger,
-    or $NCHECKER_LEDGER_DIR in the environment)."""
+    surface it: --trace and the --metrics run record into their open
+    files, --stats and --profile on stderr."""
     import json
 
     from .obs import (
@@ -275,8 +271,12 @@ def _write_scan_telemetry(
     ])
     if args.metrics_out:
         from ._jsonwriter import dumps
+        from .obs import app_set_digest, run_record
 
-        if not _write_and_close(args, files, "metrics_out", [dumps(merged)]):
+        record = run_record(
+            options=options, app_set=app_set_digest(args.apps), snapshot=merged
+        )
+        if not _write_and_close(args, files, "metrics_out", [dumps(record)]):
             return 2
         log.info("wrote metrics snapshot to %s", args.metrics_out)
     if args.stats:
@@ -285,26 +285,6 @@ def _write_scan_telemetry(
         from .obs import render_profile
 
         print(render_profile(merged.get("profile") or {}), file=sys.stderr)
-    if merged.get("counters") and (
-        args.ledger or os.environ.get("NCHECKER_LEDGER_DIR")
-    ):
-        from .obs import RunLedger, app_set_digest, resolve_ledger_dir, run_record
-
-        record = run_record(
-            "scan",
-            options=options,
-            app_set=app_set_digest(args.apps),
-            snapshot=merged,
-        )
-        ledger = RunLedger(resolve_ledger_dir())
-        try:
-            ledger.append(record)
-        except OSError as exc:
-            # The ledger is telemetry: losing a record must not fail the
-            # scan that produced perfectly good findings.
-            log.warning("cannot append to run ledger %s: %s", ledger.path, exc)
-        else:
-            log.info("appended run %s to %s", record["run_id"], ledger.path)
     return 0
 
 
@@ -453,21 +433,38 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     from .corpus.profiles import PAPER_PROFILE
 
     out_dir = Path(args.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create corpus directory {out_dir}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return 2
     generator = CorpusGenerator(PAPER_PROFILE.scaled(args.apps))
     truths = []
     for apk, truth in generator.iter_apps():
         path = out_dir / f"{apk.package}.apkt"
-        path.write_text(dumps_apk(apk))
+        if not _write_corpus_file(path, dumps_apk(apk)):
+            return 2
         truths.append(truth)
     print(f"wrote {args.apps} apps to {out_dir}")
     if not args.no_ledger:
         from .corpus.groundtruth import dumps_ledger
 
         ledger_path = out_dir / "groundtruth.json"
-        ledger_path.write_text(dumps_ledger(truths))
+        if not _write_corpus_file(ledger_path, dumps_ledger(truths)):
+            return 2
         print(f"wrote ground-truth ledger to {ledger_path}")
     return 0
+
+
+def _write_corpus_file(path: Path, text: str) -> bool:
+    """Write one corpus file; ``False`` after printing the error."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        print(f"error: cannot create {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -494,106 +491,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     raise AssertionError(f"unknown cache action {args.action!r}")
 
 
-#: Where `bench record --baseline` / `bench gate --baseline` point by
-#: default — the file CI checks in and gates against (docs/BENCHMARKS.md).
-DEFAULT_BASELINE = "benchmarks/bench_baseline.json"
-
-
-def _bench_apps(args: argparse.Namespace) -> list[str]:
-    """The app set a bench command measures: explicit paths, else the
-    repository's example apps relative to the working directory."""
-    apps = list(getattr(args, "apps", None) or [])
-    if not apps:
-        import glob
-
-        apps = sorted(glob.glob(os.path.join("examples", "apps", "*.apkt")))
-    return apps
-
-
-def _bench_measure(apps, jobs: int, options, label):
-    """One instrumented benchmark scan -> a ledger record.
-
-    The persistent cache is left disabled (the options carry no cache
-    dir) so every counter is a pure function of (apps, options)
-    — the determinism `bench gate`'s exact-match rule relies on.
-    """
-    from .obs import app_set_digest, merge_snapshots, run_record
-    from .pipeline.batch import BatchScanner
-
-    scanner = BatchScanner(options=options, jobs=jobs)
-    start = time.perf_counter()
-    payloads = scanner.scan_paths(apps, want_metrics=True)
-    wall_s = time.perf_counter() - start
-    for payload in payloads:
-        if not payload.ok:
-            print(payload.error, file=sys.stderr)
-            raise SystemExit(2)
-    merged = merge_snapshots(
-        [p.metrics_snapshot for p in payloads if p.metrics_snapshot]
-    )
-    return run_record(
-        "bench",
-        options=options,
-        app_set=app_set_digest(apps),
-        snapshot=merged,
-        label=label,
-        wall_s=wall_s,
-    )
-
-
-def _bench_export(record: dict) -> dict:
-    """The derived BENCH export: measurements under a schema version,
-    identity under a provenance block."""
-    from .obs import BENCH_SCHEMA_VERSION, provenance
-
-    export = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "provenance": provenance(record),
-    }
-    for key in ("wall_s", "counters", "gauges", "profile"):
-        export[key] = record.get(key)
-    return export
-
-
-def _cmd_bench_record(args: argparse.Namespace) -> int:
-    from ._jsonwriter import dumps
-    from .obs import RunLedger, resolve_ledger_dir
-
-    apps = _bench_apps(args)
-    if not apps:
-        print("error: no apps given and no examples/apps/*.apkt found "
-              "under the working directory", file=sys.stderr)
-        return 2
-    options = NCheckerOptions(enabled_checks=_enabled_checks(args))
-    record = _bench_measure(apps, args.jobs, options, args.label)
-    ledger = RunLedger(resolve_ledger_dir(args.ledger_dir))
-    ledger.append(record)
-    print(f"recorded bench run {record['run_id']} "
-          f"({record['app_set']['count']} app(s), "
-          f"{record['wall_s'] * 1000:.0f} ms) -> {ledger.path}")
-    export = _bench_export(record)
-    for out in (args.out, args.baseline):
-        if not out:
-            continue
-        path = Path(out)
-        # `--baseline` takes an optional value, so a stray app path can
-        # land here (`--baseline app.apkt ...`); never clobber a file
-        # that is not already a JSON export.
-        if path.exists() and path.read_text()[:1] not in ("{", ""):
-            print(f"error: refusing to overwrite non-JSON file {out}",
-                  file=sys.stderr)
-            return 2
-        if path.parent and not path.parent.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            path.write_text(dumps(export) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {out}")
-    return 0
-
-
 def _load_run_or_die(path: str) -> dict:
     from .obs import load_run
 
@@ -608,21 +505,10 @@ def _load_run_or_die(path: str) -> dict:
 
 
 def _cmd_bench_gate(args: argparse.Namespace) -> int:
-    from .obs import RunLedger, compare_runs, resolve_ledger_dir
+    from .obs import compare_runs
 
     base = _load_run_or_die(args.baseline)
-    if args.current:
-        current = _load_run_or_die(args.current)
-    else:
-        apps = _bench_apps(args)
-        if not apps:
-            print("error: no apps given, no --current file, and no "
-                  "examples/apps/*.apkt found", file=sys.stderr)
-            return 2
-        options = NCheckerOptions(enabled_checks=_enabled_checks(args))
-        current = _bench_measure(apps, args.jobs, options,
-                                 args.label or "gate")
-        RunLedger(resolve_ledger_dir(args.ledger_dir)).append(current)
+    current = _load_run_or_die(args.current)
     result = compare_runs(base, current, args.timing_threshold,
                           args.timing_min_ms)
     print(result.render())
@@ -767,20 +653,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scan.add_argument(
         "--metrics", dest="metrics_out", metavar="FILE",
-        help="write the merged metrics snapshot (counters, gauges, and "
-        "the span-tree profile) as JSON to FILE",
+        help="write the run record (counters, gauges, the span-tree "
+        "profile, and the options and app-set identity `bench gate` "
+        "checks) as JSON to FILE",
     )
     scan.add_argument(
         "--profile", action="store_true",
         help="print the span-tree profile (per-layer self/cumulative "
         "wall time) on stderr after the scan; the tree is also embedded "
         "in the --metrics JSON under a 'profile' section",
-    )
-    scan.add_argument(
-        "--ledger", action="store_true",
-        help="append this run's telemetry to the append-only run ledger "
-        "($NCHECKER_LEDGER_DIR, else ~/.local/state/nchecker; see "
-        "docs/BENCHMARKS.md)",
     )
     scan.add_argument(
         "--progress", action="store_true",
@@ -909,71 +790,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="record performance runs in the run ledger and gate "
-        "regressions against a baseline",
+        help="gate a scan's run record against a baseline record",
     )
     bench_action = bench.add_subparsers(dest="action", required=True)
 
-    record = bench_action.add_parser(
-        "record",
-        help="run an instrumented, cache-disabled benchmark scan and "
-        "append it to the run ledger",
-        parents=[common],
-    )
-    record.add_argument(
-        "apps", nargs="*",
-        help=".apkt files to measure (default: examples/apps/*.apkt "
-        "under the working directory)",
-    )
-    record.add_argument(
-        "--label", metavar="TEXT",
-        help="free-form label stored on the ledger record",
-    )
-    record.add_argument(
-        "-j", "--jobs", type=_positive_int, default=1, metavar="N",
-        help="scan across N worker processes (profiles merge node-for-node)",
-    )
-    record.add_argument(
-        "--extended-checks", action="store_true",
-        help="measure with the extended-taxonomy checks enabled",
-    )
-    record.add_argument(
-        "--ledger-dir", metavar="DIR",
-        help="run-ledger location (default: $NCHECKER_LEDGER_DIR, else "
-        "~/.local/state/nchecker)",
-    )
-    record.add_argument(
-        "--out", metavar="FILE",
-        help="also write the derived BENCH export (schema_version + "
-        "provenance + measurements) to FILE",
-    )
-    record.add_argument(
-        "--baseline", nargs="?", const=DEFAULT_BASELINE, metavar="FILE",
-        help="also write the export as the regression baseline "
-        f"(default path: {DEFAULT_BASELINE}) — the one-command baseline "
-        "refresh",
-    )
-    record.set_defaults(func=_cmd_bench_record)
-
     gate = bench_action.add_parser(
         "gate",
-        help="compare against a baseline and exit nonzero on regressions",
+        help="compare two `scan --metrics` run records and exit nonzero "
+        "on regressions",
         parents=[common],
-    )
-    gate.add_argument(
-        "apps", nargs="*",
-        help=".apkt files to measure when no --current is given "
-        "(default: examples/apps/*.apkt)",
     )
     gate.add_argument(
         "--baseline", required=True, metavar="FILE",
-        help="the recorded baseline to gate against: ledger .jsonl (last "
-        "record), ledger-entry/baseline JSON, or a scan --metrics snapshot",
+        help="the baseline run record (a `scan --metrics` file)",
     )
     gate.add_argument(
-        "--current", metavar="FILE",
-        help="gate this previously recorded run (same formats) instead of "
-        "measuring now",
+        "--current", required=True, metavar="FILE",
+        help="the run record to gate (a `scan --metrics` file of the "
+        "same apps, written by the same command line)",
     )
     gate.add_argument(
         "--timing-threshold", type=_non_negative_float, default=0.2,
@@ -985,22 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timing-min-ms", type=_non_negative_float, default=5.0, metavar="MS",
         help="absolute noise floor: profile nodes whose times stay under "
         "MS never gate (default 5.0)",
-    )
-    gate.add_argument(
-        "--label", metavar="TEXT",
-        help="label stored on the measured run's ledger record",
-    )
-    gate.add_argument(
-        "-j", "--jobs", type=_positive_int, default=1, metavar="N",
-        help="worker processes for the measurement run",
-    )
-    gate.add_argument(
-        "--extended-checks", action="store_true",
-        help="measure with the extended-taxonomy checks enabled",
-    )
-    gate.add_argument(
-        "--ledger-dir", metavar="DIR",
-        help="run-ledger location for the measured run",
     )
     gate.set_defaults(func=_cmd_bench_gate)
 

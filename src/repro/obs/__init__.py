@@ -1,7 +1,7 @@
-"""Observability: structured tracing, metrics, profiles, and the ledger.
+"""Observability: structured tracing, metrics, profiles, and run records.
 
 The telemetry subsystem behind ``nchecker scan --trace/--metrics/--stats
-/--profile/--progress`` and ``nchecker bench`` (see
+/--profile/--progress`` and ``nchecker bench gate`` (see
 ``docs/OBSERVABILITY.md`` and ``docs/BENCHMARKS.md``):
 
 * :mod:`repro.obs.trace` — span-based tracer (context-manager API,
@@ -11,10 +11,10 @@ The telemetry subsystem behind ``nchecker scan --trace/--metrics/--stats
 * :mod:`repro.obs.profile` — folds the span stream into an aggregated
   self/cumulative wall-time tree (``scan --profile``), the one record
   of where time went;
-* :mod:`repro.obs.events` — the append-only JSONL run ledger
-  (``nchecker bench record``);
-* :mod:`repro.obs.compare` — baseline/current regression comparison
-  (``nchecker bench gate``);
+* :mod:`repro.obs.events` — the run record ``scan --metrics`` writes:
+  the merged snapshot plus the identity ``bench gate`` checks;
+* :mod:`repro.obs.compare` — baseline/current regression comparison of
+  two records (``nchecker bench gate``);
 * :mod:`repro.obs.log` — the ``nchecker`` diagnostic logger tree
   (stderr-only, so machine-readable stdout stays clean);
 * :mod:`repro.obs.render` — the ``--stats`` telemetry table.
@@ -64,12 +64,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "events": (
         "BENCH_SCHEMA_VERSION",
-        "LEDGER_SCHEMA_VERSION",
-        "RunLedger",
+        "RECORD_SCHEMA_VERSION",
         "app_set_digest",
         "git_head_sha",
-        "provenance",
-        "resolve_ledger_dir",
         "run_record",
     ),
     "profile": (
@@ -87,10 +84,9 @@ __all__ = [
     "CompareResult",
     "DEFAULT_TIMING_MIN_MS",
     "DEFAULT_TIMING_THRESHOLD",
-    "LEDGER_SCHEMA_VERSION",
     "MetricsRegistry",
     "NULL_SPAN",
-    "RunLedger",
+    "RECORD_SCHEMA_VERSION",
     "Tracer",
     "app_set_digest",
     "chrome_trace",
@@ -107,10 +103,8 @@ __all__ = [
     "metrics",
     "profile_from_events",
     "profile_total_ms",
-    "provenance",
     "render_profile",
     "render_telemetry",
-    "resolve_ledger_dir",
     "run_record",
     "set_metrics",
     "set_tracer",

@@ -1,8 +1,8 @@
 """Regression comparison between two recorded runs.
 
 ``nchecker bench gate`` reduces to :func:`compare_runs` over two run
-records (ledger entries, ledger files, derived exports, or raw
-``--metrics`` snapshots — see :func:`load_run`):
+records, the documents ``nchecker scan --metrics`` writes
+(:mod:`repro.obs.events`, read back by :func:`load_run`):
 
 * **Counters** exact-match where deterministic.  The analysis pipeline
   is deterministic over (apps, options) — the scan-scaling benchmark
@@ -56,41 +56,18 @@ NONDETERMINISTIC_COUNTER_PREFIXES = ("cache.",)
 
 
 def load_run(path) -> dict:
-    """Load a run record from any of the shapes the tooling writes:
+    """Load the run record a ``scan --metrics`` run wrote to ``path``.
 
-    * a ledger ``.jsonl`` file (takes the **last** parseable record),
-    * a single ledger-entry / baseline / ``bench record --out`` JSON
-      object (``provenance`` block lifted to the top level if present),
-    * a raw ``scan --metrics`` snapshot (wrapped as an anonymous record).
-
-    The timing summaries of older files (a ledger record's ``timings``,
-    a raw snapshot's histogram section, written before the profile tree
-    became the only clock) are ignored.
+    Sections the comparison does not read, such as the timing summaries
+    of files written before the profile tree became the only clock, are
+    ignored.
     """
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        data = None
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                candidate = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(candidate, dict):
-                data = candidate
-        if data is None:
-            raise ValueError(f"{path}: no parseable run record")
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    record = dict(data)
-    prov = record.pop("provenance", None)
-    if isinstance(prov, dict):
-        for key, value in prov.items():
-            record.setdefault(key, value)
+        record = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a JSON run record: {exc}") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(record).__name__}")
     if "counters" not in record:
         raise ValueError(f"{path}: record carries no counters section")
     return record
@@ -127,10 +104,6 @@ class CompareResult:
         lines = ["== bench gate =="]
         for role, rec in (("baseline", self.baseline), ("current", self.current)):
             bits = [str(rec.get("run_id", "?"))]
-            if rec.get("label"):
-                bits.append(str(rec["label"]))
-            if rec.get("git_sha"):
-                bits.append(str(rec["git_sha"])[:10])
             apps = (rec.get("app_set") or {}).get("count")
             if apps is not None:
                 bits.append(f"{apps} app(s)")

@@ -1,44 +1,31 @@
-"""The run ledger: an append-only JSONL log of performance runs.
+"""The run record: what ``nchecker scan --metrics FILE`` writes, and the
+one document ``nchecker bench gate`` compares.
 
-``BENCH_pipeline.json`` is a single overwritten snapshot; the ledger is
-its history.  One line per recorded run, each a self-contained JSON
-record carrying everything a later ``nchecker bench gate`` needs:
+A record is the merged metrics snapshot of one scan plus the identity
+that says what was measured:
 
-* ``schema_version`` — :data:`LEDGER_SCHEMA_VERSION`, so readers can
+* ``schema_version`` — :data:`RECORD_SCHEMA_VERSION`, so readers can
   evolve;
-* ``kind`` — ``"scan"`` (a ``nchecker scan`` run that collected
-  telemetry) or ``"bench"`` (``nchecker bench record`` / the pipeline
-  benchmarks);
 * ``options_fingerprint`` — one digest over every analysis-shaping
   :class:`NCheckerOptions <repro.core.checker.NCheckerOptions>` field
-  (:func:`repro.pipeline.cachestore.fingerprints.
-  scan_options_fingerprint`), so runs under different flags never
-  compare silently;
+  (:func:`scan_options_fingerprint`), so runs under different flags
+  never compare silently;
 * ``app_set`` — ``{"count", "digest"}`` over the scanned app files'
   names and contents (:func:`app_set_digest`);
+* ``run_id`` — a digest of the *deterministic* identity fields only
+  (schema, options fingerprint, app set, counters).  Wall-clock
+  quantities never enter it, so re-running the same code on the same
+  apps, at any ``--jobs``, yields the same ``run_id`` — which is exactly
+  what makes an unexpected ``run_id`` change meaningful;
 * ``counters`` / ``gauges`` — the merged metrics snapshot;
 * ``profile`` — the aggregated span tree (:mod:`repro.obs.profile`),
-  the run's only timing record;
-* ``git_sha`` — ``HEAD`` if the working directory is a git checkout;
-* ``run_id`` — a digest of the *deterministic* identity fields only
-  (schema, kind, options fingerprint, app set, counters).  Wall-clock
-  quantities never enter the identity, so re-running the same code on
-  the same apps yields the same ``run_id`` — which is exactly what makes
-  an unexpected ``run_id`` change meaningful.
-
-The ledger directory resolves ``$NCHECKER_LEDGER_DIR``, then
-``$XDG_STATE_HOME/nchecker``, then ``~/.local/state/nchecker``
-(:func:`resolve_ledger_dir`); the file is ``ledger.jsonl``.  Appends are
-single ``write()`` calls of one line, so concurrent recorders interleave
-whole records; readers skip lines that do not parse instead of dying on
-a torn tail.
+  the run's only timing record.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -50,36 +37,49 @@ except ImportError:  # an interpreter built without it: hashlib has one
 if TYPE_CHECKING:
     from ..core.checker import NCheckerOptions
 
-#: Bump on any change to the ledger record layout.  Version 2 dropped
-#: the ``timings`` histogram summaries: the profile tree times a run.
-LEDGER_SCHEMA_VERSION = 2
+#: Bump on any change to the record layout.  Version 4: the ``scan
+#: --metrics`` document is the run record (no ``kind``, ``label``,
+#: ``git_sha``, ``wall_s`` or ``provenance`` block).
+RECORD_SCHEMA_VERSION = 4
 
-#: Schema of the derived exports (``BENCH_pipeline.json``, ``bench
-#: record --out/--baseline``): version 1 was the schemaless pre-ledger
-#: snapshot, version 2 adds ``schema_version`` + ``provenance``, and
-#: version 3 drops ``timings`` (profile trees replace them).
+#: Schema of ``BENCH_pipeline.json``, which
+#: ``benchmarks/test_pipeline_scaling.py`` writes: version 3 dropped the
+#: timing histograms (profile trees replace them).
 BENCH_SCHEMA_VERSION = 3
 
-LEDGER_FILENAME = "ledger.jsonl"
+#: The format tag :func:`scan_options_fingerprint` hashes first.  Fixed:
+#: recorded runs (``benchmarks/bench_baseline.json``) must keep their
+#: fingerprints.
+_OPTIONS_FINGERPRINT_FORMAT = 2
 
 
-def resolve_ledger_dir(explicit: Optional[str] = None) -> str:
-    """The ledger root: ``explicit`` arg, then ``$NCHECKER_LEDGER_DIR``,
-    then ``$XDG_STATE_HOME/nchecker`` (``~/.local/state/nchecker``)."""
-    if explicit:
-        return str(explicit)
-    env = os.environ.get("NCHECKER_LEDGER_DIR")
-    if env:
-        return env
-    base = os.environ.get("XDG_STATE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".local", "state"
-    )
-    return os.path.join(base, "nchecker")
+def scan_options_fingerprint(options: "NCheckerOptions") -> str:
+    """One digest over every analysis-shaping option field.
+
+    The storage-only ``cache_dir`` is excluded: it can never change scan
+    output.  Unordered collections are sorted before hashing so the
+    digest is stable across interpreter hash seeds.
+    """
+    from ..libmodels import LIBMODELS_VERSION
+
+    h = blake2b(digest_size=12)
+    h.update(f"fmt{_OPTIONS_FINGERPRINT_FORMAT};lib{LIBMODELS_VERSION}".encode())
+    for name in type(options).__record_fields__:
+        if name == "cache_dir":
+            continue
+        value = getattr(options, name)
+        if isinstance(value, (set, frozenset)):
+            value = sorted(value)
+        h.update(f"\0{name}={value!r}".encode())
+    return h.hexdigest()
 
 
 def git_head_sha(cwd: Optional[str] = None) -> Optional[str]:
     """``HEAD``'s sha if the working directory is a git checkout with a
-    usable ``git``; ``None`` otherwise (never raises)."""
+    usable ``git``; ``None`` otherwise (never raises).  It stamps
+    ``BENCH_pipeline.json``; no run record carries it."""
+    import subprocess
+
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -111,99 +111,24 @@ def app_set_digest(paths: Iterable) -> dict:
 
 
 def run_identity(record: dict) -> str:
-    """The deterministic identity digest: schema, kind, options
-    fingerprint, app set, and counters — **never** wall-clock fields."""
+    """The deterministic identity digest: schema, options fingerprint,
+    app set, and counters — **never** wall-clock fields."""
     identity = {
-        "schema_version": record.get("schema_version"),
-        "kind": record.get("kind"),
-        "options_fingerprint": record.get("options_fingerprint"),
-        "app_set": record.get("app_set"),
-        "counters": record.get("counters"),
+        key: record.get(key)
+        for key in ("schema_version", "options_fingerprint", "app_set", "counters")
     }
     blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return blake2b(blob.encode(), digest_size=12).hexdigest()
 
 
-_AUTO = object()
-
-
-def run_record(
-    kind: str,
-    *,
-    options: "NCheckerOptions",
-    app_set: dict,
-    snapshot: dict,
-    label: Optional[str] = None,
-    wall_s: Optional[float] = None,
-    git_sha=_AUTO,
-) -> dict:
-    """Build one ledger record from a merged metrics snapshot."""
-    from ..pipeline.cachestore.fingerprints import scan_options_fingerprint
-
+def run_record(*, options: "NCheckerOptions", app_set: dict, snapshot: dict) -> dict:
+    """The run record of one scan, from its merged metrics snapshot."""
     record = {
-        "schema_version": LEDGER_SCHEMA_VERSION,
-        "kind": kind,
-        "label": label,
+        "schema_version": RECORD_SCHEMA_VERSION,
         "options_fingerprint": scan_options_fingerprint(options),
         "app_set": dict(app_set),
-        "git_sha": git_head_sha() if git_sha is _AUTO else git_sha,
-        "wall_s": wall_s,
         "counters": dict(snapshot.get("counters", {})),
         "gauges": dict(snapshot.get("gauges", {})),
         "profile": snapshot.get("profile"),
     }
-    record["run_id"] = run_identity(record)
-    return record
-
-
-def provenance(record: dict) -> dict:
-    """The provenance block a derived export (``BENCH_pipeline.json``,
-    baseline files) carries alongside its measurements."""
-    return {
-        key: record.get(key)
-        for key in (
-            "schema_version", "run_id", "kind", "label",
-            "options_fingerprint", "app_set", "git_sha",
-        )
-    }
-
-
-class RunLedger:
-    """One ledger directory: append records, read them back."""
-
-    def __init__(self, directory: str) -> None:
-        self.directory = Path(directory)
-
-    @property
-    def path(self) -> Path:
-        return self.directory / LEDGER_FILENAME
-
-    def append(self, record: dict) -> dict:
-        """Append one record (stamping ``schema_version``/``run_id`` if
-        the caller built the dict by hand) as a single JSONL line."""
-        record = dict(record)
-        record.setdefault("schema_version", LEDGER_SCHEMA_VERSION)
-        record.setdefault("run_id", run_identity(record))
-        self.directory.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with open(self.path, "a") as fh:
-            fh.write(line + "\n")
-        return record
-
-    def entries(self) -> list[dict]:
-        """Every parseable record, in append order; torn or foreign lines
-        are skipped (the append contract makes them rare, not impossible)."""
-        if not self.path.exists():
-            return []
-        out = []
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                out.append(record)
-        return out
+    return {"run_id": run_identity(record), **record}

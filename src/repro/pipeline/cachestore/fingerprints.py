@@ -34,7 +34,6 @@ from ...libmodels import LIBMODELS_VERSION
 
 if TYPE_CHECKING:
     from ...app.apk import APK
-    from ...core.checker import NCheckerOptions
 
 #: Bump on any change to the entry layout or the pickled object shapes
 #: that older readers/writers cannot handle; old entries then miss (and
@@ -42,12 +41,6 @@ if TYPE_CHECKING:
 #: Folded into both the entry header (:mod:`.codec`) and the local
 #: directory's ``v<N>`` path segment.
 CACHE_FORMAT_VERSION = 3  # v3: one entry per app, live objects by reference
-
-#: The format tag :func:`scan_options_fingerprint` hashes first.  Fixed,
-#: not :data:`CACHE_FORMAT_VERSION`: the entry layout shapes no option,
-#: and recorded runs (``benchmarks/bench_baseline.json``) must keep their
-#: fingerprints across cache format changes.
-_OPTIONS_FINGERPRINT_FORMAT = 2
 
 
 def method_content_hash(method: IRMethod) -> bytes:
@@ -81,30 +74,6 @@ def registry_fingerprint(registry) -> str:
     the set of registered libraries (default vs extended registry)."""
     keys = ",".join(sorted(registry.libraries))
     return f"v{LIBMODELS_VERSION}:{keys}"
-
-
-def scan_options_fingerprint(options: "NCheckerOptions") -> str:
-    """One digest over every analysis-shaping option field.
-
-    The run ledger (:mod:`repro.obs.events`) stamps this on every record
-    so ``nchecker bench gate`` never silently diffs runs produced
-    under different flags.  The storage-only ``cache_dir`` is excluded:
-    it can never change scan output.  Unordered collections are sorted
-    before hashing so the digest is stable across interpreter hash
-    seeds.
-    """
-    import dataclasses
-
-    h = blake2b(digest_size=12)
-    h.update(f"fmt{_OPTIONS_FINGERPRINT_FORMAT};lib{LIBMODELS_VERSION}".encode())
-    for field in dataclasses.fields(options):
-        if field.name == "cache_dir":
-            continue
-        value = getattr(options, field.name)
-        if isinstance(value, (set, frozenset)):
-            value = sorted(value)
-        h.update(f"\0{field.name}={value!r}".encode())
-    return h.hexdigest()
 
 
 def entry_digest(app_fp: str, registry) -> str:

@@ -326,10 +326,17 @@ class ScanService:
 
 
 async def serve(config: ServiceConfig) -> None:
-    """Run one daemon in the current event loop until cancelled (the
-    ``nchecker serve`` foreground path)."""
+    """Run one daemon in the current event loop until cancelled or sent
+    SIGTERM (the ``nchecker serve`` foreground path).  Either way the
+    worker pool shuts down before this returns, so no worker outlives
+    the daemon."""
+    import signal
+
     service = ScanService(config)
     await service.start()
+    asyncio.get_running_loop().add_signal_handler(
+        signal.SIGTERM, service.request_stop
+    )
     try:
         await service.run_until_stopped()
     finally:

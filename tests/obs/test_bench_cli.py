@@ -1,90 +1,93 @@
-"""`nchecker bench record|compare|gate` end to end, plus the scan
-`--ledger` hook."""
+"""`nchecker scan --metrics` run records and `nchecker bench gate` end to
+end."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
-from repro.obs import BENCH_SCHEMA_VERSION, RunLedger
+from repro.cli import build_parser, main
+from repro.obs import RECORD_SCHEMA_VERSION
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "apps"
 APPS = sorted(str(p) for p in EXAMPLES.glob("*.apkt"))
 
 
-@pytest.fixture(autouse=True)
-def _isolated_ledger(monkeypatch, tmp_path):
-    # Bench commands must never write the developer's real state dir
-    # from a test run.
-    monkeypatch.delenv("NCHECKER_LEDGER_DIR", raising=False)
-    monkeypatch.setenv("XDG_STATE_HOME", str(tmp_path / "xdg-state"))
-
-
-def _record(tmp_path, capsys, *extra):
-    out = tmp_path / "export.json"
-    code = main([
-        "bench", "record", "--ledger-dir", str(tmp_path / "ledger"),
-        "--out", str(out), *extra, *APPS,
-    ])
+def _record(tmp_path, capsys, *extra, name="record.json"):
+    out = tmp_path / name
+    code = main(["scan", "--metrics", str(out), *extra, *APPS])
     stdout = capsys.readouterr().out
     return code, stdout, out
 
 
+def _gate(tmp_path, capsys, base, current):
+    code = main(["bench", "gate", "--baseline", str(base),
+                 "--current", str(current), "--timing-threshold", "inf"])
+    return code, capsys.readouterr().out
+
+
 class TestRecord:
-    def test_appends_ledger_and_writes_export(self, tmp_path, capsys):
-        code, stdout, out = _record(tmp_path, capsys, "--label", "smoke")
-        assert code == 0
-        assert "recorded bench run" in stdout
-        entries = RunLedger(str(tmp_path / "ledger")).entries()
-        assert len(entries) == 1
-        record = entries[0]
-        assert record["kind"] == "bench"
-        assert record["label"] == "smoke"
+    def test_scan_metrics_writes_the_run_record(self, tmp_path, capsys):
+        code, _, out = _record(tmp_path, capsys)
+        assert code == 1  # the example apps have findings
+        record = json.loads(out.read_text())
+        assert record["schema_version"] == RECORD_SCHEMA_VERSION
+        assert record["options_fingerprint"] == "a15ac2187ff85b8d62eb085e"
         assert record["app_set"]["count"] == len(APPS)
+        assert record["run_id"]
+        assert record["counters"]["scan.apps"] == len(APPS)
         assert record["profile"]  # span tree rides along
-        export = json.loads(out.read_text())
-        assert export["schema_version"] == BENCH_SCHEMA_VERSION
-        assert export["provenance"]["run_id"] == record["run_id"]
-        assert export["counters"] == record["counters"]
+        for retired in ("kind", "label", "git_sha", "wall_s", "provenance"):
+            assert retired not in record
 
     def test_run_id_is_reproducible(self, tmp_path, capsys):
-        _record(tmp_path, capsys)
-        _record(tmp_path, capsys)
-        ids = [r["run_id"] for r in RunLedger(str(tmp_path / "ledger")).entries()]
-        assert len(set(ids)) == 1
+        _, _, first = _record(tmp_path, capsys, name="first.json")
+        _, _, second = _record(tmp_path, capsys, name="second.json")
+        ids = {json.loads(p.read_text())["run_id"] for p in (first, second)}
+        assert len(ids) == 1
 
-    def test_baseline_flag_writes_the_refresh_target(self, tmp_path, capsys,
-                                                     monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code = main(["bench", "record", *APPS, "--ledger-dir",
-                     str(tmp_path / "ledger"), "--baseline"])
+    def test_run_id_does_not_depend_on_jobs(self, tmp_path, capsys):
+        _, _, serial = _record(tmp_path, capsys, "--jobs", "1",
+                               name="serial.json")
+        _, _, parallel = _record(tmp_path, capsys, "--jobs", "2",
+                                 name="parallel.json")
+        serial, parallel = (json.loads(p.read_text()) for p in (serial, parallel))
+        assert serial["run_id"] == parallel["run_id"]
+        assert serial["counters"] == parallel["counters"]
+
+    def test_missing_apps_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "record.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--metrics", str(out), str(tmp_path / "nope.apkt")])
+        assert exc.value.code == 2
+        assert "no such file" in capsys.readouterr().err
+
+    def test_no_run_ledger_is_left(self, tmp_path, capsys, monkeypatch):
+        # The variables that once located a run ledger name no state.
+        monkeypatch.setenv("NCHECKER_LEDGER_DIR", str(tmp_path / "ledger"))
+        monkeypatch.setenv("XDG_STATE_HOME", str(tmp_path / "state"))
+        _record(tmp_path, capsys, "--stats")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["record.json"]
+        parser = build_parser()
+        bench = parser._subparsers._group_actions[0].choices["bench"]
+        assert list(bench._subparsers._group_actions[0].choices) == ["gate"]
+        with pytest.raises(SystemExit):
+            parser.parse_args(["scan", "--ledger", APPS[0]])
         capsys.readouterr()
-        assert code == 0
-        baseline = tmp_path / "benchmarks" / "bench_baseline.json"
-        assert baseline.exists()
-        assert json.loads(baseline.read_text())["schema_version"] == (
-            BENCH_SCHEMA_VERSION
-        )
 
-    def test_record_refuses_to_overwrite_non_json_files(self, tmp_path,
-                                                        capsys):
-        # `--baseline`'s optional value can swallow a following app path;
-        # the write must bounce off anything that isn't a JSON export.
-        victim = tmp_path / "app.apkt"
-        victim.write_text("# not an export\n")
-        code = main(["bench", "record", "--ledger-dir",
-                     str(tmp_path / "ledger"), "--out", str(victim), *APPS])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "refusing to overwrite" in captured.err
-        assert victim.read_text() == "# not an export\n"
-
-    def test_missing_apps_is_an_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # no examples/apps here
-        code = main(["bench", "record", "--ledger-dir", str(tmp_path)])
-        assert code == 2
-        assert "no apps" in capsys.readouterr().err
+    def test_gate_flags_other_apps_and_other_options(self, tmp_path, capsys):
+        _, _, base = _record(tmp_path, capsys)
+        _, _, extended = _record(tmp_path, capsys, "--extended-checks",
+                                 name="extended.json")
+        code, stdout = _gate(tmp_path, capsys, base, extended)
+        assert code == 1
+        assert "REGRESSION: options fingerprint differs" in stdout
+        out = tmp_path / "one-app.json"
+        main(["scan", "--metrics", str(out), APPS[0]])
+        capsys.readouterr()
+        code, stdout = _gate(tmp_path, capsys, base, out)
+        assert code == 1
+        assert "REGRESSION: app set differs" in stdout
 
 
 class TestCompareAndGate:
@@ -142,21 +145,10 @@ class TestCompareAndGate:
         capsys.readouterr()
         assert code == 1
 
-    def test_gate_measures_fresh_when_no_current_given(self, tmp_path, capsys):
-        out = self._exports(tmp_path, capsys)
-        # A generous timing threshold, as CI uses: this exercises the
-        # measure-fresh path and the counter exact-match, not the clock.
-        code = main(["bench", "gate", "--baseline", str(out),
-                     "--timing-threshold", "1000",
-                     "--ledger-dir", str(tmp_path / "gate-ledger"), *APPS])
-        capsys.readouterr()
-        assert code == 0  # same code, same apps: counters match exactly
-        [record] = RunLedger(str(tmp_path / "gate-ledger")).entries()
-        assert record["kind"] == "bench"
-
     @pytest.mark.parametrize("value", ["nan", "-1"])
     @pytest.mark.parametrize("flag", ["--timing-threshold", "--timing-min-ms"])
-    # Both ways to gate: compare a recorded run, or measure one now.
+    # The value is rejected as it is parsed, before a missing --current
+    # would be reported.
     @pytest.mark.parametrize("command", [
         ["gate", "--baseline", "base.json", "--current", "current.json"],
         ["gate", "--baseline", "base.json"],
@@ -187,26 +179,10 @@ class TestCompareAndGate:
 
 
 class TestScanLedgerHook:
-    def test_scan_ledger_flag_appends_a_scan_record(self, tmp_path, capsys,
-                                                    monkeypatch):
-        monkeypatch.setenv("NCHECKER_LEDGER_DIR", str(tmp_path / "scan-ledger"))
-        main(["scan", "--ledger", APPS[0]])
-        capsys.readouterr()
-        [record] = RunLedger(str(tmp_path / "scan-ledger")).entries()
-        assert record["kind"] == "scan"
-        assert record["app_set"]["count"] == 1
-        assert record["counters"].get("scan.apps") == 1
-
-    def test_env_dir_alone_records_instrumented_scans(self, tmp_path, capsys,
-                                                      monkeypatch):
-        monkeypatch.setenv("NCHECKER_LEDGER_DIR", str(tmp_path / "auto"))
-        main(["scan", "--stats", APPS[0]])
-        capsys.readouterr()
-        records = RunLedger(str(tmp_path / "auto")).entries()
-        assert [record["kind"] for record in records] == ["scan"]
-
     def test_plain_scan_never_touches_the_ledger(self, tmp_path, capsys,
                                                  monkeypatch):
+        # The variable that once made scans append to a run ledger is
+        # ignored now.
         monkeypatch.setenv("NCHECKER_LEDGER_DIR", str(tmp_path / "untouched"))
         main(["scan", APPS[0]])
         capsys.readouterr()

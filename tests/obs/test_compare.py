@@ -40,10 +40,9 @@ def _run(**kwargs):
         options=NCheckerOptions(),
         app_set={"count": 4, "digest": "abc"},
         snapshot=_snapshot(),
-        wall_s=1.0,
     )
     defaults.update(kwargs)
-    return run_record("bench", **defaults)
+    return run_record(**defaults)
 
 
 @pytest.fixture
@@ -190,30 +189,21 @@ class TestProfile:
 
 
 class TestLoadRun:
-    def test_single_json_with_provenance_lifted(self, tmp_path, baseline):
-        export = {
-            "schema_version": 2,
-            "provenance": {
-                "run_id": baseline["run_id"],
-                "options_fingerprint": baseline["options_fingerprint"],
-            },
-            "counters": baseline["counters"],
-            "timings": {"pass.connectivity.wall_ms": {"total": 1.0}},
-        }
-        path = tmp_path / "export.json"
-        path.write_text(json.dumps(export))
-        loaded = load_run(path)
-        assert loaded["run_id"] == baseline["run_id"]
-        assert loaded["options_fingerprint"] == baseline["options_fingerprint"]
+    def test_a_record_loads_with_its_identity(self, tmp_path, baseline):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(baseline))
+        assert load_run(path) == baseline
 
-    def test_jsonl_takes_last_record(self, tmp_path, baseline):
-        newer = copy.deepcopy(baseline)
-        newer["label"] = "newer"
-        path = tmp_path / "ledger.jsonl"
-        path.write_text(
-            json.dumps(baseline) + "\n" + json.dumps(newer) + "\n"
-        )
-        assert load_run(path)["label"] == "newer"
+    @pytest.mark.parametrize("text", [
+        '{"counters": {}}\n{"counters": {}}\n',  # two JSON lines
+        "[]",
+        "",
+    ], ids=["json-lines", "array", "empty"])
+    def test_anything_but_one_json_object_is_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_run(path)
 
     def test_raw_metrics_snapshot_loads_with_its_profile(self, tmp_path):
         path = tmp_path / "metrics.json"

@@ -1,18 +1,11 @@
-"""The run ledger: record identity, the JSONL file contract, and
-directory resolution."""
+"""The run record `scan --metrics` writes: its identity, the app-set
+digest and the options fingerprint."""
 
 import json
 
-from repro.core.checker import NCheckerOptions
-from repro.obs import (
-    LEDGER_SCHEMA_VERSION,
-    RunLedger,
-    app_set_digest,
-    git_head_sha,
-    provenance,
-    resolve_ledger_dir,
-    run_record,
-)
+from repro.core.checker import DEFAULT_CHECKS, EXTENDED_CHECKS, NCheckerOptions
+from repro.obs import RECORD_SCHEMA_VERSION, app_set_digest, git_head_sha, run_record
+from repro.obs.events import scan_options_fingerprint
 
 
 def _snapshot(counters=None):
@@ -34,31 +27,7 @@ def _record(**kwargs):
         snapshot=_snapshot(),
     )
     defaults.update(kwargs)
-    return run_record("bench", **defaults)
-
-
-class TestLedgerDir:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("NCHECKER_LEDGER_DIR", "/env/dir")
-        assert resolve_ledger_dir("/my/dir") == "/my/dir"
-
-    def test_env_var_beats_xdg(self, monkeypatch):
-        monkeypatch.setenv("NCHECKER_LEDGER_DIR", "/env/dir")
-        monkeypatch.setenv("XDG_STATE_HOME", "/xdg/state")
-        assert resolve_ledger_dir() == "/env/dir"
-
-    def test_xdg_state_home(self, monkeypatch):
-        monkeypatch.delenv("NCHECKER_LEDGER_DIR", raising=False)
-        monkeypatch.setenv("XDG_STATE_HOME", "/xdg/state")
-        assert resolve_ledger_dir() == "/xdg/state/nchecker"
-
-    def test_home_fallback(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("NCHECKER_LEDGER_DIR", raising=False)
-        monkeypatch.delenv("XDG_STATE_HOME", raising=False)
-        monkeypatch.setenv("HOME", str(tmp_path))
-        assert resolve_ledger_dir() == str(
-            tmp_path / ".local" / "state" / "nchecker"
-        )
+    return run_record(**defaults)
 
 
 class TestAppSetDigest:
@@ -88,8 +57,11 @@ class TestAppSetDigest:
 
 class TestRunRecord:
     def test_identity_ignores_wall_clock_fields(self):
-        fast = _record(wall_s=0.1, label="fast", git_sha="a" * 40)
-        slow = _record(wall_s=99.0, label="slow", git_sha=None)
+        fast = _record()
+        slow_snapshot = _snapshot()
+        slow_snapshot["profile"]["pass:connectivity"]["cum_ms"] = 300.0
+        slow_snapshot["gauges"]["cli.interp_cpu_ms"] = 90.0
+        slow = _record(snapshot=slow_snapshot)
         assert fast["run_id"] == slow["run_id"]
 
     def test_identity_tracks_behaviour(self):
@@ -98,51 +70,52 @@ class TestRunRecord:
             snapshot=_snapshot({"scan.apps": 2, "pass.connectivity.runs": 3})
         )
         other_apps = _record(app_set={"count": 2, "digest": "zzz"})
+        other_options = _record(options=NCheckerOptions(
+            enabled_checks=DEFAULT_CHECKS | EXTENDED_CHECKS
+        ))
         assert base["run_id"] != changed["run_id"]
         assert base["run_id"] != other_apps["run_id"]
+        assert base["run_id"] != other_options["run_id"]
 
     def test_record_is_json_safe_and_timed_by_its_profile_alone(self):
-        record = _record(wall_s=1.0)
+        record = _record()
         assert json.loads(json.dumps(record)) == record
-        assert record["schema_version"] == LEDGER_SCHEMA_VERSION
+        assert record["schema_version"] == RECORD_SCHEMA_VERSION
         assert record["profile"] == _snapshot()["profile"]
-        assert "timings" not in record
-
-    def test_provenance_carries_identity_not_measurements(self):
-        record = _record(wall_s=1.0)
-        prov = provenance(record)
-        assert prov["run_id"] == record["run_id"]
-        assert prov["options_fingerprint"] == record["options_fingerprint"]
-        for key in ("wall_s", "counters", "profile"):
-            assert key not in prov
+        assert set(record) == {
+            "schema_version", "run_id", "options_fingerprint", "app_set",
+            "counters", "gauges", "profile",
+        }
 
 
-class TestRunLedger:
-    def test_append_and_read_back(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "state"))
-        stored = ledger.append(_record(wall_s=0.5))
-        assert ledger.path.exists()
-        entries = ledger.entries()
-        assert entries == [stored]
-        assert stored["kind"] == "bench"
+class TestOptionsFingerprint:
+    """``benchmarks/bench_baseline.json`` gates only against runs with its
+    options fingerprint, so these values must never drift."""
 
-    def test_append_stamps_handmade_records(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
-        stored = ledger.append({"kind": "bench", "counters": {"c": 1}})
-        assert stored["schema_version"] == LEDGER_SCHEMA_VERSION
-        assert stored["run_id"]
+    def test_values_are_pinned(self):
+        assert scan_options_fingerprint(NCheckerOptions()) == (
+            "a15ac2187ff85b8d62eb085e"
+        )
+        assert scan_options_fingerprint(NCheckerOptions(
+            enabled_checks=DEFAULT_CHECKS | EXTENDED_CHECKS
+        )) == "7cac1038e3274c616bb2f490"
 
-    def test_torn_lines_are_skipped(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
-        first = ledger.append(_record())
-        with open(ledger.path, "a") as fh:
-            fh.write('{"torn": \n')
-        second = ledger.append(_record(label="after"))
-        assert ledger.entries() == [first, second]
+    def test_cache_dir_is_not_an_analysis_option(self):
+        assert scan_options_fingerprint(
+            NCheckerOptions(cache_dir="/some/dir")
+        ) == scan_options_fingerprint(NCheckerOptions())
 
-    def test_missing_file_reads_empty(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "never-written"))
-        assert ledger.entries() == []
+    def test_every_other_option_shapes_it(self):
+        base = scan_options_fingerprint(NCheckerOptions())
+        for options in (
+            NCheckerOptions(guard_aware_connectivity=True),
+            NCheckerOptions(interprocedural_connectivity=False),
+            NCheckerOptions(detect_retry_loops=False),
+            NCheckerOptions(notification_callee_depth=2),
+            NCheckerOptions(check_network_switch=True),
+            NCheckerOptions(inter_component=True),
+        ):
+            assert scan_options_fingerprint(options) != base, options
 
 
 class TestGitSha:

@@ -24,6 +24,7 @@ from repro.core.patcher import Patcher
 from repro.corpus.snippets import Connectivity, Notification, RequestSpec
 from repro.ir.statements import NopStmt
 from repro.obs import use_metrics
+from repro.obs.events import scan_options_fingerprint
 from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.cachestore import (
     CACHE_FORMAT_VERSION,
@@ -110,13 +111,13 @@ class TestFingerprints:
              / "bench_baseline.json").read_text()
         )
         options = NCheckerOptions()
-        assert (fingerprints.scan_options_fingerprint(options)
-                == baseline["provenance"]["options_fingerprint"])
+        assert (scan_options_fingerprint(options)
+                == baseline["options_fingerprint"])
         monkeypatch.setattr(
             fingerprints, "CACHE_FORMAT_VERSION", CACHE_FORMAT_VERSION + 1
         )
-        assert (fingerprints.scan_options_fingerprint(options)
-                == baseline["provenance"]["options_fingerprint"])
+        assert (scan_options_fingerprint(options)
+                == baseline["options_fingerprint"])
 
 
 class TestSizes:

@@ -1,5 +1,5 @@
-"""The committed BENCH export and bench baseline: schema, provenance,
-no retired counter names, and a baseline that still matches the code.
+"""The committed BENCH export and bench baseline: schema, identity, no
+retired counter names, and a baseline that still matches the code.
 
 PR 7 renamed the cache-hit counters from ``cache.disk.*`` to per-tier
 ``cache.<tier>.*`` names; the committed measurements must not keep the
@@ -12,10 +12,17 @@ from pathlib import Path
 
 from repro.cli import main
 from repro.core.checker import NCheckerOptions
-from repro.obs import BENCH_SCHEMA_VERSION, compare_runs, load_run, use_metrics
+from repro.obs import (
+    BENCH_SCHEMA_VERSION,
+    RECORD_SCHEMA_VERSION,
+    compare_runs,
+    load_run,
+    use_metrics,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH_FILE = REPO / "BENCH_pipeline.json"
+BASELINE = REPO / "benchmarks" / "bench_baseline.json"
 RETIRED_PREFIXES = ("cache.disk.",)
 
 
@@ -37,11 +44,10 @@ class TestCommittedBenchFile:
             )
 
     def test_baseline_carries_current_schema(self):
-        baseline = json.loads(
-            (REPO / "benchmarks" / "bench_baseline.json").read_text()
-        )
-        assert baseline["schema_version"] == BENCH_SCHEMA_VERSION
-        assert baseline["provenance"]["run_id"]
+        baseline = json.loads(BASELINE.read_text())
+        assert baseline["schema_version"] == RECORD_SCHEMA_VERSION
+        assert baseline["run_id"]
+        assert baseline["options_fingerprint"] == "a15ac2187ff85b8d62eb085e"
         for prefix in RETIRED_PREFIXES:
             assert not any(
                 name.startswith(prefix) for name in baseline["counters"]
@@ -53,22 +59,21 @@ class TestCommittedBaseline:
         self, tmp_path, capsys
     ):
         """What CI's `bench gate` checks, minus wall time: a run recorded
-        now has the baseline's counters and profile-node counts, so a
-        span or counter added without refreshing the baseline
-        (`nchecker bench record --baseline`) fails here first."""
+        now has the baseline's identity, counters and profile-node
+        counts, so a span or counter added without refreshing the
+        baseline (`nchecker scan --metrics benchmarks/bench_baseline.json
+        examples/apps/*.apkt`) fails here first."""
         apps = sorted(str(p) for p in (REPO / "examples" / "apps").glob("*.apkt"))
         current = tmp_path / "current.json"
-        code = main(["bench", "record", "--ledger-dir", str(tmp_path),
-                     "--out", str(current), *apps])
+        code = main(["scan", "--metrics", str(current), *apps])
         capsys.readouterr()
-        assert code == 0
-        result = compare_runs(
-            load_run(REPO / "benchmarks" / "bench_baseline.json"),
-            load_run(current),
-            threshold=float("inf"),
-        )
+        assert code == 1  # the example apps have findings
+        baseline = load_run(BASELINE)
+        recorded = load_run(current)
+        result = compare_runs(baseline, recorded, threshold=float("inf"))
         assert result.ok, result.render()
         assert result.counters_compared == 30
+        assert recorded["run_id"] == baseline["run_id"]
 
 
 class TestFreshSnapshots:

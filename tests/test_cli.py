@@ -174,9 +174,9 @@ class TestErrorHandling:
             ["scan", "--jobs", "0", "app.apkt"],
             ["scan", "--jobs", "-5", "app.apkt"],
             ["scan", "-j", "many", "app.apkt"],
-            ["bench", "record", "--jobs", "-1"],
-            ["bench", "gate", "--baseline", "b.json", "--jobs", "0"],
-            ["bench", "record", "-j", "0"],
+            ["scan", "--jobs=0", "app.apkt"],
+            ["scan", "-j0", "app.apkt"],
+            ["scan", "--jobs", "1.5", "app.apkt"],
         ],
     )
     def test_non_positive_worker_counts_rejected_at_parse_time(
@@ -383,3 +383,38 @@ class TestCorpus:
         files = sorted(out_dir.glob("*.apkt"))
         code = main(["scan", "--summary", *map(str, files)])
         assert code in (0, 1)
+
+    def test_uncreatable_directory_is_an_input_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        target = blocker / "corpus"
+        assert main(["corpus", str(target), "--apps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot create corpus directory {target}: Not a directory\n"
+        )
+        assert captured.out == ""
+
+    def test_unwritable_app_file_is_an_input_error(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        main(["corpus", str(first), "--apps", "1", "--no-ledger"])
+        capsys.readouterr()
+        (app,) = first.glob("*.apkt")
+        out_dir = tmp_path / "corpus"
+        (out_dir / app.name).mkdir(parents=True)
+        assert main(["corpus", str(out_dir), "--apps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot create {out_dir / app.name}: Is a directory\n"
+        )
+        assert captured.out == ""
+
+    def test_unwritable_ground_truth_is_an_input_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "corpus"
+        (out_dir / "groundtruth.json").mkdir(parents=True)
+        assert main(["corpus", str(out_dir), "--apps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot create {out_dir / 'groundtruth.json'}: "
+            "Is a directory\n"
+        )

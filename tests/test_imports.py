@@ -221,6 +221,23 @@ class TestStartupWork:
         )
         assert result.stdout.split() == [str(cache)] * 2, result.stdout
 
+    def test_a_metrics_scan_loads_no_cache_code_and_runs_no_git(self, tmp_path):
+        # The run record's options fingerprint lives in `repro.obs.events`,
+        # not in the cache store, and the record carries no commit sha.
+        record = tmp_path / "record.json"
+        result = _python(
+            "import subprocess\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('the scan started a subprocess')\n"
+            "subprocess.Popen = refuse\n"
+            f"ARGS = ['--metrics', {str(record)!r}]\n"
+            + self.SCAN
+            + "print('pickle' in sys.modules,\n"
+            "      'repro.pipeline.cachestore' in sys.modules)\n"
+        )
+        assert result.stdout.split() == ["False", "False"], result.stdout
+        assert json.loads(record.read_text())["options_fingerprint"]
+
 
 class TestRecords:
     """Records are built by ``repro._record.record``, never by
@@ -472,6 +489,12 @@ KEPT_DEFINITIONS = {
         "tests read the Table 4 capability matrix one cell at a time",
     "repro.netsim.energy.WIFI_RADIO":
         "the WiFi radio preset the energy tests compare 3G against",
+    "repro.pipeline.batch.BatchScanner.scan_paths":
+        "perfbench/layers.py::batch_layer collects a whole batch's payloads",
+    "repro.obs.events.BENCH_SCHEMA_VERSION":
+        "the layout of BENCH_pipeline.json, which benchmarks/ writes",
+    "repro.obs.events.git_head_sha":
+        "benchmarks/test_pipeline_scaling.py stamps BENCH_pipeline.json",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -42,7 +42,6 @@ def _env() -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), *filter(None, [env.get("PYTHONPATH")])]
     )
-    env.pop("NCHECKER_LEDGER_DIR", None)
     # Buffered stdout, as a user's shell gives it: what run() must flush.
     env.pop("PYTHONUNBUFFERED", None)
     return env
