@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import main
 from repro.obs import RECORD_SCHEMA_VERSION
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "apps"
@@ -20,7 +20,7 @@ def _record(tmp_path, capsys, *extra, name="record.json"):
     return code, stdout, out
 
 
-def _gate(tmp_path, capsys, base, current):
+def _gate(capsys, base, current):
     code = main(["bench", "gate", "--baseline", str(base),
                  "--current", str(current), "--timing-threshold", "inf"])
     return code, capsys.readouterr().out
@@ -68,24 +68,27 @@ class TestRecord:
         monkeypatch.setenv("XDG_STATE_HOME", str(tmp_path / "state"))
         _record(tmp_path, capsys, "--stats")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["record.json"]
-        parser = build_parser()
-        bench = parser._subparsers._group_actions[0].choices["bench"]
-        assert list(bench._subparsers._group_actions[0].choices) == ["gate"]
-        with pytest.raises(SystemExit):
-            parser.parse_args(["scan", "--ledger", APPS[0]])
+        for argv in (
+            ["scan", "--ledger", APPS[0]],
+            ["bench", "record", *APPS],
+            ["bench", "gate", "--baseline", "record.json"],  # no --current
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
         capsys.readouterr()
 
     def test_gate_flags_other_apps_and_other_options(self, tmp_path, capsys):
         _, _, base = _record(tmp_path, capsys)
         _, _, extended = _record(tmp_path, capsys, "--extended-checks",
                                  name="extended.json")
-        code, stdout = _gate(tmp_path, capsys, base, extended)
+        code, stdout = _gate(capsys, base, extended)
         assert code == 1
         assert "REGRESSION: options fingerprint differs" in stdout
         out = tmp_path / "one-app.json"
         main(["scan", "--metrics", str(out), APPS[0]])
         capsys.readouterr()
-        code, stdout = _gate(tmp_path, capsys, base, out)
+        code, stdout = _gate(capsys, base, out)
         assert code == 1
         assert "REGRESSION: app set differs" in stdout
 
