@@ -430,6 +430,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     from .corpus.generator import CorpusGenerator
+    from .corpus.groundtruth import dumps_ledger
     from .corpus.profiles import PAPER_PROFILE
 
     out_dir = Path(args.directory)
@@ -447,13 +448,10 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             return 2
         truths.append(truth)
     print(f"wrote {args.apps} apps to {out_dir}")
-    if not args.no_ledger:
-        from .corpus.groundtruth import dumps_ledger
-
-        ledger_path = out_dir / "groundtruth.json"
-        if not _write_corpus_file(ledger_path, dumps_ledger(truths)):
-            return 2
-        print(f"wrote ground-truth ledger to {ledger_path}")
+    ledger_path = out_dir / "groundtruth.json"
+    if not _write_corpus_file(ledger_path, dumps_ledger(truths)):
+        return 2
+    print(f"wrote ground-truth ledger to {ledger_path}")
     return 0
 
 
@@ -544,17 +542,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: --max-body: {exc}", file=sys.stderr)
         return 2
-    if not args.rate_limit >= 0:
-        print(f"error: --rate-limit: must be at least 0, got {args.rate_limit}",
-              file=sys.stderr)
-        return 2
     config = ServiceConfig(
         host=args.host,
         port=args.port,
         workers=args.workers,
         queue_depth=args.queue_depth,
-        rate_limit=args.rate_limit,
-        rate_burst=args.rate_burst,
         cache_dir=args.cache_dir,
         extended_checks=args.extended_checks,
         max_body_bytes=max_body,
@@ -584,7 +576,7 @@ def _number_in(convert, low, high=None):
     return parse
 
 
-#: Counts of workers, jobs, queue slots and burst tokens.
+#: Counts of workers, jobs and queue slots.
 _positive_int = _number_in(int, 1)
 #: Gate tolerances: NaN would switch a gate off, a negative one invert it.
 _non_negative_float = _number_in(float, 0)
@@ -753,10 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     corpus.add_argument("directory")
     corpus.add_argument("--apps", type=_number_in(int, 0), default=285)
-    corpus.add_argument(
-        "--no-ledger", action="store_true",
-        help="skip writing the groundtruth.json ledger next to the .apkt files",
-    )
     corpus.set_defaults(func=_cmd_corpus)
 
     cache = sub.add_parser(
@@ -847,16 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
         "get 503 (default 64)",
     )
     serve.add_argument(
-        "--rate-limit", type=float, default=0.0, metavar="R",
-        help="sustained scan submissions per second allowed per tenant "
-        "(token-bucket refill rate; default 0 = unlimited)",
-    )
-    serve.add_argument(
-        "--rate-burst", type=_positive_int, default=8, metavar="N",
-        help="token-bucket capacity: burst size a tenant may submit "
-        "before --rate-limit applies (default 8)",
-    )
-    serve.add_argument(
         "--max-body", default="16M", metavar="SIZE",
         help="largest accepted request body (413 beyond it); sizes like "
         "16M, 1.5G, or raw bytes (default 16M)",
@@ -894,8 +872,11 @@ def run() -> None:
     hook.  ``main`` itself leaves the collector alone, so library and
     test callers see no change.
 
-    A reader that closes stdout early (``nchecker scan --json app | head``)
-    gets exit code 2 and one ``error:`` line on stderr.
+    An ``OSError`` that escapes :func:`main` or the final flush exits 2
+    with one ``error:`` line on stderr, never 1 (which means "findings
+    were reported"): a reader that closes stdout early (``nchecker scan
+    --json app | head``) or a full disk under stdout (``> /dev/full``)
+    must not pass for a scan whose output arrived.
     """
     gc.freeze()
     raise_young_threshold()
@@ -915,6 +896,11 @@ def run() -> None:
         os.dup2(devnull, sys.stdout.fileno())
         print("error: stdout was closed before all output was written "
               "(broken pipe)", file=sys.stderr, flush=True)
+        code = 2
+    except OSError as exc:
+        # A full disk under stdout, or an error no command reported:
+        # the command did not finish, and 1 would read as "findings".
+        print(f"error: {exc.strerror or exc}", file=sys.stderr, flush=True)
         code = 2
     os._exit(code)
 

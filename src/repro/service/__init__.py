@@ -9,12 +9,11 @@ findings JSON or SARIF.  The module split mirrors the concerns:
   server core (request parsing, response writing, JSON helpers);
 * :mod:`~repro.service.jobs` — the in-memory job table
   (``queued → running → done|failed``) behind ``/v1/scans``;
-* :mod:`~repro.service.ratelimit` — per-tenant token buckets;
 * :mod:`~repro.service.worker` — the scan function dispatched to the
   pool; it returns the batch scanner's ``ScanPayload``, and the daemon
   prints it through the same renderer as ``nchecker scan``;
 * :mod:`~repro.service.daemon` — :class:`ScanService`: routing,
-  admission control (queue bound, rate limits), the worker pool, and
+  admission control (the queue bound), the worker pool, and
   ``/healthz`` + ``/metrics``.
 
 The HTTP API, deployment notes, and a curl quickstart live in
@@ -24,18 +23,15 @@ The HTTP API, deployment notes, and a curl quickstart live in
 from .daemon import ScanService, ServiceConfig, serve, start_in_thread
 from .http import Request, Response, json_response
 from .jobs import Job, JobStore
-from .ratelimit import RateLimiter, TokenBucket
 from .worker import execute_scan
 
 __all__ = [
     "Job",
     "JobStore",
-    "RateLimiter",
     "Request",
     "Response",
     "ScanService",
     "ServiceConfig",
-    "TokenBucket",
     "execute_scan",
     "json_response",
     "serve",

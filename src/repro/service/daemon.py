@@ -3,11 +3,11 @@
 :class:`ScanService` ties the service package together behind one
 ``async handle(Request) -> Response``:
 
-* **Scans** — ``POST /v1/scans`` admits a submission (per-tenant token
-  bucket → 429, bounded active-job queue → 503) and dispatches it to a
-  persistent worker-process pool; ``GET /v1/scans/{id}`` polls status
-  and results, with ``/findings`` (the exact ``scan --json`` document),
-  ``/sarif``, and ``/trace`` views.
+* **Scans** — ``POST /v1/scans`` admits a submission (bounded
+  active-job queue → 503) and dispatches it to a persistent
+  worker-process pool; ``GET /v1/scans/{id}`` polls status and counts,
+  with ``/findings`` (the exact ``scan --json`` document), ``/sarif``,
+  and ``/trace`` views.
 * **Introspection** — ``/healthz`` (liveness + job counts) and
   ``/metrics`` (the daemon's own registry merged with every finished
   scan's snapshot — the PR 3 snapshot/merge protocol across the pool).
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 from typing import Callable, Optional
 
 from .._record import record
@@ -37,7 +36,6 @@ from .http import (
     json_response,
 )
 from .jobs import JobStore
-from .ratelimit import RateLimiter
 from .worker import execute_scan
 
 log = get_logger("service")
@@ -56,12 +54,6 @@ class ServiceConfig:
     #: Bound on admitted-but-unfinished jobs; beyond it submissions get
     #: 503 until the backlog drains.
     queue_depth: int = 64
-    #: Sustained submissions/second allowed per tenant (token-bucket
-    #: refill rate); ``0`` disables rate limiting.
-    rate_limit: float = 0.0
-    #: Token-bucket capacity: how large a burst passes before the
-    #: sustained rate applies.
-    rate_burst: int = 8
     #: The workers' persistent artifact cache directory (``None``: no
     #: cache; each worker's session cache still keeps repeat scans warm).
     cache_dir: Optional[str] = None
@@ -82,7 +74,6 @@ class ScanService:
 
         self.registry = MetricsRegistry()
         self.jobs = JobStore()
-        self.limiter = RateLimiter(config.rate_limit, config.rate_burst)
         self.server = HttpServer(
             self.handle, config.host, config.port, config.max_body_bytes
         )
@@ -187,15 +178,6 @@ class ScanService:
     # -- scans ---------------------------------------------------------------
 
     def _submit(self, request: Request) -> Response:
-        tenant = request.headers.get("x-nchecker-tenant", "default")
-        if not self.limiter.allow(tenant):
-            retry = max(1, round(self.limiter.retry_after(tenant)))
-            self.registry.inc("service.scans.rejected.rate_limited")
-            return error_response(
-                429,
-                f"tenant {tenant!r} is over its submission rate",
-                **{"Retry-After": str(retry)},
-            )
         if self.jobs.active_count() >= self.config.queue_depth:
             self.registry.inc("service.scans.rejected.queue_full")
             return error_response(
@@ -205,7 +187,7 @@ class ScanService:
                 **{"Retry-After": "1"},
             )
         apkt_text, filename = self._parse_submission(request)
-        job = self.jobs.create(tenant, filename)
+        job = self.jobs.create(filename)
         self.registry.inc("service.scans.submitted")
         asyncio.get_running_loop().create_task(self._run_job(job, apkt_text))
         self._update_gauges()
@@ -262,14 +244,12 @@ class ScanService:
                 job.status = "failed"
                 job.error = payload.error
                 self.registry.inc("service.scans.failed")
-        job.finished_at = time.time()
         self._update_gauges()
 
     def _job_view(self, job) -> dict:
         view = {
             "id": job.id,
             "status": job.status,
-            "tenant": job.tenant,
             "filename": job.filename,
             "url": f"/v1/scans/{job.id}",
         }
@@ -281,7 +261,6 @@ class ScanService:
                 package=payload.package,
                 findings=payload.n_findings,
                 requests=payload.n_requests,
-                result=payload.json_dict,
                 counters=(payload.metrics_snapshot or {}).get("counters", {}),
                 links={
                     "findings": f"/v1/scans/{job.id}/findings",

@@ -36,7 +36,6 @@ REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
-    429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -74,6 +73,8 @@ class Request:
             decoded = json.loads(self.body)
         except ValueError as exc:
             raise ProtocolError(400, f"invalid JSON body: {exc}")
+        except RecursionError:
+            raise ProtocolError(400, "invalid JSON body: nested too deeply")
         if not isinstance(decoded, dict):
             raise ProtocolError(400, "JSON body must be an object")
         return decoded
@@ -146,7 +147,10 @@ async def read_request(
         except asyncio.IncompleteReadError:
             raise ProtocolError(400, "truncated request body")
 
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # an unclosed IPv6 bracket: "//["
+        raise ProtocolError(400, f"malformed request target: {exc}")
     return Request(
         method=method.upper(),
         path=unquote(split.path) or "/",

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import os
-import time
 from typing import Optional
 
-from .._record import field, record
+from .._record import record
 from ..pipeline.batch import ScanPayload
 
 #: States a job moves through.  ``queued`` means admitted but not yet
@@ -31,14 +30,11 @@ class Job:
     """One scan submission and, once finished, its rendered results."""
 
     id: str
-    tenant: str
     filename: str
     status: str = "queued"
     error: str = ""
     #: The worker's rendered result, once it returns.
     payload: Optional[ScanPayload] = None
-    created_at: float = field(default_factory=time.time)
-    finished_at: Optional[float] = None
 
     @property
     def done(self) -> bool:
@@ -54,9 +50,9 @@ class JobStore:
         self._serial = itertools.count(1)
         self._nonce = os.urandom(4).hex()
 
-    def create(self, tenant: str, filename: str) -> Job:
+    def create(self, filename: str) -> Job:
         job_id = f"scan-{next(self._serial):06d}-{self._nonce}"
-        job = Job(id=job_id, tenant=tenant, filename=filename)
+        job = Job(id=job_id, filename=filename)
         self._jobs[job_id] = job
         self._evict_finished()
         return job

@@ -38,7 +38,7 @@ BUGGY = [EXAMPLES / f"{name}.apkt"
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("apps")
-    assert main(["corpus", str(out), "--apps", "4", "--no-ledger"]) == 0
+    assert main(["corpus", str(out), "--apps", "4"]) == 0
     paths = sorted(out.glob("*.apkt"))
     assert len(paths) == 4
     return paths

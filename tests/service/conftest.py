@@ -38,12 +38,10 @@ def get_json(url):
     return json.loads(body)
 
 
-def submit(base_url, apkt_text, *, filename=None, tenant=None):
+def submit(base_url, apkt_text, *, filename=None):
     """POST one submission; raw body by default, the JSON envelope when
     a filename must ride along."""
     headers = {}
-    if tenant is not None:
-        headers["X-NChecker-Tenant"] = tenant
     if filename is None:
         body = apkt_text.encode("utf-8")
         headers["Content-Type"] = "text/plain"

@@ -2,7 +2,7 @@
 
 Covers the full surface promised by ``docs/SERVICE.md``: submit → poll
 → fetch, byte-identical JSON/SARIF parity with the CLI on the same app,
-queue-full and rate-limit rejection, the ``/metrics`` merge across a
+queue-full rejection, the job view's keys, the ``/metrics`` merge across a
 multi-process pool, and the cache being each worker's private,
 opt-in directory (no HTTP route reaches it).
 """
@@ -53,7 +53,6 @@ class TestScanLifecycle:
         assert view["package"] == "com.life.cycle"
         assert view["findings"] >= 1
         assert view["requests"] == 1
-        assert view["result"]["package"] == "com.life.cycle"
         assert set(view["links"]) == {"findings", "sarif", "trace"}
 
     def test_json_envelope_submission_carries_the_filename(self, daemon):
@@ -216,26 +215,26 @@ class ManualExecutor:
         self.pending.clear()
 
 
-class TestAdmissionControl:
-    @pytest.fixture()
-    def stalled(self):
-        """A daemon whose pool never finishes until released."""
-        executor = ManualExecutor()
-        handle = start_in_thread(ServiceConfig(
-            port=0, queue_depth=2, rate_limit=0.001, rate_burst=1,
-            executor_factory=lambda workers: executor,
-        ))
-        yield handle, executor
-        executor.release_all()
-        handle.stop()
+@pytest.fixture()
+def stalled():
+    """A daemon whose pool never finishes until released."""
+    executor = ManualExecutor()
+    handle = start_in_thread(ServiceConfig(
+        port=0, queue_depth=2, executor_factory=lambda workers: executor,
+    ))
+    yield handle, executor
+    executor.release_all()
+    handle.stop()
 
+
+class TestAdmissionControl:
     def test_queue_full_is_503_until_the_backlog_drains(self, stalled):
         handle, executor = stalled
         text = app_text("com.queue.app")
-        first = json.loads(submit(handle.base_url, text, tenant="a")[2])
-        second = json.loads(submit(handle.base_url, text, tenant="b")[2])
+        first = json.loads(submit(handle.base_url, text)[2])
+        second = json.loads(submit(handle.base_url, text)[2])
 
-        status, headers, body = submit(handle.base_url, text, tenant="c")
+        status, headers, body = submit(handle.base_url, text)
         assert status == 503
         assert headers["Retry-After"] == "1"
         assert b"queue is full" in body
@@ -245,24 +244,33 @@ class TestAdmissionControl:
         executor.release_all()
         wait_done(handle.base_url, first["id"])
         wait_done(handle.base_url, second["id"])
-        # A fresh tenant: "c" spent its only token on the 503 attempt
-        # (rate admission runs before the queue check).
-        assert submit(handle.base_url, text, tenant="d")[0] == 202
+        assert submit(handle.base_url, text)[0] == 202
 
-    def test_rate_limit_is_429_per_tenant(self, stalled):
-        handle, _ = stalled
-        text = app_text("com.rate.app")
-        assert submit(handle.base_url, text, tenant="noisy")[0] == 202
 
-        status, headers, body = submit(handle.base_url, text, tenant="noisy")
-        assert status == 429
-        assert int(headers["Retry-After"]) >= 1
-        assert b"submission rate" in body
+class TestJobView:
+    """A view carries each fact once: the findings document lives at
+    ``/findings`` only."""
 
-        # A different tenant has its own bucket.
-        assert submit(handle.base_url, text, tenant="quiet")[0] == 202
-        counters = get_json(handle.base_url + "/metrics")["counters"]
-        assert counters["service.scans.rejected.rate_limited"] == 1
+    RUNNING = {"id", "status", "filename", "url"}
+    DONE = RUNNING | {"package", "findings", "requests", "counters", "links"}
+    FAILED = RUNNING | {"error"}
+
+    def test_keys_by_state(self, stalled):
+        handle, executor = stalled
+        good = json.loads(submit(handle.base_url, app_text("com.view.app"))[2])
+        bad = json.loads(submit(handle.base_url, "not an app\n")[2])
+        for job in (good, bad):
+            view = get_json(handle.base_url + job["url"])
+            assert view["status"] == "running"
+            assert set(view) == self.RUNNING
+
+        executor.release_all()
+        done = wait_done(handle.base_url, good["id"])
+        assert done["status"] == "done"
+        assert set(done) == self.DONE
+        failed = wait_done(handle.base_url, bad["id"])
+        assert failed["status"] == "failed"
+        assert set(failed) == self.FAILED
 
 
 class TestMetricsMerge:
@@ -286,7 +294,11 @@ class TestMetricsMerge:
             # scans built their callgraphs, whichever process ran them.
             assert counters["artifact.callgraph.builds"] == 2
             assert counters["service.http.requests"] >= 4
-            assert "profile" in snapshot
+            # So are their profile trees: one `load` and one `scan` root
+            # per finished scan.
+            profile = snapshot["profile"]
+            assert profile["load"]["count"] == len(ids)
+            assert profile["scan"]["count"] == len(ids)
         finally:
             handle.stop()
 

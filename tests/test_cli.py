@@ -199,15 +199,11 @@ class TestErrorHandling:
         [
             (["--workers", "0"], "--workers: must be at least 1, got 0"),
             (["--queue-depth", "-3"], "--queue-depth: must be at least 1, got -3"),
-            (["--rate-limit", "1", "--rate-burst", "0"],
-             "--rate-burst: must be at least 1, got 0"),
-            (["--rate-limit", "-1"], "--rate-limit: must be at least 0, got -1.0"),
             (["--port", "70000"],
              "--port: must be between 0 and 65535, got 70000"),
             (["--port", "-5"], "--port: must be between 0 and 65535, got -5"),
         ],
-        ids=["workers", "queue-depth", "rate-burst", "rate-limit",
-             "port-above-65535", "port-negative"],
+        ids=["workers", "queue-depth", "port-above-65535", "port-negative"],
     )
     def test_serve_rejects_values_that_break_every_request(
         self, capsys, monkeypatch, argv, message
@@ -397,7 +393,7 @@ class TestCorpus:
 
     def test_unwritable_app_file_is_an_input_error(self, tmp_path, capsys):
         first = tmp_path / "first"
-        main(["corpus", str(first), "--apps", "1", "--no-ledger"])
+        main(["corpus", str(first), "--apps", "1"])
         capsys.readouterr()
         (app,) = first.glob("*.apkt")
         out_dir = tmp_path / "corpus"

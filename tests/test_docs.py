@@ -154,7 +154,7 @@ class TestCliDoc:
                     checked += 1
                     if name not in flags_of.get(owner, ()):
                         stale.append(f"{owner}: {name}")
-        assert checked >= 40, "no flag-table rows found in docs/CLI.md"
+        assert checked >= 38, "no flag-table rows found in docs/CLI.md"
         assert not stale, f"documented flags the parser lacks: {stale}"
 
     def test_readme_points_at_the_new_docs(self):

@@ -215,6 +215,32 @@ class TestClosedStdout:
         assert "Traceback" not in stderr
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+class TestFullStdout:
+    """A stdout whose writes fail with ENOSPC (``> /dev/full``) exits 2
+    with one ``error:`` line: exit 1 would read as "findings were
+    reported" for a scan whose output was lost."""
+
+    @staticmethod
+    def _full_disk(*args: str) -> tuple[int, str]:
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *args],
+                stdout=full, stderr=subprocess.PIPE, env=_env(), timeout=120,
+            )
+        return proc.returncode, proc.stderr.decode()
+
+    def test_write_inside_main(self):
+        code, stderr = self._full_disk("scan", "--json", *APPS * 5)
+        assert code == 2
+        assert stderr.splitlines() == ["error: No space left on device"]
+
+    def test_final_flush(self):
+        code, stderr = self._full_disk("checks")
+        assert code == 2
+        assert stderr.splitlines() == ["error: No space left on device"]
+
+
 @needs_proc
 class TestNoProcessLeftBehind:
     def test_scan_jobs_2(self):
